@@ -513,11 +513,19 @@ def _sparse_signal(rng: np.random.Generator, n: int, k: int,
     return f
 
 
+# measurements a greedy solver needs per atom: OMP solves with K columns
+# (K <= M), subspace pursuit with up to 2K candidates (2K <= M)
+_ROWS_PER_ATOM = {"omp": 1, "sp": 2, "subspace_pursuit": 2}
+
+
 def run_phase_transition(cfg: ExperimentConfig) -> PhaseReport:
     """Noiseless success rates (relative error <= 1e-4) over a grid of
     (basis, K, M) cells; grids come from cfg.extra (k_grid, m_grid,
     bases, zero_mean) and default to the single configured cell.  The
-    same per-trial seeds are reused in every cell, pairing the grid."""
+    same per-trial seeds are reused in every cell, pairing the grid.
+    Cells the greedy solver cannot attempt (K > M for OMP, 2K > M for
+    subspace pursuit) score zero successes without solving; any error
+    raised while solving a feasible cell propagates."""
     k_grid = [int(v) for v in cfg.extra.get("k_grid", [cfg.k])]
     m_grid = [int(v) for v in cfg.extra.get("m_grid", [cfg.m])]
     bases = list(cfg.extra.get("bases", [cfg.basis]))
@@ -533,20 +541,15 @@ def run_phase_transition(cfg: ExperimentConfig) -> PhaseReport:
                 static_samp = equispaced_sampling(cfg.n, m) \
                     if cfg.sampling_mode == "equispaced" else None
                 successes = 0
-                for t in range(cfg.trials):
+                feasible = _ROWS_PER_ATOM.get(cfg.solver, 0) * k <= m
+                for t in range(cfg.trials if feasible else 0):
                     rng = np.random.default_rng(
                         trial_seed(cfg.master_seed, t))
                     theta = _trial_operator(cell_cfg, rng, static_circ,
                                             static_samp, basis)
                     f = _sparse_signal(rng, cfg.n, k, zero_mean)
                     y = theta.forward(f)
-                    try:
-                        result = _solve(cell_cfg, theta, y)
-                    except ValueError:
-                        # solver infeasible at this (K, M); the whole cell
-                        # fails identically, so score it and move on
-                        successes = 0
-                        break
+                    result = _solve(cell_cfg, theta, y)
                     rel = float(np.linalg.norm(f - result.f_hat)
                                 / np.linalg.norm(f))
                     successes += rel <= 1e-4

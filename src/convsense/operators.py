@@ -205,8 +205,11 @@ class SamplingSet:
 
 def random_sampling(n: int, m: int, seed) -> SamplingSet:
     """M indices uniform without replacement via a partial Fisher-Yates
-    shuffle: for i in 0..M-1 swap position i with j ~ Uniform{i..N-1}
-    (one ``integers`` draw per step from ``default_rng(seed)``).
+    shuffle: for i in 0..M-1 swap position i with j_i ~ Uniform{i..N-1}.
+    All M bounds come from one ``integers(arange(M), N)`` call on
+    ``default_rng(seed)``, which consumes the generator exactly like M
+    scalar ``integers(i, N)`` calls in order, so later draws from the same
+    generator are unchanged.
 
     ``seed`` may also be a live Generator, in which case the draws come
     from its current state and the stored seed is None."""
@@ -217,8 +220,7 @@ def random_sampling(n: int, m: int, seed) -> SamplingSet:
     else:
         rng, stored = np.random.default_rng(seed), int(seed)
     arr = np.arange(n, dtype=np.int64)
-    for i in range(m):
-        j = int(rng.integers(i, n))
+    for i, j in enumerate(rng.integers(np.arange(m), n).tolist()):
         arr[i], arr[j] = arr[j], arr[i]
     return SamplingSet(n=n, indices=arr[:m], mode="random_uniform",
                        seed=stored)
@@ -362,6 +364,31 @@ class SensingOperator:
             raise ValueError(f"block height {y.shape[0]} != M={self.m}")
         u = self.sampling.embed(y / np.sqrt(self.m))
         return self.basis.adjoint(self.circulant.adjoint_batch(u))
+
+    def columns(self, idx) -> np.ndarray:
+        """Theta[:, idx] as an M x len(idx) block.
+
+        Identity and inverse-Fourier columns have closed forms and need no
+        FFT: Theta[:, j] = filter[(rows - j) mod N] / sqrt(M) for the
+        identity basis, and, because Fourier vectors are eigenvectors of
+        every circulant, Theta[:, j] = exp(2j*pi*rows*j/N) * sigma_j /
+        sqrt(M) for the inverse-Fourier basis.  DCT columns go through
+        ``forward_batch`` on an identity block."""
+        idx = np.asarray(idx, dtype=np.int64)
+        if idx.ndim != 1:
+            raise ValueError("column indices must be a 1-D vector")
+        if idx.size and (idx.min() < 0 or idx.max() >= self.n):
+            raise ValueError(f"column indices out of range [0, {self.n})")
+        rows = self.sampling.indices[:, None]
+        if self.basis.kind == "identity":
+            return self.circulant.filter[(rows - idx) % self.n] \
+                / np.sqrt(self.m)
+        if self.basis.kind == "inverse_fourier":
+            phase = np.exp((2j * np.pi / self.n) * ((rows * idx) % self.n))
+            return phase * (self.circulant.spectrum[idx] / np.sqrt(self.m))
+        block = np.zeros((self.n, idx.size), dtype=np.complex128)
+        block[idx, np.arange(idx.size)] = 1.0
+        return self.forward_batch(block)
 
     def dense(self, block: int = 256) -> np.ndarray:
         """Explicit M x N matrix: columns are forward images of the

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
-import scipy.linalg
 
 from .operators import SensingOperator
 
@@ -81,22 +80,26 @@ class _OpAdapter:
     def columns(self, idx: np.ndarray) -> np.ndarray:
         if self.mat is not None:
             return self.mat[:, idx]
-        block = np.zeros((self.n, len(idx)), dtype=np.complex128)
-        block[idx, np.arange(len(idx))] = 1.0
-        return self.op.forward_batch(block)
+        return self.op.columns(idx)
 
 
 def _least_squares(cols: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Normal equations with a tiny ridge (supports are <= 2K columns)."""
-    gram = cols.conj().T @ cols
-    gram[np.diag_indices_from(gram)] += _RIDGE
-    return scipy.linalg.solve(gram, cols.conj().T @ y, assume_a="her")
+    cols_h = cols.conj().T
+    gram = cols_h @ cols
+    gram.flat[::gram.shape[0] + 1] += _RIDGE
+    return np.linalg.solve(gram, cols_h @ y)
 
 
 def _top_indices(mags: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k largest magnitudes; ties break to lowest index."""
-    order = np.argsort(-mags, kind="stable")
-    return order[:k]
+    """Indices of the k largest magnitudes, ties broken to the lowest
+    index: the same set as ``argsort(-mags, kind="stable")[:k]``, in no
+    particular order."""
+    neg = -mags
+    kth = np.partition(neg, k - 1)[k - 1]
+    better = np.flatnonzero(neg < kth)
+    tied = np.flatnonzero(neg == kth)[:k - better.size]
+    return np.concatenate((better, tied))
 
 
 def _embed(n: int, support: np.ndarray, coef: np.ndarray) -> np.ndarray:
@@ -169,9 +172,10 @@ def subspace_pursuit(p: RecoveryProblem) -> RecoveryResult:
                           _top_indices(np.abs(adapter.adjoint(r)), k))
         ccols = adapter.columns(cand)
         ccoef = _least_squares(ccols, y)
-        keep = _top_indices(np.abs(ccoef), k)
-        new_support = np.sort(cand[keep])
-        ncols = adapter.columns(new_support)
+        # cand is sorted, so sorting keep sorts the new support too
+        keep = np.sort(_top_indices(np.abs(ccoef), k))
+        new_support = cand[keep]
+        ncols = ccols[:, keep]
         ncoef = _least_squares(ncols, y)
         nres = y - ncols @ ncoef
         nnorm = float(np.linalg.norm(nres))

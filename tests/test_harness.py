@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import oracles
+from convsense import recovery
 from convsense import sequences as seqs
 from convsense.harness import (ExperimentConfig, attc_channel, audit_gauss,
                                audit_papr, audit_coherence_bounds, build_circulant,
@@ -170,6 +171,27 @@ def test_ofdm_real_tap_refit_beats_complex_fit():
             >= plain.rows[0].mean_output_snr_db)
 
 
+# sha256 of the reference-config CSVs at trials=25, master_seed=0; the
+# same bytes are pinned as round 0 of the benchmark's ofdm_ref workload
+_OFDM_REFERENCE_SHA256 = {
+    "proposed": (
+        "7f4bf0710679f47a22d297d80036b96ce3dfce6ac2ebccec1ae4641686cb0dd4",
+        "444b91b47eadc6b05f16308f43e8c93b6c23c85c437a75739440febdd836a453"),
+    "baseline": (
+        "2ece21049a98d30d6f4fe21442abdcdba364ff64c248d477cbd5d03b8de56747",
+        "05880033d80d14131fba044feb50890c9bd241dab9778febdca7bbc5950b1ecf"),
+}
+
+
+@pytest.mark.parametrize("scheme", sorted(_OFDM_REFERENCE_SHA256))
+def test_ofdm_reference_csv_bytes_pinned(scheme):
+    rep = run_ofdm_experiment(
+        ofdm_reference_config(scheme, trials=25, master_seed=0))
+    got = tuple(hashlib.sha256(text.encode()).hexdigest()
+                for text in (rep.summary_csv(), rep.trials_csv()))
+    assert got == _OFDM_REFERENCE_SHA256[scheme]
+
+
 # ---------------------------------------------------------------------------
 # phase transitions
 # ---------------------------------------------------------------------------
@@ -190,6 +212,40 @@ def test_phase_grid_and_infeasible_cells():
     assert lines[0] == ("config_hash,sequence_kind,basis,k,m,trials,"
                         "successes,success_rate")
     assert report.csv() == run_phase_transition(cfg).csv()
+
+
+def test_phase_infeasible_cells_skip_the_solver(monkeypatch):
+    # OMP needs K <= M and SP 2K <= M; past that a cell scores zero
+    # without solving, at the boundary it is solved
+    for solver, k_grid, feasible in (("sp", [8, 9], 8), ("omp", [16, 17], 16)):
+        calls = []
+        real = recovery.SOLVERS[solver]
+
+        def counted(p, real=real):
+            calls.append(p.k)
+            return real(p)
+
+        monkeypatch.setitem(recovery.SOLVERS, solver, counted)
+        cfg = ExperimentConfig(
+            experiment="phase", n=64, m=16, k=2, sequence_kind="golay",
+            solver=solver, trials=3, master_seed=0,
+            extra={"k_grid": k_grid, "m_grid": [16], "bases": ["identity"]})
+        rows = run_phase_transition(cfg).csv().splitlines()[1:]
+        assert calls == [feasible] * 3
+        assert rows[1] == (f"{cfg.config_hash()},golay,identity,"
+                           f"{k_grid[1]},16,3,0,0")
+
+
+def test_phase_solver_errors_propagate(monkeypatch):
+    def broken(p):
+        raise ValueError("solver bug")
+
+    monkeypatch.setitem(recovery.SOLVERS, "sp", broken)
+    cfg = ExperimentConfig(
+        experiment="phase", n=64, m=16, k=2, sequence_kind="golay",
+        solver="sp", trials=2, master_seed=0)
+    with pytest.raises(ValueError, match="solver bug"):
+        run_phase_transition(cfg)
 
 
 def test_phase_zero_mean_mode():

@@ -121,6 +121,32 @@ def test_random_sampling_accepts_generator():
     assert s.seed is None and s.indices.size == 10
 
 
+def _scalar_fisher_yates(n, m, rng):
+    """Reference draw: one scalar ``integers(i, n)`` call per swap."""
+    arr = np.arange(n, dtype=np.int64)
+    for i in range(m):
+        j = int(rng.integers(i, n))
+        arr[i], arr[j] = arr[j], arr[i]
+    return np.sort(arr[:m])
+
+
+def test_random_sampling_matches_scalar_draw_stream():
+    # the batched bounds draw must consume the generator exactly like the
+    # scalar loop: later draws (signal, noise) come from the same stream
+    cases = np.random.default_rng(2024)
+    for case in range(240):
+        n = int(cases.integers(1, 4097))
+        m = {0: 1, 1: n}.get(case % 4, int(cases.integers(1, n + 1)))
+        seed = int(cases.integers(0, 2 ** 63))
+        ref = np.random.default_rng(seed)
+        want = _scalar_fisher_yates(n, m, ref)
+        rng = np.random.default_rng(seed)
+        assert np.array_equal(random_sampling(n, m, rng).indices, want)
+        assert rng.bit_generator.state == ref.bit_generator.state
+        assert rng.integers(0, 2 ** 63) == ref.integers(0, 2 ** 63)
+        assert np.array_equal(random_sampling(n, m, seed).indices, want)
+
+
 def test_deterministic_and_equispaced_sampling():
     d = deterministic_sampling(20, [3, 1, 7])
     assert np.array_equal(d.indices, [1, 3, 7])
@@ -233,6 +259,43 @@ def test_forward_batch_matches_single():
     for i in range(3):
         assert np.allclose(got[:, i], theta.forward(block[:, i]),
                            atol=1e-12)
+
+
+_COLUMN_CIRCULANTS = {
+    "golay_256": lambda: CirculantOperator.from_spectrum(seqs.golay(256)),
+    "fzc_257": lambda: CirculantOperator.from_spectrum(seqs.fzc(257, 1)),
+    # non-unimodular spectrum: the Fourier closed form must still hold
+    "m_sequence_filter_255": lambda: CirculantOperator.from_filter(
+        seqs.m_sequence(8)),
+}
+
+
+@pytest.mark.parametrize("basis_kind", ["identity", "inverse_fourier",
+                                        "inverse_dct2"])
+@pytest.mark.parametrize("circ_name", sorted(_COLUMN_CIRCULANTS))
+def test_columns_match_forward_batch(circ_name, basis_kind):
+    circ = _COLUMN_CIRCULANTS[circ_name]()
+    n = circ.n
+    assert circ.unimodular == (circ_name != "m_sequence_filter_255")
+    theta = SensingOperator(circ, random_sampling(n, 40, 3),
+                            Basis(basis_kind))
+    for idx in ([0, n - 1], [n - 1, 17, 0, 200, 5, 128], [],
+                list(range(n))):
+        idx = np.asarray(idx, dtype=np.int64)
+        block = np.zeros((n, idx.size), dtype=np.complex128)
+        block[idx, np.arange(idx.size)] = 1.0
+        got = theta.columns(idx)
+        assert got.shape == (theta.m, idx.size)
+        np.testing.assert_allclose(got, theta.forward_batch(block),
+                                   rtol=0, atol=1e-13)
+
+
+def test_columns_reject_bad_indices():
+    theta = SensingOperator(CirculantOperator.from_spectrum(seqs.fzc(16, 1)),
+                            random_sampling(16, 6, 0), Basis.identity())
+    for bad in ([16], [-1], [[0, 1]]):
+        with pytest.raises(ValueError):
+            theta.columns(bad)
 
 
 # ---------------------------------------------------------------------------

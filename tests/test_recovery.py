@@ -7,8 +7,8 @@ import oracles
 from convsense import sequences as seqs
 from convsense.operators import (Basis, CirculantOperator, SensingOperator,
                                  random_sampling)
-from convsense.recovery import (RecoveryProblem, SOLVERS, fista_lasso, omp,
-                                subspace_pursuit)
+from convsense.recovery import (RecoveryProblem, SOLVERS, _top_indices,
+                                fista_lasso, omp, subspace_pursuit)
 
 
 def _problem(n=64, m=24, k=3, seed=0, basis="identity", snr_db=None):
@@ -143,3 +143,17 @@ def test_fista_objective_beats_soft_start():
 def test_solver_registry():
     assert set(SOLVERS) >= {"omp", "sp", "subspace_pursuit", "fista"}
     assert SOLVERS["sp"] is SOLVERS["subspace_pursuit"]
+
+
+def test_top_indices_same_set_as_stable_argsort():
+    # integer-valued magnitudes give many ties; every k must pick the
+    # lowest-index members of the tied group, like a stable argsort
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 7, 33, 64):
+        for levels in (1, 2, 5, 1000):
+            mags = rng.integers(0, levels, size=n).astype(float)
+            order = np.argsort(-mags, kind="stable")
+            for k in range(1, n + 1):
+                got = _top_indices(mags, k)
+                assert got.size == k
+                assert set(got.tolist()) == set(order[:k].tolist())
