@@ -44,7 +44,6 @@ from .operators import (
     random_sampling,
     deterministic_sampling,
     equispaced_sampling,
-    materialize_dense,
     vector_to_csv,
     vector_from_csv,
 )
@@ -102,7 +101,7 @@ __all__ = [
     "q_identity_residual", "bound_check",
     "CirculantOperator", "SamplingSet", "Basis", "SensingOperator",
     "random_sampling", "deterministic_sampling", "equispaced_sampling",
-    "materialize_dense", "vector_to_csv", "vector_from_csv",
+    "vector_to_csv", "vector_from_csv",
     "CoherenceReport", "coherence_circulant", "mutual_coherence",
     "autocorrelation_bound_check", "bound_table_report", "dct_coherence_report", "bound_table_csv",
     "RecoveryProblem", "RecoveryResult", "omp", "subspace_pursuit",

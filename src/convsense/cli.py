@@ -33,25 +33,19 @@ from . import sequences as seqs
 from .coherence import (CoherenceReport, coherence_circulant,
                         mutual_coherence, bound_table_report, bound_table_csv,
                         dct_coherence_report)
-from .gauss_sums import bound_check
 from .harness import (ExperimentConfig, REFERENCE_OFDM_OUTPUT_SNR_DB,
-                      audit_gauss, audit_papr, build_circulant,
-                      ofdm_reference_config, papr as papr_of,
-                      run_dct_experiment, run_ofdm_experiment,
-                      run_phase_transition)
-from .operators import (Basis, SensingOperator, equispaced_sampling,
-                        random_sampling, vector_to_csv)
+                      audit_gauss, audit_papr, ofdm_reference_config,
+                      papr as papr_of, run_dct_experiment,
+                      run_ofdm_experiment, run_phase_transition,
+                      _add_noise, _rel_error, _sparse_signal)
+from .operators import (Basis, SensingOperator, build_circulant,
+                        random_sampling, _csv, vector_to_csv)
 from .recovery import RecoveryProblem, SOLVERS
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 
-_SEQ_KINDS = ("fzc", "extended_polyphase", "m_sequence",
-              "perfect_binary_from_m", "golay", "extended_golay",
-              "legendre", "random_phase", "random_binary")
-_TABLE_KINDS = ("fzc", "m_sequence", "golay", "extended_polyphase",
-                "extended_golay")
 _REFERENCE_TOL_DB = 3.0
 
 
@@ -59,35 +53,22 @@ _REFERENCE_TOL_DB = 3.0
 # small shared helpers
 # ---------------------------------------------------------------------------
 
-def _m_degree(n: int) -> int:
-    deg = (n + 1).bit_length() - 1
-    if (1 << deg) - 1 != n:
-        raise ValueError(f"N={n} is not 2^d - 1")
-    return deg
+def _seq_params(args) -> dict:
+    """--gamma and --seed as family build params (a random family reads
+    the seed only when it is not given a Generator)."""
+    return {"gamma": args.gamma, "seed": args.seed}
 
 
-def _build_sequence(kind: str, n: int, gamma: int,
-                    seed: int) -> seqs.Sequence:
-    """One named sequence of length N (random kinds use `seed`)."""
-    if kind == "fzc":
-        return seqs.fzc(n, gamma)
-    if kind == "extended_polyphase":
-        return seqs.extended_polyphase(n)
-    if kind == "m_sequence":
-        return seqs.m_sequence(_m_degree(n))
-    if kind == "perfect_binary_from_m":
-        return seqs.perfect_binary_from_m(seqs.m_sequence(_m_degree(n)))
-    if kind == "golay":
-        return seqs.golay(n)
-    if kind == "extended_golay":
-        return seqs.extended_golay(n)
-    if kind == "legendre":
-        return seqs.legendre(n)
-    if kind == "random_phase":
-        return seqs.random_phase(n, seed)
-    if kind == "random_binary":
-        return seqs.random_binary(n, seed)
-    raise ValueError(f"unknown sequence kind {kind!r}")
+def _experiment_config(args, experiment: str, kind: str, trials: int,
+                       **fields) -> ExperimentConfig:
+    """Config from the shared flags.  Only families that read gamma record
+    it in sequence_params, and so in the config hash."""
+    fam = seqs.family(kind)
+    params = {"gamma": args.gamma} if "gamma" in fam.params else {}
+    return ExperimentConfig(
+        experiment=experiment, n=args.n, sequence_kind=kind,
+        sequence_params=params, solver=args.solver,
+        trials=args.trials or trials, master_seed=args.seed, **fields)
 
 
 def _write(out_dir: Optional[str], name: str, text: str) -> None:
@@ -138,8 +119,15 @@ def _parse_float_list(text: str) -> List[float]:
     return [float(tok) for tok in text.split(",") if tok]
 
 
-def _fmt(x: float) -> str:
-    return "%.12g" % x
+def _emit(args, name: str, csv_text: str, payload=None,
+          csv_name: Optional[str] = None) -> None:
+    """--format csv writes csv_text as <csv_name or name>.csv; json writes
+    payload (default: the CSV rows) as <name>.json."""
+    if args.format == "csv":
+        _write(args.out, f"{csv_name or name}.csv", csv_text)
+    else:
+        _write(args.out, f"{name}.json", _json_dump(
+            _csv_to_rows(csv_text) if payload is None else payload))
 
 
 # ---------------------------------------------------------------------------
@@ -147,21 +135,18 @@ def _fmt(x: float) -> str:
 # ---------------------------------------------------------------------------
 
 def _cmd_gen_seq(args) -> int:
-    s = _build_sequence(args.seq, args.n, args.gamma, args.seed)
+    s = seqs.family(args.seq).build(args.n, _seq_params(args))
     rep = seqs.classify(s)
-    if args.format == "csv":
-        _write(args.out, "sequence.csv", vector_to_csv(s.values))
-    else:
-        payload = {
-            "kind": s.kind.value,
-            "n": int(s.values.size),
-            "params": {k: _cell_value(str(v)) for k, v in s.params.items()},
-            "label": rep.label,
-            "epsilon_observed": rep.epsilon_observed,
-            "claim_consistent": rep.claim_consistent,
-            "values": [[float(v.real), float(v.imag)] for v in s.values],
-        }
-        _write(args.out, "sequence.json", _json_dump(payload))
+    payload = {
+        "kind": s.kind.value,
+        "n": int(s.values.size),
+        "params": {k: _cell_value(str(v)) for k, v in s.params.items()},
+        "label": rep.label,
+        "epsilon_observed": rep.epsilon_observed,
+        "claim_consistent": rep.claim_consistent,
+        "values": [[float(v.real), float(v.imag)] for v in s.values],
+    }
+    _emit(args, "sequence", vector_to_csv(s.values), payload)
     print(f"{s.kind.value} N={s.values.size}: {rep.label}, "
           f"epsilon_observed={rep.epsilon_observed:.6g}", file=sys.stderr)
     if rep.claim_consistent is False:
@@ -170,49 +155,37 @@ def _cmd_gen_seq(args) -> int:
 
 
 def _coherence_report(args) -> CoherenceReport:
-    if args.basis == "identity" and args.seq in _TABLE_KINDS:
+    if args.basis == "identity" and seqs.family(args.seq).bound is not None:
         rep = bound_table_report({args.seq: [args.n]}, fzc_gamma=args.gamma)[0]
-        if rep.skipped:
-            raise ValueError(rep.note)
-        return rep
-    if args.basis == "inverse_dct2" and args.seq == "fzc":
+    elif args.basis == "inverse_dct2" and args.seq == "fzc":
         rep = dct_coherence_report([args.n], gammas=args.gamma)[0]
-        if rep.skipped:
-            raise ValueError(rep.note)
-        return rep
-    # no closed bound for this combination: informational row (bound inf)
-    s = _build_sequence(args.seq, args.n, args.gamma, args.seed)
-    from .operators import CirculantOperator
-    a = CirculantOperator.from_spectrum(s)
-    if args.basis == "identity":
-        mu = coherence_circulant(a)
-        kind = args.seq
     else:
-        mu = mutual_coherence(a, Basis(args.basis))
-        kind = f"{args.seq}+{args.basis}"
-    return CoherenceReport(kind=kind, n=args.n, mu_observed=mu,
-                           bound=math.inf, bound_label="",
-                           note="no closed bound for this combination")
+        # no closed bound for this combination: informational row (bound inf)
+        a = build_circulant(args.seq, args.n, _seq_params(args))
+        if args.basis == "identity":
+            mu, kind = coherence_circulant(a), args.seq
+        else:
+            mu = mutual_coherence(a, Basis(args.basis))
+            kind = f"{args.seq}+{args.basis}"
+        rep = CoherenceReport(kind=kind, n=args.n, mu_observed=mu,
+                              bound=math.inf, bound_label="",
+                              note="no closed bound for this combination")
+    if rep.skipped:
+        raise ValueError(rep.note)
+    return rep
 
 
 def _cmd_coherence(args) -> int:
     rep = _coherence_report(args)
-    csv_text = bound_table_csv([rep])
-    if args.format == "csv":
-        _write(args.out, "coherence.csv", csv_text)
-    else:
-        _write(args.out, "coherence.json", _json_dump(_csv_to_rows(csv_text)))
+    _emit(args, "coherence", bound_table_csv([rep]))
     return EXIT_OK if rep.passed else EXIT_VIOLATION
 
 
 def _cmd_gauss_audit(args) -> int:
     res = audit_gauss(closed_form_max=args.n or 4096)
-    if args.format == "csv":
-        _write(args.out, "gauss_audit.csv", res.csv)
-    else:
-        payload = {"ok": res.ok, "failures": list(res.failures),
-                   "rows": _csv_to_rows(res.csv)}
-        _write(args.out, "gauss_audit.json", _json_dump(payload))
+    _emit(args, "gauss_audit", res.csv, {
+        "ok": res.ok, "failures": list(res.failures),
+        "rows": _csv_to_rows(res.csv)})
     return EXIT_OK if res.ok else EXIT_VIOLATION
 
 
@@ -223,15 +196,12 @@ def _cmd_papr(args) -> int:
     else:
         if args.n is None:
             raise ValueError("--n is required with --seq")
-        s = _build_sequence(args.seq, args.n, args.gamma, args.seed)
+        s = seqs.family(args.seq).build(args.n, _seq_params(args))
         value = papr_of(s.values)
-        csv_text = ("kind,N,oversample,papr\n"
-                    f"{args.seq},{args.n},16,{_fmt(value)}\n")
+        csv_text = _csv(["kind", "N", "oversample", "papr"],
+                        [[args.seq, args.n, 16, value]])
         ok = value <= 2.01 if args.seq == "golay" else True
-    if args.format == "csv":
-        _write(args.out, "papr.csv", csv_text)
-    else:
-        _write(args.out, "papr.json", _json_dump(_csv_to_rows(csv_text)))
+    _emit(args, "papr", csv_text)
     return EXIT_OK if ok else EXIT_VIOLATION
 
 
@@ -242,42 +212,24 @@ def _cmd_recover(args) -> int:
     acceptance violation."""
     rng = np.random.default_rng(args.seed)
     samp = random_sampling(args.n, args.m, rng)
-    circ = build_circulant(args.seq, args.n,
-                           {"gamma": args.gamma, "seed": args.seed}, rng)
-    basis = Basis(args.basis)
-    theta = SensingOperator(circ, samp, basis)
-    support = rng.choice(args.n, size=args.k, replace=False)
-    f = np.zeros(args.n, dtype=np.complex128)
-    f[support] = rng.standard_normal(args.k) \
-        + 1j * rng.standard_normal(args.k)
+    circ = build_circulant(args.seq, args.n, _seq_params(args), rng)
+    theta = SensingOperator(circ, samp, Basis(args.basis))
+    f, support = _sparse_signal(rng, args.n, args.k, zero_mean=False)
     y0 = theta.forward(f)
-    snrs: List[Optional[float]] = list(args.snr_list) \
-        if args.snr_list else [None]
-    lines = ["input_snr_db,solver,rel_error,support_exact,iterations,"
-             "converged"]
-    ok = True
-    for snr in snrs:
-        y = y0
-        if snr is not None:
-            e = rng.standard_normal(args.m) + 1j * rng.standard_normal(args.m)
-            e *= np.linalg.norm(y0) * 10.0 ** (-snr / 20.0) \
-                / np.linalg.norm(e)
-            y = y0 + e
+    rows, ok = [], True
+    for snr in args.snr_list or [None]:
+        y = y0 if snr is None else _add_noise(rng, y0, snr)
         result = SOLVERS[args.solver](
             RecoveryProblem(operator=theta, y=y, k=args.k))
-        rel = float(np.linalg.norm(f - result.f_hat) / np.linalg.norm(f))
-        exact = set(result.support.tolist()) == set(support.tolist())
+        rel = _rel_error(f, result.f_hat)
         if snr is None and rel > 1e-4:
             ok = False
-        lines.append(",".join([
-            "inf" if snr is None else _fmt(snr), args.solver, _fmt(rel),
-            "true" if exact else "false", str(result.iterations),
-            "true" if result.converged else "false"]))
-    csv_text = "\n".join(lines) + "\n"
-    if args.format == "csv":
-        _write(args.out, "recover.csv", csv_text)
-    else:
-        _write(args.out, "recover.json", _json_dump(_csv_to_rows(csv_text)))
+        rows.append([math.inf if snr is None else snr, args.solver, rel,
+                     set(result.support.tolist()) == set(support.tolist()),
+                     result.iterations, result.converged])
+    _emit(args, "recover", _csv(["input_snr_db", "solver", "rel_error",
+                                 "support_exact", "iterations", "converged"],
+                                rows))
     return EXIT_OK if ok else EXIT_VIOLATION
 
 
@@ -296,18 +248,33 @@ def _reference_violations(scheme: str, rows) -> List[str]:
     return out
 
 
+def _concat_csv(blocks: List[str]) -> str:
+    """CSV blocks with one shared header concatenated under it."""
+    body = [ln for blk in blocks for ln in blk.splitlines()[1:]]
+    return "\n".join([blocks[0].splitlines()[0]] + body) + "\n"
+
+
 def _cmd_exp_ofdm(args) -> int:
     if args.seq is None:
         # benchmark mode: both reference schemes, checked to +/-3 dB
-        trials = args.trials or 500
-        summaries, trial_blocks, violations = [], [], []
-        payload = {"schemes": [], "tolerance_db": _REFERENCE_TOL_DB}
-        for scheme in ("proposed", "baseline"):
-            cfg = ofdm_reference_config(scheme=scheme, trials=trials,
-                                        master_seed=args.seed)
-            report = run_ofdm_experiment(cfg)
-            summaries.append(report.summary_csv())
-            trial_blocks.append(report.trials_csv())
+        cfgs = [ofdm_reference_config(scheme=scheme,
+                                      trials=args.trials or 500,
+                                      master_seed=args.seed)
+                for scheme in ("proposed", "baseline")]
+    else:
+        # custom mode: one scheme, reported without a reference check
+        mode = "equispaced" if args.seq == "random_phase" else "random"
+        cfgs = [_experiment_config(
+            args, "ofdm", args.seq, 100, m=args.m, k=args.k,
+            snr_list=tuple(args.snr_list or (0.0, 10.0, 20.0, 30.0)),
+            sampling_mode=mode, extra={"real_taps": True})]
+    reports = [run_ofdm_experiment(cfg) for cfg in cfgs]
+    violations = []
+    if args.seq is None:
+        payload = {"schemes": [], "tolerance_db": _REFERENCE_TOL_DB,
+                   "violations": violations}
+        for scheme, cfg, report in zip(("proposed", "baseline"), cfgs,
+                                       reports):
             key = f"{cfg.sequence_kind}+{cfg.sampling_mode}"
             violations += _reference_violations(key, report.rows)
             payload["schemes"].append({
@@ -316,63 +283,29 @@ def _cmd_exp_ofdm(args) -> int:
                 "rows": _csv_to_rows(report.summary_csv()),
                 "reference_output_snr_db": REFERENCE_OFDM_OUTPUT_SNR_DB[key],
             })
-        payload["violations"] = violations
-        head = summaries[0].splitlines()[0]
-        body = [ln for blk in summaries for ln in blk.splitlines()[1:]]
-        summary = "\n".join([head] + body) + "\n"
-        thead = trial_blocks[0].splitlines()[0]
-        tbody = [ln for blk in trial_blocks for ln in blk.splitlines()[1:]]
-        trials_text = "\n".join([thead] + tbody) + "\n"
-        if args.format == "csv":
-            _write(args.out, "ofdm_summary.csv", summary)
-            if args.out is not None:
-                _write(args.out, "ofdm_trials.csv", trials_text)
-        else:
-            _write(args.out, "ofdm.json", _json_dump(payload))
-        for v in violations:
-            print("violation:", v, file=sys.stderr)
-        return EXIT_VIOLATION if violations else EXIT_OK
-
-    # custom mode: one scheme, reported without a reference check
-    mode = "equispaced" if args.seq == "random_phase" else "random"
-    cfg = ExperimentConfig(
-        experiment="ofdm", n=args.n, m=args.m, k=args.k,
-        sequence_kind=args.seq,
-        sequence_params={"gamma": args.gamma} if args.seq == "fzc" else {},
-        solver=args.solver,
-        snr_list=tuple(args.snr_list or (0.0, 10.0, 20.0, 30.0)),
-        trials=args.trials or 100, master_seed=args.seed,
-        sampling_mode=mode, extra={"real_taps": True})
-    report = run_ofdm_experiment(cfg)
-    if args.format == "csv":
-        _write(args.out, "ofdm_summary.csv", report.summary_csv())
-        if args.out is not None:
-            _write(args.out, "ofdm_trials.csv", report.trials_csv())
     else:
-        payload = {"config": json.loads(cfg.canonical_json()),
-                   "rows": _csv_to_rows(report.summary_csv())}
-        _write(args.out, "ofdm.json", _json_dump(payload))
-    return EXIT_OK
+        payload = {"config": json.loads(cfgs[0].canonical_json()),
+                   "rows": _csv_to_rows(reports[0].summary_csv())}
+    _emit(args, "ofdm", _concat_csv([r.summary_csv() for r in reports]),
+          payload, csv_name="ofdm_summary")
+    if args.format == "csv" and args.out is not None:
+        _write(args.out, "ofdm_trials.csv",
+               _concat_csv([r.trials_csv() for r in reports]))
+    for v in violations:
+        print("violation:", v, file=sys.stderr)
+    return EXIT_VIOLATION if violations else EXIT_OK
 
 
 def _cmd_exp_phase(args) -> int:
-    cfg = ExperimentConfig(
-        experiment="phase", n=args.n,
-        m=args.m_list[0], k=args.k_list[0],
-        sequence_kind=args.seq or "golay",
-        sequence_params={"gamma": args.gamma}
-        if (args.seq or "golay") == "fzc" else {},
-        solver=args.solver, trials=args.trials or 50,
-        master_seed=args.seed,
-        extra={"k_grid": args.k_list, "m_grid": args.m_list,
-               "bases": args.basis_list})
+    cfg = _experiment_config(
+        args, "phase", args.seq or "golay", 50, m=args.m_list[0],
+        k=args.k_list[0], extra={"k_grid": args.k_list,
+                                 "m_grid": args.m_list,
+                                 "bases": args.basis_list})
     report = run_phase_transition(cfg)
-    if args.format == "csv":
-        _write(args.out, "phase.csv", report.csv())
-    else:
-        payload = {"config": json.loads(cfg.canonical_json()),
-                   "cells": _csv_to_rows(report.csv())}
-        _write(args.out, "phase.json", _json_dump(payload))
+    _emit(args, "phase", report.csv(), {
+        "config": json.loads(cfg.canonical_json()),
+        "cells": _csv_to_rows(report.csv())})
     return EXIT_OK
 
 
@@ -380,21 +313,13 @@ def _cmd_exp_dct(args) -> int:
     extra = {}
     if args.image is not None:
         extra["image"] = args.image
-    cfg = ExperimentConfig(
-        experiment="dct", n=args.n, m=args.m, k=args.k,
-        sequence_kind=args.seq or "fzc",
-        sequence_params={"gamma": args.gamma}
-        if (args.seq or "fzc") == "fzc" else {},
-        basis="inverse_dct2", solver=args.solver,
-        trials=args.trials or 100, master_seed=args.seed, extra=extra)
+    cfg = _experiment_config(args, "dct", args.seq or "fzc", 100, m=args.m,
+                             k=args.k, basis="inverse_dct2", extra=extra)
     report = run_dct_experiment(cfg)
-    if args.format == "csv":
-        _write(args.out, "dct.csv", report.csv())
-    else:
-        payload = {"config": json.loads(cfg.canonical_json()),
-                   "rows": _csv_to_rows(report.csv()),
-                   "sign_test_p": report.sign_test_p}
-        _write(args.out, "dct.json", _json_dump(payload))
+    _emit(args, "dct", report.csv(), {
+        "config": json.loads(cfg.canonical_json()),
+        "rows": _csv_to_rows(report.csv()),
+        "sign_test_p": report.sign_test_p})
     return EXIT_OK
 
 
@@ -410,7 +335,8 @@ def _add_common(p: argparse.ArgumentParser, *names: str) -> None:
     if "k" in names:
         p.add_argument("--k", type=int, help="sparsity K")
     if "seq" in names:
-        p.add_argument("--seq", choices=_SEQ_KINDS, help="sequence kind")
+        p.add_argument("--seq", choices=tuple(seqs.FAMILIES),
+                       help="sequence family")
     if "gamma" in names:
         p.add_argument("--gamma", type=int, default=1,
                        help="fzc root parameter (coprime with N)")

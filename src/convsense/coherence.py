@@ -13,22 +13,30 @@ golay                  2^k1 * 10^k2 * 26^k3        sqrt(2)
 extended_polyphase     even N                      4 + 4/sqrt(N)
                        odd N                       2.69 + 8.15/sqrt(N)
 extended_golay         even N, N/2 Golay           2 + 2/sqrt(N)
-                       odd N, (N-1)/2 Golay        2 + 1/sqrt(N)
+                       odd N, (N-1)/2 Golay        2 + 1/sqrt(N) (*)
 =====================  ==========================  =====================
 
-Bounds are checked as non-strict inequalities with +1e-9 slack.
+Bounds are checked as non-strict inequalities with +1e-9 slack.  The
+admissible sizes, bounds and labels live in the family registry
+(:data:`convsense.sequences.FAMILIES`).
+
+(*) Not a proven bound: it holds at every admissible odd N below 521 but
+fails at 24 of the 66 admissible odd N <= 32769 (N=521: mu = 2.07004
+against 2.04381; N=32769: 2.00731 against 2.00552), and such rows report
+pass = false.  The even-N bound holds at all 66 admissible even
+N <= 32768.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Union
+from typing import Dict, Iterable, List, Union
 
 import numpy as np
 
 from . import sequences as seqs
-from .operators import Basis, CirculantOperator, _DENSE_GUARD
+from .operators import Basis, CirculantOperator, _csv, build_circulant
 from .sequences import Sequence
 
 _PASS_SLACK = 1e-9
@@ -96,65 +104,33 @@ def autocorrelation_bound_check(s: Sequence) -> CoherenceReport:
 # the bound table
 # ---------------------------------------------------------------------------
 
-_TABLE_KINDS = ("fzc", "m_sequence", "golay", "extended_polyphase",
-                "extended_golay")
-
-
-def _build_and_bound(kind: str, n: int, fzc_gamma: int):
-    """Return (sequence, bound, label) or a skip reason string."""
-    if kind == "fzc":
-        if math.gcd(fzc_gamma, n) != 1:
-            return f"gcd(gamma={fzc_gamma}, N={n}) != 1"
-        return seqs.fzc(n, fzc_gamma), 1.0, "1"
-    if kind == "m_sequence":
-        deg = (n + 1).bit_length() - 1
-        if (1 << deg) - 1 != n or deg not in seqs.PRIMITIVE_POLYNOMIALS:
-            return f"N={n} is not 2^d - 1 for a tabulated degree"
-        return (seqs.m_sequence(deg), math.sqrt(1.0 + 1.0 / n),
-                "sqrt(1 + 1/N)")
-    if kind == "golay":
-        if not seqs.admissible_golay_length(n):
-            return f"N={n} is not of the form 2^k1 * 10^k2 * 26^k3"
-        return seqs.golay(n), math.sqrt(2.0), "sqrt(2)"
-    if kind == "extended_polyphase":
-        if n < 2:
-            return "N must be >= 2"
-        if n % 2 == 0:
-            return (seqs.extended_polyphase(n), 4.0 + 4.0 / math.sqrt(n),
-                    "4 + 4/sqrt(N)")
-        return (seqs.extended_polyphase(n), 2.69 + 8.15 / math.sqrt(n),
-                "2.69 + 8.15/sqrt(N)")
-    if kind == "extended_golay":
-        n0 = n // 2
-        if not seqs.admissible_golay_length(n0) or n0 < 1:
-            return f"half-length {n0} is not a Golay length"
-        if n % 2 == 0:
-            return (seqs.extended_golay(n), 2.0 + 2.0 / math.sqrt(n),
-                    "2 + 2/sqrt(N)")
-        return (seqs.extended_golay(n), 2.0 + 1.0 / math.sqrt(n),
-                "2 + 1/sqrt(N)")
-    raise ValueError(f"unknown kind {kind!r}; expected one of {_TABLE_KINDS}")
+def _skipped(kind: str, n: int, reason: str) -> CoherenceReport:
+    return CoherenceReport(kind=kind, n=n, mu_observed=float("nan"),
+                           bound=float("nan"), bound_label="",
+                           note=f"skipped: {reason}", skipped=True)
 
 
 def bound_table_report(n_lists: Dict[str, Iterable[int]],
                   fzc_gamma: int = 1) -> List[CoherenceReport]:
-    """One CoherenceReport per (kind, N).  Inadmissible sizes produce
-    a skipped row (note says why, never counted as a failure)."""
+    """One CoherenceReport per (kind, N) for families with a closed
+    bound.  Inadmissible sizes produce a skipped row (note says why,
+    never counted as a failure)."""
+    params = {"gamma": fzc_gamma}
     reports = []
     for kind, ns in n_lists.items():
+        fam = seqs.family(kind)
+        if fam.bound is None:
+            raise ValueError(f"{kind!r} has no closed coherence bound")
         for n in ns:
-            built = _build_and_bound(kind, int(n), fzc_gamma)
-            if isinstance(built, str):
-                reports.append(CoherenceReport(
-                    kind=kind, n=int(n), mu_observed=float("nan"),
-                    bound=float("nan"), bound_label="",
-                    note=f"skipped: {built}", skipped=True))
+            n = int(n)
+            reason = fam.admissible(n, params)
+            if reason is not None:
+                reports.append(_skipped(kind, n, reason))
                 continue
-            s, bound, label = built
-            mu = coherence_circulant(CirculantOperator.from_spectrum(s))
-            reports.append(CoherenceReport(kind=kind, n=int(n),
-                                           mu_observed=mu, bound=bound,
-                                           bound_label=label))
+            mu = coherence_circulant(build_circulant(kind, n, params))
+            bound, label = fam.bound(n)
+            reports.append(CoherenceReport(kind=kind, n=n, mu_observed=mu,
+                                           bound=bound, bound_label=label))
     return reports
 
 
@@ -171,12 +147,9 @@ def dct_coherence_report(n_list: Iterable[int],
     for n in n_list:
         for g in gammas:
             kind = f"fzc(gamma={g})+inverse_dct2"
-            if math.gcd(g, n) != 1:
-                reports.append(CoherenceReport(
-                    kind=kind, n=int(n), mu_observed=float("nan"),
-                    bound=float("nan"), bound_label="",
-                    note=f"skipped: gcd(gamma={g}, N={n}) != 1",
-                    skipped=True))
+            reason = seqs.FAMILIES["fzc"].admissible(int(n), {"gamma": g})
+            if reason is not None:
+                reports.append(_skipped(kind, int(n), reason))
                 continue
             a = CirculantOperator.from_spectrum(seqs.fzc(int(n), g))
             mu = mutual_coherence(a, psi)
@@ -190,17 +163,8 @@ def dct_coherence_report(n_list: Iterable[int],
 # CSV emission (frozen schema: kind,N,mu_observed,bound,margin,pass)
 # ---------------------------------------------------------------------------
 
-def _fmt(x: float) -> str:
-    return "%.12g" % x
-
-
 def bound_table_csv(reports: Iterable[CoherenceReport]) -> str:
     """Skipped rows are not emitted; pass is lowercase true/false."""
-    lines = ["kind,N,mu_observed,bound,margin,pass"]
-    for r in reports:
-        if r.skipped:
-            continue
-        lines.append(",".join([
-            r.kind, str(r.n), _fmt(r.mu_observed), _fmt(r.bound),
-            _fmt(r.margin), "true" if r.passed else "false"]))
-    return "\n".join(lines) + "\n"
+    return _csv(["kind", "N", "mu_observed", "bound", "margin", "pass"],
+                ([r.kind, r.n, r.mu_observed, r.bound, r.margin, r.passed]
+                 for r in reports if not r.skipped))

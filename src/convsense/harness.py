@@ -26,7 +26,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence as TypingSequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 import scipy.linalg
@@ -36,27 +36,11 @@ from . import gauss_sums
 from . import sequences as seqs
 from .coherence import bound_table_report, bound_table_csv, dct_coherence_report
 from .operators import (Basis, CirculantOperator, SamplingSet,
-                        equispaced_sampling, random_sampling,
-                        SensingOperator)
+                        build_circulant, equispaced_sampling,
+                        random_sampling, SensingOperator, _csv)
 from .recovery import RecoveryProblem, SOLVERS
 
 _SNR_CAP_DB = 300.0
-
-
-def _fmt(x) -> str:
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return "%.12g" % float(x)
-
-
-def _csv(header: TypingSequence[str], rows: Iterable[TypingSequence]) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(c) if not isinstance(c, str) else c
-                              for c in row))
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -178,6 +162,13 @@ def trial_seed(master_seed: int, i: int) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
+def _trial_rngs(master_seed: int, trials: int):
+    """(index, seed, Generator) for trials 0 .. trials-1."""
+    for t in range(trials):
+        seed = trial_seed(master_seed, t)
+        yield t, seed, np.random.default_rng(seed)
+
+
 @dataclass(frozen=True)
 class TrialRecord:
     index: int
@@ -201,58 +192,6 @@ def _output_snr_db(x: np.ndarray, x_hat: np.ndarray) -> float:
 # operator assembly (fixed per-trial draw order)
 # ---------------------------------------------------------------------------
 
-_RANDOM_SPECTRUM_KINDS = ("random_phase", "random_binary")
-
-
-def _m_degree(n: int, params: dict) -> int:
-    deg = params.get("degree")
-    if deg is None:
-        deg = (n + 1).bit_length() - 1
-        if (1 << deg) - 1 != n:
-            raise ValueError(f"N={n} is not 2^degree - 1")
-    return int(deg)
-
-
-def build_circulant(kind: str, n: int, params: dict,
-                    rng: Optional[np.random.Generator] = None
-                    ) -> CirculantOperator:
-    """Circulant for a named spectrum/filter family.  Random kinds draw
-    from ``rng`` with the same element-order streams as the standalone
-    generators in :mod:`convsense.sequences`."""
-    if kind == "fzc":
-        return CirculantOperator.from_spectrum(
-            seqs.fzc(n, int(params.get("gamma", 1))))
-    if kind == "golay":
-        return CirculantOperator.from_spectrum(seqs.golay(n))
-    if kind == "extended_golay":
-        return CirculantOperator.from_spectrum(seqs.extended_golay(n))
-    if kind == "extended_polyphase":
-        return CirculantOperator.from_spectrum(seqs.extended_polyphase(n))
-    if kind == "legendre":
-        return CirculantOperator.from_spectrum(seqs.legendre(n))
-    if kind == "m_sequence":
-        return CirculantOperator.from_spectrum(
-            seqs.m_sequence(_m_degree(n, params)))
-    if kind == "m_sequence_filter":
-        return CirculantOperator.from_filter(
-            seqs.m_sequence(_m_degree(n, params)))
-    if kind == "perfect_binary_filter":
-        return CirculantOperator.from_filter(seqs.perfect_binary_from_m(
-            seqs.m_sequence(_m_degree(n, params))))
-    if kind == "random_phase":
-        if rng is None:
-            raise ValueError("random_phase spectrum needs a Generator")
-        theta = rng.uniform(0.0, 2.0 * np.pi, size=n)
-        return CirculantOperator.from_spectrum(np.exp(1j * theta))
-    if kind == "random_binary":
-        if rng is None:
-            raise ValueError("random_binary spectrum needs a Generator")
-        bits = rng.integers(0, 2, size=n)
-        return CirculantOperator.from_spectrum(
-            (1.0 - 2.0 * bits).astype(np.complex128))
-    raise ValueError(f"unknown sequence kind {kind!r}")
-
-
 def _trial_operator(cfg: ExperimentConfig, rng: np.random.Generator,
                     static_circ: Optional[CirculantOperator],
                     static_samp: Optional[SamplingSet],
@@ -267,7 +206,7 @@ def _trial_operator(cfg: ExperimentConfig, rng: np.random.Generator,
 
 def _static_parts(cfg: ExperimentConfig):
     circ = None
-    if cfg.sequence_kind not in _RANDOM_SPECTRUM_KINDS:
+    if not seqs.family(cfg.sequence_kind).random:
         circ = build_circulant(cfg.sequence_kind, cfg.n, cfg.sequence_params)
     samp = None
     if cfg.sampling_mode == "equispaced":
@@ -431,9 +370,7 @@ def run_ofdm_experiment(cfg: ExperimentConfig) -> OfdmReport:
     snrs = cfg.snr_list if cfg.snr_list else (None,)
     for snr in snrs:
         recs: List[TrialRecord] = []
-        for t in range(cfg.trials):
-            seed = trial_seed(cfg.master_seed, t)
-            rng = np.random.default_rng(seed)
+        for t, seed, rng in _trial_rngs(cfg.master_seed, cfg.trials):
             tic = time.perf_counter()
             theta = _trial_operator(cfg, rng, static_circ, static_samp,
                                     basis)
@@ -441,11 +378,7 @@ def run_ofdm_experiment(cfg: ExperimentConfig) -> OfdmReport:
             if snr is None:
                 y, in_snr = y0, math.inf
             else:
-                e = rng.standard_normal(cfg.m) \
-                    + 1j * rng.standard_normal(cfg.m)
-                e *= float(np.linalg.norm(y0)) * 10.0 ** (-snr / 20.0) \
-                    / float(np.linalg.norm(e))
-                y, in_snr = y0 + e, float(snr)
+                y, in_snr = _add_noise(rng, y0, snr), float(snr)
             result = _solve(cfg, theta, y)
             f_hat = result.f_hat
             if cfg.extra.get("real_taps"):
@@ -497,11 +430,11 @@ class PhaseReport:
 
 def _sparse_signal(rng: np.random.Generator, n: int, k: int,
                    zero_mean: bool, real_values: bool = False
-                   ) -> np.ndarray:
-    """Draw order: support via choice(n, k, replace=False), then one
-    standard-normal block (complex: real then imaginary).  Zero-mean
-    mode subtracts the support mean (keeps the support, kills the DC
-    component)."""
+                   ) -> Tuple[np.ndarray, np.ndarray]:
+    """(signal, support).  Draw order: support via choice(n, k,
+    replace=False), then one standard-normal block (complex: real then
+    imaginary).  Zero-mean mode subtracts the support mean (keeps the
+    support, kills the DC component)."""
     support = rng.choice(n, size=k, replace=False)
     f = np.zeros(n, dtype=np.complex128)
     vals = rng.standard_normal(k).astype(np.complex128)
@@ -510,7 +443,21 @@ def _sparse_signal(rng: np.random.Generator, n: int, k: int,
     f[support] = vals
     if zero_mean:
         f[support] -= np.mean(f[support])
-    return f
+    return f, support
+
+
+def _add_noise(rng: np.random.Generator, y0: np.ndarray,
+               snr_db: float) -> np.ndarray:
+    """y0 plus complex Gaussian noise (real block, then imaginary block)
+    scaled so that 10*log10(||y0||^2/||e||^2) is exactly snr_db."""
+    e = rng.standard_normal(y0.size) + 1j * rng.standard_normal(y0.size)
+    e *= float(np.linalg.norm(y0)) * 10.0 ** (-snr_db / 20.0) \
+        / float(np.linalg.norm(e))
+    return y0 + e
+
+
+def _rel_error(f: np.ndarray, f_hat: np.ndarray) -> float:
+    return float(np.linalg.norm(f - f_hat) / np.linalg.norm(f))
 
 
 # measurements a greedy solver needs per atom: OMP solves with K columns
@@ -542,17 +489,13 @@ def run_phase_transition(cfg: ExperimentConfig) -> PhaseReport:
                     if cfg.sampling_mode == "equispaced" else None
                 successes = 0
                 feasible = _ROWS_PER_ATOM.get(cfg.solver, 0) * k <= m
-                for t in range(cfg.trials if feasible else 0):
-                    rng = np.random.default_rng(
-                        trial_seed(cfg.master_seed, t))
+                trials = cfg.trials if feasible else 0
+                for _, _, rng in _trial_rngs(cfg.master_seed, trials):
                     theta = _trial_operator(cell_cfg, rng, static_circ,
                                             static_samp, basis)
-                    f = _sparse_signal(rng, cfg.n, k, zero_mean)
-                    y = theta.forward(f)
-                    result = _solve(cell_cfg, theta, y)
-                    rel = float(np.linalg.norm(f - result.f_hat)
-                                / np.linalg.norm(f))
-                    successes += rel <= 1e-4
+                    f, _ = _sparse_signal(rng, cfg.n, k, zero_mean)
+                    result = _solve(cell_cfg, theta, theta.forward(f))
+                    successes += _rel_error(f, result.f_hat) <= 1e-4
                 cells.append(PhaseCell(basis=basis_kind, k=k, m=m,
                                        trials=cfg.trials,
                                        successes=successes))
@@ -655,20 +598,18 @@ def run_dct_experiment(cfg: ExperimentConfig) -> DctReport:
     prop_snrs: List[float] = []
     base_snrs: List[float] = []
     wins = losses = 0
-    for t in range(cfg.trials):
-        rng = np.random.default_rng(trial_seed(cfg.master_seed, t))
-        # (1) proposed sampling, (2) signal, (3) baseline spectrum
-        prop_samp = random_sampling(cfg.n, cfg.m, rng)
+    for _, _, rng in _trial_rngs(cfg.master_seed, cfg.trials):
+        # (1) proposed sampling and random-family spectrum, (2) signal,
+        # (3) baseline spectrum
+        theta_p = _trial_operator(cfg, rng, static_circ, None, basis)
         if image_path is None:
-            f_true = _sparse_signal(rng, cfg.n, cfg.k, zero_mean=False,
-                                    real_values=True)
+            f_true, _ = _sparse_signal(rng, cfg.n, cfg.k, zero_mean=False,
+                                       real_values=True)
             x_ref = basis.apply(f_true)
         else:
             x_ref = x_img.astype(np.complex128)
             f_true = basis.adjoint(x_ref)
         base_circ = build_circulant("random_phase", cfg.n, {}, rng)
-
-        theta_p = SensingOperator(static_circ, prop_samp, basis)
         theta_b = SensingOperator(base_circ, baseline_samp, basis)
         outcomes = []
         for theta in (theta_p, theta_b):
@@ -676,9 +617,7 @@ def run_dct_experiment(cfg: ExperimentConfig) -> DctReport:
             result = _solve(cfg, theta, y)
             x_hat = basis.apply(result.f_hat)
             snr = _output_snr_db(x_ref, x_hat)
-            rel = float(np.linalg.norm(f_true - result.f_hat)
-                        / np.linalg.norm(f_true))
-            outcomes.append((rel <= 1e-4, snr))
+            outcomes.append((_rel_error(f_true, result.f_hat) <= 1e-4, snr))
         (p_ok, p_snr), (b_ok, b_snr) = outcomes
         prop_succ += p_ok
         base_succ += b_ok
@@ -803,8 +742,8 @@ def audit_gauss(closed_form_max: int = 4096, identity_max: int = 256,
 def audit_papr(golay_sizes: Tuple[int, ...] = (256, 512, 1024),
                random_n: int = 1024, random_seeds: int = 100,
                oversample: int = 16) -> AuditResult:
-    """PAPR table: Golay rows must sit within 2 +/- 0.01; random-phase
-    rows are the observed spread."""
+    """PAPR table: Golay rows must sit within 2 +/- 0.01 and the smallest
+    random-phase PAPR over the seed set must be at least 4."""
     header = ["kind", "N", "oversample", "papr"]
     rows: List[list] = []
     failures: List[str] = []
@@ -816,8 +755,12 @@ def audit_papr(golay_sizes: Tuple[int, ...] = (256, 512, 1024),
     for n in golay_sizes:
         rows.append(["fzc(gamma=1)", n, oversample,
                      papr(seqs.fzc(n, 1), oversample)])
-    for s in range(random_seeds):
-        rows.append([f"random_phase(seed={s})", random_n, oversample,
-                     papr(seqs.random_phase(random_n, s), oversample)])
+    random_vals = [papr(seqs.random_phase(random_n, s), oversample)
+                   for s in range(random_seeds)]
+    rows += [[f"random_phase(seed={s})", random_n, oversample, val]
+             for s, val in enumerate(random_vals)]
+    if random_vals and min(random_vals) < 4.0:
+        failures.append(f"random_phase N={random_n}: min PAPR "
+                        f"{min(random_vals):.6g} < 4")
     return AuditResult(name="papr", ok=not failures,
                        csv=_csv(header, rows), failures=tuple(failures))

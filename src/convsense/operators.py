@@ -24,6 +24,7 @@ from typing import Optional, Sequence as TypingSequence, Union
 import numpy as np
 import scipy.linalg
 
+from . import sequences as seqs
 from .sequences import Sequence
 
 _DENSE_GUARD = 4096
@@ -158,6 +159,19 @@ class CirculantOperator:
             raise ValueError(
                 f"dense materialization refused for N={self.n} > {_DENSE_GUARD}")
         return scipy.linalg.circulant(self.filter)
+
+
+def build_circulant(kind: str, n: int, params: dict,
+                    rng: Optional[np.random.Generator] = None
+                    ) -> CirculantOperator:
+    """Circulant for a named family (``sequences.FAMILIES``), built from
+    its spectrum or its filter.  Random families draw from ``rng`` with the
+    same element-order streams as their standalone generators."""
+    fam = seqs.family(kind)
+    values = fam.build(n, params, rng)
+    if fam.domain == "filter":
+        return CirculantOperator.from_filter(values)
+    return CirculantOperator.from_spectrum(values)
 
 
 # ---------------------------------------------------------------------------
@@ -422,15 +436,27 @@ class SensingOperator:
         return json.dumps(cfg, sort_keys=True)
 
 
-def materialize_dense(op) -> np.ndarray:
-    """Dense matrix of a CirculantOperator (N x N) or SensingOperator
-    (M x N); refuses N beyond the memory guard."""
-    return op.dense()
+# ---------------------------------------------------------------------------
+# serialization: %.12g CSV tables, re,im vectors (as sequence values)
+# ---------------------------------------------------------------------------
+
+def _fmt(x) -> str:
+    """One CSV cell: booleans as true/false, integers exactly, every other
+    number with %.12g."""
+    if isinstance(x, (bool, np.bool_)):
+        return "true" if x else "false"
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    return "%.12g" % float(x)
 
 
-# ---------------------------------------------------------------------------
-# measurement-vector serialization (same re,im CSV as sequence values)
-# ---------------------------------------------------------------------------
+def _csv(header: TypingSequence[str], rows) -> str:
+    """Header line plus one line per row; string cells are written as-is."""
+    lines = [",".join(header)]
+    lines.extend(",".join(c if isinstance(c, str) else _fmt(c) for c in row)
+                 for row in rows)
+    return "\n".join(lines) + "\n"
+
 
 def vector_to_csv(v: np.ndarray) -> str:
     vals = np.asarray(v, dtype=np.complex128)

@@ -10,11 +10,10 @@ instead of producing a silently wrong operator.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -91,43 +90,6 @@ class Sequence:
     def n(self) -> int:
         return self.values.shape[0]
 
-    # -- serialization ----------------------------------------------------
-
-    def to_json(self) -> str:
-        """Serialize to a JSON record {kind, N, params, values:[[re, im], ...]}."""
-        rec = {
-            "kind": self.kind.value,
-            "N": self.n,
-            "params": self.params,
-            "epsilon_claim": self.epsilon_claim,
-            "values": [[float(v.real), float(v.imag)] for v in self.values],
-        }
-        return json.dumps(rec, sort_keys=True)
-
-    @staticmethod
-    def from_json(text: str) -> "Sequence":
-        rec = json.loads(text)
-        vals = np.array([complex(re, im) for re, im in rec["values"]])
-        return Sequence(
-            values=vals,
-            kind=SequenceKind(rec["kind"]),
-            params=rec.get("params", {}),
-            epsilon_claim=rec.get("epsilon_claim"),
-        )
-
-    def to_csv(self) -> str:
-        """Two-column CSV (re, im).  Bit-exact round trip for bipolar kinds."""
-        lines = ["re,im"]
-        for v in self.values:
-            lines.append(f"{float(v.real)!r},{float(v.imag)!r}")
-        return "\n".join(lines) + "\n"
-
-    @staticmethod
-    def values_from_csv(text: str) -> np.ndarray:
-        rows = [ln for ln in text.strip().splitlines()[1:] if ln]
-        return np.array([complex(float(a), float(b))
-                         for a, b in (ln.split(",") for ln in rows)])
-
 
 def _validate_sequence(seq: Sequence) -> None:
     vals = seq.values
@@ -172,10 +134,7 @@ def fzc(n: int, gamma: int) -> Sequence:
     exponential is taken, so unimodularity and periodicity are exact at any
     supported length.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if math.gcd(gamma, n) != 1:
-        raise ValueError(f"gamma={gamma} must be coprime with n={n}")
+    _require(_fzc_reason(n, {"gamma": gamma}))
     k = np.arange(n, dtype=np.int64)
     if n % 2 == 0:
         quad = (k * k) % (2 * n)
@@ -459,25 +418,18 @@ def extended_golay(n: int) -> Sequence:
 
     Even N:  [s_0..s_{N0-1}, s_0, s_{N0-1}..s_1].
     Odd N:   [s_0..s_{N0-1}, -s_0, -s_0, s_{N0-1}..s_1]  (the two adjacent
-    middle entries are forced equal by conjugate symmetry; -s_0 is the
-    value that keeps the circulant coherence below 2 + 1/sqrt(N) at every
-    admissible size).
+    middle entries are forced equal by conjugate symmetry; they are set
+    to -s_0).  The circulant coherence stays below 2 + 2/sqrt(N) at all 66
+    admissible even N <= 32768, but the odd-N figure 2 + 1/sqrt(N) is
+    exceeded at 24 of the 66 admissible odd N <= 32769, first at N=521
+    (mu = 2.07004 against 2.04381); see the bound table in
+    :mod:`convsense.coherence`.
 
     The result is exactly +/-1 and conjugate-symmetric, so its circulant
     filter is real.
     """
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    if n % 2 == 0:
-        n0 = n // 2
-    else:
-        if (n - 1) % 2 != 0:
-            raise ValueError("odd n must be 2*N0 + 1")
-        n0 = (n - 1) // 2
-    if n0 < 1 or not admissible_golay_length(n0):
-        raise ValueError(
-            f"n={n} does not come from an admissible half-length "
-            f"(2^k1*10^k2*26^k3)")
+    _require(_extended_golay_reason(n, {}))
+    n0 = n // 2
     s = golay_pair(n0).a
     if n % 2 == 0:
         vals = np.concatenate([s, [s[0]], s[1:][::-1]])
@@ -511,8 +463,7 @@ def legendre(n: int) -> Sequence:
     No off-peak autocorrelation level is claimed; classify() reports the
     observed one (it is 1 for N congruent to 3 mod 4).
     """
-    if n < 3 or not _is_prime(n):
-        raise ValueError("n must be an odd prime")
+    _require(_legendre_reason(n, {}))
     residues = np.zeros(n, dtype=bool)
     for k in range(1, n):
         residues[(k * k) % n] = True
@@ -530,10 +481,13 @@ def random_phase(n: int, seed: int) -> Sequence:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    rng = np.random.default_rng(seed)
-    theta = rng.uniform(0.0, 2.0 * np.pi, size=n)
-    return Sequence(np.exp(1j * theta), SequenceKind.RANDOM_PHASE,
-                    {"seed": int(seed)}, epsilon_claim=None)
+    return Sequence(_phase_draw(np.random.default_rng(seed), n),
+                    SequenceKind.RANDOM_PHASE, {"seed": int(seed)},
+                    epsilon_claim=None)
+
+
+def _phase_draw(rng: np.random.Generator, n: int) -> np.ndarray:
+    return np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=n))
 
 
 def random_binary(n: int, seed: int) -> Sequence:
@@ -544,11 +498,13 @@ def random_binary(n: int, seed: int) -> Sequence:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    rng = np.random.default_rng(seed)
-    bits = rng.integers(0, 2, size=n)
-    vals = 1.0 - 2.0 * bits
-    return Sequence(vals.astype(np.complex128), SequenceKind.RANDOM_BINARY,
-                    {"seed": int(seed)}, epsilon_claim=None)
+    return Sequence(_sign_draw(np.random.default_rng(seed), n),
+                    SequenceKind.RANDOM_BINARY, {"seed": int(seed)},
+                    epsilon_claim=None)
+
+
+def _sign_draw(rng: np.random.Generator, n: int) -> np.ndarray:
+    return (1.0 - 2.0 * rng.integers(0, 2, size=n)).astype(np.complex128)
 
 
 # ---------------------------------------------------------------------------
@@ -612,3 +568,129 @@ def classify(s: Sequence, nearly_threshold: float = 4.0) -> ClassifyReport:
         else:
             consistent = eps <= s.epsilon_claim + 1e-9
     return ClassifyReport(label, eps, consistent)
+
+
+# ---------------------------------------------------------------------------
+# the family registry
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Family:
+    """One named family: ``build(n, params, rng=None)`` returns its
+    Sequence, except that a random family given a Generator returns the
+    raw draws (no per-trial Sequence checks); ``admissible(n, params)``
+    returns why N is refused, or None; ``bound(n)``, when set, returns the
+    closed bound on the circulant's coherence and its label."""
+
+    build: Callable
+    admissible: Callable[[int, dict], Optional[str]]
+    bound: Optional[Callable[[int], Tuple[float, str]]] = None
+    domain: str = "spectrum"  # the sequence is A's spectrum, or "filter"
+    random: bool = False  # drawn afresh from each trial's Generator
+    params: Tuple[str, ...] = ()  # params keys an experiment config records
+
+
+def _require(reason: Optional[str]) -> None:
+    if reason is not None:
+        raise ValueError(reason)
+
+
+def _at_least(lo: int) -> Callable[[int, dict], Optional[str]]:
+    return lambda n, params: None if n >= lo else f"N must be >= {lo}"
+
+
+def _fzc_reason(n: int, params: dict) -> Optional[str]:
+    gamma = int(params.get("gamma", 1))
+    if n < 1 or math.gcd(gamma, n) != 1:
+        return f"gcd(gamma={gamma}, N={n}) != 1"
+    return None
+
+
+def _m_reason(n: int, params: dict) -> Optional[str]:
+    deg = (n + 1).bit_length() - 1
+    if (1 << deg) - 1 != n or deg not in PRIMITIVE_POLYNOMIALS:
+        return f"N={n} is not 2^d - 1 for a tabulated degree"
+    return None
+
+
+def _m_degree(n: int) -> int:
+    _require(_m_reason(n, {}))
+    return (n + 1).bit_length() - 1
+
+
+def _golay_reason(n: int, params: dict) -> Optional[str]:
+    if not admissible_golay_length(n):
+        return f"N={n} is not of the form 2^k1 * 10^k2 * 26^k3"
+    return None
+
+
+def _extended_golay_reason(n: int, params: dict) -> Optional[str]:
+    if not admissible_golay_length(n // 2):
+        return f"half-length {n // 2} is not a Golay length"
+    return None
+
+
+def _legendre_reason(n: int, params: dict) -> Optional[str]:
+    return None if n >= 3 and _is_prime(n) else f"N={n} is not an odd prime"
+
+
+def _parity_bound(even: tuple, odd: tuple) -> Callable[[int], tuple]:
+    """c + d/sqrt(N) with (c, d, label) picked by the parity of N."""
+    def bound(n: int) -> Tuple[float, str]:
+        c, d, label = even if n % 2 == 0 else odd
+        return c + d / math.sqrt(n), label
+    return bound
+
+
+def _random(draw: Callable, seeded: Callable) -> Family:
+    """``draw(rng, n)`` from a trial Generator, or without one the seeded
+    Sequence ``seeded(n, params['seed'])``."""
+    def build(n: int, params: dict, rng=None):
+        if rng is not None:
+            return draw(rng, n)
+        if "seed" not in params:
+            raise ValueError("a random family needs a Generator or a seed")
+        return seeded(n, int(params["seed"]))
+    return Family(build, _at_least(1), random=True)
+
+
+# Entries call the generators through module globals looked up at call
+# time, so a generator rebound on this module is the one that runs.
+_PERFECT_BINARY = Family(
+    lambda n, p, rng=None: perfect_binary_from_m(m_sequence(_m_degree(n))),
+    _m_reason, domain="filter")
+
+FAMILIES: Dict[str, Family] = {
+    "fzc": Family(lambda n, p, rng=None: fzc(n, int(p.get("gamma", 1))),
+                  _fzc_reason, lambda n: (1.0, "1"), params=("gamma",)),
+    "extended_polyphase": Family(
+        lambda n, p, rng=None: extended_polyphase(n), _at_least(2),
+        _parity_bound((4.0, 4.0, "4 + 4/sqrt(N)"),
+                      (2.69, 8.15, "2.69 + 8.15/sqrt(N)"))),
+    "m_sequence": Family(
+        lambda n, p, rng=None: m_sequence(_m_degree(n)), _m_reason,
+        lambda n: (math.sqrt(1.0 + 1.0 / n), "sqrt(1 + 1/N)")),
+    "m_sequence_filter": Family(
+        lambda n, p, rng=None: m_sequence(_m_degree(n)), _m_reason,
+        domain="filter"),
+    "perfect_binary_from_m": _PERFECT_BINARY,
+    "perfect_binary_filter": _PERFECT_BINARY,
+    "golay": Family(lambda n, p, rng=None: golay(n), _golay_reason,
+                    lambda n: (math.sqrt(2.0), "sqrt(2)")),
+    # the odd-N bound fails at some admissible N (see convsense.coherence)
+    "extended_golay": Family(
+        lambda n, p, rng=None: extended_golay(n), _extended_golay_reason,
+        _parity_bound((2.0, 2.0, "2 + 2/sqrt(N)"),
+                      (2.0, 1.0, "2 + 1/sqrt(N)"))),
+    "legendre": Family(lambda n, p, rng=None: legendre(n), _legendre_reason),
+    "random_phase": _random(_phase_draw,
+                            lambda n, seed: random_phase(n, seed)),
+    "random_binary": _random(_sign_draw,
+                             lambda n, seed: random_binary(n, seed)),
+}
+
+
+def family(kind: str) -> Family:
+    if kind not in FAMILIES:
+        raise ValueError(f"unknown sequence kind {kind!r}")
+    return FAMILIES[kind]

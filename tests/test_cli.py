@@ -8,6 +8,7 @@ import pytest
 
 from convsense.cli import main
 from convsense.operators import vector_from_csv
+from convsense.sequences import FAMILIES
 
 
 def run(capsys, *argv):
@@ -81,6 +82,36 @@ def test_coherence_informational_row(capsys):
                        "--n", "64", "--seed", "5")
     assert code == 0
     assert out.splitlines()[1].split(",")[3] == "inf"
+
+
+def test_extended_golay_odd_bound_violation_stays_visible(capsys):
+    # 2 + 1/sqrt(N) is exceeded at N=521 (mu 2.07004 > 2.04381)
+    code, out, _ = run(capsys, "coherence", "--seq", "extended_golay",
+                       "--n", "521")
+    assert code == 1
+    assert out.splitlines()[1].endswith(",false")
+
+
+@pytest.mark.parametrize("kind", sorted(FAMILIES))
+def test_every_seq_choice_works_everywhere_it_is_offered(capsys, kind):
+    # the smallest admissible N above the OFDM channel's last tap (137)
+    n = str(next(n for n in range(138, 300)
+                 if FAMILIES[kind].admissible(n, {"gamma": 1}) is None))
+    code, out, err = run(capsys, "recover", "--n", n, "--m", "32", "--k",
+                         "4", "--seq", kind)
+    assert code in (0, 1), err
+    assert out.splitlines()[1].startswith("inf,sp,")
+    for basis in ("identity", "inverse_fourier", "inverse_dct2"):
+        code, out, err = run(capsys, "coherence", "--seq", kind, "--n", n,
+                             "--basis", basis)
+        assert code in (0, 1), err
+        assert len(out.splitlines()) == 2
+    for argv in (("exp-phase", "--k", "2", "--m", "32"),
+                 ("exp-dct", "--k", "3", "--m", "32"),
+                 ("exp-ofdm", "--k", "6", "--m", "32", "--snr-list", "20")):
+        code, out, err = run(capsys, *argv, "--n", n, "--seq", kind,
+                             "--trials", "2")
+        assert code == 0, err
 
 
 def test_coherence_inadmissible_is_usage_error(capsys):

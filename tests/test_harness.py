@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import oracles
-from convsense import recovery
+from convsense import harness, recovery
 from convsense import sequences as seqs
 from convsense.harness import (ExperimentConfig, attc_channel, audit_gauss,
                                audit_papr, audit_coherence_bounds, build_circulant,
@@ -353,3 +353,17 @@ def test_audit_papr_small():
     assert lines[0] == "kind,N,oversample,papr"
     assert any(ln.startswith("golay,64") for ln in lines)
     assert any(ln.startswith("random_phase(seed=0)") for ln in lines)
+
+
+def test_audit_papr_fails_when_random_phase_papr_drops_below_4(monkeypatch):
+    real_papr = harness.papr
+
+    def low_random_rows(sigma, oversample=16):
+        if getattr(sigma, "kind", None) is seqs.SequenceKind.RANDOM_PHASE:
+            return 3.0
+        return real_papr(sigma, oversample)
+
+    monkeypatch.setattr(harness, "papr", low_random_rows)
+    res = audit_papr(golay_sizes=(64,), random_n=128, random_seeds=3)
+    assert res.ok is False
+    assert any("random_phase" in f for f in res.failures)
