@@ -37,10 +37,10 @@ from .harness import (ExperimentConfig, REFERENCE_OFDM_OUTPUT_SNR_DB,
                       audit_gauss, audit_papr, ofdm_reference_config,
                       papr as papr_of, run_dct_experiment,
                       run_ofdm_experiment, run_phase_transition,
-                      _add_noise, _rel_error, _sparse_signal)
+                      _add_noise, _rel_error, _solve, _sparse_signal)
 from .operators import (Basis, SensingOperator, build_circulant,
-                        random_sampling, _csv, vector_to_csv)
-from .recovery import RecoveryProblem, SOLVERS
+                        random_sampling, _BASIS_KINDS, _csv, vector_to_csv)
+from .recovery import SOLVERS
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -208,8 +208,12 @@ def _cmd_papr(args) -> int:
 def _cmd_recover(args) -> int:
     """One synthetic recovery per SNR (noiseless when --snr-list is
     omitted).  Draw order per run: sampling, spectrum (random kinds),
-    support, values, noise.  Noiseless failure (rel error > 1e-4) is an
-    acceptance violation."""
+    support, values, noise.  Solves are posed as in the experiments (FISTA
+    with lambda = 1e-4 * max|Theta^* y|).  Noiseless failure (rel error
+    > 1e-4) is an acceptance violation."""
+    cfg = ExperimentConfig(experiment="recover", n=args.n, m=args.m,
+                           k=args.k, sequence_kind=args.seq,
+                           solver=args.solver)
     rng = np.random.default_rng(args.seed)
     samp = random_sampling(args.n, args.m, rng)
     circ = build_circulant(args.seq, args.n, _seq_params(args), rng)
@@ -219,8 +223,7 @@ def _cmd_recover(args) -> int:
     rows, ok = [], True
     for snr in args.snr_list or [None]:
         y = y0 if snr is None else _add_noise(rng, y0, snr)
-        result = SOLVERS[args.solver](
-            RecoveryProblem(operator=theta, y=y, k=args.k))
+        result = _solve(cfg, theta, y)
         rel = _rel_error(f, result.f_hat)
         if snr is None and rel > 1e-4:
             ok = False
@@ -341,9 +344,7 @@ def _add_common(p: argparse.ArgumentParser, *names: str) -> None:
         p.add_argument("--gamma", type=int, default=1,
                        help="fzc root parameter (coprime with N)")
     if "basis" in names:
-        p.add_argument("--basis", default="identity",
-                       choices=("identity", "inverse_fourier",
-                                "inverse_dct2"),
+        p.add_argument("--basis", default="identity", choices=_BASIS_KINDS,
                        help="sparsity basis")
     if "solver" in names:
         p.add_argument("--solver", default="sp", choices=sorted(SOLVERS),

@@ -36,7 +36,8 @@ from typing import Dict, Iterable, List, Union
 import numpy as np
 
 from . import sequences as seqs
-from .operators import Basis, CirculantOperator, _csv, build_circulant
+from .operators import (Basis, CirculantOperator, _csv, _unit_block,
+                        build_circulant)
 from .sequences import Sequence
 
 _PASS_SLACK = 1e-9
@@ -78,9 +79,7 @@ def mutual_coherence(a: CirculantOperator, psi: Basis,
     worst = 0.0
     for lo in range(0, n, block):
         hi = min(lo + block, n)
-        cols = np.zeros((n, hi - lo), dtype=np.complex128)
-        cols[lo:hi] = np.eye(hi - lo)
-        prod = a.apply_batch(psi.apply(cols))
+        prod = a.apply_batch(psi.apply(_unit_block(n, np.arange(lo, hi))))
         worst = max(worst, float(np.max(np.abs(prod))))
     return worst
 

@@ -25,7 +25,9 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-_KINDS = ("gn", "g2n", "g8n", "qn")
+# kind -> (phase period, largest m), both as multiples of N; term k has
+# numerator k^2, or (2k+1)^2 for qn
+_KINDS = {"gn": (1, 1), "g2n": (2, 2), "g8n": (8, 8), "qn": (8, 1)}
 
 
 def _phase_ints(kind: str, n: int, m: int) -> tuple:
@@ -33,32 +35,21 @@ def _phase_ints(kind: str, n: int, m: int) -> tuple:
     term k has phase 2*pi*nums[k]/period."""
     if n < 1:
         raise ValueError("N must be >= 1")
+    period = _KINDS[kind][0] * n
     k = np.arange(m, dtype=np.int64)
-    if kind == "gn":
-        period = n
-        nums = (k * k) % period
-    elif kind == "g2n":
-        period = 2 * n
-        nums = (k * k) % period
-    elif kind == "g8n":
-        period = 8 * n
-        nums = (k * k) % period
-    elif kind == "qn":
-        period = 8 * n
-        odd = 2 * k + 1
-        nums = (odd * odd) % period
-    else:
-        raise ValueError(f"unknown kind {kind!r}; expected one of {_KINDS}")
-    return nums, period
+    if kind == "qn":
+        k = 2 * k + 1
+    return (k * k) % period, period
 
 
 def _domain_limit(kind: str, n: int) -> int:
-    return {"gn": n, "g2n": 2 * n, "g8n": 8 * n, "qn": n}[kind]
+    if kind not in _KINDS:
+        raise ValueError(
+            f"unknown kind {kind!r}; expected one of {tuple(_KINDS)}")
+    return _KINDS[kind][1] * n
 
 
 def _check_domain(kind: str, n: int, m: int) -> None:
-    if kind not in _KINDS:
-        raise ValueError(f"unknown kind {kind!r}; expected one of {_KINDS}")
     limit = _domain_limit(kind, n)
     if not (0 <= m <= limit):
         raise ValueError(f"m={m} out of domain [0, {limit}] for kind {kind!r}")

@@ -37,7 +37,7 @@ from . import sequences as seqs
 from .coherence import bound_table_report, bound_table_csv, dct_coherence_report
 from .operators import (Basis, CirculantOperator, SamplingSet,
                         build_circulant, equispaced_sampling,
-                        random_sampling, SensingOperator, _csv)
+                        random_sampling, SensingOperator, _csv, _unit_block)
 from .recovery import RecoveryProblem, SOLVERS
 
 _SNR_CAP_DB = 300.0
@@ -134,21 +134,11 @@ class ExperimentConfig:
     extra: dict = field(default_factory=dict)
 
     def canonical_json(self) -> str:
-        payload = {
-            "experiment": self.experiment,
-            "n": int(self.n), "m": int(self.m), "k": int(self.k),
-            "sequence_kind": self.sequence_kind,
-            "sequence_params": self.sequence_params,
-            "basis": self.basis,
-            "solver": self.solver,
-            "solver_params": self.solver_params,
-            "snr_list": [None if s is None else float(s)
-                         for s in self.snr_list],
-            "trials": int(self.trials),
-            "master_seed": int(self.master_seed),
-            "sampling_mode": self.sampling_mode,
-            "extra": self.extra,
-        }
+        payload = dataclasses.asdict(self)
+        for key in ("n", "m", "k", "trials", "master_seed"):
+            payload[key] = int(payload[key])
+        payload["snr_list"] = [None if s is None else float(s)
+                               for s in self.snr_list]
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
     def config_hash(self) -> str:
@@ -289,9 +279,7 @@ def _refit_real_taps(theta: SensingOperator, y: np.ndarray,
     f = np.zeros(theta.n, dtype=np.complex128)
     if support.size == 0:
         return f
-    block = np.zeros((theta.n, support.size), dtype=np.complex128)
-    block[support, np.arange(support.size)] = 1.0
-    cols = theta.forward_batch(block)
+    cols = theta.forward_batch(_unit_block(theta.n, support))
     a = np.vstack([cols.real, cols.imag])
     b = np.concatenate([y.real, y.imag])
     gram = a.T @ a
@@ -380,13 +368,12 @@ def run_ofdm_experiment(cfg: ExperimentConfig) -> OfdmReport:
             else:
                 y, in_snr = _add_noise(rng, y0, snr), float(snr)
             result = _solve(cfg, theta, y)
+            support = _estimate_support(result, channel.k)
             f_hat = result.f_hat
             if cfg.extra.get("real_taps"):
-                f_hat = _refit_real_taps(
-                    theta, y, _estimate_support(result, channel.k))
+                f_hat = _refit_real_taps(theta, y, support)
             out = _output_snr_db(x, f_hat)
-            exact = bool(np.array_equal(
-                _estimate_support(result, channel.k), true_support))
+            exact = bool(np.array_equal(support, true_support))
             recs.append(TrialRecord(t, seed, in_snr, out, exact,
                                     result.iterations,
                                     time.perf_counter() - tic))

@@ -17,8 +17,7 @@ A^* A = N I.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence as TypingSequence, Union
 
 import numpy as np
@@ -35,20 +34,34 @@ _ROUNDTRIP_TOL = 1e-10
 ArrayLike = Union[Sequence, np.ndarray, TypingSequence[complex]]
 
 
-def _as_values(x: ArrayLike) -> np.ndarray:
-    if isinstance(x, Sequence):
-        vals = x.values
-    else:
-        vals = np.asarray(x, dtype=np.complex128)
-    if vals.ndim != 1:
-        raise ValueError("expected a 1-D vector")
-    return np.ascontiguousarray(vals, dtype=np.complex128)
+def _as_array(x: ArrayLike, n: Optional[int] = None) -> np.ndarray:
+    """x as complex128.  Without ``n`` it must be a 1-D vector; with ``n``
+    it may be a length-n vector or an (n, B) block of column vectors."""
+    vals = np.asarray(x.values if isinstance(x, Sequence) else x,
+                      dtype=np.complex128)
+    if n is None:
+        if vals.ndim != 1:
+            raise ValueError("expected a 1-D vector")
+    elif vals.ndim not in (1, 2) or vals.shape[0] != n:
+        raise ValueError(f"expected a length-{n} vector or ({n}, B) block, "
+                         f"got shape {vals.shape}")
+    return vals
 
 
-def _source_info(x: ArrayLike) -> tuple:
-    if isinstance(x, Sequence):
-        return x.kind.value, dict(x.params)
-    return None, {}
+def _circular(spectrum: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sqrt(N) * ifft(spectrum * fft(x)) down axis 0: the circulant with
+    this spectrum applied to a vector or to each column of a block."""
+    if x.ndim == 2:
+        spectrum = spectrum[:, None]
+    return np.sqrt(x.shape[0]) * np.fft.ifft(
+        spectrum * np.fft.fft(x, axis=0), axis=0)
+
+
+def _unit_block(n: int, idx: np.ndarray) -> np.ndarray:
+    """Columns ``idx`` of the N x N identity as an (N, len(idx)) block."""
+    block = np.zeros((n, idx.size), dtype=np.complex128)
+    block[idx, np.arange(idx.size)] = 1.0
+    return block
 
 
 @dataclass(frozen=True)
@@ -66,8 +79,6 @@ class CirculantOperator:
     real_flag: bool
     unimodular: bool
     source: str
-    source_kind: Optional[str] = None
-    source_params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         spec = np.ascontiguousarray(self.spectrum, dtype=np.complex128)
@@ -87,46 +98,35 @@ class CirculantOperator:
     @classmethod
     def from_spectrum(cls, sigma: ArrayLike) -> "CirculantOperator":
         """Frequency-domain construction; sigma must be unimodular."""
-        vals = _as_values(sigma)
+        vals = _as_array(sigma)
         n = vals.size
         dev = float(np.max(np.abs(np.abs(vals) - 1.0))) if n else 0.0
         if dev > _UNIMODULAR_TOL:
             raise ValueError(
                 f"spectrum is not unimodular (max | |sigma|-1 | = {dev:.3e})")
         filt = np.sqrt(n) * np.fft.ifft(vals)
-        kind, params = _source_info(sigma)
         return cls(n=n, spectrum=vals, filter=filt,
                    real_flag=float(np.max(np.abs(filt.imag))) <= _REAL_FLAG_TOL,
-                   unimodular=True, source="spectrum",
-                   source_kind=kind, source_params=params)
+                   unimodular=True, source="spectrum")
 
     @classmethod
     def from_filter(cls, a: ArrayLike) -> "CirculantOperator":
         """Time-domain construction; spectrum may be non-unimodular, in
         which case A is not a scaled isometry (recorded in .unimodular)."""
-        vals = _as_values(a)
+        vals = _as_array(a)
         n = vals.size
         spec = np.fft.fft(vals) / np.sqrt(n)
         dev = float(np.max(np.abs(np.abs(spec) - 1.0))) if n else 0.0
-        kind, params = _source_info(a)
         return cls(n=n, spectrum=spec, filter=vals,
                    real_flag=float(np.max(np.abs(vals.imag))) <= _REAL_FLAG_TOL,
-                   unimodular=dev <= 1e-9, source="filter",
-                   source_kind=kind, source_params=params)
+                   unimodular=dev <= 1e-9, source="filter")
 
     # -- application --------------------------------------------------
-    def _check_len(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.complex128)
-        if x.shape[0] != self.n:
-            raise ValueError(f"vector length {x.shape[0]} != N={self.n}")
-        return x
-
     def apply(self, x: ArrayLike, real_output: bool = False) -> np.ndarray:
-        """A @ x via FFT.  With real_output, assert the result is real to
-        1e-10 and drop the imaginary part (requires a real filter)."""
-        x = self._check_len(_as_values(x) if not isinstance(x, np.ndarray)
-                            else x)
-        y = np.sqrt(self.n) * np.fft.ifft(self.spectrum * np.fft.fft(x))
+        """A @ x via FFT, for a length-N vector or each column of an (N, B)
+        block.  With real_output, assert the result is real to 1e-10 and
+        drop the imaginary part (requires a real filter)."""
+        y = _circular(self.spectrum, _as_array(x, self.n))
         if real_output:
             worst = float(np.max(np.abs(y.imag))) if y.size else 0.0
             if worst > _REAL_FLAG_TOL * max(1.0, float(np.max(np.abs(y)))):
@@ -136,22 +136,11 @@ class CirculantOperator:
         return y
 
     def adjoint(self, y: ArrayLike) -> np.ndarray:
-        """A^* @ y via FFT (conjugate spectrum)."""
-        y = self._check_len(_as_values(y) if not isinstance(y, np.ndarray)
-                            else y)
-        return np.sqrt(self.n) * np.fft.ifft(np.conj(self.spectrum)
-                                             * np.fft.fft(y))
+        """A^* @ y via FFT (conjugate spectrum), vector or (N, B) block."""
+        return _circular(np.conj(self.spectrum), _as_array(y, self.n))
 
-    def apply_batch(self, x: np.ndarray) -> np.ndarray:
-        """A applied to each column of an (N, B) block."""
-        x = self._check_len(np.asarray(x, dtype=np.complex128))
-        return np.sqrt(self.n) * np.fft.ifft(
-            self.spectrum[:, None] * np.fft.fft(x, axis=0), axis=0)
-
-    def adjoint_batch(self, y: np.ndarray) -> np.ndarray:
-        y = self._check_len(np.asarray(y, dtype=np.complex128))
-        return np.sqrt(self.n) * np.fft.ifft(
-            np.conj(self.spectrum)[:, None] * np.fft.fft(y, axis=0), axis=0)
+    # block callers and the benchmark tracer use this name
+    apply_batch = apply
 
     def dense(self) -> np.ndarray:
         """Explicit N x N matrix, A(p, q) = filter[(p - q) mod N]."""
@@ -184,8 +173,6 @@ class SamplingSet:
 
     n: int
     indices: np.ndarray
-    mode: str  # "random_uniform" | "deterministic"
-    seed: Optional[int] = None
 
     def __post_init__(self):
         idx = np.asarray(self.indices, dtype=np.int64)
@@ -200,19 +187,16 @@ class SamplingSet:
             raise ValueError("sampling indices contain duplicates")
         srt.flags.writeable = False
         object.__setattr__(self, "indices", srt)
-        if self.mode not in ("random_uniform", "deterministic"):
-            raise ValueError(f"unknown sampling mode {self.mode!r}")
 
     @property
     def m(self) -> int:
         return int(self.indices.size)
 
     def restrict(self, u: np.ndarray) -> np.ndarray:
-        return u[self.indices] if u.ndim == 1 else u[self.indices, :]
+        return u[self.indices]
 
     def embed(self, y: np.ndarray) -> np.ndarray:
-        shape = (self.n,) if y.ndim == 1 else (self.n, y.shape[1])
-        u = np.zeros(shape, dtype=np.complex128)
+        u = np.zeros((self.n,) + y.shape[1:], dtype=np.complex128)
         u[self.indices] = y
         return u
 
@@ -225,24 +209,19 @@ def random_sampling(n: int, m: int, seed) -> SamplingSet:
     scalar ``integers(i, N)`` calls in order, so later draws from the same
     generator are unchanged.
 
-    ``seed`` may also be a live Generator, in which case the draws come
-    from its current state and the stored seed is None."""
+    ``seed`` may also be a live Generator (``default_rng`` returns it
+    unchanged), in which case the draws come from its current state."""
     if not (1 <= m <= n):
         raise ValueError(f"require 1 <= M <= N, got M={m}, N={n}")
-    if isinstance(seed, np.random.Generator):
-        rng, stored = seed, None
-    else:
-        rng, stored = np.random.default_rng(seed), int(seed)
+    rng = np.random.default_rng(seed)
     arr = np.arange(n, dtype=np.int64)
     for i, j in enumerate(rng.integers(np.arange(m), n).tolist()):
         arr[i], arr[j] = arr[j], arr[i]
-    return SamplingSet(n=n, indices=arr[:m], mode="random_uniform",
-                       seed=stored)
+    return SamplingSet(n=n, indices=arr[:m])
 
 
 def deterministic_sampling(n: int, indices) -> SamplingSet:
-    return SamplingSet(n=n, indices=np.asarray(indices, dtype=np.int64),
-                       mode="deterministic")
+    return SamplingSet(n=n, indices=np.asarray(indices, dtype=np.int64))
 
 
 def equispaced_sampling(n: int, m: int) -> SamplingSet:
@@ -352,32 +331,19 @@ class SensingOperator:
         return self.sampling.m
 
     def forward(self, f: ArrayLike) -> np.ndarray:
-        f = _as_values(f)
-        if f.shape[0] != self.n:
-            raise ValueError(f"vector length {f.shape[0]} != N={self.n}")
-        u = self.circulant.apply(self.basis.apply(f))
+        """Theta @ f for a length-N vector or each column of an (N, B)
+        block."""
+        u = self.circulant.apply(self.basis.apply(_as_array(f, self.n)))
         return self.sampling.restrict(u) / np.sqrt(self.m)
 
     def adjoint(self, y: ArrayLike) -> np.ndarray:
-        y = _as_values(y)
-        if y.shape[0] != self.m:
-            raise ValueError(f"vector length {y.shape[0]} != M={self.m}")
-        u = self.sampling.embed(y / np.sqrt(self.m))
+        """Theta^* @ y for a length-M vector or each column of an (M, B)
+        block."""
+        u = self.sampling.embed(_as_array(y, self.m) / np.sqrt(self.m))
         return self.basis.adjoint(self.circulant.adjoint(u))
 
-    def forward_batch(self, f: np.ndarray) -> np.ndarray:
-        f = np.asarray(f, dtype=np.complex128)
-        if f.shape[0] != self.n:
-            raise ValueError(f"block height {f.shape[0]} != N={self.n}")
-        u = self.circulant.apply_batch(self.basis.apply(f))
-        return self.sampling.restrict(u) / np.sqrt(self.m)
-
-    def adjoint_batch(self, y: np.ndarray) -> np.ndarray:
-        y = np.asarray(y, dtype=np.complex128)
-        if y.shape[0] != self.m:
-            raise ValueError(f"block height {y.shape[0]} != M={self.m}")
-        u = self.sampling.embed(y / np.sqrt(self.m))
-        return self.basis.adjoint(self.circulant.adjoint_batch(u))
+    # column synthesis, the refit and the benchmark tracer use this name
+    forward_batch = forward
 
     def columns(self, idx) -> np.ndarray:
         """Theta[:, idx] as an M x len(idx) block.
@@ -400,9 +366,7 @@ class SensingOperator:
         if self.basis.kind == "inverse_fourier":
             phase = np.exp((2j * np.pi / self.n) * ((rows * idx) % self.n))
             return phase * (self.circulant.spectrum[idx] / np.sqrt(self.m))
-        block = np.zeros((self.n, idx.size), dtype=np.complex128)
-        block[idx, np.arange(idx.size)] = 1.0
-        return self.forward_batch(block)
+        return self.forward_batch(_unit_block(self.n, idx))
 
     def dense(self, block: int = 256) -> np.ndarray:
         """Explicit M x N matrix: columns are forward images of the
@@ -411,29 +375,11 @@ class SensingOperator:
             raise ValueError(
                 f"dense materialization refused for N={self.n} > {_DENSE_GUARD}")
         out = np.empty((self.m, self.n), dtype=np.complex128)
-        eye = np.eye(self.n, dtype=np.complex128)
         for lo in range(0, self.n, block):
             hi = min(lo + block, self.n)
-            out[:, lo:hi] = self.forward_batch(eye[:, lo:hi])
+            out[:, lo:hi] = self.forward_batch(
+                _unit_block(self.n, np.arange(lo, hi)))
         return out
-
-    def config_json(self) -> str:
-        """Frozen config schema: sequence_kind, params, N, M, sampling
-        {mode, seed or indices}, basis."""
-        if self.sampling.mode == "random_uniform":
-            samp = {"mode": "random_uniform", "seed": self.sampling.seed}
-        else:
-            samp = {"mode": "deterministic",
-                    "indices": [int(i) for i in self.sampling.indices]}
-        cfg = {
-            "sequence_kind": self.circulant.source_kind,
-            "params": self.circulant.source_params,
-            "N": self.n,
-            "M": self.m,
-            "sampling": samp,
-            "basis": self.basis.kind,
-        }
-        return json.dumps(cfg, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------

@@ -175,6 +175,15 @@ def test_recover_noisy_rows(capsys):
     assert len(out.splitlines()) == 3
 
 
+def test_recover_fista_poses_a_lambda(capsys):
+    # FISTA needs lambda > 0; recover poses it as the experiments do
+    code, out, err = run(capsys, "recover", "--n", "256", "--m", "64",
+                         "--k", "5", "--seq", "fzc", "--solver", "fista")
+    assert code in (0, 1), err
+    lines = out.splitlines()
+    assert len(lines) == 2 and lines[1].split(",")[:2] == ["inf", "fista"]
+
+
 def test_recover_infeasible_shape_is_usage_error(capsys):
     code, _, err = run(capsys, "recover", "--n", "64", "--m", "16",
                        "--k", "12", "--seq", "fzc", "--solver", "sp")

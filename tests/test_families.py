@@ -1,6 +1,6 @@
 """The sequence-family registry: admissibility agrees with what building
 actually accepts, and every family gives an operator whose adjoint is
-exact in every basis."""
+exact in every basis, on vectors and on blocks of columns."""
 
 import numpy as np
 import pytest
@@ -58,6 +58,34 @@ def test_adjoint_identity_in_every_basis(kind, data):
         y = rng.standard_normal(m) + 1j * rng.standard_normal(m)
         tf = theta.forward(f)
         lhs, rhs = np.vdot(tf, y), np.vdot(f, theta.adjoint(y))
+        assert abs(lhs - rhs) <= 1e-10 * np.linalg.norm(tf) \
+            * np.linalg.norm(y)
+
+
+@pytest.mark.parametrize("kind", _KINDS)
+@_PROPERTY
+@given(data=st.data())
+def test_blocks_match_columns_in_every_basis(kind, data):
+    n = data.draw(st.sampled_from(_admissible_sizes(kind)), label="n")
+    m = data.draw(st.integers(1, n), label="m")
+    circ = _build(kind, n, 1)
+    rng = np.random.default_rng(n + m)
+    samp = random_sampling(n, m, rng)
+    for basis in _BASES:
+        theta = SensingOperator(circ, samp, Basis(basis))
+        f = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
+        y = rng.standard_normal((m, 3)) + 1j * rng.standard_normal((m, 3))
+        tf, ty = theta.forward(f), theta.adjoint(y)
+        assert tf.shape == (m, 3) and ty.shape == (n, 3)
+        for j in range(3):
+            np.testing.assert_allclose(
+                tf[:, j], theta.forward(f[:, j]), rtol=0,
+                atol=1e-12 * max(1.0, np.max(np.abs(tf))))
+            np.testing.assert_allclose(
+                ty[:, j], theta.adjoint(y[:, j]), rtol=0,
+                atol=1e-12 * max(1.0, np.max(np.abs(ty))))
+        # trace<Theta F, Y> = trace<F, Theta^* Y>
+        lhs, rhs = np.vdot(tf, y), np.vdot(f, ty)
         assert abs(lhs - rhs) <= 1e-10 * np.linalg.norm(tf) \
             * np.linalg.norm(y)
 

@@ -141,3 +141,11 @@ def test_bound_record_margin():
                               observed=1.0, bound=1.5)
     assert rec.margin == pytest.approx(0.5)
     assert rec.passed
+
+
+def test_unknown_kind_is_a_value_error_for_sums_and_sweeps():
+    for call in (lambda: gs.gauss_sum("bad", 5, 1),
+                 lambda: gs.gauss_sum_sweep("bad", 5),
+                 lambda: gs.gauss_sum_sweep("bad", 5, 3)):
+        with pytest.raises(ValueError, match="unknown kind 'bad'"):
+            call()
