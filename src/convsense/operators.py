@@ -85,6 +85,8 @@ class CirculantOperator:
         filt = np.ascontiguousarray(self.filter, dtype=np.complex128)
         if spec.shape != (self.n,) or filt.shape != (self.n,):
             raise ValueError("spectrum and filter must have length n")
+        if not (np.all(np.isfinite(spec)) and np.all(np.isfinite(filt))):
+            raise ValueError("spectrum and filter must be finite")
         rt = np.fft.fft(filt) / np.sqrt(self.n)
         err = float(np.max(np.abs(rt - spec)))
         if err > _ROUNDTRIP_TOL * max(1.0, float(np.max(np.abs(spec)))):
@@ -122,18 +124,10 @@ class CirculantOperator:
                    unimodular=dev <= 1e-9, source="filter")
 
     # -- application --------------------------------------------------
-    def apply(self, x: ArrayLike, real_output: bool = False) -> np.ndarray:
+    def apply(self, x: ArrayLike) -> np.ndarray:
         """A @ x via FFT, for a length-N vector or each column of an (N, B)
-        block.  With real_output, assert the result is real to 1e-10 and
-        drop the imaginary part (requires a real filter)."""
-        y = _circular(self.spectrum, _as_array(x, self.n))
-        if real_output:
-            worst = float(np.max(np.abs(y.imag))) if y.size else 0.0
-            if worst > _REAL_FLAG_TOL * max(1.0, float(np.max(np.abs(y)))):
-                raise ValueError(
-                    f"output is not real (max imag {worst:.3e})")
-            return np.ascontiguousarray(y.real)
-        return y
+        block."""
+        return _circular(self.spectrum, _as_array(x, self.n))
 
     def adjoint(self, y: ArrayLike) -> np.ndarray:
         """A^* @ y via FFT (conjugate spectrum), vector or (N, B) block."""
@@ -265,11 +259,12 @@ class Basis:
         return cls("inverse_dct2")
 
     def apply(self, f: np.ndarray) -> np.ndarray:
-        """Psi @ f (column-wise on 2-D blocks)."""
+        """Psi @ f (column-wise on 2-D blocks).  For the identity basis
+        the result may share memory with ``f``."""
         f = np.asarray(f, dtype=np.complex128)
         n = f.shape[0]
         if self.kind == "identity":
-            return f.copy()
+            return f
         if self.kind == "inverse_fourier":
             return np.sqrt(n) * np.fft.ifft(f, axis=0)
         out = scipy.fft.idct(f.real, type=2, norm="ortho", axis=0).astype(
@@ -278,11 +273,12 @@ class Basis:
         return out
 
     def adjoint(self, g: np.ndarray) -> np.ndarray:
-        """Psi^* @ g (= Psi^T for the real DCT basis)."""
+        """Psi^* @ g (= Psi^T for the real DCT basis).  For the identity
+        basis the result may share memory with ``g``."""
         g = np.asarray(g, dtype=np.complex128)
         n = g.shape[0]
         if self.kind == "identity":
-            return g.copy()
+            return g
         if self.kind == "inverse_fourier":
             return np.fft.fft(g, axis=0) / np.sqrt(n)
         out = scipy.fft.dct(g.real, type=2, norm="ortho", axis=0).astype(

@@ -38,6 +38,8 @@ class RecoveryProblem:
 
     def __post_init__(self):
         y = np.ascontiguousarray(self.y, dtype=np.complex128)
+        if not np.all(np.isfinite(y)):
+            raise ValueError("measurements y must be finite")
         object.__setattr__(self, "y", y)
 
 

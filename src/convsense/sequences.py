@@ -50,6 +50,7 @@ CONJUGATE_SYMMETRIC_KINDS = {
 _UNIMODULAR_TOL = 1e-12
 _SYMMETRY_TOL = 1e-12
 _PERFECT_TOL = 1e-9
+_NEARLY_PERFECT = 4.0
 
 
 @dataclass(frozen=True)
@@ -82,9 +83,6 @@ class Sequence:
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
         _validate_sequence(self)
-
-    def __len__(self) -> int:
-        return self.values.shape[0]
 
     @property
     def n(self) -> int:
@@ -191,46 +189,28 @@ PRIMITIVE_POLYNOMIALS = {
 }
 
 
-def m_sequence(degree: int, taps: Optional[int] = None, init: int = 1) -> Sequence:
-    """Maximum-length +/-1 sequence of period 2^degree - 1 from a Fibonacci
-    linear feedback shift register.
+def m_sequence(degree: int) -> Sequence:
+    """Maximum-length +/-1 sequence of period N = 2^degree - 1 from the
+    tabulated primitive polynomial, degree in [2, 20].
 
-    Parameters
-    ----------
-    degree : int in [2, 20]
-        Register length; output length is N = 2^degree - 1.
-    taps : int, optional
-        Feedback polynomial bitmask (bit i = coefficient of x^i).  Defaults
-        to the embedded primitive polynomial for the degree.  Non-primitive
-        masks are rejected post hoc by the exact autocorrelation check
-        (off-peak R(l) must equal -1).
-    init : int
-        Initial register state, bit i = state cell i; must be nonzero.
-
-    Output bit b is mapped to (-1)^b, so the sequence sums to -1.
+    Initial state 1 gives bits 0..degree-1 = 1, 0, ..., 0; after that
+    bit t + degree is the XOR of bits t + i over the polynomial's terms
+    x^i, i < degree.  Output bit b is mapped to (-1)^b, so the sequence
+    sums to -1.  The exact two-valued autocorrelation check (off-peak
+    R(l) = -1) verifies the table entry on every build.
     """
     if not (2 <= degree <= 20):
         raise ValueError("degree must be in [2, 20]")
-    if taps is None:
-        taps = PRIMITIVE_POLYNOMIALS[degree]
-    if taps >> (degree + 1):
-        raise ValueError("taps mask has bits above the stated degree")
-    if not (taps >> degree) & 1:
-        raise ValueError("taps mask must include the x^degree term")
+    taps = PRIMITIVE_POLYNOMIALS[degree]
     n = (1 << degree) - 1
-    init = int(init)
-    if init <= 0 or init >= (1 << degree):
-        raise ValueError("init must be a nonzero state of `degree` bits")
-    state = [(init >> i) & 1 for i in range(degree)]
-    tap_idx = [i for i in range(degree) if (taps >> i) & 1]
-    bits = np.empty(n, dtype=np.int64)
-    for t in range(n):
-        bits[t] = state[0]
+    terms = [i for i in range(degree) if (taps >> i) & 1]
+    bits = [1] + [0] * (degree - 1)
+    for t in range(n - degree):
         fb = 0
-        for i in tap_idx:
-            fb ^= state[i]
-        state = state[1:] + [fb]
-    vals = 1.0 - 2.0 * bits
+        for i in terms:
+            fb ^= bits[t + i]
+        bits.append(fb)
+    vals = 1.0 - 2.0 * np.array(bits, dtype=np.int64)
     # exact two-valued autocorrelation gate: peak N, off-peak -1
     spec = np.fft.fft(vals)
     corr = np.fft.ifft(spec * np.conj(spec)).real
@@ -240,7 +220,7 @@ def m_sequence(degree: int, taps: Optional[int] = None, init: int = 1) -> Sequen
         raise ValueError(
             f"taps=0x{taps:X} do not generate a maximum-length sequence "
             f"(off-peak autocorrelation is not uniformly -1)")
-    params = {"degree": int(degree), "taps": int(taps), "init": init}
+    params = {"degree": int(degree), "taps": int(taps), "init": 1}
     return Sequence(vals, SequenceKind.M_SEQUENCE, params, epsilon_claim=1.0)
 
 
@@ -280,10 +260,9 @@ def perfect_binary_from_m(m: Sequence) -> Sequence:
 # ---------------------------------------------------------------------------
 
 # Kernels of the two non-doubling lengths.  Each was found by an exact
-# backtracking search and is re-verified by the integer complementarity
-# check on every use.
+# backtracking search; golay_pair's integer complementarity check on its
+# result verifies them on every use.
 _GOLAY_KERNELS = {
-    1: ([1], [1]),
     10: ([1, 1, -1, 1, -1, 1, -1, -1, 1, 1],
          [1, 1, -1, 1, 1, 1, 1, 1, -1, -1]),
     26: ([1, 1, 1, 1, -1, 1, 1, -1, -1, 1, -1, 1, -1, 1, -1, -1, 1, -1,
@@ -316,10 +295,6 @@ class GolayPair:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
 
-    @property
-    def n(self) -> int:
-        return self.a.shape[0]
-
 
 def _complementary_exact(a: np.ndarray, b: np.ndarray) -> bool:
     """Integer-exact complementarity test: r_a(l) + r_b(l) = 0 for l >= 1."""
@@ -331,16 +306,13 @@ def _complementary_exact(a: np.ndarray, b: np.ndarray) -> bool:
 
 def admissible_golay_length(n0: int) -> bool:
     """True when n0 factors as 2^k1 * 10^k2 * 26^k3."""
-    try:
-        _golay_factorization(n0)
-        return True
-    except ValueError:
-        return False
+    return _golay_factorization(n0) is not None
 
 
-def _golay_factorization(n0: int) -> tuple:
+def _golay_factorization(n0: int) -> Optional[Tuple[int, int, int]]:
+    """(k1, k2, k3) with n0 = 2^k1 * 10^k2 * 26^k3, or None."""
     if n0 < 1:
-        raise ValueError("length must be >= 1")
+        return None
     k2 = 0
     m = n0
     while m % 5 == 0:
@@ -351,57 +323,36 @@ def _golay_factorization(n0: int) -> tuple:
         m //= 13
         k3 += 1
     # remaining must be a power of two covering the 2s of every 10 and 26
-    if m & (m - 1):
-        raise ValueError(f"{n0} is not of the form 2^k1*10^k2*26^k3")
     k1 = m.bit_length() - 1 - k2 - k3
-    if k1 < 0:
-        raise ValueError(f"{n0} is not of the form 2^k1*10^k2*26^k3")
+    if m & (m - 1) or k1 < 0:
+        return None
     return k1, k2, k3
-
-
-def _turyn_compose(inner: GolayPair, outer: GolayPair) -> GolayPair:
-    """Compose a length-r pair (a,b) with a length-s pair (c,d) into a
-    length r*s pair.  Entries stay +/-1 because (a+b)/2 and (a-b)/2 have
-    disjoint support."""
-    a, b = outer.a, outer.b
-    c, d = inner.a, inner.b
-    r = a.shape[0]
-    s = c.shape[0]
-    half_sum = (a + b) // 2
-    half_diff = (a - b) // 2
-    e = np.empty(r * s, dtype=np.int64)
-    f = np.empty(r * s, dtype=np.int64)
-    for i in range(s):
-        e[i * r:(i + 1) * r] = c[i] * half_sum + d[s - 1 - i] * half_diff
-        f[i * r:(i + 1) * r] = d[i] * half_sum - c[s - 1 - i] * half_diff
-    return GolayPair(e, f)
 
 
 def golay_pair(n0: int) -> GolayPair:
     """Complementary pair of length n0 = 2^k1 * 10^k2 * 26^k3.
 
-    Built by recursive doubling (a,b) -> (a||b, a||-b) from kernels of
-    length 1, 10 and 26; mixed 10/26 contents are combined by the
-    product composition.  The exact integer complementarity check gates
-    every returned pair.
+    Starting from ([1], [1]), Turyn's product with the length-26 kernel
+    is taken k3 times and with the length-10 kernel k2 times, then the
+    pair is doubled k1 times, (a, b) -> (a||b, a||-b).  The exact integer
+    complementarity check of GolayPair gates the returned pair.
     """
-    k1, k2, k3 = _golay_factorization(n0)
-    pair = GolayPair(*_GOLAY_KERNELS[1])
-    for _ in range(k3):
-        pair = _combine(pair, GolayPair(*_GOLAY_KERNELS[26]))
-    for _ in range(k2):
-        pair = _combine(pair, GolayPair(*_GOLAY_KERNELS[10]))
+    factors = _golay_factorization(n0)
+    if factors is None:
+        raise ValueError(f"{n0} is not of the form 2^k1*10^k2*26^k3")
+    k1, k2, k3 = factors
+    a = b = np.ones(1, dtype=np.int64)
+    for kernel in [26] * k3 + [10] * k2:
+        c, d = (np.array(v, dtype=np.int64) for v in _GOLAY_KERNELS[kernel])
+        # Turyn's product of the length-r pair (a, b) with the length-s
+        # kernel (c, d), block i of r entries at a time; entries stay
+        # +/-1 because (a+b)/2 and (a-b)/2 have disjoint support
+        half_sum, half_diff = (a + b) // 2, (a - b) // 2
+        a = (np.outer(c, half_sum) + np.outer(d[::-1], half_diff)).ravel()
+        b = (np.outer(d, half_sum) - np.outer(c[::-1], half_diff)).ravel()
     for _ in range(k1):
-        a = np.concatenate([pair.a, pair.b])
-        b = np.concatenate([pair.a, -pair.b])
-        pair = GolayPair(a, b)
-    return pair
-
-
-def _combine(pair: GolayPair, kernel: GolayPair) -> GolayPair:
-    if pair.n == 1:
-        return kernel
-    return _turyn_compose(kernel, pair)
+        a, b = np.concatenate([a, b]), np.concatenate([a, -b])
+    return GolayPair(a, b)
 
 
 def golay(n0: int) -> Sequence:
@@ -464,9 +415,9 @@ def legendre(n: int) -> Sequence:
     observed one (it is 1 for N congruent to 3 mod 4).
     """
     _require(_legendre_reason(n, {}))
+    k = np.arange(1, n, dtype=np.int64)
     residues = np.zeros(n, dtype=bool)
-    for k in range(1, n):
-        residues[(k * k) % n] = True
+    residues[(k * k) % n] = True
     vals = np.where(residues, 1.0, -1.0)
     vals[0] = 1.0
     return Sequence(vals.astype(np.complex128), SequenceKind.LEGENDRE, {},
@@ -545,11 +496,11 @@ class ClassifyReport:
     claim_consistent: Optional[bool]
 
 
-def classify(s: Sequence, nearly_threshold: float = 4.0) -> ClassifyReport:
+def classify(s: Sequence) -> ClassifyReport:
     """Classify a sequence by its worst off-peak periodic autocorrelation.
 
     perfect when max_{l != 0} |R(l)| <= 1e-9; nearly_perfect when it is at
-    most `nearly_threshold`; neither otherwise.  When the sequence carries
+    most _NEARLY_PERFECT (4); neither otherwise.  When the sequence carries
     an epsilon claim, consistency (observed <= claim + 1e-9) is reported.
     """
     corr = autocorr_periodic_all(s)
@@ -557,7 +508,7 @@ def classify(s: Sequence, nearly_threshold: float = 4.0) -> ClassifyReport:
     eps = 0.0 if n == 1 else float(np.max(np.abs(corr[1:])))
     if eps <= _PERFECT_TOL:
         label = "perfect"
-    elif eps <= nearly_threshold:
+    elif eps <= _NEARLY_PERFECT:
         label = "nearly_perfect"
     else:
         label = "neither"

@@ -2,6 +2,8 @@
 actually accepts, and every family gives an operator whose adjoint is
 exact in every basis, on vectors and on blocks of columns."""
 
+import pathlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +15,7 @@ from convsense.sequences import FAMILIES, family
 _KINDS = sorted(FAMILIES)
 _BASES = ("identity", "inverse_fourier", "inverse_dct2")
 _PROPERTY = settings(derandomize=True, max_examples=40, deadline=None)
+_FORMATS = pathlib.Path(__file__).resolve().parents[1] / "docs" / "formats.md"
 
 
 def _build(kind, n, gamma):
@@ -109,3 +112,17 @@ def test_random_families_draw_from_the_generator_or_the_seed():
         assert np.array_equal(drawn, seeded.values)
         with pytest.raises(ValueError):
             fam.build(32, {})
+
+
+def test_formats_doc_lists_every_family_with_its_domain_and_bound():
+    text = _FORMATS.read_text(encoding="utf-8")
+    section = text.split("## Sequence families", 1)[1].split("\n## ", 1)[0]
+    rows = {}
+    for line in section.splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if len(cells) == 4 and cells[0].startswith("`"):
+            rows[cells[0].strip("`")] = cells
+    assert sorted(rows) == _KINDS
+    for kind, (_, domain, _, bound) in rows.items():
+        assert domain == FAMILIES[kind].domain, kind
+        assert (bound == "none") == (FAMILIES[kind].bound is None), kind

@@ -98,6 +98,15 @@ def test_guards():
         omp(RecoveryProblem(operator=theta, y=y, k=None))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_measurements_are_refused(bad):
+    theta, f, support, y = _problem()
+    y = y.copy()
+    y[4] = bad
+    with pytest.raises(ValueError, match="finite"):
+        RecoveryProblem(operator=theta, y=y, k=3)
+
+
 def test_frequency_domain_recovery():
     theta, f, support, y = _problem(basis="inverse_fourier", seed=7)
     res = subspace_pursuit(RecoveryProblem(operator=theta, y=y, k=3))

@@ -1,5 +1,6 @@
 """Sequence generators against brute-force autocorrelation oracles."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -87,6 +88,47 @@ def test_m_sequence_period_is_maximal():
     assert len(shifts) == s.size
 
 
+# sha256 of m_sequence(d).values (complex128 bytes): the sequences are
+# frozen, so any change to the recurrence or the table shows here
+_M_SEQUENCE_SHA256 = {
+    2: "bbf5943b3f0558be4fe0ddb7391715d28be709e48ab35f1ce91fd68c2cde5fc9",
+    3: "31014dd892a43d732006a484b46c8f725108be5eeea290bfb2d7b2b40f769007",
+    4: "a37a33ec76b4c40b9f753640827ee2e3b2cebe65c471fdaee5b93ab6f94cf59a",
+    5: "200569b58ea911f001c61ca7400bf22a7e0ffcb35c814ffb4bdb4af30eef1161",
+    6: "bf505dfcb9427195ec6d778bd79e3963a5f40cd0ec420e06d8d7b403661fedd6",
+    7: "976d73df990ea0c6e21b5250f2d2958d1b54641d5e275c2e73ac454294214a20",
+    8: "ee0c261a0f27c8072a2681c2964f9de0403b994a6f9fba04c28c7f4202d8e531",
+    9: "9c2eb8ddb26b83c53fd9ec7a0ca46a861337d5681aef88f0ad3e2e8b1ac39607",
+    10: "b75bc8ac121178b9ded6cfabb86d72874a4f129dd2735191ce2142745b1fa99d",
+    11: "b7558ae3a5b850e3b507f1f3c4692d5b7f742973eac8bc8b01701e57c7faa5e1",
+    12: "b71d51eb97dbd994ec883d6acdae72e860914e4ce3de5b10ba7632d066c52db4",
+    13: "c3171a357ed68ef41a6104978f9d445a5d7cc9fc918d5447235c70abc803cf18",
+    14: "d0fe2709277af74436ec9c6a0106ba0c0a6c33cac285ab78c774e1e8ad00a138",
+    15: "7f42f38e64554cf69954c5228f775a77498128317cf0b222163f4bc0a0a510c0",
+    16: "5a7eb9b819913397526fee6356ff52f21e318231ad79bd55f52a9352f1f61b43",
+    17: "4f6ac1387f28fa02114f94920a78833867fa879ff853495eee6f8a61c870e322",
+    18: "74be91a7dc94fe9e1f1b49bb08785a9e0cedd0baa1069e86cdbc7342e7e23006",
+    19: "6f96c119ed7b4e2e6d29210605a5c94381981983f5443c3039f7587707b6ca8b",
+    20: "49d8a06b8e30d61a223cd32fe5aa896d087413cd65b1581f81847cae8943934c",
+}
+
+
+@pytest.mark.parametrize("degree", sorted(_M_SEQUENCE_SHA256))
+def test_m_sequence_bytes_pinned(degree):
+    s = seqs.m_sequence(degree)
+    assert hashlib.sha256(s.values.tobytes()).hexdigest() == \
+        _M_SEQUENCE_SHA256[degree]
+    assert s.params == {"degree": degree,
+                        "taps": seqs.PRIMITIVE_POLYNOMIALS[degree], "init": 1}
+
+
+def test_m_sequence_check_catches_a_bad_table_entry(monkeypatch):
+    # x^5 + x^4 + x^3 + x^2 + x + 1 = (x + 1)(x^2 + x + 1)^2 is not primitive
+    monkeypatch.setitem(seqs.PRIMITIVE_POLYNOMIALS, 5, 0x3F)
+    with pytest.raises(ValueError, match="maximum-length"):
+        seqs.m_sequence(5)
+
+
 # ---------------------------------------------------------------------------
 # Golay pairs
 # ---------------------------------------------------------------------------
@@ -95,6 +137,51 @@ def test_m_sequence_period_is_maximal():
 def test_golay_pair_complementary_exact(n):
     pair = seqs.golay_pair(n)
     assert oracles.is_complementary_pair(pair.a, pair.b)
+
+
+# sha256 of golay_pair(n0).a bytes followed by .b bytes (int64): the
+# pairs are frozen, so any change to the construction shows here
+_GOLAY_PAIR_SHA256 = {
+    2: "44e41c721ef7ad53582de3a2470e7bf6e74ea4471f54c42469817ef5844da195",
+    10: "6d09f1bc9cfda03e3b97baa9efda93ac94236bb15a5acb6812ee2399bb8b50df",
+    20: "092baeed78f704a035677f5d61b5c426be286c805cdf5f1a1c6627fd9254247f",
+    26: "57517c1091e010e20206e944b3308f3505cc9a2396ac70ffe674fa3c4ee36a5a",
+    52: "a1e7022d17c387b9f1bc267d9254473f16f84a9ad351cc149127cf17f2de775b",
+    100: "f416eddc87e358f213c24120e94d4b1bf9c6b37bc217e9c674f1c81e871bda98",
+    260: "67611d0ab80ed3164f0ffc98556fdd5b6a58176b6e3e8db52df519174c25beed",
+    676: "16e5ebf399fe753bdc93b237a6512f3919c2ed4acd7e82b96445e9c86b1676a0",
+    16384: "0bdeba4a07254fc45dee1ddc5b26e343077e1b680397f1e2f37a973e92302399",
+}
+
+
+@pytest.mark.parametrize("n0", sorted(_GOLAY_PAIR_SHA256))
+def test_golay_pair_bytes_pinned(n0):
+    pair = seqs.golay_pair(n0)
+    assert pair.a.dtype == np.int64 and pair.b.dtype == np.int64
+    assert hashlib.sha256(pair.a.tobytes() + pair.b.tobytes()).hexdigest() \
+        == _GOLAY_PAIR_SHA256[n0]
+
+
+@pytest.mark.parametrize("n0", [10, 20])
+def test_golay_check_catches_a_bad_kernel(monkeypatch, n0):
+    a, b = seqs._GOLAY_KERNELS[10]
+    monkeypatch.setitem(seqs._GOLAY_KERNELS, 10, ([-a[0]] + a[1:], b))
+    with pytest.raises(ValueError, match="complementary"):
+        seqs.golay_pair(n0)
+
+
+@pytest.mark.parametrize("n0", [1, 2, 10, 26, 260, 1024])
+def test_golay_pair_checks_complementarity_once(monkeypatch, n0):
+    calls = []
+    check = seqs._complementary_exact
+
+    def counted(a, b):
+        calls.append(a.shape[0])
+        return check(a, b)
+
+    monkeypatch.setattr(seqs, "_complementary_exact", counted)
+    seqs.golay_pair(n0)
+    assert calls == [n0]
 
 
 def test_golay_sequence_is_pair_member():
