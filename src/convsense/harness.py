@@ -30,7 +30,6 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 import scipy.linalg
-from scipy.stats import binomtest
 
 from . import gauss_sums
 from . import sequences as seqs
@@ -619,6 +618,9 @@ def run_dct_experiment(cfg: ExperimentConfig) -> DctReport:
     if wins + losses == 0:
         p_value = 1.0
     else:
+        # imported here: scipy.stats is over half of `import convsense`,
+        # and nothing else uses it
+        from scipy.stats import binomtest
         p_value = float(binomtest(wins, wins + losses, 0.5,
                                   alternative="greater").pvalue)
     scheme_p = f"{cfg.sequence_kind}+random"

@@ -1,5 +1,6 @@
 """Coherence computations against dense-matrix evaluation."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -75,6 +76,36 @@ def test_bound_table_rows_pass_and_label_bounds():
     geven, godd = by_kind["extended_golay"]
     assert geven.bound == pytest.approx(2 + 2 / math.sqrt(52))
     assert godd.bound == pytest.approx(2 + 1 / math.sqrt(53))
+
+
+# sha256 of the Golay-path certify outputs, rendered as the benchmark's
+# certify workload renders them; the same bytes are its pinned round-0
+# digests
+_GOLAY_CERTIFY_SHA256 = {
+    "bound_table.golay.csv":
+        "d80de3a0696b4ce65f673194d46851ef18932768b35ed07d9d3d2e2860771e04",
+    "bound_table.extended_golay.csv":
+        "c9fca447418d44447403bcc540355836cc91cb831c3e2497c2ebae25e17c7ed0",
+    "classify.golay.16384.txt":
+        "98f8b6e3f5b151af9782a654bdeda91eb3c077797b8c55dcd0ee58c41708eb21",
+    "classify.extended_golay.32769.txt":
+        "23851f6013ca9ed3524dd04c3f3047ed9a97cad79de15102a34e40f0719f5b8d",
+}
+
+
+def test_golay_certify_bytes_pinned():
+    texts = {}
+    for kind, sizes in (("golay", (16384,)),
+                        ("extended_golay", (32768, 32769))):
+        texts[f"bound_table.{kind}.csv"] = bound_table_csv(
+            bound_table_report({kind: sizes}))
+    for kind, n in (("golay", 16384), ("extended_golay", 32769)):
+        rep = seqs.classify(getattr(seqs, kind)(n))
+        texts[f"classify.{kind}.{n}.txt"] = "%s,%d,%s,%.12g,%s\n" % (
+            kind, n, rep.label, rep.epsilon_observed, rep.claim_consistent)
+    got = {name: hashlib.sha256(text.encode()).hexdigest()
+           for name, text in texts.items()}
+    assert got == _GOLAY_CERTIFY_SHA256
 
 
 def test_fzc_coherence_exactly_one():

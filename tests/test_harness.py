@@ -4,6 +4,9 @@ import dataclasses
 import hashlib
 import json
 import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -275,6 +278,18 @@ def test_dct_experiment_schema_and_pairing():
     assert lines[2].split(",")[1] == "random_phase+equispaced"
     assert 0.0 <= report.sign_test_p <= 1.0
     assert report.csv() == run_dct_experiment(cfg).csv()
+
+
+def test_import_convsense_does_not_load_scipy_stats():
+    # scipy.stats is over half the import time, and only the DCT
+    # experiment's sign test uses it
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = ("import convsense, sys; "
+            "print('scipy.stats' in sys.modules, 'scipy' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["False", "True"]
 
 
 def _write_pgm(path, kind, pixels):

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from convsense import sequences as seqs
@@ -182,6 +183,98 @@ def test_golay_pair_checks_complementarity_once(monkeypatch, n0):
     monkeypatch.setattr(seqs, "_complementary_exact", counted)
     seqs.golay_pair(n0)
     assert calls == [n0]
+
+
+@pytest.mark.parametrize("bad", [1.4, -1.2, 1 + 0.3j])
+def test_golay_pair_refuses_entries_that_are_not_plus_minus_one(bad):
+    pair = seqs.golay_pair(10)
+    a = pair.a.astype(type(bad))
+    # exactly +/-1 in a float or complex array is still a valid member
+    assert np.array_equal(seqs.GolayPair(a, pair.b).a, pair.a)
+    a[0] = bad
+    with pytest.raises(ValueError, match="exactly"):
+        seqs.GolayPair(a, pair.b)
+
+
+def _lag_sums_brute(a, b):
+    return [oracles.aperiodic_autocorr(a, lag)
+            + oracles.aperiodic_autocorr(b, lag) for lag in range(1, len(a))]
+
+
+def _lag_sums_int(a, b):
+    """Lags 1 .. N-1 by integer np.correlate, the check the FFT gate
+    replaced."""
+    n = a.shape[0]
+    return (np.correlate(a, a, mode="full")
+            + np.correlate(b, b, mode="full"))[n:]
+
+
+@pytest.mark.parametrize("n0", [2, 10, 26, 1040, 4096])
+def test_complementarity_gate_rejects_an_off_by_one_lag_sum(n0):
+    # zeroing a[0] takes the term a[0]*a[l] out of every lag sum, so each
+    # sum moves from 0 to -a[0]*a[l] = +/-1; with +/-1 entries every lag
+    # sum is even, so only a zero entry can make an odd one
+    pair = seqs.golay_pair(n0)
+    a = pair.a.copy()
+    a[0] = 0
+    assert np.array_equal(np.abs(_lag_sums_int(a, pair.b)),
+                          np.ones(n0 - 1, dtype=int))
+    assert not seqs._complementary_exact(a, pair.b)
+
+
+@pytest.mark.parametrize("a,b", [
+    ([1, 1, 1, -1], [1, 1, 1, -1]),
+    ([1, 1, 1, 1, 1, 1, -1, -1], [1, 1, -1, 1, -1, 1, -1, -1]),
+])
+def test_complementarity_gate_is_aperiodic(a, b):
+    # the periodic autocorrelations of these pairs cancel but the
+    # aperiodic ones do not, so a transform too short to hold every lag
+    # of the aperiodic sum would wrongly accept them
+    a, b = np.array(a), np.array(b)
+    assert not any(a @ np.roll(a, -lag) + b @ np.roll(b, -lag)
+                   for lag in range(1, a.size))
+    assert any(_lag_sums_brute(a, b))
+    with pytest.raises(ValueError, match="complementary"):
+        seqs.GolayPair(a, b)
+
+
+def _ternary(n):
+    return st.lists(st.integers(-1, 1), min_size=n, max_size=n)
+
+
+_TERNARY_PAIRS = st.integers(1, 64).flatmap(
+    lambda n: st.tuples(_ternary(n), _ternary(n)))
+_SMALL_PAIRS = [seqs.golay_pair(n0) for n0 in range(1, 65)
+                if seqs.admissible_golay_length(n0)]
+
+
+@st.composite
+def _near_pairs(draw):
+    """A complementary pair with up to three entries set to -1, 0 or 1,
+    so lag sums of +/-1 and +/-2 occur as well as exact pairs."""
+    pair = draw(st.sampled_from(_SMALL_PAIRS))
+    ab = np.concatenate([pair.a, pair.b])
+    for i, v in draw(st.lists(st.tuples(st.integers(0, ab.size - 1),
+                                        st.integers(-1, 1)), max_size=3)):
+        ab[i] = v
+    return np.split(ab, 2)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(pair=st.one_of(_TERNARY_PAIRS, _near_pairs()))
+def test_complementarity_gate_agrees_with_brute_force_lag_sums(pair):
+    a, b = (np.array(x, dtype=np.int64) for x in pair)
+    want = all(r == 0 for r in _lag_sums_brute(a, b))
+    assert seqs._complementary_exact(a, b) == want
+
+
+def test_complementarity_gate_accepts_every_admissible_pair_to_1040():
+    sizes = [n0 for n0 in range(1, 1041) if seqs.admissible_golay_length(n0)]
+    assert len(sizes) == 33
+    for n0 in sizes:
+        pair = seqs.golay_pair(n0)
+        assert not _lag_sums_int(pair.a, pair.b).any()
+        assert seqs._complementary_exact(pair.a, pair.b)
 
 
 def test_golay_sequence_is_pair_member():
