@@ -30,10 +30,9 @@ from typing import List, Optional
 import numpy as np
 
 from . import sequences as seqs
-from .coherence import (CoherenceReport, coherence_circulant,
-                        mutual_coherence, bound_table_report, bound_table_csv,
-                        dct_coherence_report)
-from .harness import (ExperimentConfig, REFERENCE_OFDM_OUTPUT_SNR_DB,
+from .coherence import bound_table_csv, coherence_row
+from .harness import (ExperimentConfig, GOLAY_PAPR_LIMIT, PAPR_HEADER,
+                      REFERENCE_OFDM_OUTPUT_SNR_DB,
                       audit_gauss, audit_papr, ofdm_reference_config,
                       papr as papr_of, run_dct_experiment,
                       run_ofdm_experiment, run_phase_transition,
@@ -111,12 +110,31 @@ def _json_dump(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _parse_int_list(text: str) -> List[int]:
-    return [int(tok) for tok in text.split(",") if tok]
+def _count(text: str) -> int:
+    """A count flag: an integer >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _parse_count_list(text: str) -> List[int]:
+    values = [_count(tok) for tok in text.split(",") if tok]
+    if not values:
+        raise argparse.ArgumentTypeError("expected at least one count")
+    return values
 
 
 def _parse_float_list(text: str) -> List[float]:
     return [float(tok) for tok in text.split(",") if tok]
+
+
+def _require_flags(args, names, what: str) -> None:
+    """Refuse a run (usage error) when any of the named flags is unset."""
+    missing = [f"--{name}" for name in names
+               if getattr(args, name, None) is None]
+    if missing:
+        raise ValueError(f"{what} requires {', '.join(missing)}")
 
 
 def _emit(args, name: str, csv_text: str, payload=None,
@@ -154,29 +172,10 @@ def _cmd_gen_seq(args) -> int:
     return EXIT_OK
 
 
-def _coherence_report(args) -> CoherenceReport:
-    if args.basis == "identity" and seqs.family(args.seq).bound is not None:
-        rep = bound_table_report({args.seq: [args.n]}, fzc_gamma=args.gamma)[0]
-    elif args.basis == "inverse_dct2" and args.seq == "fzc":
-        rep = dct_coherence_report([args.n], gammas=args.gamma)[0]
-    else:
-        # no closed bound for this combination: informational row (bound inf)
-        a = build_circulant(args.seq, args.n, _seq_params(args))
-        if args.basis == "identity":
-            mu, kind = coherence_circulant(a), args.seq
-        else:
-            mu = mutual_coherence(a, Basis(args.basis))
-            kind = f"{args.seq}+{args.basis}"
-        rep = CoherenceReport(kind=kind, n=args.n, mu_observed=mu,
-                              bound=math.inf, bound_label="",
-                              note="no closed bound for this combination")
+def _cmd_coherence(args) -> int:
+    rep = coherence_row(args.seq, args.n, _seq_params(args), args.basis)
     if rep.skipped:
         raise ValueError(rep.note)
-    return rep
-
-
-def _cmd_coherence(args) -> int:
-    rep = _coherence_report(args)
     _emit(args, "coherence", bound_table_csv([rep]))
     return EXIT_OK if rep.passed else EXIT_VIOLATION
 
@@ -194,13 +193,11 @@ def _cmd_papr(args) -> int:
         res = audit_papr(random_seeds=args.trials or 100)
         csv_text, ok = res.csv, res.ok
     else:
-        if args.n is None:
-            raise ValueError("--n is required with --seq")
+        _require_flags(args, ("n",), "papr --seq")
         s = seqs.family(args.seq).build(args.n, _seq_params(args))
         value = papr_of(s.values)
-        csv_text = _csv(["kind", "N", "oversample", "papr"],
-                        [[args.seq, args.n, 16, value]])
-        ok = value <= 2.01 if args.seq == "golay" else True
+        csv_text = _csv(PAPR_HEADER, [[args.seq, args.n, 16, value]])
+        ok = value <= GOLAY_PAPR_LIMIT if args.seq == "golay" else True
     _emit(args, "papr", csv_text)
     return EXIT_OK if ok else EXIT_VIOLATION
 
@@ -266,6 +263,7 @@ def _cmd_exp_ofdm(args) -> int:
                 for scheme in ("proposed", "baseline")]
     else:
         # custom mode: one scheme, reported without a reference check
+        _require_flags(args, ("n", "m", "k"), "exp-ofdm --seq")
         mode = "equispaced" if args.seq == "random_phase" else "random"
         cfgs = [_experiment_config(
             args, "ofdm", args.seq, 100, m=args.m, k=args.k,
@@ -354,7 +352,7 @@ def _add_common(p: argparse.ArgumentParser, *names: str) -> None:
                        metavar="DB[,DB...]", dest="snr_list",
                        help="input SNRs in dB (omit for noiseless)")
     if "trials" in names:
-        p.add_argument("--trials", type=int, default=None,
+        p.add_argument("--trials", type=_count, default=None,
                        help="number of Monte Carlo trials")
     if "seed" in names:
         p.add_argument("--seed", type=int, default=0, help="master seed")
@@ -382,7 +380,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gauss-audit",
                        help="exponential-sum identities and bounds")
-    _add_common(p, "n")
+    _add_common(p)
+    p.add_argument("--n", type=_count,
+                   help="largest N of the closed-form check")
     p.set_defaults(func=_cmd_gauss_audit, require=())
 
     p = sub.add_parser("papr", help="peak-to-average power ratio")
@@ -404,9 +404,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("exp-phase", help="noiseless phase-transition grid "
                        "(--k/--m/--basis accept comma lists)")
     _add_common(p, "n", "seq", "gamma", "solver", "trials", "seed")
-    p.add_argument("--k", type=_parse_int_list, dest="k_list",
+    p.add_argument("--k", type=_parse_count_list, dest="k_list",
                    metavar="K[,K...]", required=True)
-    p.add_argument("--m", type=_parse_int_list, dest="m_list",
+    p.add_argument("--m", type=_parse_count_list, dest="m_list",
                    metavar="M[,M...]", required=True)
     p.add_argument("--basis", type=lambda s: s.split(","),
                    dest="basis_list", default=["identity"],
@@ -426,13 +426,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    missing = [f"--{name}" for name in args.require
-               if getattr(args, name, None) is None]
-    if missing:
-        print(f"error: {args.command} requires {', '.join(missing)}",
-              file=sys.stderr)
-        return EXIT_USAGE
     try:
+        _require_flags(args, args.require, args.command)
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -103,10 +103,36 @@ def autocorrelation_bound_check(s: Sequence) -> CoherenceReport:
 # the bound table
 # ---------------------------------------------------------------------------
 
-def _skipped(kind: str, n: int, reason: str) -> CoherenceReport:
-    return CoherenceReport(kind=kind, n=n, mu_observed=float("nan"),
-                           bound=float("nan"), bound_label="",
-                           note=f"skipped: {reason}", skipped=True)
+def coherence_row(kind: str, n: int, params: dict,
+                  basis: str = "identity") -> CoherenceReport:
+    """The row of family `kind` at length N against `basis`: skipped with
+    the registry's reason when N is inadmissible, else mu (the largest
+    entry of A, or of A @ Psi) against the family's closed bound for the
+    identity basis, 6*sqrt(2) for FZC against the inverse DCT-II, and an
+    informational infinite bound otherwise."""
+    fam = seqs.family(kind)
+    if basis == "identity":
+        label, bound = kind, fam.bound
+    elif kind == "fzc" and basis == "inverse_dct2":
+        label = f"fzc(gamma={params.get('gamma', 1)})+inverse_dct2"
+        bound = lambda _: (6.0 * math.sqrt(2.0), "6*sqrt(2)")
+    else:
+        label, bound = f"{kind}+{basis}", None
+    reason = fam.admissible(n, params)
+    if reason is not None:
+        return CoherenceReport(kind=label, n=n, mu_observed=math.nan,
+                               bound=math.nan, bound_label="",
+                               note=f"skipped: {reason}", skipped=True)
+    a = build_circulant(kind, n, params)
+    mu = coherence_circulant(a) if basis == "identity" \
+        else mutual_coherence(a, Basis(basis))
+    if bound is None:
+        return CoherenceReport(kind=label, n=n, mu_observed=mu,
+                               bound=math.inf, bound_label="",
+                               note="no closed bound for this combination")
+    value, bound_label = bound(n)
+    return CoherenceReport(kind=label, n=n, mu_observed=mu, bound=value,
+                           bound_label=bound_label)
 
 
 def bound_table_report(n_lists: Dict[str, Iterable[int]],
@@ -114,23 +140,11 @@ def bound_table_report(n_lists: Dict[str, Iterable[int]],
     """One CoherenceReport per (kind, N) for families with a closed
     bound.  Inadmissible sizes produce a skipped row (note says why,
     never counted as a failure)."""
-    params = {"gamma": fzc_gamma}
-    reports = []
-    for kind, ns in n_lists.items():
-        fam = seqs.family(kind)
-        if fam.bound is None:
+    for kind in n_lists:
+        if seqs.family(kind).bound is None:
             raise ValueError(f"{kind!r} has no closed coherence bound")
-        for n in ns:
-            n = int(n)
-            reason = fam.admissible(n, params)
-            if reason is not None:
-                reports.append(_skipped(kind, n, reason))
-                continue
-            mu = coherence_circulant(build_circulant(kind, n, params))
-            bound, label = fam.bound(n)
-            reports.append(CoherenceReport(kind=kind, n=n, mu_observed=mu,
-                                           bound=bound, bound_label=label))
-    return reports
+    return [coherence_row(kind, int(n), {"gamma": fzc_gamma})
+            for kind, ns in n_lists.items() for n in ns]
 
 
 def dct_coherence_report(n_list: Iterable[int],
@@ -138,24 +152,9 @@ def dct_coherence_report(n_list: Iterable[int],
                     ) -> List[CoherenceReport]:
     """mu(A @ InverseDCT2) for FZC spectra against the 6*sqrt(2) bound;
     one row per (N, gamma), non-coprime pairs skipped."""
-    if isinstance(gammas, int):
-        gammas = [gammas]
-    gammas = list(gammas)
-    psi = Basis.inverse_dct2()
-    reports = []
-    for n in n_list:
-        for g in gammas:
-            kind = f"fzc(gamma={g})+inverse_dct2"
-            reason = seqs.FAMILIES["fzc"].admissible(int(n), {"gamma": g})
-            if reason is not None:
-                reports.append(_skipped(kind, int(n), reason))
-                continue
-            a = CirculantOperator.from_spectrum(seqs.fzc(int(n), g))
-            mu = mutual_coherence(a, psi)
-            reports.append(CoherenceReport(
-                kind=kind, n=int(n), mu_observed=mu,
-                bound=6.0 * math.sqrt(2.0), bound_label="6*sqrt(2)"))
-    return reports
+    gammas = [gammas] if isinstance(gammas, int) else list(gammas)
+    return [coherence_row("fzc", int(n), {"gamma": g}, "inverse_dct2")
+            for n in n_list for g in gammas]
 
 
 # ---------------------------------------------------------------------------

@@ -129,8 +129,7 @@ class BoundCheckRecord:
 
     `hard` is False for the one case whose additive constant is left open
     (quarter-period N = 4k+1); such records report the margin against a
-    fitted constant and never count as violations.  `alt_bound`, when
-    present, is a second informational constant for the same sweep.
+    fitted constant and never count as violations.
     """
 
     kind: str
@@ -140,7 +139,6 @@ class BoundCheckRecord:
     observed: float
     bound: float
     hard: bool = True
-    alt_bound: Optional[float] = None
 
     @property
     def margin(self) -> float:
@@ -153,13 +151,26 @@ class BoundCheckRecord:
 
 _SOFT_BASE_4K1 = 1.07
 
+# N mod 4 -> (case, scale on |G(m)|/sqrt(N), largest m, bound(N, c), hard),
+# with c the additive constant fitted over the sweep's 4k+1 sizes
+_GN_CASES = {
+    0: ("quarter0", 2.0, lambda n: n // 2,
+        lambda n, c: math.sqrt(2.0), True),
+    1: ("quarter1_soft", 2.0, lambda n: (n - 1) // 2,
+        lambda n, c: _SOFT_BASE_4K1 + c / math.sqrt(n), False),
+    2: ("quarter2", 2.0, lambda n: n,
+        lambda n, c: 0.95 + (101.0 / 40.0) / math.sqrt(n), True),
+    3: ("quarter3_half_normalized", 1.0, lambda n: (n - 1) // 2,
+        lambda n, c: math.sqrt(1.0 + 1.0 / n), True),
+}
+
 
 def bound_check(kind: str, n_values: Iterable[int]) -> list:
     """Exhaustively evaluate a normalized-sum family over sizes and report
     the worst observed value against its bound per case.
 
     kind 'gn_normalized': g(m) = 2*|G(m)|/sqrt(N) with four cases by
-    N mod 4:
+    N mod 4 (the table _GN_CASES):
       * N=4k,   m <= N/2:  sqrt(2)
       * N=4k+1, m <  N/2:  1.07 + c/sqrt(N) with c fitted over the sweep
         (soft: reported, never failed — the additive constant is open)
@@ -167,53 +178,30 @@ def bound_check(kind: str, n_values: Iterable[int]) -> list:
       * N=4k+3, m <  N/2:  half-normalized |G(m)|/sqrt(N) <= sqrt(1+1/N)
         (the doubled normalization provably fails here; see the report
         case name 'quarter3_half_normalized')
+    Records come grouped by N mod 4, in that order.
     kind 'g2n': |G2(m)| against sqrt(N) for m <= N (N even), 3*sqrt(N)+1
-    for N < m <= 2N (N even, with 2*sqrt(N)+1 reported as alt_bound), and
-    (sqrt(2N)/2)*(0.95 + (101/40)/sqrt(N)) for m <= 2N (N odd).
+    for N < m <= 2N (N even), and (sqrt(2N)/2)*(0.95 + (101/40)/sqrt(N))
+    for m <= 2N (N odd).
     kind 'qn': |Q(m)| <= 3*sqrt(N) for m <= N.
     """
     records = []
     if kind == "gn_normalized":
-        per_case = {0: [], 1: [], 2: [], 3: []}
+        per_case = {res: [] for res in _GN_CASES}
         for n in n_values:
             if n < 4:
                 continue
-            g = gauss_sum_sweep("gn", n, n)
-            mags = np.abs(g)
-            res = n % 4
-            if res in (0,):
-                lim = n // 2
-                vals = 2.0 / math.sqrt(n) * mags[: lim + 1]
-            elif res in (1, 3):
-                lim = (n - 1) // 2  # m < N/2
-                scale = 2.0 if res == 1 else 1.0
-                vals = scale / math.sqrt(n) * mags[: lim + 1]
-            else:
-                vals = 2.0 / math.sqrt(n) * mags
+            _, scale, largest_m, _, _ = _GN_CASES[n % 4]
+            mags = np.abs(gauss_sum_sweep("gn", n, n))[: largest_m(n) + 1]
+            vals = scale / math.sqrt(n) * mags
             worst_m = int(np.argmax(vals))
-            per_case[res].append((n, worst_m, float(vals[worst_m])))
-        # fitted constant for the open 4k+1 case
-        c_fit = 0.0
-        for n, _, obs in per_case[1]:
-            c_fit = max(c_fit, (obs - _SOFT_BASE_4K1) * math.sqrt(n))
+            per_case[n % 4].append((n, worst_m, float(vals[worst_m])))
+        c_fit = max([0.0] + [(obs - _SOFT_BASE_4K1) * math.sqrt(n)
+                             for n, _, obs in per_case[1]])
         for res, rows in per_case.items():
-            for n, worst_m, obs in rows:
-                if res == 0:
-                    case, bound, hard = "quarter0", math.sqrt(2.0), True
-                elif res == 1:
-                    case = "quarter1_soft"
-                    bound = _SOFT_BASE_4K1 + c_fit / math.sqrt(n)
-                    hard = False
-                elif res == 2:
-                    case = "quarter2"
-                    bound = 0.95 + (101.0 / 40.0) / math.sqrt(n)
-                    hard = True
-                else:
-                    case = "quarter3_half_normalized"
-                    bound = math.sqrt(1.0 + 1.0 / n)
-                    hard = True
-                records.append(BoundCheckRecord("gn_normalized", case, n,
-                                                worst_m, obs, bound, hard))
+            case, _, _, bound, hard = _GN_CASES[res]
+            records += [BoundCheckRecord("gn_normalized", case, n, worst_m,
+                                         obs, bound(n, c_fit), hard)
+                        for n, worst_m, obs in rows]
     elif kind == "g2n":
         for n in n_values:
             if n < 2:
@@ -230,8 +218,7 @@ def bound_check(kind: str, n_values: Iterable[int]) -> list:
                 m1 = n + 1 + int(np.argmax(tail))
                 records.append(BoundCheckRecord(
                     "g2n", "even_tail", n, m1, float(tail.max()),
-                    3.0 * math.sqrt(n) + 1.0,
-                    alt_bound=2.0 * math.sqrt(n) + 1.0))
+                    3.0 * math.sqrt(n) + 1.0))
             else:
                 m0 = int(np.argmax(mags))
                 bound = math.sqrt(2.0 * n) / 2.0 * (0.95 + (101.0 / 40.0)

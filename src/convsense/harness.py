@@ -41,6 +41,10 @@ from .recovery import RecoveryProblem, SOLVERS
 
 _SNR_CAP_DB = 300.0
 
+# the PAPR table's columns, and the most a Golay row may read
+PAPR_HEADER = ["kind", "N", "oversample", "papr"]
+GOLAY_PAPR_LIMIT = 2.01
+
 
 # ---------------------------------------------------------------------------
 # channel model and PAPR
@@ -131,6 +135,12 @@ class ExperimentConfig:
     master_seed: int = 0
     sampling_mode: str = "random"  # "random" | "equispaced"
     extra: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        for name in ("n", "m", "k", "trials"):
+            if getattr(self, name) < 1:
+                raise ValueError(
+                    f"{name} must be >= 1, got {getattr(self, name)}")
 
     def canonical_json(self) -> str:
         payload = dataclasses.asdict(self)
@@ -569,6 +579,9 @@ def run_dct_experiment(cfg: ExperimentConfig) -> DctReport:
     The one-sided sign test asks whether the configured scheme beats the
     baseline on paired per-trial outcomes (success indicators in
     synthetic mode, output SNRs in image mode)."""
+    if (cfg.basis, cfg.sampling_mode) != ("inverse_dct2", "random"):
+        raise ValueError("the DCT experiment runs basis 'inverse_dct2' with "
+                         "'random' sampling, as its rows are labelled")
     basis = Basis.inverse_dct2()
     static_circ, _ = _static_parts(cfg)
     baseline_samp = equispaced_sampling(cfg.n, cfg.m)
@@ -684,13 +697,19 @@ def audit_gauss(closed_form_max: int = 4096, identity_max: int = 256,
     rows: List[list] = []
     failures: List[str] = []
 
+    # one CSV row; a failed one adds `why`, formatted with the row's cells
+    def check(kind, n, worst_m, observed, bound, passed, why):
+        rows.append([kind, n, worst_m, observed, bound, bound - observed])
+        if not passed:
+            failures.append(why.format(kind=kind, n=n, observed=observed,
+                                       bound=bound))
+
     for n in range(1, closed_form_max + 1):
         tol = 1e-8 * math.sqrt(n)
         resid = abs(_complete_sum(n)
                     - gauss_sums.complete_gauss_closed_form(n))
-        rows.append(["gn_closed_form", n, n, resid, tol, tol - resid])
-        if resid > tol:
-            failures.append(f"closed form N={n}: residual {resid:.3e}")
+        check("gn_closed_form", n, n, resid, tol, resid <= tol,
+              "closed form N={n}: residual {observed:.3e}")
 
     for n in range(1, identity_max + 1):
         tol = 1e-8 * math.sqrt(n)
@@ -699,31 +718,27 @@ def audit_gauss(closed_form_max: int = 4096, identity_max: int = 256,
         ref = np.abs(g[1:m_hi + 1] + g[n - np.arange(1, m_hi + 1) + 1]
                      - 1.0 - g[n])
         worst = int(np.argmax(ref)) + 1
-        rows.append(["gn_reflection", n, worst, float(ref[worst - 1]), tol,
-                     tol - float(ref[worst - 1])])
-        if ref[worst - 1] > tol:
-            failures.append(f"reflection N={n}: residual {ref[worst-1]:.3e}")
+        resid = float(ref[worst - 1])
+        check("gn_reflection", n, worst, resid, tol, resid <= tol,
+              "reflection N={n}: residual {observed:.3e}")
         q = gauss_sums.gauss_sum_sweep("qn", n, n)
         g8 = gauss_sums.gauss_sum_sweep("g8n", n, 2 * n)
         g2 = gauss_sums.gauss_sum_sweep("g2n", n, n)
         m = np.arange(n + 1)
         qres = np.abs(q - (g8[2 * m] - g2[m]))
         worst = int(np.argmax(qres))
-        rows.append(["qn_split", n, worst, float(qres[worst]), tol,
-                     tol - float(qres[worst])])
-        if qres[worst] > tol:
-            failures.append(f"q split N={n}: residual {qres[worst]:.3e}")
+        resid = float(qres[worst])
+        check("qn_split", n, worst, resid, tol, resid <= tol,
+              "q split N={n}: residual {observed:.3e}")
 
     sweeps = (gauss_sums.bound_check("gn_normalized",
                                      range(4, sweep_max + 1))
               + gauss_sums.bound_check("g2n", range(2, sweep_max + 1))
               + gauss_sums.bound_check("qn", range(1, sweep_max + 1)))
     for rec in sweeps:
-        rows.append([f"{rec.kind}:{rec.case}", rec.n, rec.worst_m,
-                     rec.observed, rec.bound, rec.margin])
-        if not rec.passed:
-            failures.append(f"{rec.kind}:{rec.case} N={rec.n}: "
-                            f"{rec.observed:.6g} > {rec.bound:.6g}")
+        check(f"{rec.kind}:{rec.case}", rec.n, rec.worst_m, rec.observed,
+              rec.bound, rec.passed,
+              "{kind} N={n}: {observed:.6g} > {bound:.6g}")
     return AuditResult(name="gauss", ok=not failures,
                        csv=_csv(header, rows), failures=tuple(failures))
 
@@ -733,14 +748,14 @@ def audit_papr(golay_sizes: Tuple[int, ...] = (256, 512, 1024),
                oversample: int = 16) -> AuditResult:
     """PAPR table: Golay rows must sit within 2 +/- 0.01 and the smallest
     random-phase PAPR over the seed set must be at least 4."""
-    header = ["kind", "N", "oversample", "papr"]
     rows: List[list] = []
     failures: List[str] = []
     for n in golay_sizes:
         val = papr(seqs.golay(n), oversample)
         rows.append(["golay", n, oversample, val])
-        if not (val <= 2.01):
-            failures.append(f"golay N={n}: PAPR {val:.6g} > 2.01")
+        if not (val <= GOLAY_PAPR_LIMIT):
+            failures.append(
+                f"golay N={n}: PAPR {val:.6g} > {GOLAY_PAPR_LIMIT}")
     for n in golay_sizes:
         rows.append(["fzc(gamma=1)", n, oversample,
                      papr(seqs.fzc(n, 1), oversample)])
@@ -752,4 +767,4 @@ def audit_papr(golay_sizes: Tuple[int, ...] = (256, 512, 1024),
         failures.append(f"random_phase N={random_n}: min PAPR "
                         f"{min(random_vals):.6g} < 4")
     return AuditResult(name="papr", ok=not failures,
-                       csv=_csv(header, rows), failures=tuple(failures))
+                       csv=_csv(PAPR_HEADER, rows), failures=tuple(failures))

@@ -2,7 +2,9 @@
 keeps every name it looks up present, and keeps sequence generators called
 through the registry visible to its tracer."""
 
+import hashlib
 import importlib.util
+import json
 import os
 import sys
 
@@ -38,3 +40,18 @@ def test_tracer_installs_and_sees_registry_builds(monkeypatch):
 def test_workload_static_setups_run(monkeypatch):
     for workload in _load("workloads", monkeypatch).WORKLOADS.values():
         workload.static_setup()
+
+
+def test_tiny_round_zero_matches_pinned_digests(monkeypatch):
+    """Round 0 of the tiny certify, ofdm_ref and phase_grid calls at seed 0
+    gives the CSV bytes pinned in perfbench/digests.json."""
+    workloads = _load("workloads", monkeypatch)
+    with open(os.path.join(_PERFBENCH, "digests.json")) as fh:
+        pinned = json.load(fh)["tiny"]
+    for name in ("certify", "ofdm_ref", "phase_grid"):
+        csvs = {}
+        for call in workloads.WORKLOADS[name].calls(0, 0, True):
+            csvs.update(call.run().csvs)
+        digests = {key: hashlib.sha256(text.encode()).hexdigest()
+                   for key, text in csvs.items()}
+        assert digests == pinned[name], name

@@ -118,6 +118,10 @@ def test_coherence_inadmissible_is_usage_error(capsys):
     code, _, err = run(capsys, "coherence", "--seq", "m_sequence",
                        "--n", "100")
     assert code == 2 and "skipped" in err
+    # the registry's reason, for rows without a closed bound as well
+    code, _, err = run(capsys, "coherence", "--seq", "extended_polyphase",
+                       "--n", "1", "--basis", "inverse_fourier")
+    assert code == 2 and err == "error: skipped: N must be >= 2\n"
 
 
 # ---------------------------------------------------------------------------
@@ -145,6 +149,34 @@ def test_papr_single_sequence(capsys):
     assert code == 0
     value = float(out.splitlines()[1].split(",")[3])
     assert value == pytest.approx(2.0, abs=0.01)
+
+
+def usage_error(capsys, *argv):
+    """stderr of a run that must end in a usage error (exit 2), refused
+    by argparse or by the command."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    return capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("exp-ofdm", "--seq", "golay", "--trials", "2"), "--n, --m, --k"),
+    (("exp-phase", "--n", "64", "--k", "", "--m", "16"), "--k"),
+    (("exp-phase", "--n", "64", "--k", "2", "--m", "16", "--trials", "-2"),
+     "--trials"),
+    (("exp-ofdm", "--trials", "-1"), "--trials"),
+    (("exp-dct", "--n", "64", "--m", "16", "--k", "2", "--trials", "0"),
+     "--trials"),
+    (("papr", "--trials", "0"), "--trials"),
+    (("gauss-audit", "--n", "0"), "--n"),
+], ids=["ofdm-seq-without-sizes", "phase-empty-k", "phase-trials-negative",
+        "ofdm-trials-negative", "dct-trials-zero", "papr-trials-zero",
+        "gauss-audit-n-zero"])
+def test_missing_and_nonpositive_counts_are_usage_errors(capsys, argv, flag):
+    assert flag in usage_error(capsys, *argv)
 
 
 def test_papr_requires_n_with_seq(capsys):

@@ -10,7 +10,8 @@ import oracles
 from convsense import sequences as seqs
 from convsense.coherence import (coherence_circulant, autocorrelation_bound_check,
                                  mutual_coherence, bound_table_csv,
-                                 bound_table_report, dct_coherence_report)
+                                 bound_table_report, coherence_row,
+                                 dct_coherence_report)
 from convsense.operators import Basis, CirculantOperator
 
 
@@ -131,6 +132,25 @@ def test_dct_coherence_rows():
     # non-coprime pairs skip
     skipped = dct_coherence_report([64], gammas=[2])[0]
     assert skipped.skipped
+
+
+def test_coherence_row_labels_and_bounds():
+    rep = coherence_row("golay", 52, {})
+    assert (rep.kind, rep.bound, rep.bound_label) == ("golay", math.sqrt(2),
+                                                      "sqrt(2)")
+    rep = coherence_row("fzc", 64, {"gamma": 3}, "inverse_dct2")
+    assert rep.kind == "fzc(gamma=3)+inverse_dct2"
+    assert rep.bound == 6 * math.sqrt(2) and rep.passed
+    for kind, basis, label in (("legendre", "identity", "legendre"),
+                               ("golay", "inverse_fourier",
+                                "golay+inverse_fourier")):
+        rep = coherence_row(kind, 52 if kind == "golay" else 31, {}, basis)
+        assert rep.kind == label and rep.bound == math.inf and rep.passed
+    # admissibility is decided before the bound: the extended-polyphase
+    # bound divides by sqrt(N), and N=0 is refused by the registry
+    for basis in ("identity", "inverse_fourier"):
+        rep = coherence_row("extended_polyphase", 0, {}, basis)
+        assert rep.skipped and rep.note == "skipped: N must be >= 2"
 
 
 def test_dct_coherence_matches_dense():

@@ -31,6 +31,13 @@ def test_trial_seed_derivation():
     assert trial_seed(0, 3) != trial_seed(0, 4) != trial_seed(1, 3)
 
 
+def test_config_refuses_counts_below_one():
+    for field, value in (("n", 0), ("m", 0), ("k", 0), ("trials", 0),
+                         ("trials", -2)):
+        with pytest.raises(ValueError, match=f"{field} must be >= 1"):
+            _small_ofdm_cfg(**{field: value})
+
+
 def test_config_hash_is_canonical_json_sha256():
     cfg = ExperimentConfig(experiment="ofdm", n=64, m=16, k=2,
                            sequence_kind="golay")
@@ -263,6 +270,16 @@ def test_phase_zero_mean_mode():
 # ---------------------------------------------------------------------------
 # DCT experiment and PGM ingestion
 # ---------------------------------------------------------------------------
+
+def test_dct_experiment_refuses_other_basis_or_sampling():
+    # its rows are labelled as inverse DCT-II with random sampling
+    base = dict(experiment="dct", n=64, m=24, k=3, sequence_kind="fzc",
+                sequence_params={"gamma": 1}, basis="inverse_dct2",
+                solver="sp", trials=1)
+    for over in ({"basis": "identity"}, {"sampling_mode": "equispaced"}):
+        with pytest.raises(ValueError, match="inverse_dct2"):
+            run_dct_experiment(ExperimentConfig(**{**base, **over}))
+
 
 def test_dct_experiment_schema_and_pairing():
     cfg = ExperimentConfig(
