@@ -117,6 +117,14 @@ def papr(sigma, oversample: int = 16) -> float:
 # configs, seeds, trial records
 # ---------------------------------------------------------------------------
 
+def _require_counts(**counts: int) -> None:
+    """Refuse any count below 1, naming it, as the CLI parser does: a run
+    over zero sizes or trials would report a pass that checked nothing."""
+    for name, value in counts.items():
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything that determines an experiment's output bytes."""
@@ -137,10 +145,7 @@ class ExperimentConfig:
     extra: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        for name in ("n", "m", "k", "trials"):
-            if getattr(self, name) < 1:
-                raise ValueError(
-                    f"{name} must be >= 1, got {getattr(self, name)}")
+        _require_counts(n=self.n, m=self.m, k=self.k, trials=self.trials)
 
     def canonical_json(self) -> str:
         payload = dataclasses.asdict(self)
@@ -693,6 +698,8 @@ def audit_gauss(closed_form_max: int = 4096, identity_max: int = 256,
                 sweep_max: int = 512) -> AuditResult:
     """Closed forms vs direct sums, the two identity sweeps, and the
     three bound families; CSV rows are worst-per-(kind, N)."""
+    _require_counts(closed_form_max=closed_form_max,
+                    identity_max=identity_max, sweep_max=sweep_max)
     header = ["kind", "N", "worst_m", "observed", "bound", "margin"]
     rows: List[list] = []
     failures: List[str] = []
@@ -748,6 +755,10 @@ def audit_papr(golay_sizes: Tuple[int, ...] = (256, 512, 1024),
                oversample: int = 16) -> AuditResult:
     """PAPR table: Golay rows must sit within 2 +/- 0.01 and the smallest
     random-phase PAPR over the seed set must be at least 4."""
+    if not golay_sizes:
+        raise ValueError("golay_sizes must name at least one size")
+    _require_counts(random_n=random_n, random_seeds=random_seeds,
+                    oversample=oversample)
     rows: List[list] = []
     failures: List[str] = []
     for n in golay_sizes:
@@ -763,7 +774,7 @@ def audit_papr(golay_sizes: Tuple[int, ...] = (256, 512, 1024),
                    for s in range(random_seeds)]
     rows += [[f"random_phase(seed={s})", random_n, oversample, val]
              for s, val in enumerate(random_vals)]
-    if random_vals and min(random_vals) < 4.0:
+    if min(random_vals) < 4.0:
         failures.append(f"random_phase N={random_n}: min PAPR "
                         f"{min(random_vals):.6g} < 4")
     return AuditResult(name="papr", ok=not failures,

@@ -267,10 +267,9 @@ class Basis:
             return f
         if self.kind == "inverse_fourier":
             return np.sqrt(n) * np.fft.ifft(f, axis=0)
-        out = scipy.fft.idct(f.real, type=2, norm="ortho", axis=0).astype(
-            np.complex128)
-        out += 1j * scipy.fft.idct(f.imag, type=2, norm="ortho", axis=0)
-        return out
+        # scipy transforms the real and imaginary parts of complex input
+        # separately, straight into the two halves of the output
+        return scipy.fft.idct(f, type=2, norm="ortho", axis=0)
 
     def adjoint(self, g: np.ndarray) -> np.ndarray:
         """Psi^* @ g (= Psi^T for the real DCT basis).  For the identity
@@ -281,10 +280,7 @@ class Basis:
             return g
         if self.kind == "inverse_fourier":
             return np.fft.fft(g, axis=0) / np.sqrt(n)
-        out = scipy.fft.dct(g.real, type=2, norm="ortho", axis=0).astype(
-            np.complex128)
-        out += 1j * scipy.fft.dct(g.imag, type=2, norm="ortho", axis=0)
-        return out
+        return scipy.fft.dct(g, type=2, norm="ortho", axis=0)
 
     def dense(self, n: int) -> np.ndarray:
         """Explicit Psi from the defining entries (reference form)."""

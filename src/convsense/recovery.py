@@ -196,9 +196,10 @@ def subspace_pursuit(p: RecoveryProblem) -> RecoveryResult:
 
 
 def _power_iteration_step_bound(adapter: _OpAdapter) -> float:
-    """Largest eigenvalue of Theta^* Theta by 30 power-iteration steps
-    (1e-6 relative tolerance, fixed seed), inflated 0.1% so 1/L is a
-    safe step."""
+    """Largest eigenvalue of Theta^* Theta by at most 30 power-iteration
+    steps (1e-6 relative tolerance, fixed seed), inflated 0.1% so 1/L is
+    a safe step.  When Theta Theta^* = (N/M) I, as for a unimodular
+    spectrum with a unitary basis, it stops at step 3."""
     rng = np.random.default_rng(0)
     v = rng.standard_normal(adapter.n) + 1j * rng.standard_normal(adapter.n)
     v /= np.linalg.norm(v)
@@ -226,7 +227,12 @@ def _soft_threshold(u: np.ndarray, tau: float) -> np.ndarray:
 def fista_lasso(p: RecoveryProblem) -> RecoveryResult:
     """FISTA on 0.5||y - Theta f||^2 + lambda ||f||_1 with complex
     soft-thresholding, momentum restart on objective increase, stopping
-    at 1e-8 relative objective change or 2000 iterations."""
+    at 1e-8 relative objective change or 2000 iterations.
+
+    Each iteration makes one forward and one adjoint (a restart one more
+    of each): Theta z is carried by linearity beside the momentum point
+    z, as the same combination of the two latest forwards, so its
+    rounding does not build up."""
     if p.lam is None or p.lam <= 0:
         raise ValueError("fista requires lambda > 0")
     adapter = _OpAdapter(p.operator)
@@ -241,26 +247,27 @@ def fista_lasso(p: RecoveryProblem) -> RecoveryResult:
     f = np.zeros(adapter.n, dtype=np.complex128)
     rf = adapter.forward(f)
     obj = objective(f, rf)
-    z = f.copy()
+    z, rz = f, rf  # the momentum point and Theta z
     t = 1.0
     iterations = 0
     converged = False
     for _ in range(_FISTA_MAX_ITERS):
         iterations += 1
-        grad = adapter.adjoint(adapter.forward(z) - y)
+        grad = adapter.adjoint(rz - y)
         f_new = _soft_threshold(z - grad / L, lam / L)
         rf_new = adapter.forward(f_new)
         obj_new = objective(f_new, rf_new)
         if obj_new > obj:
             # restart momentum at the last good point
             t = 1.0
-            z = f.copy()
             grad = adapter.adjoint(rf - y)
             f_new = _soft_threshold(f - grad / L, lam / L)
             rf_new = adapter.forward(f_new)
             obj_new = objective(f_new, rf_new)
         t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-        z = f_new + ((t - 1.0) / t_new) * (f_new - f)
+        beta = (t - 1.0) / t_new
+        z = f_new + beta * (f_new - f)
+        rz = rf_new + beta * (rf_new - rf)
         rel_drop = abs(obj - obj_new)
         f, rf, t = f_new, rf_new, t_new
         if rel_drop <= _FISTA_STOP_REL * max(obj, 1e-300):

@@ -55,3 +55,13 @@ def test_tiny_round_zero_matches_pinned_digests(monkeypatch):
         digests = {key: hashlib.sha256(text.encode()).hexdigest()
                    for key, text in csvs.items()}
         assert digests == pinned[name], name
+
+
+def test_tiny_dct_fista_meets_its_quality_floor(monkeypatch):
+    """Round 0 of the tiny dct_fista call at seed 0 clears the benchmark's
+    output-SNR floor for the proposed scheme, so a solver change that
+    loses it shows in the test suite, not only in a benchmark run."""
+    workloads = _load("workloads", monkeypatch)
+    (call,) = workloads.WORKLOADS["dct_fista"].calls(0, 0, True)
+    res = call.run()
+    assert res.failed == 0, res.why

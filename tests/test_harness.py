@@ -297,16 +297,28 @@ def test_dct_experiment_schema_and_pairing():
     assert report.csv() == run_dct_experiment(cfg).csv()
 
 
-def test_import_convsense_does_not_load_scipy_stats():
-    # scipy.stats is over half the import time, and only the DCT
-    # experiment's sign test uses it
+def _loaded_by_import_convsense(module):
+    """(module loaded, scipy loaded) after ``import convsense`` in a fresh
+    interpreter."""
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     code = ("import convsense, sys; "
-            "print('scipy.stats' in sys.modules, 'scipy' in sys.modules)")
+            f"print({module!r} in sys.modules, 'scipy' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.split() == ["False", "True"]
+    return out.split()
+
+
+def test_import_convsense_does_not_load_scipy_stats():
+    # scipy.stats is over half the import time, and only the DCT
+    # experiment's sign test uses it
+    assert _loaded_by_import_convsense("scipy.stats") == ["False", "True"]
+
+
+def test_import_convsense_does_not_load_scipy_fft():
+    # scipy loads the submodule on first attribute access, which is the
+    # first inverse-DCT basis transform, so ofdm_ref never pays for it
+    assert _loaded_by_import_convsense("scipy.fft") == ["False", "True"]
 
 
 def _write_pgm(path, kind, pixels):
@@ -385,6 +397,26 @@ def test_audit_papr_small():
     assert lines[0] == "kind,N,oversample,papr"
     assert any(ln.startswith("golay,64") for ln in lines)
     assert any(ln.startswith("random_phase(seed=0)") for ln in lines)
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    (dict(golay_sizes=()), "golay_sizes"),
+    (dict(random_seeds=0), "random_seeds"),
+    (dict(random_n=0), "random_n"),
+    (dict(oversample=0), "oversample"),
+])
+def test_audit_papr_refuses_to_check_nothing(kwargs, name):
+    with pytest.raises(ValueError, match=name):
+        audit_papr(**kwargs)
+
+
+@pytest.mark.parametrize("name", ["closed_form_max", "identity_max",
+                                  "sweep_max"])
+def test_audit_gauss_refuses_to_check_nothing(name):
+    sizes = dict(closed_form_max=4, identity_max=4, sweep_max=4)
+    sizes[name] = 0
+    with pytest.raises(ValueError, match=name):
+        audit_gauss(**sizes)
 
 
 def test_audit_papr_fails_when_random_phase_papr_drops_below_4(monkeypatch):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.fft
 
 import oracles
 from convsense import sequences as seqs
@@ -197,6 +198,26 @@ def test_idct_matches_loop_formula():
     n = 17
     assert np.allclose(Basis.inverse_dct2().dense(n),
                        oracles.idct2_matrix(n), atol=1e-12)
+
+
+def test_dct_basis_bit_identical_to_split_real_imag_transforms():
+    def split(transform, x):
+        x = np.asarray(x, dtype=np.complex128)
+        out = transform(x.real, type=2, norm="ortho", axis=0).astype(
+            np.complex128)
+        out += 1j * transform(x.imag, type=2, norm="ortho", axis=0)
+        return out
+
+    n, b = 64, 9
+    rng = np.random.default_rng(4)
+    block = rng.standard_normal((n, b)) + 1j * rng.standard_normal((n, b))
+    # subspace pursuit slices its pruned columns like this: ccols[:, keep]
+    sliced = block[:, [0, 2, 3, 7]]
+    assert sliced.flags.f_contiguous and not sliced.flags.c_contiguous
+    basis = Basis.inverse_dct2()
+    for x in (_rand_vec(n, 5), rng.standard_normal(n), block, sliced):
+        assert np.array_equal(basis.apply(x), split(scipy.fft.idct, x))
+        assert np.array_equal(basis.adjoint(x), split(scipy.fft.dct, x))
 
 
 def test_inverse_fourier_matches_loop_formula():

@@ -7,8 +7,10 @@ import oracles
 from convsense import sequences as seqs
 from convsense.operators import (Basis, CirculantOperator, SensingOperator,
                                  random_sampling)
-from convsense.recovery import (RecoveryProblem, SOLVERS, _top_indices,
-                                fista_lasso, omp, subspace_pursuit)
+from convsense.recovery import (RecoveryProblem, SOLVERS, _OpAdapter,
+                                _power_iteration_step_bound, _soft_threshold,
+                                _top_indices, fista_lasso, omp,
+                                subspace_pursuit)
 
 
 def _problem(n=64, m=24, k=3, seed=0, basis="identity", snr_db=None):
@@ -147,6 +149,96 @@ def test_fista_objective_beats_soft_start():
 
     assert objective(res.f_hat) <= objective(np.zeros_like(res.f_hat))
     assert res.converged
+
+
+def _fista_three_applications(operator, y, lam):
+    """Reference FISTA that recomputes Theta z each iteration (two forwards
+    and one adjoint); the same iterates as ``fista_lasso`` up to rounding.
+    Returns (f_hat, iterations, converged, restarts)."""
+    adapter = _OpAdapter(operator)
+    L = _power_iteration_step_bound(adapter)
+
+    def objective(f, rf):
+        return 0.5 * float(np.linalg.norm(y - rf)) ** 2 \
+            + lam * float(np.sum(np.abs(f)))
+
+    f = np.zeros(adapter.n, dtype=np.complex128)
+    rf = adapter.forward(f)
+    obj = objective(f, rf)
+    z, t, restarts = f, 1.0, 0
+    for iterations in range(1, 2001):
+        grad = adapter.adjoint(adapter.forward(z) - y)
+        f_new = _soft_threshold(z - grad / L, lam / L)
+        rf_new = adapter.forward(f_new)
+        obj_new = objective(f_new, rf_new)
+        if obj_new > obj:
+            restarts += 1
+            t = 1.0
+            grad = adapter.adjoint(rf - y)
+            f_new = _soft_threshold(f - grad / L, lam / L)
+            rf_new = adapter.forward(f_new)
+            obj_new = objective(f_new, rf_new)
+        t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+        z = f_new + ((t - 1.0) / t_new) * (f_new - f)
+        drop = abs(obj - obj_new)
+        f, rf, t = f_new, rf_new, t_new
+        if drop <= 1e-8 * max(obj, 1e-300):
+            return f, iterations, True, restarts
+        obj = min(obj, obj_new)
+    return f, iterations, False, restarts
+
+
+def _fista_case(basis, seed, snr_db):
+    if basis == "dense":
+        # a general matrix, for which Theta Theta^* is not a multiple of I
+        rng = np.random.default_rng(seed)
+        theta = (rng.standard_normal((32, 64))
+                 + 1j * rng.standard_normal((32, 64))) / 8
+        f = np.zeros(64, dtype=np.complex128)
+        f[rng.choice(64, size=3, replace=False)] = rng.standard_normal(3)
+        y = theta @ f
+    else:
+        theta, f, support, y = _problem(n=64, m=32, k=3, seed=seed,
+                                        basis=basis, snr_db=snr_db)
+    lam = 1e-3 * float(np.max(np.abs(_OpAdapter(theta).adjoint(y))))
+    return theta, y, lam
+
+
+def test_fista_makes_one_forward_and_one_adjoint_per_iteration(monkeypatch):
+    theta, y, lam = _fista_case("inverse_dct2", 1, 20)
+    _, _, _, restarts = _fista_three_applications(theta, y, lam)
+    assert restarts > 0  # the restart branch runs too
+    calls = {"forward": 0, "adjoint": 0}
+    for name in calls:
+        def counted(self, x, _name=name,
+                    _real=getattr(SensingOperator, name)):
+            calls[_name] += 1
+            return _real(self, x)
+        monkeypatch.setattr(SensingOperator, name, counted)
+    _power_iteration_step_bound(_OpAdapter(theta))
+    # Theta Theta^* = (N/M) I here, so the power iteration stops at step 3
+    assert calls == {"forward": 3, "adjoint": 3}
+    calls.update(forward=0, adjoint=0)
+    res = fista_lasso(RecoveryProblem(operator=theta, y=y, lam=lam))
+    # power iteration, then one forward at the zero start
+    n_apps = res.iterations + restarts + 3
+    assert calls == {"forward": n_apps + 1, "adjoint": n_apps}
+
+
+@pytest.mark.parametrize("basis", ["identity", "inverse_fourier",
+                                   "inverse_dct2", "dense"])
+def test_fista_matches_three_application_reference(basis):
+    for seed, snr_db in ((0, None), (1, 20), (2, 20)):
+        theta, y, lam = _fista_case(basis, seed, snr_db)
+        f_ref, iterations, converged, restarts = \
+            _fista_three_applications(theta, y, lam)
+        res = fista_lasso(RecoveryProblem(operator=theta, y=y, lam=lam))
+        assert restarts > 0
+        assert res.iterations == iterations
+        assert res.converged == converged
+        assert np.array_equal(res.support, np.flatnonzero(np.abs(f_ref) > 0))
+        assert np.max(np.abs(res.f_hat - f_ref)) \
+            <= 1e-12 * np.linalg.norm(f_ref)
 
 
 def test_solver_registry():
