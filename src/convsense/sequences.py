@@ -212,8 +212,7 @@ def m_sequence(degree: int) -> Sequence:
         bits.append(fb)
     vals = 1.0 - 2.0 * np.array(bits, dtype=np.int64)
     # exact two-valued autocorrelation gate: peak N, off-peak -1
-    spec = np.fft.fft(vals)
-    corr = np.fft.ifft(spec * np.conj(spec)).real
+    corr = autocorr_periodic_all(vals).real
     corr_int = np.rint(corr).astype(np.int64)
     if np.max(np.abs(corr - corr_int)) > 1e-6 or corr_int[0] != n or \
             not np.all(corr_int[1:] == -1):

@@ -8,6 +8,7 @@ Nothing imports from :mod:`convsense`.
 
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -123,3 +124,15 @@ def least_squares_on_support(mat: np.ndarray, y: np.ndarray,
     out = np.zeros(mat.shape[1], dtype=np.complex128)
     out[support] = coef
     return out
+
+
+def binomial_half_tails(n: int) -> list:
+    """[P(X >= w) for w = 0..n], X ~ Bin(n, 1/2), as exact Fractions: the
+    pmf from n convolutions with (1/2, 1/2), summed from the top."""
+    pmf = [Fraction(1)]
+    for _ in range(n):
+        pmf = [(a + b) / 2 for a, b in zip(pmf + [0], [0] + pmf)]
+    tails = [Fraction(0)] * (n + 2)
+    for w in range(n, -1, -1):
+        tails[w] = tails[w + 1] + pmf[w]
+    return tails[:n + 1]

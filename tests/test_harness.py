@@ -19,6 +19,7 @@ from convsense.harness import (ExperimentConfig, attc_channel, audit_gauss,
                                ofdm_reference_config, papr, read_pgm,
                                run_dct_experiment, run_ofdm_experiment,
                                run_phase_transition, trial_seed)
+from convsense.operators import Basis, SensingOperator, random_sampling
 
 
 # ---------------------------------------------------------------------------
@@ -281,11 +282,14 @@ def test_dct_experiment_refuses_other_basis_or_sampling():
             run_dct_experiment(ExperimentConfig(**{**base, **over}))
 
 
+_DCT_SP_WITH_WINS = ExperimentConfig(
+    experiment="dct", n=128, m=48, k=6, sequence_kind="fzc",
+    sequence_params={"gamma": 1}, basis="inverse_dct2", solver="sp",
+    trials=12, master_seed=0)
+
+
 def test_dct_experiment_schema_and_pairing():
-    cfg = ExperimentConfig(
-        experiment="dct", n=128, m=48, k=6, sequence_kind="fzc",
-        sequence_params={"gamma": 1}, basis="inverse_dct2", solver="sp",
-        trials=12, master_seed=0)
+    cfg = _DCT_SP_WITH_WINS
     report = run_dct_experiment(cfg)
     lines = report.csv().splitlines()
     assert lines[0] == ("config_hash,scheme,k,m,trials,successes,"
@@ -293,16 +297,66 @@ def test_dct_experiment_schema_and_pairing():
     assert len(lines) == 3
     assert lines[1].split(",")[1] == "fzc+random"
     assert lines[2].split(",")[1] == "random_phase+equispaced"
-    assert 0.0 <= report.sign_test_p <= 1.0
+    # 12 of 12 recovered against 11 of 12: one win, no loss
+    assert [row.successes for row in report.rows] == [12, 11]
+    assert report.sign_test_p == 0.5
     assert report.csv() == run_dct_experiment(cfg).csv()
 
 
-def _loaded_by_import_convsense(module):
-    """(module loaded, scipy loaded) after ``import convsense`` in a fresh
-    interpreter."""
+def test_sign_test_p_is_the_exact_binomial_tail():
+    assert harness._sign_test_p(0, 0) == 1.0
+    for n in range(61):
+        tails = oracles.binomial_half_tails(n)
+        for wins in range(n + 1):
+            assert harness._sign_test_p(wins, n - wins) == float(tails[wins])
+
+
+def test_dct_synthetic_csv_bytes_pinned():
+    # OMP wins 17 pairs and loses none: sign_test_p = 2^-17
+    cfg = ExperimentConfig(
+        experiment="dct", n=256, m=64, k=6, sequence_kind="fzc",
+        sequence_params={"gamma": 1}, basis="inverse_dct2", solver="omp",
+        trials=40, master_seed=0)
+    report = run_dct_experiment(cfg)
+    assert report.sign_test_p == 2.0 ** -17
+    assert hashlib.sha256(report.csv().encode()).hexdigest() == \
+        "9f59a1a2d1013ce677c5aefbc6d43a4047dd60064ed0a4e64296034f230dfa45"
+
+
+def test_dct_fista_successes_measure_recovery():
+    # without the least-squares refit the LASSO bias alone fails every
+    # trial of the 1e-4 relative-error test (0 of 3 here)
+    cfg = dataclasses.replace(_DCT_SP_WITH_WINS, solver="fista", trials=3)
+    proposed, _ = run_dct_experiment(cfg).rows
+    assert proposed.successes > 0
+
+
+def test_fista_refit_is_least_squares_on_the_top_k_support():
+    rng = np.random.default_rng(3)
+    cfg = ExperimentConfig(experiment="recover", n=64, m=32, k=3,
+                           sequence_kind="fzc", solver="fista")
+    theta = SensingOperator(build_circulant("fzc", 64, {}),
+                            random_sampling(64, 32, rng),
+                            Basis("inverse_dct2"))
+    f, _ = harness._sparse_signal(rng, 64, 3, zero_mean=False)
+    y = harness._add_noise(rng, theta.forward(f), 20.0)
+    lasso = recovery.fista_lasso(recovery.RecoveryProblem(
+        theta, y, lam=1e-4 * float(np.max(np.abs(theta.adjoint(y))))))
+    result = harness._solve(cfg, theta, y)
+    support = np.sort(np.argsort(-np.abs(lasso.f_hat), kind="stable")[:3])
+    assert np.array_equal(result.support, support)
+    assert (result.iterations, result.converged) == \
+        (lasso.iterations, lasso.converged)
+    expected = oracles.least_squares_on_support(theta.dense(), y, support)
+    assert np.allclose(result.f_hat, expected, rtol=0, atol=1e-9)
+
+
+def _loaded_in_fresh_interpreter(module, run=""):
+    """(module loaded, scipy loaded) after ``import convsense`` and the
+    statements ``run`` in a fresh interpreter."""
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
-    code = ("import convsense, sys; "
+    code = (f"import convsense, sys\n{run}\n"
             f"print({module!r} in sys.modules, 'scipy' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
@@ -310,15 +364,26 @@ def _loaded_by_import_convsense(module):
 
 
 def test_import_convsense_does_not_load_scipy_stats():
-    # scipy.stats is over half the import time, and only the DCT
-    # experiment's sign test uses it
-    assert _loaded_by_import_convsense("scipy.stats") == ["False", "True"]
+    # the sign test is an exact integer tail, so nothing in the package
+    # needs scipy.stats, which alone is about 38 MB and most of the import
+    assert _loaded_in_fresh_interpreter("scipy.stats") == ["False", "True"]
+
+
+def test_dct_sign_test_does_not_load_scipy_stats():
+    # this run has a differing pair, so the sign test is computed
+    fields = dataclasses.asdict(_DCT_SP_WITH_WINS)
+    run = ("from convsense.harness import ExperimentConfig, "
+           "run_dct_experiment\n"
+           f"cfg = ExperimentConfig(**{fields!r})\n"
+           "assert run_dct_experiment(cfg).sign_test_p == 0.5")
+    assert _loaded_in_fresh_interpreter("scipy.stats", run) == \
+        ["False", "True"]
 
 
 def test_import_convsense_does_not_load_scipy_fft():
     # scipy loads the submodule on first attribute access, which is the
     # first inverse-DCT basis transform, so ofdm_ref never pays for it
-    assert _loaded_by_import_convsense("scipy.fft") == ["False", "True"]
+    assert _loaded_in_fresh_interpreter("scipy.fft") == ["False", "True"]
 
 
 def _write_pgm(path, kind, pixels):
@@ -366,6 +431,10 @@ def test_dct_image_mode(tmp_path):
     report = run_dct_experiment(cfg)
     snrs = [row.mean_output_snr_db for row in report.rows]
     assert all(np.isfinite(snrs))
+    # image mode compares output SNRs: the proposed scheme wins all 6
+    # pairs, while no trial of either scheme is an exact recovery
+    assert [row.successes for row in report.rows] == [0, 0]
+    assert report.sign_test_p == 2.0 ** -6
     with pytest.raises(ValueError):
         bad = dataclasses.replace(cfg, n=128)
         run_dct_experiment(bad)  # pixel count mismatch
