@@ -37,9 +37,8 @@ from .harness import (ExperimentConfig, GOLAY_PAPR_LIMIT, PAPR_HEADER,
                       papr as papr_of, run_dct_experiment,
                       run_ofdm_experiment, run_phase_transition,
                       _add_noise, _recovered, _rel_error, _solve,
-                      _sparse_signal)
-from .operators import (Basis, SensingOperator, build_circulant,
-                        random_sampling, _BASIS_KINDS, _csv, vector_to_csv)
+                      _sparse_signal, _trial_operator)
+from .operators import Basis, _BASIS_KINDS, _csv, vector_to_csv
 from .recovery import SOLVERS
 
 EXIT_OK = 0
@@ -205,17 +204,17 @@ def _cmd_papr(args) -> int:
 
 def _cmd_recover(args) -> int:
     """One synthetic recovery per SNR (noiseless when --snr-list is
-    omitted).  Draw order per run: sampling, spectrum (random kinds),
-    support, values, noise.  Solves are posed as in the experiments
-    (``harness._solve``).  A noiseless run that fails
-    ``harness._recovered`` is an acceptance violation."""
+    omitted).  Theta is drawn as in the experiments
+    (``harness._trial_operator``: sampling, then spectrum for random
+    kinds), then the signal's support and values, then each SNR's noise;
+    solves are posed as in ``harness._solve``.  A noiseless run that
+    fails ``harness._recovered`` is an acceptance violation."""
     cfg = ExperimentConfig(experiment="recover", n=args.n, m=args.m,
                            k=args.k, sequence_kind=args.seq,
-                           solver=args.solver)
+                           sequence_params={"gamma": args.gamma},
+                           basis=args.basis, solver=args.solver)
     rng = np.random.default_rng(args.seed)
-    samp = random_sampling(args.n, args.m, rng)
-    circ = build_circulant(args.seq, args.n, _seq_params(args), rng)
-    theta = SensingOperator(circ, samp, Basis(args.basis))
+    theta = _trial_operator(cfg, rng, None, None, Basis(args.basis))
     f, support = _sparse_signal(rng, args.n, args.k, zero_mean=False)
     y0 = theta.forward(f)
     rows, ok = [], True

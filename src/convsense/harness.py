@@ -36,7 +36,7 @@ from . import sequences as seqs
 from .coherence import bound_table_report, bound_table_csv, dct_coherence_report
 from .operators import (Basis, CirculantOperator, SamplingSet,
                         build_circulant, equispaced_sampling,
-                        random_sampling, SensingOperator, _csv, _unit_block)
+                        random_sampling, SensingOperator, _csv)
 from .recovery import RecoveryProblem, SOLVERS, _least_squares
 
 _SNR_CAP_DB = 300.0
@@ -299,7 +299,7 @@ def _refit_real_taps(theta: SensingOperator, y: np.ndarray,
     f = np.zeros(theta.n, dtype=np.complex128)
     if support.size == 0:
         return f
-    cols = theta.forward_batch(_unit_block(theta.n, support))
+    cols = theta.columns(support)
     a = np.vstack([cols.real, cols.imag])
     b = np.concatenate([y.real, y.imag])
     gram = a.T @ a

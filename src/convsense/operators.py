@@ -27,6 +27,7 @@ from . import sequences as seqs
 from .sequences import Sequence
 
 _DENSE_GUARD = 4096
+_DENSE_BATCH = 256
 _UNIMODULAR_TOL = 1e-12
 _REAL_FLAG_TOL = 1e-10
 _ROUNDTRIP_TOL = 1e-10
@@ -360,15 +361,15 @@ class SensingOperator:
             return phase * (self.circulant.spectrum[idx] / np.sqrt(self.m))
         return self.forward_batch(_unit_block(self.n, idx))
 
-    def dense(self, block: int = 256) -> np.ndarray:
+    def dense(self) -> np.ndarray:
         """Explicit M x N matrix: columns are forward images of the
         standard basis, computed in FFT batches."""
         if self.n > _DENSE_GUARD:
             raise ValueError(
                 f"dense materialization refused for N={self.n} > {_DENSE_GUARD}")
         out = np.empty((self.m, self.n), dtype=np.complex128)
-        for lo in range(0, self.n, block):
-            hi = min(lo + block, self.n)
+        for lo in range(0, self.n, _DENSE_BATCH):
+            hi = min(lo + _DENSE_BATCH, self.n)
             out[:, lo:hi] = self.forward_batch(
                 _unit_block(self.n, np.arange(lo, hi)))
         return out

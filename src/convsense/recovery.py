@@ -1,9 +1,9 @@
 """Sparse recovery solvers: OMP, subspace pursuit, and FISTA.
 
-All three accept either a SensingOperator (applied through FFTs) or an
-explicit dense matrix, and run fully in complex arithmetic.  Greedy
-solvers take a sparsity K; FISTA minimizes
-0.5*||y - Theta f||^2 + lambda*||f||_1.
+All three solve for a SensingOperator Theta, which they reach only
+through its FFT-backed ``forward`` and ``adjoint`` and its ``columns``,
+and run fully in complex arithmetic.  Greedy solvers take a sparsity K;
+FISTA minimizes 0.5*||y - Theta f||^2 + lambda*||f||_1.
 
 Deterministic by construction: correlation and magnitude ties always
 break to the lowest index, and the FISTA step size comes from a
@@ -12,8 +12,8 @@ fixed-seed power iteration, so reruns are bit-identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Union
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -31,12 +31,15 @@ _FISTA_MAX_ITERS = 2000
 class RecoveryProblem:
     """Measurements plus either a sparsity K (greedy) or lambda (LASSO)."""
 
-    operator: Union[SensingOperator, np.ndarray]
+    operator: SensingOperator
     y: np.ndarray
     k: Optional[int] = None
     lam: Optional[float] = None
 
     def __post_init__(self):
+        if not isinstance(self.operator, SensingOperator):
+            raise TypeError("operator must be a SensingOperator, got "
+                            f"{type(self.operator).__name__}")
         y = np.ascontiguousarray(self.y, dtype=np.complex128)
         if not np.all(np.isfinite(y)):
             raise ValueError("measurements y must be finite")
@@ -50,39 +53,6 @@ class RecoveryResult:
     iterations: int
     residual_norm: float
     converged: bool
-
-
-class _OpAdapter:
-    """Uniform forward/adjoint/column access over a SensingOperator or a
-    dense matrix."""
-
-    def __init__(self, operator):
-        if isinstance(operator, SensingOperator):
-            self.op = operator
-            self.mat = None
-            self.m, self.n = operator.m, operator.n
-        else:
-            mat = np.asarray(operator, dtype=np.complex128)
-            if mat.ndim != 2:
-                raise ValueError("dense operator must be a 2-D matrix")
-            self.op = None
-            self.mat = mat
-            self.m, self.n = mat.shape
-
-    def forward(self, f: np.ndarray) -> np.ndarray:
-        if self.mat is not None:
-            return self.mat @ f
-        return self.op.forward(f)
-
-    def adjoint(self, r: np.ndarray) -> np.ndarray:
-        if self.mat is not None:
-            return self.mat.conj().T @ r
-        return self.op.adjoint(r)
-
-    def columns(self, idx: np.ndarray) -> np.ndarray:
-        if self.mat is not None:
-            return self.mat[:, idx]
-        return self.op.columns(idx)
 
 
 def _least_squares(cols: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -118,9 +88,9 @@ def omp(p: RecoveryProblem) -> RecoveryResult:
     (always true on noiseless solvable instances, false under noise)."""
     if p.k is None or p.k < 1:
         raise ValueError("omp requires a positive sparsity K")
-    adapter = _OpAdapter(p.operator)
-    if p.k > adapter.m:
-        raise ValueError(f"K={p.k} exceeds M={adapter.m}")
+    op = p.operator
+    if p.k > op.m:
+        raise ValueError(f"K={p.k} exceeds M={op.m}")
     y = p.y
     ynorm = float(np.linalg.norm(y))
     support: list = []
@@ -130,17 +100,17 @@ def omp(p: RecoveryProblem) -> RecoveryResult:
     for _ in range(p.k):
         if float(np.linalg.norm(r)) <= _OMP_STOP_REL * ynorm:
             break
-        mags = np.abs(adapter.adjoint(r))
+        mags = np.abs(op.adjoint(r))
         if support:
             mags[np.asarray(support)] = -1.0
         support.append(int(np.argmax(mags)))
-        cols = adapter.columns(np.asarray(support, dtype=np.int64))
+        cols = op.columns(np.asarray(support, dtype=np.int64))
         coef = _least_squares(cols, y)
         r = y - cols @ coef
         iterations += 1
     sup = np.asarray(support, dtype=np.int64)
     order = np.argsort(sup)
-    f_hat = _embed(adapter.n, sup[order], coef[order])
+    f_hat = _embed(op.n, sup[order], coef[order])
     res = float(np.linalg.norm(r))
     return RecoveryResult(f_hat=f_hat, support=np.sort(sup),
                           iterations=iterations, residual_norm=res,
@@ -154,15 +124,15 @@ def subspace_pursuit(p: RecoveryProblem) -> RecoveryResult:
     (1e-7 relative) and revert if it increased; at most 50 rounds."""
     if p.k is None or p.k < 1:
         raise ValueError("subspace pursuit requires a positive sparsity K")
-    adapter = _OpAdapter(p.operator)
-    if 2 * p.k > adapter.m:
+    op = p.operator
+    if 2 * p.k > op.m:
         raise ValueError(
-            f"candidate least squares needs 2K <= M, got K={p.k} M={adapter.m}")
+            f"candidate least squares needs 2K <= M, got K={p.k} M={op.m}")
     y = p.y
     k = p.k
-    support = np.sort(_top_indices(np.abs(adapter.adjoint(y)), k)
+    support = np.sort(_top_indices(np.abs(op.adjoint(y)), k)
                       .astype(np.int64))
-    cols = adapter.columns(support)
+    cols = op.columns(support)
     coef = _least_squares(cols, y)
     r = y - cols @ coef
     rnorm = float(np.linalg.norm(r))
@@ -171,8 +141,8 @@ def subspace_pursuit(p: RecoveryProblem) -> RecoveryResult:
     for _ in range(_SP_MAX_ITERS):
         iterations += 1
         cand = np.union1d(support,
-                          _top_indices(np.abs(adapter.adjoint(r)), k))
-        ccols = adapter.columns(cand)
+                          _top_indices(np.abs(op.adjoint(r)), k))
+        ccols = op.columns(cand)
         ccoef = _least_squares(ccols, y)
         # cand is sorted, so sorting keep sorts the new support too
         keep = np.sort(_top_indices(np.abs(ccoef), k))
@@ -189,23 +159,23 @@ def subspace_pursuit(p: RecoveryProblem) -> RecoveryResult:
         if moved <= _SP_STOP_REL * max(rnorm, 1e-300):
             converged = True
             break
-    f_hat = _embed(adapter.n, support, coef)
+    f_hat = _embed(op.n, support, coef)
     return RecoveryResult(f_hat=f_hat, support=support,
                           iterations=iterations, residual_norm=rnorm,
                           converged=converged)
 
 
-def _power_iteration_step_bound(adapter: _OpAdapter) -> float:
+def _power_iteration_step_bound(op: SensingOperator) -> float:
     """Largest eigenvalue of Theta^* Theta by at most 30 power-iteration
     steps (1e-6 relative tolerance, fixed seed), inflated 0.1% so 1/L is
     a safe step.  When Theta Theta^* = (N/M) I, as for a unimodular
     spectrum with a unitary basis, it stops at step 3."""
     rng = np.random.default_rng(0)
-    v = rng.standard_normal(adapter.n) + 1j * rng.standard_normal(adapter.n)
+    v = rng.standard_normal(op.n) + 1j * rng.standard_normal(op.n)
     v /= np.linalg.norm(v)
     lam = 0.0
     for _ in range(30):
-        w = adapter.adjoint(adapter.forward(v))
+        w = op.adjoint(op.forward(v))
         nw = float(np.linalg.norm(w))
         if nw == 0.0:
             return 1.0
@@ -235,17 +205,17 @@ def fista_lasso(p: RecoveryProblem) -> RecoveryResult:
     rounding does not build up."""
     if p.lam is None or p.lam <= 0:
         raise ValueError("fista requires lambda > 0")
-    adapter = _OpAdapter(p.operator)
+    op = p.operator
     y = p.y
     lam = float(p.lam)
-    L = _power_iteration_step_bound(adapter)
+    L = _power_iteration_step_bound(op)
 
     def objective(f, rf):
         return 0.5 * float(np.linalg.norm(y - rf)) ** 2 \
             + lam * float(np.sum(np.abs(f)))
 
-    f = np.zeros(adapter.n, dtype=np.complex128)
-    rf = adapter.forward(f)
+    f = np.zeros(op.n, dtype=np.complex128)
+    rf = op.forward(f)
     obj = objective(f, rf)
     z, rz = f, rf  # the momentum point and Theta z
     t = 1.0
@@ -253,16 +223,16 @@ def fista_lasso(p: RecoveryProblem) -> RecoveryResult:
     converged = False
     for _ in range(_FISTA_MAX_ITERS):
         iterations += 1
-        grad = adapter.adjoint(rz - y)
+        grad = op.adjoint(rz - y)
         f_new = _soft_threshold(z - grad / L, lam / L)
-        rf_new = adapter.forward(f_new)
+        rf_new = op.forward(f_new)
         obj_new = objective(f_new, rf_new)
         if obj_new > obj:
             # restart momentum at the last good point
             t = 1.0
-            grad = adapter.adjoint(rf - y)
+            grad = op.adjoint(rf - y)
             f_new = _soft_threshold(f - grad / L, lam / L)
-            rf_new = adapter.forward(f_new)
+            rf_new = op.forward(f_new)
             obj_new = objective(f_new, rf_new)
         t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
         beta = (t - 1.0) / t_new

@@ -1,5 +1,6 @@
 """CLI subcommands run in-process: exit codes, schemas, file output."""
 
+import hashlib
 import json
 import os
 
@@ -217,6 +218,17 @@ def test_recover_fista_poses_a_lambda(capsys):
     lines = out.splitlines()
     assert len(lines) == 2 and lines[1].split(",")[:2] == ["inf", "fista"]
     assert float(lines[1].split(",")[2]) < 1e-10
+
+
+def test_recover_csv_bytes_pinned(capsys):
+    # recover draws Theta like the experiments; its draw order (sampling,
+    # spectrum, support, values, noise) is frozen, so are these bytes
+    code, out, _ = run(capsys, "recover", "--n", "256", "--m", "64",
+                       "--k", "5", "--seq", "fzc", "--gamma", "3",
+                       "--basis", "inverse_dct2", "--snr-list", "10,20")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "b31d982d77ad53dd79c879324b31feca461dff1a2118c402bad6c047c72d163b")
 
 
 def test_recover_infeasible_shape_is_usage_error(capsys):

@@ -182,6 +182,41 @@ def test_ofdm_real_tap_refit_beats_complex_fit():
             >= plain.rows[0].mean_output_snr_db)
 
 
+def test_ofdm_high_snr_rows_equal_the_oracle_refit():
+    # why the 20 and 30 dB reference rows pass: SP finds the true support
+    # in every trial, so each estimate is the real-coefficient least
+    # squares on the true taps, which no solver change can beat
+    cfg = ofdm_reference_config("proposed", trials=40, master_seed=0)
+    report = run_ofdm_experiment(cfg)
+    for row in report.rows[2:]:
+        assert row.input_snr_db in (20.0, 30.0)
+        assert row.support_exact_rate == 1.0
+    channel = attc_channel(cfg.n)
+    x, taps = channel.impulse_response(), channel.support
+    static_circ, static_samp = harness._static_parts(cfg)
+    tap_cols = {}  # a trial draws the same Theta at every SNR
+    checked = 0
+    for rec in report.records:
+        if rec.input_snr_db < 20.0:
+            continue
+        rng = np.random.default_rng(rec.seed)
+        theta = harness._trial_operator(cfg, rng, static_circ, static_samp,
+                                        Basis(cfg.basis))
+        y = harness._add_noise(rng, theta.forward(x), rec.input_snr_db)
+        if rec.index not in tap_cols:
+            tap_cols[rec.index] = theta.dense()[:, taps]
+        cols = tap_cols[rec.index]
+        coef, *_ = np.linalg.lstsq(np.vstack([cols.real, cols.imag]),
+                                   np.concatenate([y.real, y.imag]),
+                                   rcond=None)
+        oracle = np.zeros(cfg.n, dtype=np.complex128)
+        oracle[taps] = coef
+        assert abs(rec.output_snr_db
+                   - harness._output_snr_db(x, oracle)) <= 1e-7
+        checked += 1
+    assert checked == 2 * 40
+
+
 # sha256 of the reference-config CSVs at trials=25, master_seed=0; the
 # same bytes are pinned as round 0 of the benchmark's ofdm_ref workload
 _OFDM_REFERENCE_SHA256 = {

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.fft
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from convsense import sequences as seqs
@@ -137,21 +138,30 @@ def _scalar_fisher_yates(n, m, rng):
     return np.sort(arr[:m])
 
 
-def test_random_sampling_matches_scalar_draw_stream():
-    # the batched bounds draw must consume the generator exactly like the
-    # scalar loop: later draws (signal, noise) come from the same stream
-    cases = np.random.default_rng(2024)
-    for case in range(240):
-        n = int(cases.integers(1, 4097))
-        m = {0: 1, 1: n}.get(case % 4, int(cases.integers(1, n + 1)))
-        seed = int(cases.integers(0, 2 ** 63))
-        ref = np.random.default_rng(seed)
-        want = _scalar_fisher_yates(n, m, ref)
-        rng = np.random.default_rng(seed)
-        assert np.array_equal(random_sampling(n, m, rng).indices, want)
-        assert rng.bit_generator.state == ref.bit_generator.state
-        assert rng.integers(0, 2 ** 63) == ref.integers(0, 2 ** 63)
-        assert np.array_equal(random_sampling(n, m, seed).indices, want)
+_SIZES = st.integers(1, 4096).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(1, n)))
+
+
+@settings(derandomize=True, max_examples=240, deadline=None)
+@given(size=_SIZES, seed=st.integers(0, 2 ** 63 - 1))
+@example(size=(1, 1), seed=0)
+@example(size=(4096, 1), seed=1)
+@example(size=(4096, 4096), seed=2)
+def test_random_sampling_matches_scalar_draw_stream(size, seed):
+    # M sorted, unique in-range indices; and the batched bounds draw must
+    # consume the generator exactly like the scalar loop: later draws
+    # (signal, noise) come from the same stream
+    n, m = size
+    idx = random_sampling(n, m, seed).indices
+    assert idx.size == m and idx[0] >= 0 and idx[-1] < n
+    assert np.all(np.diff(idx) > 0)
+    ref = np.random.default_rng(seed)
+    want = _scalar_fisher_yates(n, m, ref)
+    assert np.array_equal(idx, want)
+    rng = np.random.default_rng(seed)
+    assert np.array_equal(random_sampling(n, m, rng).indices, want)
+    assert rng.bit_generator.state == ref.bit_generator.state
+    assert rng.integers(0, 2 ** 63) == ref.integers(0, 2 ** 63)
 
 
 def test_deterministic_and_equispaced_sampling():
