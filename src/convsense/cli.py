@@ -36,9 +36,9 @@ from .harness import (ExperimentConfig, GOLAY_PAPR_LIMIT, PAPR_HEADER,
                       audit_gauss, audit_papr, ofdm_reference_config,
                       papr as papr_of, run_dct_experiment,
                       run_ofdm_experiment, run_phase_transition,
-                      _add_noise, _recovered, _rel_error, _solve,
-                      _sparse_signal, _trial_operator)
-from .operators import Basis, _BASIS_KINDS, _csv, vector_to_csv
+                      _add_noise, _operator_draw, _recovered, _rel_error,
+                      _solve, _sparse_signal)
+from .operators import _BASIS_KINDS, _csv, vector_to_csv
 from .recovery import SOLVERS
 
 EXIT_OK = 0
@@ -125,6 +125,14 @@ def _parse_count_list(text: str) -> List[int]:
     return values
 
 
+def _parse_basis_list(text: str) -> List[str]:
+    for kind in text.split(","):
+        if kind not in _BASIS_KINDS:
+            raise argparse.ArgumentTypeError(
+                f"unknown basis {kind!r}; expected one of {_BASIS_KINDS}")
+    return text.split(",")
+
+
 def _parse_float_list(text: str) -> List[float]:
     return [float(tok) for tok in text.split(",") if tok]
 
@@ -205,16 +213,16 @@ def _cmd_papr(args) -> int:
 def _cmd_recover(args) -> int:
     """One synthetic recovery per SNR (noiseless when --snr-list is
     omitted).  Theta is drawn as in the experiments
-    (``harness._trial_operator``: sampling, then spectrum for random
+    (``harness._operator_draw``: sampling, then spectrum for random
     kinds), then the signal's support and values, then each SNR's noise;
-    solves are posed as in ``harness._solve``.  A noiseless run that
+    estimates are formed as in ``harness._solve``.  A noiseless run that
     fails ``harness._recovered`` is an acceptance violation."""
     cfg = ExperimentConfig(experiment="recover", n=args.n, m=args.m,
                            k=args.k, sequence_kind=args.seq,
                            sequence_params={"gamma": args.gamma},
                            basis=args.basis, solver=args.solver)
     rng = np.random.default_rng(args.seed)
-    theta = _trial_operator(cfg, rng, None, None, Basis(args.basis))
+    theta = _operator_draw(cfg)(rng)
     f, support = _sparse_signal(rng, args.n, args.k, zero_mean=False)
     y0 = theta.forward(f)
     rows, ok = [], True
@@ -408,7 +416,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    metavar="K[,K...]", required=True)
     p.add_argument("--m", type=_parse_count_list, dest="m_list",
                    metavar="M[,M...]", required=True)
-    p.add_argument("--basis", type=lambda s: s.split(","),
+    p.add_argument("--basis", type=_parse_basis_list,
                    dest="basis_list", default=["identity"],
                    metavar="B[,B...]")
     p.set_defaults(func=_cmd_exp_phase, require=("n",))

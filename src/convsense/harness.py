@@ -10,7 +10,9 @@ Reproducibility contract
 * Within a trial the Generator is consumed in a fixed, documented order:
   (1) random sampling indices, (2) random spectrum draws, (3) signal
   support, (4) signal values, (5) baseline spectrum draws, (6) noise.
-  Steps that do not apply to a configuration are skipped.
+  Steps that do not apply to a configuration are skipped.  Every
+  experiment draws Theta (steps 1-2 and 5) through ``_operator_draw``
+  and forms every estimate through ``_solve``.
 * CSV cells are written with the %.12g format (booleans as true/false),
   so identical configs give byte-identical files.  Wall times are kept
   on TrialRecord only and never written to CSV.
@@ -21,6 +23,7 @@ Reproducibility contract
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -34,10 +37,9 @@ import scipy.linalg
 from . import gauss_sums
 from . import sequences as seqs
 from .coherence import bound_table_report, bound_table_csv, dct_coherence_report
-from .operators import (Basis, CirculantOperator, SamplingSet,
-                        build_circulant, equispaced_sampling,
+from .operators import (Basis, build_circulant, equispaced_sampling,
                         random_sampling, SensingOperator, _csv)
-from .recovery import RecoveryProblem, SOLVERS, _least_squares
+from .recovery import RecoveryProblem, SOLVERS, _least_squares, _top_indices
 
 _SNR_CAP_DB = 300.0
 
@@ -193,60 +195,69 @@ def _output_snr_db(x: np.ndarray, x_hat: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# operator assembly (fixed per-trial draw order)
+# one trial step: the operator draw and the estimate
 # ---------------------------------------------------------------------------
 
-def _trial_operator(cfg: ExperimentConfig, rng: np.random.Generator,
-                    static_circ: Optional[CirculantOperator],
-                    static_samp: Optional[SamplingSet],
-                    basis: Basis) -> SensingOperator:
-    """Draw order: sampling indices first, then spectrum draws."""
-    samp = static_samp if static_samp is not None else \
-        random_sampling(cfg.n, cfg.m, rng)
-    circ = static_circ if static_circ is not None else \
-        build_circulant(cfg.sequence_kind, cfg.n, cfg.sequence_params, rng)
-    return SensingOperator(circ, samp, basis)
-
-
-def _static_parts(cfg: ExperimentConfig):
-    circ = None
-    if not seqs.family(cfg.sequence_kind).random:
-        circ = build_circulant(cfg.sequence_kind, cfg.n, cfg.sequence_params)
-    samp = None
-    if cfg.sampling_mode == "equispaced":
-        samp = equispaced_sampling(cfg.n, cfg.m)
-    elif cfg.sampling_mode != "random":
+def _operator_draw(cfg: ExperimentConfig):
+    """``draw(rng, m=cfg.m, basis=cfg.basis)``, the one way a trial gets
+    its Theta.  What no trial draws is built here once: a deterministic
+    family's circulant and, in equispaced mode, the sampling set of each
+    M.  A draw takes from ``rng`` in the contract's order: random
+    sampling indices first, then a random family's spectrum."""
+    if cfg.sampling_mode not in ("random", "equispaced"):
         raise ValueError(f"unknown sampling mode {cfg.sampling_mode!r}")
-    return circ, samp
+    fixed_circ = None if seqs.family(cfg.sequence_kind).random else \
+        build_circulant(cfg.sequence_kind, cfg.n, cfg.sequence_params)
+    equispaced = functools.lru_cache(maxsize=None)(
+        lambda m: equispaced_sampling(cfg.n, m))
+
+    def draw(rng: np.random.Generator, m: int = cfg.m,
+             basis: str = cfg.basis) -> SensingOperator:
+        samp = random_sampling(cfg.n, m, rng) \
+            if cfg.sampling_mode == "random" else equispaced(m)
+        circ = fixed_circ if fixed_circ is not None else build_circulant(
+            cfg.sequence_kind, cfg.n, cfg.sequence_params, rng)
+        return SensingOperator(circ, samp, Basis(basis))
+
+    return draw
 
 
-def _solve(cfg: ExperimentConfig, theta, y: np.ndarray):
-    """Solve as every experiment poses it.  FISTA (lambda = lam_rel *
-    max|Theta^* y|) is debiased by a least-squares refit on the top-K
-    support of its estimate (GPSR: Figueiredo, Nowak & Wright, 2007);
-    iterations, residual and convergence flag stay FISTA's."""
+def _solve(cfg: ExperimentConfig, theta: SensingOperator, y: np.ndarray,
+           k: Optional[int] = None):
+    """The one place an estimate is formed: solve (greedy with K = cfg.k,
+    FISTA with lambda = lam_rel * max|Theta^* y|), keep the k (default
+    cfg.k) largest atoms, and refit once by least squares on them, over
+    real coefficients when cfg.extra["real_taps"] is set.  The refit
+    debiases FISTA (GPSR: Figueiredo, Nowak & Wright, 2007); a greedy
+    estimate with at most k atoms stands unless a real refit is asked
+    for.  Iterations, residual and convergence flag stay the solver's."""
     solver = SOLVERS.get(cfg.solver)
     if solver is None:
         raise ValueError(f"unknown solver {cfg.solver!r}; "
                          f"expected one of {sorted(SOLVERS)}")
-    if cfg.solver != "fista":
-        return solver(RecoveryProblem(theta, y, k=cfg.k))
-    lam_rel = float(cfg.solver_params.get("lam_rel", 1e-4))
-    lam = lam_rel * float(np.max(np.abs(theta.adjoint(y))))
-    result = solver(RecoveryProblem(theta, y, lam=max(lam, 1e-300)))
-    support = _estimate_support(result, cfg.k)
+    k = cfg.k if k is None else k
+    if cfg.solver == "fista":
+        lam_rel = float(cfg.solver_params.get("lam_rel", 1e-4))
+        lam = lam_rel * float(np.max(np.abs(theta.adjoint(y))))
+        result = solver(RecoveryProblem(theta, y, lam=max(lam, 1e-300)))
+    else:
+        result = solver(RecoveryProblem(theta, y, k=cfg.k))
+        if result.support.size <= k and not cfg.extra.get("real_taps"):
+            return result
+    support = result.support if result.support.size <= k \
+        else np.sort(_top_indices(np.abs(result.f_hat), k))
+    cols = theta.columns(support)
     f_hat = np.zeros(theta.n, dtype=np.complex128)
-    f_hat[support] = _least_squares(theta.columns(support), y)
+    if cfg.extra.get("real_taps"):
+        # stacked real/imaginary normal equations, tiny ridge
+        a = np.vstack([cols.real, cols.imag])
+        gram = a.T @ a
+        gram[np.diag_indices_from(gram)] += 1e-12
+        f_hat[support] = scipy.linalg.solve(
+            gram, a.T @ np.concatenate([y.real, y.imag]), assume_a="pos")
+    else:
+        f_hat[support] = _least_squares(cols, y)
     return dataclasses.replace(result, f_hat=f_hat, support=support)
-
-
-def _estimate_support(result, k: int) -> np.ndarray:
-    """Top-k support of an estimate (greedy results already have <= k)."""
-    if result.support.size <= k:
-        return np.sort(result.support)
-    mags = np.abs(result.f_hat)
-    order = np.argsort(-mags, kind="stable")[:k]
-    return np.sort(order)
 
 
 # ---------------------------------------------------------------------------
@@ -290,22 +301,6 @@ def ofdm_reference_config(scheme: str = "proposed", trials: int = 500,
         solver="sp", snr_list=(0.0, 10.0, 20.0, 30.0), trials=trials,
         master_seed=master_seed, sampling_mode=mode,
         extra={"real_taps": True})
-
-
-def _refit_real_taps(theta: SensingOperator, y: np.ndarray,
-                     support: np.ndarray) -> np.ndarray:
-    """Least-squares refit constrained to real coefficients on a fixed
-    support (stacked real/imaginary normal equations, tiny ridge)."""
-    f = np.zeros(theta.n, dtype=np.complex128)
-    if support.size == 0:
-        return f
-    cols = theta.columns(support)
-    a = np.vstack([cols.real, cols.imag])
-    b = np.concatenate([y.real, y.imag])
-    gram = a.T @ a
-    gram[np.diag_indices_from(gram)] += 1e-12
-    f[support] = scipy.linalg.solve(gram, a.T @ b, assume_a="pos")
-    return f
 
 
 @dataclass(frozen=True)
@@ -367,12 +362,14 @@ def _aggregate(snr: float, recs: List[TrialRecord]) -> SnrRow:
 def run_ofdm_experiment(cfg: ExperimentConfig) -> OfdmReport:
     """Per input SNR: 'trials' seeded channel-estimation runs on the
     6-tap static channel; aggregates mean output SNR with standard
-    error, support-exactness rate and iteration counts."""
+    error, support-exactness rate and iteration counts.  Each estimate
+    keeps at most min(K, 6) atoms (``_solve``), refit once over real
+    coefficients when cfg.extra["real_taps"] is set."""
     channel = attc_channel(cfg.n)
     x = channel.impulse_response()
     true_support = channel.support
-    static_circ, static_samp = _static_parts(cfg)
-    basis = Basis(cfg.basis)
+    draw = _operator_draw(cfg)
+    k = min(channel.k, cfg.k)
     rows: List[SnrRow] = []
     records: List[TrialRecord] = []
     snrs = cfg.snr_list if cfg.snr_list else (None,)
@@ -380,20 +377,15 @@ def run_ofdm_experiment(cfg: ExperimentConfig) -> OfdmReport:
         recs: List[TrialRecord] = []
         for t, seed, rng in _trial_rngs(cfg.master_seed, cfg.trials):
             tic = time.perf_counter()
-            theta = _trial_operator(cfg, rng, static_circ, static_samp,
-                                    basis)
+            theta = draw(rng)
             y0 = theta.forward(x)
             if snr is None:
                 y, in_snr = y0, math.inf
             else:
                 y, in_snr = _add_noise(rng, y0, snr), float(snr)
-            result = _solve(cfg, theta, y)
-            support = _estimate_support(result, channel.k)
-            f_hat = result.f_hat
-            if cfg.extra.get("real_taps"):
-                f_hat = _refit_real_taps(theta, y, support)
-            out = _output_snr_db(x, f_hat)
-            exact = bool(np.array_equal(support, true_support))
+            result = _solve(cfg, theta, y, k)
+            out = _output_snr_db(x, result.f_hat)
+            exact = bool(np.array_equal(result.support, true_support))
             recs.append(TrialRecord(t, seed, in_snr, out, exact,
                                     result.iterations,
                                     time.perf_counter() - tic))
@@ -491,27 +483,31 @@ def run_phase_transition(cfg: ExperimentConfig) -> PhaseReport:
     same per-trial seeds are reused in every cell, pairing the grid.
     Cells the greedy solver cannot attempt (K > M for OMP, 2K > M for
     subspace pursuit) score zero successes without solving; any error
-    raised while solving a feasible cell propagates."""
+    raised while solving a feasible cell propagates.  Every basis and
+    every K and M (1 <= K, M <= N) is checked before the first draw, so
+    a bad grid fails before any cell runs."""
     k_grid = [int(v) for v in cfg.extra.get("k_grid", [cfg.k])]
     m_grid = [int(v) for v in cfg.extra.get("m_grid", [cfg.m])]
     bases = list(cfg.extra.get("bases", [cfg.basis]))
     zero_mean = bool(cfg.extra.get("zero_mean", False))
-    static_circ, _ = _static_parts(cfg)
+    for basis_kind in bases:
+        Basis(basis_kind)  # refuses an unknown basis
+    for name, grid in (("K", k_grid), ("M", m_grid)):
+        for v in grid:
+            if not 1 <= v <= cfg.n:
+                raise ValueError(f"require 1 <= {name} <= N, "
+                                 f"got {name}={v}, N={cfg.n}")
+    draw = _operator_draw(cfg)
     cells: List[PhaseCell] = []
     for basis_kind in bases:
-        basis = Basis(basis_kind)
         for k in k_grid:
+            cell_cfg = dataclasses.replace(cfg, k=k)
             for m in m_grid:
-                cell_cfg = dataclasses.replace(cfg, k=k, m=m,
-                                               basis=basis_kind)
-                static_samp = equispaced_sampling(cfg.n, m) \
-                    if cfg.sampling_mode == "equispaced" else None
                 successes = 0
                 feasible = _ROWS_PER_ATOM.get(cfg.solver, 0) * k <= m
                 trials = cfg.trials if feasible else 0
                 for _, _, rng in _trial_rngs(cfg.master_seed, trials):
-                    theta = _trial_operator(cell_cfg, rng, static_circ,
-                                            static_samp, basis)
+                    theta = draw(rng, m, basis_kind)
                     f, _ = _sparse_signal(rng, cfg.n, k, zero_mean)
                     result = _solve(cell_cfg, theta, theta.forward(f))
                     successes += _recovered(f, result.f_hat)
@@ -608,8 +604,10 @@ def run_dct_experiment(cfg: ExperimentConfig) -> DctReport:
         raise ValueError("the DCT experiment runs basis 'inverse_dct2' with "
                          "'random' sampling, as its rows are labelled")
     basis = Basis.inverse_dct2()
-    static_circ, _ = _static_parts(cfg)
-    baseline_samp = equispaced_sampling(cfg.n, cfg.m)
+    draw_proposed = _operator_draw(cfg)
+    draw_baseline = _operator_draw(dataclasses.replace(
+        cfg, sequence_kind="random_phase", sequence_params={},
+        sampling_mode="equispaced"))
     image_path = cfg.extra.get("image")
     if image_path is not None:
         x_img = read_pgm(str(image_path)).reshape(-1).astype(np.complex128)
@@ -621,7 +619,7 @@ def run_dct_experiment(cfg: ExperimentConfig) -> DctReport:
     for _, _, rng in _trial_rngs(cfg.master_seed, cfg.trials):
         # (1) proposed sampling and random-family spectrum, (2) signal,
         # (3) baseline spectrum
-        theta_p = _trial_operator(cfg, rng, static_circ, None, basis)
+        theta_p = draw_proposed(rng)
         if image_path is None:
             f_true, _ = _sparse_signal(rng, cfg.n, cfg.k, zero_mean=False,
                                        real_values=True)
@@ -629,8 +627,7 @@ def run_dct_experiment(cfg: ExperimentConfig) -> DctReport:
         else:
             x_ref = x_img
             f_true = basis.adjoint(x_ref)
-        base_circ = build_circulant("random_phase", cfg.n, {}, rng)
-        theta_b = SensingOperator(base_circ, baseline_samp, basis)
+        theta_b = draw_baseline(rng)
         pair = []
         for theta in (theta_p, theta_b):
             f_hat = _solve(cfg, theta, theta.forward(f_true)).f_hat

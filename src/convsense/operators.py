@@ -362,17 +362,13 @@ class SensingOperator:
         return self.forward_batch(_unit_block(self.n, idx))
 
     def dense(self) -> np.ndarray:
-        """Explicit M x N matrix: columns are forward images of the
-        standard basis, computed in FFT batches."""
+        """Explicit M x N matrix, from ``columns`` in batches."""
         if self.n > _DENSE_GUARD:
             raise ValueError(
                 f"dense materialization refused for N={self.n} > {_DENSE_GUARD}")
-        out = np.empty((self.m, self.n), dtype=np.complex128)
-        for lo in range(0, self.n, _DENSE_BATCH):
-            hi = min(lo + _DENSE_BATCH, self.n)
-            out[:, lo:hi] = self.forward_batch(
-                _unit_block(self.n, np.arange(lo, hi)))
-        return out
+        idx = np.arange(self.n)
+        return np.hstack([self.columns(idx[lo:lo + _DENSE_BATCH])
+                          for lo in range(0, self.n, _DENSE_BATCH)])
 
 
 # ---------------------------------------------------------------------------

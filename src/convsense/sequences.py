@@ -153,8 +153,7 @@ def extended_polyphase(n: int) -> Sequence:
     Odd N:   [1, e^{-j pi k^2/N} (1 <= k <= (N-1)/2),
               -e^{+j pi k^2/N} (upper half)].
     """
-    if n < 2:
-        raise ValueError("n must be >= 2")
+    _require(FAMILIES["extended_polyphase"].admissible(n, {}))
     k = np.arange(n, dtype=np.int64)
     quad = (k * k) % (2 * n)
     lower = np.exp(-1j * np.pi * quad / n)
@@ -191,7 +190,7 @@ PRIMITIVE_POLYNOMIALS = {
 
 def m_sequence(degree: int) -> Sequence:
     """Maximum-length +/-1 sequence of period N = 2^degree - 1 from the
-    tabulated primitive polynomial, degree in [2, 20].
+    primitive polynomial tabulated for its degree (PRIMITIVE_POLYNOMIALS).
 
     Initial state 1 gives bits 0..degree-1 = 1, 0, ..., 0; after that
     bit t + degree is the XOR of bits t + i over the polynomial's terms
@@ -199,9 +198,9 @@ def m_sequence(degree: int) -> Sequence:
     sums to -1.  The exact two-valued autocorrelation check (off-peak
     R(l) = -1) verifies the table entry on every build.
     """
-    if not (2 <= degree <= 20):
-        raise ValueError("degree must be in [2, 20]")
-    taps = PRIMITIVE_POLYNOMIALS[degree]
+    taps = PRIMITIVE_POLYNOMIALS.get(degree)
+    if taps is None:
+        raise ValueError(f"no primitive polynomial tabulated for {degree=}")
     n = (1 << degree) - 1
     terms = [i for i in range(degree) if (taps >> i) & 1]
     bits = [1] + [0] * (degree - 1)
@@ -463,8 +462,7 @@ def random_phase(n: int, seed: int) -> Sequence:
     PRNG: numpy default_rng (PCG64) seeded with `seed`; one uniform draw
     per element in index order.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _require(FAMILIES["random_phase"].admissible(n, {}))
     return Sequence(_phase_draw(np.random.default_rng(seed), n),
                     SequenceKind.RANDOM_PHASE, {"seed": int(seed)},
                     epsilon_claim=None)
@@ -480,8 +478,7 @@ def random_binary(n: int, seed: int) -> Sequence:
     PRNG: numpy default_rng (PCG64) seeded with `seed`; one integers(0, 2)
     draw per element in index order, bit b mapped to 1 - 2*b.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _require(FAMILIES["random_binary"].admissible(n, {}))
     return Sequence(_sign_draw(np.random.default_rng(seed), n),
                     SequenceKind.RANDOM_BINARY, {"seed": int(seed)},
                     epsilon_claim=None)

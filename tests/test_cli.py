@@ -7,6 +7,7 @@ import os
 import numpy as np
 import pytest
 
+from convsense import recovery
 from convsense.cli import main
 from convsense.operators import vector_from_csv
 from convsense.sequences import FAMILIES
@@ -231,6 +232,16 @@ def test_recover_csv_bytes_pinned(capsys):
         "b31d982d77ad53dd79c879324b31feca461dff1a2118c402bad6c047c72d163b")
 
 
+def test_recover_random_phase_csv_bytes_pinned(capsys):
+    # a random family draws its spectrum after the sampling indices
+    code, out, _ = run(capsys, "recover", "--n", "256", "--m", "64",
+                       "--k", "5", "--seq", "random_phase", "--seed", "7",
+                       "--basis", "inverse_fourier", "--snr-list", "15")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "9e83aaf634f81547e9955a51b4e083144b02e00749fc3eda70ab79ce6cc8aaec")
+
+
 def test_recover_infeasible_shape_is_usage_error(capsys):
     code, _, err = run(capsys, "recover", "--n", "64", "--m", "16",
                        "--k", "12", "--seq", "fzc", "--solver", "sp")
@@ -272,6 +283,21 @@ def test_exp_phase_grid(capsys):
     assert lines[0] == ("config_hash,sequence_kind,basis,k,m,trials,"
                         "successes,success_rate")
     assert len(lines) == 5
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--basis", "identity,inverse_fourier,nope", "argument --basis"),
+    ("--m", "16,128", "M=128"),
+    ("--k", "2,65", "K=65"),
+], ids=["basis", "m-above-n", "k-above-n"])
+def test_exp_phase_checks_its_whole_grid_before_solving(
+        capsys, monkeypatch, flag, value, message):
+    calls = []
+    monkeypatch.setitem(recovery.SOLVERS, "sp", calls.append)
+    grid = {"--k": "2", "--m": "16", "--basis": "identity", flag: value}
+    argv = [tok for item in grid.items() for tok in item]
+    assert message in usage_error(capsys, "exp-phase", "--n", "64", *argv)
+    assert calls == []
 
 
 def test_exp_dct(capsys):

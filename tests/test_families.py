@@ -10,7 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 from convsense.operators import (Basis, SensingOperator, build_circulant,
                                  random_sampling)
-from convsense.sequences import FAMILIES, family
+from convsense.sequences import (FAMILIES, PRIMITIVE_POLYNOMIALS,
+                                 extended_polyphase, family, m_sequence,
+                                 random_binary, random_phase)
 
 _KINDS = sorted(FAMILIES)
 _BASES = ("identity", "inverse_fourier", "inverse_dct2")
@@ -101,6 +103,32 @@ def test_unknown_kind_is_a_value_error():
 def test_bound_table_families():
     assert sorted(k for k in _KINDS if FAMILIES[k].bound is not None) == [
         "extended_golay", "extended_polyphase", "fzc", "golay", "m_sequence"]
+
+
+def test_generators_refuse_with_their_registry_reason():
+    # a generator keeps no copy of its family's admissibility rule
+    builds = {"extended_polyphase": extended_polyphase,
+              "random_phase": lambda n: random_phase(n, 0),
+              "random_binary": lambda n: random_binary(n, 0)}
+    for kind, build in builds.items():
+        for n in (-1, 0, 1, 2, 3):
+            reason = FAMILIES[kind].admissible(n, {})
+            if reason is None:
+                assert build(n).values.size == n
+            else:
+                with pytest.raises(ValueError) as exc:
+                    build(n)
+                assert str(exc.value) == reason
+    # m-sequences: the degrees the table holds, and no others
+    for degree in range(1, 23):
+        n = (1 << degree) - 1
+        tabulated = FAMILIES["m_sequence"].admissible(n, {}) is None
+        assert tabulated == (degree in PRIMITIVE_POLYNOMIALS)
+        if not tabulated:
+            with pytest.raises(ValueError, match="no primitive polynomial"):
+                m_sequence(degree)
+    with pytest.raises(ValueError, match="no primitive polynomial"):
+        m_sequence(-1)
 
 
 def test_random_families_draw_from_the_generator_or_the_seed():

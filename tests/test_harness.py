@@ -193,15 +193,14 @@ def test_ofdm_high_snr_rows_equal_the_oracle_refit():
         assert row.support_exact_rate == 1.0
     channel = attc_channel(cfg.n)
     x, taps = channel.impulse_response(), channel.support
-    static_circ, static_samp = harness._static_parts(cfg)
+    draw = harness._operator_draw(cfg)
     tap_cols = {}  # a trial draws the same Theta at every SNR
     checked = 0
     for rec in report.records:
         if rec.input_snr_db < 20.0:
             continue
         rng = np.random.default_rng(rec.seed)
-        theta = harness._trial_operator(cfg, rng, static_circ, static_samp,
-                                        Basis(cfg.basis))
+        theta = draw(rng)
         y = harness._add_noise(rng, theta.forward(x), rec.input_snr_db)
         if rec.index not in tap_cols:
             tap_cols[rec.index] = theta.dense()[:, taps]
@@ -236,6 +235,36 @@ def test_ofdm_reference_csv_bytes_pinned(scheme):
     got = tuple(hashlib.sha256(text.encode()).hexdigest()
                 for text in (rep.summary_csv(), rep.trials_csv()))
     assert got == _OFDM_REFERENCE_SHA256[scheme]
+
+
+def test_ofdm_fista_real_tap_csv_bytes_pinned():
+    # FISTA keeps its top K = 6 LASSO atoms and refits them once over
+    # real coefficients; summary and trials CSV sha256
+    rep = run_ofdm_experiment(_small_ofdm_cfg(solver="fista", trials=3))
+    got = tuple(hashlib.sha256(text.encode()).hexdigest()
+                for text in (rep.summary_csv(), rep.trials_csv()))
+    assert got == (
+        "56669e261ad1ac50b1d77b6e5f5ce2c889bdc80dc61115253ef5de17a3535d96",
+        "6e44311d4eae46be0e4bcafa9072b808ced18a3d0d967d5ca01532df73bbd017")
+
+
+def test_solve_keeps_the_top_k_atoms_of_a_larger_greedy_estimate():
+    # OFDM solves with K = 8 but keeps at most the channel's 6 taps:
+    # the six largest subspace-pursuit atoms, refit by least squares
+    rng = np.random.default_rng(4)
+    cfg = ExperimentConfig(experiment="ofdm", n=128, m=40, k=8,
+                           sequence_kind="golay", solver="sp")
+    theta = harness._operator_draw(cfg)(rng)
+    f, _ = harness._sparse_signal(rng, 128, 8, zero_mean=False)
+    y = harness._add_noise(rng, theta.forward(f), 20.0)
+    sp = recovery.subspace_pursuit(recovery.RecoveryProblem(theta, y, k=8))
+    result = harness._solve(cfg, theta, y, 6)
+    support = np.sort(np.argsort(-np.abs(sp.f_hat), kind="stable")[:6])
+    assert np.array_equal(result.support, support)
+    expected = oracles.least_squares_on_support(theta.dense(), y, support)
+    assert np.allclose(result.f_hat, expected, rtol=0, atol=1e-9)
+    # keeping all K atoms, the greedy estimate stands as it is
+    assert np.array_equal(harness._solve(cfg, theta, y).f_hat, sp.f_hat)
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +321,47 @@ def test_phase_solver_errors_propagate(monkeypatch):
         solver="sp", trials=2, master_seed=0)
     with pytest.raises(ValueError, match="solver bug"):
         run_phase_transition(cfg)
+
+
+def test_phase_grid_is_checked_before_any_solve(monkeypatch):
+    calls = []
+    monkeypatch.setitem(recovery.SOLVERS, "sp", calls.append)
+    base = dict(experiment="phase", n=64, m=16, k=2, sequence_kind="golay",
+                solver="sp", trials=2)
+    for grid, message in (({"bases": ["identity", "nope"]}, "nope"),
+                          ({"m_grid": [16, 128]}, "M=128"),
+                          ({"k_grid": [2, 65]}, "K=65")):
+        with pytest.raises(ValueError, match=message):
+            run_phase_transition(ExperimentConfig(**base, extra=grid))
+    assert calls == []
+
+
+# sha256 of phase-grid CSVs: a random-phase cell (spectrum drawn per
+# trial) and a Golay grid with one equispaced set per M
+_PHASE_SHA256 = {
+    "random_phase": (
+        "3ba6e24d0b429f8e2b09b8b988fe813ba67b88b1a7d9bd9840533938e84c75e7"),
+    "golay_equispaced": (
+        "f0e0e3ee384e9e488dd7bf6a58091c9a8415204273c801405414fbaaece26271"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PHASE_SHA256))
+def test_phase_csv_bytes_pinned(case):
+    if case == "random_phase":
+        cfg = ExperimentConfig(
+            experiment="phase", n=128, m=24, k=8,
+            sequence_kind="random_phase", solver="sp", trials=12,
+            master_seed=5)
+    else:
+        cfg = ExperimentConfig(
+            experiment="phase", n=128, m=32, k=4, sequence_kind="golay",
+            solver="omp", trials=10, master_seed=1,
+            sampling_mode="equispaced",
+            extra={"k_grid": [2, 4], "m_grid": [32, 64],
+                   "bases": ["identity", "inverse_dct2"]})
+    csv = run_phase_transition(cfg).csv()
+    assert hashlib.sha256(csv.encode()).hexdigest() == _PHASE_SHA256[case]
 
 
 def test_phase_zero_mean_mode():

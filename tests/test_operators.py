@@ -259,6 +259,16 @@ def test_sensing_forward_matches_dense_chain(basis_kind):
     assert np.allclose(theta.dense(), dense_chain, atol=1e-9)
 
 
+@pytest.mark.parametrize("basis_kind",
+                         ("identity", "inverse_fourier", "inverse_dct2"))
+def test_dense_is_built_from_columns(basis_kind):
+    # N = 300 spans two column batches
+    n, m = 300, 40
+    theta = SensingOperator(CirculantOperator.from_spectrum(seqs.fzc(n, 7)),
+                            random_sampling(n, m, 5), Basis(basis_kind))
+    assert np.array_equal(theta.dense(), theta.columns(np.arange(n)))
+
+
 def test_sensing_adjoint_inner_product_identity():
     n, m = 48, 16
     circ = CirculantOperator.from_spectrum(seqs.fzc(n, 5))
