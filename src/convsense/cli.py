@@ -36,8 +36,8 @@ from .harness import (ExperimentConfig, GOLAY_PAPR_LIMIT, PAPR_HEADER,
                       audit_gauss, audit_papr, ofdm_reference_config,
                       papr as papr_of, run_dct_experiment,
                       run_ofdm_experiment, run_phase_transition,
-                      _add_noise, _operator_draw, _recovered, _rel_error,
-                      _solve, _sparse_signal)
+                      _add_noise, _grid_reason, _operator_draw, _recovered,
+                      _rel_error, _solve, _sparse_signal)
 from .operators import _BASIS_KINDS, _csv, vector_to_csv
 from .recovery import SOLVERS
 
@@ -306,6 +306,11 @@ def _cmd_exp_ofdm(args) -> int:
 
 
 def _cmd_exp_phase(args) -> int:
+    for flag, name, grid in (("--k", "K", args.k_list),
+                             ("--m", "M", args.m_list)):
+        reason = _grid_reason(name, grid, args.n)
+        if reason is not None:
+            raise ValueError(f"argument {flag}: {reason}")
     cfg = _experiment_config(
         args, "phase", args.seq or "golay", 50, m=args.m_list[0],
         k=args.k_list[0], extra={"k_grid": args.k_list,
@@ -325,9 +330,12 @@ def _cmd_exp_dct(args) -> int:
     cfg = _experiment_config(args, "dct", args.seq or "fzc", 100, m=args.m,
                              k=args.k, basis="inverse_dct2", extra=extra)
     report = run_dct_experiment(cfg)
+    rows = _csv_to_rows(report.csv())
+    for row, scheme_row in zip(rows, report.rows):
+        row["unconverged"] = scheme_row.unconverged
     _emit(args, "dct", report.csv(), {
         "config": json.loads(cfg.canonical_json()),
-        "rows": _csv_to_rows(report.csv()),
+        "rows": rows,
         "sign_test_p": report.sign_test_p})
     return EXIT_OK
 

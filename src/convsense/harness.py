@@ -476,6 +476,14 @@ def _sign_test_p(wins: int, losses: int) -> float:
 _ROWS_PER_ATOM = {"omp": 1, "sp": 2, "subspace_pursuit": 2}
 
 
+def _grid_reason(name: str, grid: List[int], n: int) -> Optional[str]:
+    """Why a K or M grid is refused (a value outside [1, N]), or None."""
+    for v in grid:
+        if not 1 <= v <= n:
+            return f"require 1 <= {name} <= N, got {name}={v}, N={n}"
+    return None
+
+
 def run_phase_transition(cfg: ExperimentConfig) -> PhaseReport:
     """Noiseless success rates (``_recovered``) over a grid of
     (basis, K, M) cells; grids come from cfg.extra (k_grid, m_grid,
@@ -493,10 +501,9 @@ def run_phase_transition(cfg: ExperimentConfig) -> PhaseReport:
     for basis_kind in bases:
         Basis(basis_kind)  # refuses an unknown basis
     for name, grid in (("K", k_grid), ("M", m_grid)):
-        for v in grid:
-            if not 1 <= v <= cfg.n:
-                raise ValueError(f"require 1 <= {name} <= N, "
-                                 f"got {name}={v}, N={cfg.n}")
+        reason = _grid_reason(name, grid, cfg.n)
+        if reason is not None:
+            raise ValueError(reason)
     draw = _operator_draw(cfg)
     cells: List[PhaseCell] = []
     for basis_kind in bases:
@@ -565,6 +572,7 @@ class DctSchemeRow:
     trials: int
     successes: int
     mean_output_snr_db: float
+    unconverged: int  # solves whose ``converged`` is false; not in the CSV
 
     @property
     def success_rate(self) -> float:
@@ -595,11 +603,11 @@ def run_dct_experiment(cfg: ExperimentConfig) -> DctReport:
     image, recovers a K-sparse DCT approximation, and scores output SNR
     against the original pixels.
 
-    Each trial records (success, output SNR) for both schemes, and every
-    reported number comes from that one list.  The exact one-sided sign
-    test (``_sign_test_p``) asks whether the configured scheme beats the
-    baseline on one paired outcome: success in synthetic mode, output SNR
-    in image mode."""
+    Each trial records (success, output SNR, solver converged) for both
+    schemes, and every reported number comes from that one list.  The
+    exact one-sided sign test (``_sign_test_p``) asks whether the
+    configured scheme beats the baseline on one paired outcome: success
+    in synthetic mode, output SNR in image mode."""
     if (cfg.basis, cfg.sampling_mode) != ("inverse_dct2", "random"):
         raise ValueError("the DCT experiment runs basis 'inverse_dct2' with "
                          "'random' sampling, as its rows are labelled")
@@ -630,9 +638,10 @@ def run_dct_experiment(cfg: ExperimentConfig) -> DctReport:
         theta_b = draw_baseline(rng)
         pair = []
         for theta in (theta_p, theta_b):
-            f_hat = _solve(cfg, theta, theta.forward(f_true)).f_hat
-            pair.append((_recovered(f_true, f_hat),
-                         _output_snr_db(x_ref, basis.apply(f_hat))))
+            result = _solve(cfg, theta, theta.forward(f_true))
+            pair.append((_recovered(f_true, result.f_hat),
+                         _output_snr_db(x_ref, basis.apply(result.f_hat)),
+                         result.converged))
         outcomes.append(pair)
     compared = 0 if image_path is None else 1
     wins = sum(p[compared] > b[compared] for p, b in outcomes)
@@ -640,9 +649,10 @@ def run_dct_experiment(cfg: ExperimentConfig) -> DctReport:
     schemes = (f"{cfg.sequence_kind}+random", "random_phase+equispaced")
     rows = tuple(
         DctSchemeRow(scheme=scheme, trials=cfg.trials,
-                     successes=sum(ok for ok, _ in scheme_outcomes),
+                     successes=sum(ok for ok, _, _ in scheme_outcomes),
                      mean_output_snr_db=float(np.mean(
-                         [snr for _, snr in scheme_outcomes])))
+                         [snr for _, snr, _ in scheme_outcomes])),
+                     unconverged=sum(not c for _, _, c in scheme_outcomes))
         for scheme, scheme_outcomes in zip(schemes, zip(*outcomes)))
     return DctReport(config=cfg, rows=rows,
                      sign_test_p=_sign_test_p(wins, losses))

@@ -625,14 +625,17 @@ def _parity_bound(even: tuple, odd: tuple) -> Callable[[int], tuple]:
 
 def _random(draw: Callable, seeded: Callable) -> Family:
     """``draw(rng, n)`` from a trial Generator, or without one the seeded
-    Sequence ``seeded(n, params['seed'])``."""
+    Sequence ``seeded(n, params['seed'])``; both refuse N < 1."""
+    admissible = _at_least(1)
+
     def build(n: int, params: dict, rng=None):
         if rng is not None:
+            _require(admissible(n, params))
             return draw(rng, n)
         if "seed" not in params:
             raise ValueError("a random family needs a Generator or a seed")
         return seeded(n, int(params["seed"]))
-    return Family(build, _at_least(1), random=True)
+    return Family(build, admissible, random=True)
 
 
 # Entries call the generators through module globals looked up at call

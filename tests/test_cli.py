@@ -300,6 +300,15 @@ def test_exp_phase_checks_its_whole_grid_before_solving(
     assert calls == []
 
 
+@pytest.mark.parametrize("flag, grid", [
+    ("--m", ("--k", "2", "--m", "16,128")),
+    ("--k", ("--k", "2,65", "--m", "16")),
+], ids=["m-above-n", "k-above-n"])
+def test_exp_phase_grid_range_error_names_its_flag(capsys, flag, grid):
+    message = usage_error(capsys, "exp-phase", "--n", "64", *grid)
+    assert f"argument {flag}: require 1 <=" in message
+
+
 def test_exp_dct(capsys):
     code, out, _ = run(capsys, "exp-dct", "--n", "128", "--m", "48",
                        "--k", "6", "--trials", "8")
@@ -308,6 +317,18 @@ def test_exp_dct(capsys):
     assert len(lines) == 3
     assert "fzc+random" in lines[1]
     assert "random_phase+equispaced" in lines[2]
+
+
+def test_exp_dct_json_reports_unconverged_solves(capsys):
+    argv = ("exp-dct", "--n", "128", "--m", "32", "--k", "4", "--trials",
+            "10", "--solver", "omp")
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert [(row["scheme"], row["unconverged"]) for row in doc["rows"]] == \
+        [("fzc+random", 0), ("random_phase+equispaced", 3)]
+    _, csv_out, _ = run(capsys, *argv)
+    assert "unconverged" not in csv_out
 
 
 def test_exp_dct_image(capsys, tmp_path):

@@ -105,6 +105,21 @@ def test_bound_table_families():
         "extended_golay", "extended_polyphase", "fzc", "golay", "m_sequence"]
 
 
+@pytest.mark.parametrize("kind", ["random_phase", "random_binary"])
+def test_random_family_draw_keeps_its_admissibility_rule(kind):
+    # a per-trial draw from a Generator refuses N as the seeded build
+    # does, before it takes anything from the Generator
+    rng = np.random.default_rng(0)
+    for n in (-1, 0):
+        for build in (lambda: FAMILIES[kind].build(n, {}, rng),
+                      lambda: build_circulant(kind, n, {}, rng)):
+            with pytest.raises(ValueError, match="^N must be >= 1$"):
+                build()
+    assert rng.bit_generator.state == \
+        np.random.default_rng(0).bit_generator.state
+    assert FAMILIES[kind].build(3, {}, rng).size == 3
+
+
 def test_generators_refuse_with_their_registry_reason():
     # a generator keeps no copy of its family's admissibility rule
     builds = {"extended_polyphase": extended_polyphase,

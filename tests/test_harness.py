@@ -237,15 +237,30 @@ def test_ofdm_reference_csv_bytes_pinned(scheme):
     assert got == _OFDM_REFERENCE_SHA256[scheme]
 
 
+def _without_columns(csv_text, names):
+    rows = [line.split(",") for line in csv_text.splitlines()]
+    keep = [i for i, name in enumerate(rows[0]) if name not in names]
+    return "".join(",".join(row[i] for i in keep) + "\n" for row in rows)
+
+
 def test_ofdm_fista_real_tap_csv_bytes_pinned():
     # FISTA keeps its top K = 6 LASSO atoms and refits them once over
-    # real coefficients; summary and trials CSV sha256
+    # real coefficients; summary and trials CSV sha256, in full and with
+    # the iteration columns removed, so a change to FISTA's schedule
+    # that moves only its iteration counts shows as such
     rep = run_ofdm_experiment(_small_ofdm_cfg(solver="fista", trials=3))
-    got = tuple(hashlib.sha256(text.encode()).hexdigest()
-                for text in (rep.summary_csv(), rep.trials_csv()))
+    texts = (rep.summary_csv(), rep.trials_csv())
+    got = tuple(hashlib.sha256(text.encode()).hexdigest() for text in texts)
     assert got == (
-        "56669e261ad1ac50b1d77b6e5f5ce2c889bdc80dc61115253ef5de17a3535d96",
-        "6e44311d4eae46be0e4bcafa9072b808ced18a3d0d967d5ca01532df73bbd017")
+        "1c1c922dfadec1e4df7a428f2490dbad1dbbf4f0c7638488de28100997d5b79d",
+        "10757fa9b751b1a06426f5a90bbb3caddb029a2bd9129632f3bde299343c0bee")
+    stripped = tuple(
+        hashlib.sha256(_without_columns(
+            text, ("mean_iterations", "iterations")).encode()).hexdigest()
+        for text in texts)
+    assert stripped == (
+        "9b4d3bae3bbeb6cdf7df305c4f7d8330c9af7d1ec41ac0c13d4950ed6f74cf6f",
+        "f75996054d422552e3aadf0f553e67ed33967503df5fc0da4046b4fbc838a767")
 
 
 def test_solve_keeps_the_top_k_atoms_of_a_larger_greedy_estimate():
@@ -434,6 +449,31 @@ def test_dct_fista_successes_measure_recovery():
     cfg = dataclasses.replace(_DCT_SP_WITH_WINS, solver="fista", trials=3)
     proposed, _ = run_dct_experiment(cfg).rows
     assert proposed.successes > 0
+
+
+@pytest.mark.parametrize("solver, n, m, k, trials, counts", [
+    ("omp", 128, 32, 4, 10, [0, 3]),
+    ("fista", 256, 64, 6, 4, [0, 1]),
+])
+def test_dct_rows_count_unconverged_solves(monkeypatch, solver, n, m, k,
+                                           trials, counts):
+    # each trial solves the proposed scheme, then the baseline
+    flags = []
+    solve = harness._solve
+
+    def recorded(*args, **kwargs):
+        result = solve(*args, **kwargs)
+        flags.append(result.converged)
+        return result
+
+    monkeypatch.setattr(harness, "_solve", recorded)
+    report = run_dct_experiment(ExperimentConfig(
+        experiment="dct", n=n, m=m, k=k, sequence_kind="fzc",
+        sequence_params={"gamma": 1}, basis="inverse_dct2", solver=solver,
+        trials=trials, master_seed=0))
+    assert [row.unconverged for row in report.rows] == \
+        [flags[0::2].count(False), flags[1::2].count(False)] == counts
+    assert "unconverged" not in report.csv()
 
 
 def test_fista_refit_is_least_squares_on_the_top_k_support():

@@ -1,13 +1,16 @@
 """Sparse solvers: exact recovery, dense least-squares agreement, guards."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 import oracles
+from convsense import harness
 from convsense import sequences as seqs
 from convsense.operators import (Basis, CirculantOperator, SensingOperator,
                                  random_sampling)
-from convsense.recovery import (RecoveryProblem, SOLVERS,
+from convsense.recovery import (RecoveryProblem, SOLVERS, _fista_stage,
                                 _power_iteration_step_bound, _soft_threshold,
                                 _top_indices, fista_lasso, omp,
                                 subspace_pursuit)
@@ -153,38 +156,53 @@ def test_fista_objective_beats_soft_start():
 
 def _fista_three_applications(operator, y, lam):
     """Reference FISTA that recomputes Theta z each iteration (two forwards
-    and one adjoint); the same iterates as ``fista_lasso`` up to rounding.
-    Returns (f_hat, iterations, converged, restarts)."""
+    and one adjoint) under the same lambda-continuation as ``fista_lasso``:
+    six geometric stages from 0.5 max|Theta^* y| down to lam (lam alone
+    when lam is not below that), each restarting momentum from the last
+    stage's solution, intermediate stages stopping at 1e-5 relative
+    objective change or 200 iterations, the last at 1e-8, and 2000
+    iterations over all stages; the same iterates up to rounding.
+    Returns (f_hat, iterations, converged, restarts), ``converged`` that
+    of the last stage."""
     L = _power_iteration_step_bound(operator)
+    lam0 = 0.5 * float(np.max(np.abs(operator.adjoint(y))))
+    lams = [lam] if lam >= lam0 else \
+        [float(v) for v in np.geomspace(lam0, lam, 6)[:-1]] + [lam]
 
-    def objective(f, rf):
+    def objective(f, rf, stage_lam):
         return 0.5 * float(np.linalg.norm(y - rf)) ** 2 \
-            + lam * float(np.sum(np.abs(f)))
+            + stage_lam * float(np.sum(np.abs(f)))
 
     f = np.zeros(operator.n, dtype=np.complex128)
     rf = operator.forward(f)
-    obj = objective(f, rf)
-    z, t, restarts = f, 1.0, 0
-    for iterations in range(1, 2001):
-        grad = operator.adjoint(operator.forward(z) - y)
-        f_new = _soft_threshold(z - grad / L, lam / L)
-        rf_new = operator.forward(f_new)
-        obj_new = objective(f_new, rf_new)
-        if obj_new > obj:
-            restarts += 1
-            t = 1.0
-            grad = operator.adjoint(rf - y)
-            f_new = _soft_threshold(f - grad / L, lam / L)
+    iterations = restarts = 0
+    for stage, stage_lam in enumerate(lams):
+        last = stage == len(lams) - 1
+        stop_rel, cap = (1e-8, 2000 - iterations) if last else (1e-5, 200)
+        obj = objective(f, rf, stage_lam)
+        z, t, converged = f, 1.0, False
+        for _ in range(cap):
+            iterations += 1
+            grad = operator.adjoint(operator.forward(z) - y)
+            f_new = _soft_threshold(z - grad / L, stage_lam / L)
             rf_new = operator.forward(f_new)
-            obj_new = objective(f_new, rf_new)
-        t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-        z = f_new + ((t - 1.0) / t_new) * (f_new - f)
-        drop = abs(obj - obj_new)
-        f, rf, t = f_new, rf_new, t_new
-        if drop <= 1e-8 * max(obj, 1e-300):
-            return f, iterations, True, restarts
-        obj = min(obj, obj_new)
-    return f, iterations, False, restarts
+            obj_new = objective(f_new, rf_new, stage_lam)
+            if obj_new > obj:
+                restarts += 1
+                t = 1.0
+                grad = operator.adjoint(rf - y)
+                f_new = _soft_threshold(f - grad / L, stage_lam / L)
+                rf_new = operator.forward(f_new)
+                obj_new = objective(f_new, rf_new, stage_lam)
+            t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+            z = f_new + ((t - 1.0) / t_new) * (f_new - f)
+            drop = abs(obj - obj_new)
+            f, rf, t = f_new, rf_new, t_new
+            if drop <= stop_rel * max(obj, 1e-300):
+                converged = True
+                break
+            obj = min(obj, obj_new)
+    return f, iterations, converged, restarts
 
 
 def _fista_case(basis, seed, snr_db):
@@ -222,9 +240,10 @@ def test_fista_makes_one_forward_and_one_adjoint_per_iteration(monkeypatch):
     assert calls == {"forward": 3, "adjoint": 3}
     calls.update(forward=0, adjoint=0)
     res = fista_lasso(RecoveryProblem(operator=theta, y=y, lam=lam))
-    # power iteration, then one forward at the zero start
+    # power iteration, then one adjoint for max|Theta^* y| and one
+    # forward at the zero start
     n_apps = res.iterations + restarts + 3
-    assert calls == {"forward": n_apps + 1, "adjoint": n_apps}
+    assert calls == {"forward": n_apps + 1, "adjoint": n_apps + 1}
 
 
 @pytest.mark.parametrize("basis", ["identity", "inverse_fourier",
@@ -241,6 +260,60 @@ def test_fista_matches_three_application_reference(basis):
         assert np.array_equal(res.support, np.flatnonzero(np.abs(f_ref) > 0))
         assert np.max(np.abs(res.f_hat - f_ref)) \
             <= 1e-12 * np.linalg.norm(f_ref)
+
+
+def _dct_baseline_draw(trial):
+    """Theta and y of one baseline solve of ``run_dct_experiment`` at
+    N=128, M=32, K=4, seed 0 (random phase, equispaced sampling, inverse
+    DCT-II), drawn in the experiment's order."""
+    cfg = harness.ExperimentConfig(
+        experiment="dct", n=128, m=32, k=4, sequence_kind="fzc",
+        sequence_params={"gamma": 1}, basis="inverse_dct2", solver="fista",
+        trials=trial + 1, master_seed=0)
+    draw_proposed = harness._operator_draw(cfg)
+    draw_baseline = harness._operator_draw(dataclasses.replace(
+        cfg, sequence_kind="random_phase", sequence_params={},
+        sampling_mode="equispaced"))
+    for _, _, rng in harness._trial_rngs(0, trial + 1):
+        draw_proposed(rng)
+        f, _ = harness._sparse_signal(rng, 128, 4, zero_mean=False,
+                                      real_values=True)
+        theta = draw_baseline(rng)
+    return theta, theta.forward(f)
+
+
+@pytest.mark.parametrize("trial", [0, 2, 7])
+def test_fista_continuation_finishes_solves_plain_fista_capped(trial):
+    # plain FISTA from zero at lambda = 1e-4 max|Theta^* y| stopped at
+    # the 2000-iteration cap on each of these draws; under continuation
+    # they converge (783, 383 and 684 iterations) and the LASSO
+    # optimality condition holds at the posed lambda
+    theta, y = _dct_baseline_draw(trial)
+    lam = 1e-4 * float(np.max(np.abs(theta.adjoint(y))))
+    res = fista_lasso(RecoveryProblem(operator=theta, y=y, lam=lam))
+    assert res.converged and res.iterations < 2000
+    grad = theta.adjoint(y - theta.forward(res.f_hat))
+    assert np.max(np.abs(grad)) <= 1.05 * lam
+
+
+@pytest.mark.parametrize("basis", ["identity", "inverse_fourier",
+                                   "inverse_dct2"])
+def test_fista_at_a_large_lambda_is_one_plain_stage(basis):
+    # lambda >= lambda_0 = 0.5 max|Theta^* y|: no continuation, the
+    # result is plain FISTA from zero at lambda, bit for bit
+    for seed in range(3):
+        theta, f, support, y = _problem(n=64, m=32, k=3, seed=seed,
+                                        basis=basis, snr_db=20)
+        lam0 = 0.5 * float(np.max(np.abs(theta.adjoint(y))))
+        L = _power_iteration_step_bound(theta)
+        for lam in (lam0, 1.2 * lam0, 1.8 * lam0):
+            res = fista_lasso(RecoveryProblem(operator=theta, y=y, lam=lam))
+            zero = np.zeros(64, dtype=np.complex128)
+            f_ref, _, iterations, converged = _fista_stage(
+                theta, y, L, lam, zero, theta.forward(zero), 1e-8, 2000)
+            assert res.support.size > 0
+            assert np.array_equal(res.f_hat, f_ref)
+            assert (res.iterations, res.converged) == (iterations, converged)
 
 
 def test_solver_registry():
