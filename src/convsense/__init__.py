@@ -41,6 +41,7 @@ from .operators import (
     SamplingSet,
     Basis,
     SensingOperator,
+    StackedOperator,
     random_sampling,
     deterministic_sampling,
     equispaced_sampling,
@@ -61,6 +62,7 @@ from .recovery import (
     RecoveryResult,
     omp,
     subspace_pursuit,
+    subspace_pursuit_block,
     fista_lasso,
     SOLVERS,
 )
@@ -100,12 +102,12 @@ __all__ = [
     "complete_gauss_closed_form", "reflection_identity_residual",
     "q_identity_residual", "bound_check",
     "CirculantOperator", "SamplingSet", "Basis", "SensingOperator",
-    "random_sampling", "deterministic_sampling", "equispaced_sampling",
-    "vector_to_csv", "vector_from_csv",
+    "StackedOperator", "random_sampling", "deterministic_sampling",
+    "equispaced_sampling", "vector_to_csv", "vector_from_csv",
     "CoherenceReport", "coherence_circulant", "mutual_coherence",
     "autocorrelation_bound_check", "bound_table_report", "dct_coherence_report", "bound_table_csv",
     "RecoveryProblem", "RecoveryResult", "omp", "subspace_pursuit",
-    "fista_lasso", "SOLVERS",
+    "subspace_pursuit_block", "fista_lasso", "SOLVERS",
     "ChannelModel", "ExperimentConfig", "TrialRecord", "OfdmReport",
     "PhaseReport", "DctReport", "AuditResult",
     "attc_channel", "papr", "trial_seed", "build_circulant",

@@ -36,8 +36,8 @@ from .harness import (ExperimentConfig, GOLAY_PAPR_LIMIT, PAPR_HEADER,
                       audit_gauss, audit_papr, ofdm_reference_config,
                       papr as papr_of, run_dct_experiment,
                       run_ofdm_experiment, run_phase_transition,
-                      _add_noise, _grid_reason, _operator_draw, _recovered,
-                      _rel_error, _solve, _sparse_signal)
+                      _add_noise, _grid_reason, _noise, _operator_draw,
+                      _recovered, _rel_error, _solve, _sparse_signal)
 from .operators import _BASIS_KINDS, _csv, vector_to_csv
 from .recovery import SOLVERS
 
@@ -227,8 +227,8 @@ def _cmd_recover(args) -> int:
     y0 = theta.forward(f)
     rows, ok = [], True
     for snr in args.snr_list or [None]:
-        y = y0 if snr is None else _add_noise(rng, y0, snr)
-        result = _solve(cfg, theta, y)
+        y = y0 if snr is None else _add_noise(y0, _noise(rng, y0.size), snr)
+        result, = _solve(cfg, [(theta, y)])
         if snr is None and not _recovered(f, result.f_hat):
             ok = False
         rows.append([math.inf if snr is None else snr, args.solver,

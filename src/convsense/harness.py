@@ -25,6 +25,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import hashlib
+import itertools
 import json
 import math
 import time
@@ -38,8 +39,11 @@ from . import gauss_sums
 from . import sequences as seqs
 from .coherence import bound_table_report, bound_table_csv, dct_coherence_report
 from .operators import (Basis, build_circulant, equispaced_sampling,
-                        random_sampling, SensingOperator, _csv)
-from .recovery import RecoveryProblem, SOLVERS, _least_squares, _top_indices
+                        random_sampling, SensingOperator, StackedOperator,
+                        _csv)
+from .recovery import (RecoveryProblem, RecoveryResult, SOLVERS, _embed,
+                       _least_squares, _top_indices, subspace_pursuit,
+                       subspace_pursuit_block)
 
 _SNR_CAP_DB = 300.0
 
@@ -183,7 +187,9 @@ class TrialRecord:
     output_snr_db: float
     support_exact: bool
     iterations: int
-    wall_time: float  # in-memory only; excluded from CSV
+    # in memory only, never in a CSV: the time of the record's block of
+    # trials, draws included, divided by the records in the block
+    wall_time: float
 
 
 def _output_snr_db(x: np.ndarray, x_hat: np.ndarray) -> float:
@@ -222,42 +228,66 @@ def _operator_draw(cfg: ExperimentConfig):
     return draw
 
 
-def _solve(cfg: ExperimentConfig, theta: SensingOperator, y: np.ndarray,
-           k: Optional[int] = None):
-    """The one place an estimate is formed: solve (greedy with K = cfg.k,
-    FISTA with lambda = lam_rel * max|Theta^* y|), keep the k (default
-    cfg.k) largest atoms, and refit once by least squares on them, over
-    real coefficients when cfg.extra["real_taps"] is set.  The refit
-    debiases FISTA (GPSR: Figueiredo, Nowak & Wright, 2007); a greedy
-    estimate with at most k atoms stands unless a real refit is asked
-    for.  Iterations, residual and convergence flag stay the solver's."""
+def _solve(cfg: ExperimentConfig,
+           block: List[Tuple[SensingOperator, np.ndarray]],
+           k: Optional[int] = None) -> List[RecoveryResult]:
+    """The one place estimates are formed, one per (Theta, y) problem of
+    the block: solve (greedy with K = cfg.k, FISTA with lambda = lam_rel *
+    max|Theta^* y|), keep the k (default cfg.k) largest atoms, and refit
+    once by least squares on them, over real coefficients when
+    cfg.extra["real_taps"] is set.  The refit debiases FISTA (GPSR:
+    Figueiredo, Nowak & Wright, 2007); a greedy estimate with at most k
+    atoms stands unless a real refit is asked for.  Iterations, residual
+    and convergence flag stay the solver's.
+
+    The library's subspace pursuit solves the whole block in lockstep;
+    any other registered solver is called once per problem, in order.
+    The refits of supports of one size are one stacked least squares."""
     solver = SOLVERS.get(cfg.solver)
     if solver is None:
         raise ValueError(f"unknown solver {cfg.solver!r}; "
                          f"expected one of {sorted(SOLVERS)}")
     k = cfg.k if k is None else k
+    real = bool(cfg.extra.get("real_taps"))
     if cfg.solver == "fista":
         lam_rel = float(cfg.solver_params.get("lam_rel", 1e-4))
-        lam = lam_rel * float(np.max(np.abs(theta.adjoint(y))))
-        result = solver(RecoveryProblem(theta, y, lam=max(lam, 1e-300)))
+        problems = [RecoveryProblem(theta, y, lam=max(
+            lam_rel * float(np.max(np.abs(theta.adjoint(y)))), 1e-300))
+            for theta, y in block]
     else:
-        result = solver(RecoveryProblem(theta, y, k=cfg.k))
-        if result.support.size <= k and not cfg.extra.get("real_taps"):
-            return result
-    support = result.support if result.support.size <= k \
-        else np.sort(_top_indices(np.abs(result.f_hat), k))
-    cols = theta.columns(support)
-    f_hat = np.zeros(theta.n, dtype=np.complex128)
-    if cfg.extra.get("real_taps"):
-        # stacked real/imaginary normal equations, tiny ridge
-        a = np.vstack([cols.real, cols.imag])
-        gram = a.T @ a
-        gram[np.diag_indices_from(gram)] += 1e-12
-        f_hat[support] = scipy.linalg.solve(
-            gram, a.T @ np.concatenate([y.real, y.imag]), assume_a="pos")
-    else:
-        f_hat[support] = _least_squares(cols, y)
-    return dataclasses.replace(result, f_hat=f_hat, support=support)
+        problems = [RecoveryProblem(theta, y, k=cfg.k) for theta, y in block]
+    results = subspace_pursuit_block(problems) \
+        if solver is subspace_pursuit else [solver(p) for p in problems]
+    refits: Dict[int, List[int]] = {}  # support size -> problems
+    for i, res in enumerate(results):
+        if cfg.solver == "fista" or real or res.support.size > k:
+            refits.setdefault(min(res.support.size, k), []).append(i)
+    for members in refits.values():
+        support = np.stack([
+            results[i].support if results[i].support.size <= k
+            else _top_indices(np.abs(results[i].f_hat), k) for i in members])
+        cols = StackedOperator.of([block[i][0] for i in members]) \
+            .columns(support)
+        y = np.stack([block[i][1] for i in members])
+        coef = _real_least_squares(cols, y) if real \
+            else _least_squares(cols, y)
+        for j, i in enumerate(members):
+            results[i] = dataclasses.replace(
+                results[i], f_hat=_embed(block[i][0].n, support[j], coef[j]),
+                support=support[j])
+    return results
+
+
+def _real_least_squares(cols: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Real coefficients for a (B, M, c) stack of complex columns and (B, M)
+    measurements: stacked real/imaginary normal equations, tiny ridge."""
+    a = np.concatenate([cols.real, cols.imag], axis=1)
+    a_t = np.swapaxes(a, 1, 2)
+    gram = a_t @ a
+    diag = np.arange(gram.shape[-1])
+    gram[:, diag, diag] += 1e-12
+    rhs = np.matvec(a_t, np.concatenate([y.real, y.imag], axis=1))
+    return scipy.linalg.solve(gram, rhs[..., None], assume_a="pos")[..., 0]
 
 
 # ---------------------------------------------------------------------------
@@ -359,40 +389,51 @@ def _aggregate(snr: float, recs: List[TrialRecord]) -> SnrRow:
         trials=len(recs))
 
 
+# trials drawn and solved together by run_ofdm_experiment: blocks of 16 or
+# 25 run no faster, and raise peak memory two and three times as much
+_OFDM_BLOCK = 8
+
+
 def run_ofdm_experiment(cfg: ExperimentConfig) -> OfdmReport:
     """Per input SNR: 'trials' seeded channel-estimation runs on the
     6-tap static channel; aggregates mean output SNR with standard
     error, support-exactness rate and iteration counts.  Each estimate
     keeps at most min(K, 6) atoms (``_solve``), refit once over real
-    coefficients when cfg.extra["real_taps"] is set."""
+    coefficients when cfg.extra["real_taps"] is set.
+
+    Every SNR row re-seeds trial t, so the trial's Theta, Theta x and
+    unit noise are the same in every row: they are drawn once and the
+    noise is scaled per row.  Trials go in blocks of ``_OFDM_BLOCK``,
+    each SNR row of a block one ``_solve``."""
     channel = attc_channel(cfg.n)
     x = channel.impulse_response()
     true_support = channel.support
     draw = _operator_draw(cfg)
     k = min(channel.k, cfg.k)
-    rows: List[SnrRow] = []
-    records: List[TrialRecord] = []
     snrs = cfg.snr_list if cfg.snr_list else (None,)
-    for snr in snrs:
-        recs: List[TrialRecord] = []
-        for t, seed, rng in _trial_rngs(cfg.master_seed, cfg.trials):
-            tic = time.perf_counter()
+    in_snrs = [math.inf if snr is None else float(snr) for snr in snrs]
+    recs: List[List[TrialRecord]] = [[] for _ in snrs]
+    rngs = _trial_rngs(cfg.master_seed, cfg.trials)
+    for _ in range(0, cfg.trials, _OFDM_BLOCK):
+        tic = time.perf_counter()
+        trials = []
+        for t, seed, rng in itertools.islice(rngs, _OFDM_BLOCK):
             theta = draw(rng)
             y0 = theta.forward(x)
-            if snr is None:
-                y, in_snr = y0, math.inf
-            else:
-                y, in_snr = _add_noise(rng, y0, snr), float(snr)
-            result = _solve(cfg, theta, y, k)
-            out = _output_snr_db(x, result.f_hat)
-            exact = bool(np.array_equal(result.support, true_support))
-            recs.append(TrialRecord(t, seed, in_snr, out, exact,
-                                    result.iterations,
-                                    time.perf_counter() - tic))
-        rows.append(_aggregate(math.inf if snr is None else float(snr),
-                               recs))
-        records.extend(recs)
-    return OfdmReport(config=cfg, rows=tuple(rows), records=tuple(records))
+            trials.append((t, seed, theta, y0, _noise(rng, y0.size)))
+        solved = [_solve(cfg, [
+            (theta, y0 if snr is None else _add_noise(y0, e, snr))
+            for _, _, theta, y0, e in trials], k) for snr in snrs]
+        wall = (time.perf_counter() - tic) / (len(trials) * len(snrs))
+        for row, in_snr, results in zip(recs, in_snrs, solved):
+            row.extend(TrialRecord(
+                t, seed, in_snr, _output_snr_db(x, res.f_hat),
+                bool(np.array_equal(res.support, true_support)),
+                res.iterations, wall)
+                for (t, seed, *_), res in zip(trials, results))
+    rows = tuple(_aggregate(in_snr, row) for in_snr, row in zip(in_snrs, recs))
+    return OfdmReport(config=cfg, rows=rows,
+                      records=tuple(rec for row in recs for rec in row))
 
 
 # ---------------------------------------------------------------------------
@@ -445,14 +486,16 @@ def _sparse_signal(rng: np.random.Generator, n: int, k: int,
     return f, support
 
 
-def _add_noise(rng: np.random.Generator, y0: np.ndarray,
-               snr_db: float) -> np.ndarray:
-    """y0 plus complex Gaussian noise (real block, then imaginary block)
-    scaled so that 10*log10(||y0||^2/||e||^2) is exactly snr_db."""
-    e = rng.standard_normal(y0.size) + 1j * rng.standard_normal(y0.size)
-    e *= float(np.linalg.norm(y0)) * 10.0 ** (-snr_db / 20.0) \
-        / float(np.linalg.norm(e))
-    return y0 + e
+def _noise(rng: np.random.Generator, m: int) -> np.ndarray:
+    """Complex Gaussian noise: a real block, then an imaginary block."""
+    return rng.standard_normal(m) + 1j * rng.standard_normal(m)
+
+
+def _add_noise(y0: np.ndarray, e: np.ndarray, snr_db: float) -> np.ndarray:
+    """y0 plus the noise e scaled so that 10*log10(||y0||^2/||e||^2) is
+    exactly snr_db."""
+    return y0 + e * (float(np.linalg.norm(y0)) * 10.0 ** (-snr_db / 20.0)
+                     / float(np.linalg.norm(e)))
 
 
 def _rel_error(f: np.ndarray, f_hat: np.ndarray) -> float:
@@ -516,7 +559,7 @@ def run_phase_transition(cfg: ExperimentConfig) -> PhaseReport:
                 for _, _, rng in _trial_rngs(cfg.master_seed, trials):
                     theta = draw(rng, m, basis_kind)
                     f, _ = _sparse_signal(rng, cfg.n, k, zero_mean)
-                    result = _solve(cell_cfg, theta, theta.forward(f))
+                    result, = _solve(cell_cfg, [(theta, theta.forward(f))])
                     successes += _recovered(f, result.f_hat)
                 cells.append(PhaseCell(basis=basis_kind, k=k, m=m,
                                        trials=cfg.trials,
@@ -638,7 +681,7 @@ def run_dct_experiment(cfg: ExperimentConfig) -> DctReport:
         theta_b = draw_baseline(rng)
         pair = []
         for theta in (theta_p, theta_b):
-            result = _solve(cfg, theta, theta.forward(f_true))
+            result, = _solve(cfg, [(theta, theta.forward(f_true))])
             pair.append((_recovered(f_true, result.f_hat),
                          _output_snr_db(x_ref, basis.apply(result.f_hat)),
                          result.converged))

@@ -17,6 +17,7 @@ A^* A = N I.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional, Sequence as TypingSequence, Union
 
@@ -335,31 +336,21 @@ class SensingOperator:
         u = self.sampling.embed(_as_array(y, self.m) / np.sqrt(self.m))
         return self.basis.adjoint(self.circulant.adjoint(u))
 
-    # column synthesis, the refit and the benchmark tracer use this name
+    # the benchmark tracer spans this name
     forward_batch = forward
 
     def columns(self, idx) -> np.ndarray:
-        """Theta[:, idx] as an M x len(idx) block.
-
-        Identity and inverse-Fourier columns have closed forms and need no
-        FFT: Theta[:, j] = filter[(rows - j) mod N] / sqrt(M) for the
-        identity basis, and, because Fourier vectors are eigenvectors of
-        every circulant, Theta[:, j] = exp(2j*pi*rows*j/N) * sigma_j /
-        sqrt(M) for the inverse-Fourier basis.  DCT columns go through
-        ``forward_batch`` on an identity block."""
+        """Theta[:, idx] as an M x len(idx) block (``StackedOperator``)."""
         idx = np.asarray(idx, dtype=np.int64)
         if idx.ndim != 1:
             raise ValueError("column indices must be a 1-D vector")
         if idx.size and (idx.min() < 0 or idx.max() >= self.n):
             raise ValueError(f"column indices out of range [0, {self.n})")
-        rows = self.sampling.indices[:, None]
-        if self.basis.kind == "identity":
-            return self.circulant.filter[(rows - idx) % self.n] \
-                / np.sqrt(self.m)
-        if self.basis.kind == "inverse_fourier":
-            phase = np.exp((2j * np.pi / self.n) * ((rows * idx) % self.n))
-            return phase * (self.circulant.spectrum[idx] / np.sqrt(self.m))
-        return self.forward_batch(_unit_block(self.n, idx))
+        return self._stack.columns(idx[None])[0]
+
+    @functools.cached_property
+    def _stack(self) -> "StackedOperator":
+        return StackedOperator.of([self])
 
     def dense(self) -> np.ndarray:
         """Explicit M x N matrix, from ``columns`` in batches."""
@@ -369,6 +360,95 @@ class SensingOperator:
         idx = np.arange(self.n)
         return np.hstack([self.columns(idx[lo:lo + _DENSE_BATCH])
                           for lo in range(0, self.n, _DENSE_BATCH)])
+
+
+@dataclass(frozen=True)
+class StackedOperator:
+    """B sensing operators of one N, M and basis, applied together.
+
+    Member b samples rows ``rows[b]`` of circulant ``circ[b]`` (a row of
+    ``spectra`` and ``filters``, shared by the members that share it), so
+    per-trial sampling sets and per-trial spectra stack alike, and
+    ``stack[sel]`` selects members without copying a spectrum.
+    ``adjoint`` equals each member's own bit for bit; a member's
+    ``columns`` is its one-member stack's."""
+
+    rows: np.ndarray     # (B, M)
+    circ: np.ndarray     # (B,)
+    spectra: np.ndarray  # (C, N), one row per distinct circulant
+    filters: np.ndarray  # (C, N)
+    basis: Basis
+
+    @classmethod
+    def of(cls, members: TypingSequence[SensingOperator]
+           ) -> "StackedOperator":
+        first = members[0]
+        if any((op.n, op.m, op.basis) != (first.n, first.m, first.basis)
+               for op in members):
+            raise ValueError("stacked operators must share N, M and basis")
+        circs = {id(op.circulant): op.circulant for op in members}
+        row_of = {key: i for i, key in enumerate(circs)}
+        return cls(np.stack([op.sampling.indices for op in members]),
+                   np.array([row_of[id(op.circulant)] for op in members]),
+                   np.stack([c.spectrum for c in circs.values()]),
+                   np.stack([c.filter for c in circs.values()]),
+                   first.basis)
+
+    def __len__(self) -> int:
+        return self.rows.shape[0]
+
+    def __getitem__(self, sel) -> "StackedOperator":
+        return StackedOperator(self.rows[sel], self.circ[sel], self.spectra,
+                               self.filters, self.basis)
+
+    @property
+    def n(self) -> int:
+        return self.filters.shape[1]
+
+    @property
+    def m(self) -> int:
+        return self.rows.shape[1]
+
+    def adjoint(self, y: np.ndarray) -> np.ndarray:
+        """Theta_b^* @ y[:, b] for every member b: an (M, B) block in, an
+        (N, B) block out."""
+        u = np.zeros((self.n, len(self)), dtype=np.complex128)
+        u[self.rows.T, np.arange(len(self))] = y / np.sqrt(self.m)
+        # _circular with the spectrum kept the left operand: numpy's complex
+        # multiply is not bitwise commutative, and when both operands have
+        # one shape and the right is a temporary of 256 KiB or more (an
+        # (N, B) block; a member's length-N vector only from N = 16384),
+        # numpy reuses the temporary and swaps the operands
+        f = np.fft.fft(u, axis=0)
+        np.multiply(np.conj(self.spectra[self.circ]).T, f, out=f)
+        return self.basis.adjoint(np.sqrt(self.n) * np.fft.ifft(f, axis=0))
+
+    def columns(self, idx: np.ndarray) -> np.ndarray:
+        """Theta_b[:, idx[b]] for every member b: (B, c) indices in, a
+        (B, M, c) block out.
+
+        Identity and inverse-Fourier columns have closed forms and need no
+        FFT: Theta[:, j] = filter[(rows - j) mod N] / sqrt(M) for the
+        identity basis, and, because Fourier vectors are eigenvectors of
+        every circulant, Theta[:, j] = exp(2j*pi*rows*j/N) * sigma_j /
+        sqrt(M) for the inverse-Fourier basis.  DCT columns are a forward
+        on an identity block."""
+        idx = np.asarray(idx, dtype=np.int64)[:, None, :]
+        rows = self.rows[:, :, None]
+        circ = self.circ[:, None, None]
+        if self.basis.kind == "identity":
+            # one flat index gathers faster than a (circ, position) pair
+            flat = circ * self.n + (rows - idx) % self.n
+            return np.take(self.filters, flat) / np.sqrt(self.m)
+        if self.basis.kind == "inverse_fourier":
+            phase = np.exp((2j * np.pi / self.n) * ((rows * idx) % self.n))
+            return phase * (self.spectra[circ, idx] / np.sqrt(self.m))
+        # one member at a time: one block for all of them would reach the
+        # operand swap ``adjoint`` avoids
+        return np.stack([
+            _circular(self.spectra[c], self.basis.apply(
+                _unit_block(self.n, i[0])))[r]
+            for c, i, r in zip(self.circ, idx, self.rows)]) / np.sqrt(self.m)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Sparse recovery solvers: OMP, subspace pursuit, and FISTA.
 
 All three solve for a SensingOperator Theta, which they reach only
-through its FFT-backed ``forward`` and ``adjoint`` and its ``columns``,
+through its FFT-backed ``forward`` and ``adjoint`` and its ``columns``
+(subspace pursuit through those of a stack of them, ``StackedOperator``),
 and run fully in complex arithmetic.  Greedy solvers take a sparsity K;
 FISTA minimizes 0.5*||y - Theta f||^2 + lambda*||f||_1, warm-started
 along a short geometric lambda path down to the posed lambda.
@@ -14,11 +15,11 @@ fixed-seed power iteration, so reruns are bit-identical.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, Optional, Sequence as TypingSequence
 
 import numpy as np
 
-from .operators import SensingOperator
+from .operators import SensingOperator, StackedOperator
 
 _RIDGE = 1e-12
 _OMP_STOP_REL = 1e-6
@@ -62,22 +63,35 @@ class RecoveryResult:
 
 
 def _least_squares(cols: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Normal equations with a tiny ridge (supports are <= 2K columns)."""
-    cols_h = cols.conj().T
+    """Normal equations with a tiny ridge (supports are <= 2K columns),
+    for one (M, c) system or a (B, M, c) stack with (B, M) measurements."""
+    cols_h = np.swapaxes(cols.conj(), -1, -2)
     gram = cols_h @ cols
-    gram.flat[::gram.shape[0] + 1] += _RIDGE
-    return np.linalg.solve(gram, cols_h @ y)
+    diag = np.arange(gram.shape[-1])
+    gram[..., diag, diag] += _RIDGE
+    return np.linalg.solve(gram, np.matvec(cols_h, y)[..., None])[..., 0]
+
+
+def _norms(r: np.ndarray) -> np.ndarray:
+    """Norm of each row of a complex block, summed as ``np.linalg.norm``
+    sums one vector's (a dot of the real parts plus one of the imaginary
+    parts), so each equals that vector's norm bit for bit."""
+    return np.sqrt(np.vecdot(r.real, r.real) + np.vecdot(r.imag, r.imag))
 
 
 def _top_indices(mags: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k largest magnitudes, ties broken to the lowest
-    index: the same set as ``argsort(-mags, kind="stable")[:k]``, in no
-    particular order."""
+    """Ascending indices of the k largest magnitudes of a vector, or of
+    each row of a (B, N) block as a (B, k) block, ties broken to the
+    lowest index: the same set as ``argsort(-mags, kind="stable")[:k]``."""
     neg = -mags
-    kth = np.partition(neg, k - 1)[k - 1]
-    better = np.flatnonzero(neg < kth)
-    tied = np.flatnonzero(neg == kth)[:k - better.size]
-    return np.concatenate((better, tied))
+    kth = np.partition(neg, k - 1, axis=-1)[..., k - 1:k]
+    keep = neg <= kth
+    if np.count_nonzero(keep) > k * (mags.size // mags.shape[-1]):
+        # a row ties at its k-th value: keep the lowest-index tied ones
+        tied = neg == kth
+        room = k - np.count_nonzero(neg < kth, axis=-1, keepdims=True)
+        keep &= ~tied | (np.cumsum(tied, axis=-1) <= room)
+    return np.nonzero(keep)[-1].reshape(mags.shape[:-1] + (k,))
 
 
 def _embed(n: int, support: np.ndarray, coef: np.ndarray) -> np.ndarray:
@@ -123,52 +137,81 @@ def omp(p: RecoveryProblem) -> RecoveryResult:
                           converged=res <= _OMP_STOP_REL * ynorm)
 
 
-def subspace_pursuit(p: RecoveryProblem) -> RecoveryResult:
-    """Subspace pursuit: keep a size-K support, each round merge in the
-    top-K correlations of the residual (candidate <= 2K), least-squares,
-    prune back to K, refit; stop when the residual stops decreasing
-    (1e-7 relative) and revert if it increased; at most 50 rounds."""
-    if p.k is None or p.k < 1:
+def subspace_pursuit_block(problems: TypingSequence[RecoveryProblem]
+                           ) -> List[RecoveryResult]:
+    """Subspace pursuit on B problems in lockstep: keep a size-K support,
+    each round merge in the top-K correlations of the residual (candidate
+    <= 2K), least-squares, prune back to K, refit; stop when the residual
+    stops decreasing (1e-7 relative) and revert if it increased; at most
+    50 rounds.
+
+    The problems share N, M, the basis and K (``StackedOperator``).  A
+    round makes one block adjoint over the problems still running, and one
+    stacked least squares per candidate size for the candidates and one
+    for the pruned supports, so each result is bit for bit the one its
+    problem would get alone."""
+    if not problems:
+        return []
+    k = problems[0].k
+    if k is None or k < 1:
         raise ValueError("subspace pursuit requires a positive sparsity K")
-    op = p.operator
-    if 2 * p.k > op.m:
+    if any(p.k != k for p in problems):
+        raise ValueError("a block of subspace pursuits shares one K")
+    op = StackedOperator.of([p.operator for p in problems])
+    if 2 * k > op.m:
         raise ValueError(
-            f"candidate least squares needs 2K <= M, got K={p.k} M={op.m}")
-    y = p.y
-    k = p.k
-    support = np.sort(_top_indices(np.abs(op.adjoint(y)), k)
-                      .astype(np.int64))
+            f"candidate least squares needs 2K <= M, got K={k} M={op.m}")
+    y = np.stack([p.y for p in problems])
+    support = _top_indices(np.abs(op.adjoint(y.T)).T, k)
     cols = op.columns(support)
     coef = _least_squares(cols, y)
-    r = y - cols @ coef
-    rnorm = float(np.linalg.norm(r))
-    iterations = 0
-    converged = False
+    r = y - np.matvec(cols, coef)
+    rnorm = _norms(r)
+    iterations = np.zeros(len(problems), dtype=np.int64)
+    converged = np.zeros(len(problems), dtype=bool)
+    running = np.arange(len(problems))
     for _ in range(_SP_MAX_ITERS):
-        iterations += 1
-        cand = np.union1d(support,
-                          _top_indices(np.abs(op.adjoint(r)), k))
-        ccols = op.columns(cand)
-        ccoef = _least_squares(ccols, y)
-        # cand is sorted, so sorting keep sorts the new support too
-        keep = np.sort(_top_indices(np.abs(ccoef), k))
-        new_support = cand[keep]
-        ncols = ccols[:, keep]
-        ncoef = _least_squares(ncols, y)
-        nres = y - ncols @ ncoef
-        nnorm = float(np.linalg.norm(nres))
-        if nnorm > rnorm:
-            converged = True  # revert and stop: residual went up
+        if not running.size:
             break
-        moved = rnorm - nnorm
-        support, coef, r, rnorm = new_support, ncoef, nres, nnorm
-        if moved <= _SP_STOP_REL * max(rnorm, 1e-300):
-            converged = True
-            break
-    f_hat = _embed(op.n, support, coef)
-    return RecoveryResult(f_hat=f_hat, support=support,
-                          iterations=iterations, residual_norm=rnorm,
-                          converged=converged)
+        iterations[running] += 1
+        top = _top_indices(np.abs(op[running].adjoint(r[running].T)).T, k)
+        merged = np.sort(np.concatenate((support[running], top), axis=1))
+        fresh = np.ones(merged.shape, dtype=bool)
+        fresh[:, 1:] = merged[:, 1:] != merged[:, :-1]
+        sizes = fresh.sum(axis=1)
+        for size in sorted(set(sizes.tolist())):
+            group = sizes == size
+            rows = running[group]
+            cand = merged[group][fresh[group]].reshape(-1, size)
+            ccols = op[rows].columns(cand)
+            keep = _top_indices(np.abs(_least_squares(ccols, y[rows])), k)
+            picked = np.arange(rows.size)[:, None], keep
+            # each (M, K) slice column-major, as ccols[:, keep] is for one
+            # problem: the layout picks the BLAS kernel, hence the rounding
+            ncols = np.swapaxes(np.swapaxes(ccols, 1, 2)[picked], 1, 2)
+            ncoef = _least_squares(ncols, y[rows])
+            nres = y[rows] - np.matvec(ncols, ncoef)
+            nnorm = _norms(nres)
+            # a residual that went up reverts and stops the problem
+            down = nnorm <= rnorm[rows]
+            moved = rnorm[rows] - nnorm
+            better = rows[down]
+            support[better] = cand[picked][down]
+            coef[better], r[better], rnorm[better] = \
+                ncoef[down], nres[down], nnorm[down]
+            stop = ~down | (moved <= _SP_STOP_REL * np.maximum(nnorm, 1e-300))
+            converged[rows[stop]] = True
+        running = running[~converged[running]]
+    return [RecoveryResult(f_hat=_embed(op.n, support[b], coef[b]),
+                           support=support[b], iterations=int(iterations[b]),
+                           residual_norm=float(rnorm[b]),
+                           converged=bool(converged[b]))
+            for b in range(len(problems))]
+
+
+def subspace_pursuit(p: RecoveryProblem) -> RecoveryResult:
+    """Subspace pursuit on one problem, ``subspace_pursuit_block([p])[0]``."""
+    return subspace_pursuit_block([p])[0]
 
 
 def _power_iteration_step_bound(op: SensingOperator) -> float:

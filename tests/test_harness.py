@@ -172,6 +172,41 @@ def test_ofdm_reference_config_shape():
         ofdm_reference_config("nope")
 
 
+@pytest.mark.parametrize("solver, snrs", [("sp", (None, 10.0, 30.0)),
+                                          ("omp", (None, 10.0, 30.0)),
+                                          ("fista", (10.0,))])
+@pytest.mark.parametrize("kind, sampling", [("golay", "random"),
+                                            ("random_phase", "equispaced")])
+def test_ofdm_blocks_equal_a_per_trial_replay(kind, sampling, solver, snrs):
+    # trials solve in blocks of _OFDM_BLOCK; with 3 more trials the last
+    # block is short, and each record must still be its trial replayed
+    # alone, with its own draw, noise and a one-problem solve (FISTA at a
+    # large lambda, which it solves in few iterations)
+    cfg = _small_ofdm_cfg(sequence_kind=kind, sampling_mode=sampling,
+                          solver=solver, snr_list=snrs,
+                          solver_params={"lam_rel": 0.05},
+                          trials=harness._OFDM_BLOCK + 3)
+    report = run_ofdm_experiment(cfg)
+    assert [rec.index for rec in report.records] == \
+        list(range(cfg.trials)) * len(snrs)
+    channel = attc_channel(cfg.n)
+    x = channel.impulse_response()
+    draw = harness._operator_draw(cfg)
+    for rec in report.records:
+        rng = np.random.default_rng(rec.seed)
+        theta = draw(rng)
+        y = theta.forward(x)
+        if rec.input_snr_db != np.inf:
+            y = harness._add_noise(y, harness._noise(rng, cfg.m),
+                                   rec.input_snr_db)
+        result, = harness._solve(cfg, [(theta, y)], channel.k)
+        assert (rec.output_snr_db, rec.support_exact, rec.iterations) == (
+            harness._output_snr_db(x, result.f_hat),
+            np.array_equal(result.support, channel.support),
+            result.iterations)
+        assert rec.wall_time > 0
+
+
 def test_ofdm_real_tap_refit_beats_complex_fit():
     # the channel taps are real, so the real-constrained refit must not
     # lose to the plain complex fit on average
@@ -201,7 +236,9 @@ def test_ofdm_high_snr_rows_equal_the_oracle_refit():
             continue
         rng = np.random.default_rng(rec.seed)
         theta = draw(rng)
-        y = harness._add_noise(rng, theta.forward(x), rec.input_snr_db)
+        y0 = theta.forward(x)
+        y = harness._add_noise(y0, harness._noise(rng, y0.size),
+                               rec.input_snr_db)
         if rec.index not in tap_cols:
             tap_cols[rec.index] = theta.dense()[:, taps]
         cols = tap_cols[rec.index]
@@ -271,15 +308,17 @@ def test_solve_keeps_the_top_k_atoms_of_a_larger_greedy_estimate():
                            sequence_kind="golay", solver="sp")
     theta = harness._operator_draw(cfg)(rng)
     f, _ = harness._sparse_signal(rng, 128, 8, zero_mean=False)
-    y = harness._add_noise(rng, theta.forward(f), 20.0)
+    y0 = theta.forward(f)
+    y = harness._add_noise(y0, harness._noise(rng, y0.size), 20.0)
     sp = recovery.subspace_pursuit(recovery.RecoveryProblem(theta, y, k=8))
-    result = harness._solve(cfg, theta, y, 6)
+    result, = harness._solve(cfg, [(theta, y)], 6)
     support = np.sort(np.argsort(-np.abs(sp.f_hat), kind="stable")[:6])
     assert np.array_equal(result.support, support)
     expected = oracles.least_squares_on_support(theta.dense(), y, support)
     assert np.allclose(result.f_hat, expected, rtol=0, atol=1e-9)
     # keeping all K atoms, the greedy estimate stands as it is
-    assert np.array_equal(harness._solve(cfg, theta, y).f_hat, sp.f_hat)
+    assert np.array_equal(harness._solve(cfg, [(theta, y)])[0].f_hat,
+                          sp.f_hat)
 
 
 # ---------------------------------------------------------------------------
@@ -462,9 +501,9 @@ def test_dct_rows_count_unconverged_solves(monkeypatch, solver, n, m, k,
     solve = harness._solve
 
     def recorded(*args, **kwargs):
-        result = solve(*args, **kwargs)
-        flags.append(result.converged)
-        return result
+        results = solve(*args, **kwargs)
+        flags.extend(result.converged for result in results)
+        return results
 
     monkeypatch.setattr(harness, "_solve", recorded)
     report = run_dct_experiment(ExperimentConfig(
@@ -484,10 +523,11 @@ def test_fista_refit_is_least_squares_on_the_top_k_support():
                             random_sampling(64, 32, rng),
                             Basis("inverse_dct2"))
     f, _ = harness._sparse_signal(rng, 64, 3, zero_mean=False)
-    y = harness._add_noise(rng, theta.forward(f), 20.0)
+    y0 = theta.forward(f)
+    y = harness._add_noise(y0, harness._noise(rng, y0.size), 20.0)
     lasso = recovery.fista_lasso(recovery.RecoveryProblem(
         theta, y, lam=1e-4 * float(np.max(np.abs(theta.adjoint(y))))))
-    result = harness._solve(cfg, theta, y)
+    result, = harness._solve(cfg, [(theta, y)])
     support = np.sort(np.argsort(-np.abs(lasso.f_hat), kind="stable")[:3])
     assert np.array_equal(result.support, support)
     assert (result.iterations, result.converged) == \

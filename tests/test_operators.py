@@ -8,9 +8,10 @@ from hypothesis import example, given, settings, strategies as st
 import oracles
 from convsense import sequences as seqs
 from convsense.operators import (Basis, CirculantOperator, SamplingSet,
-                                 SensingOperator, deterministic_sampling,
-                                 equispaced_sampling, random_sampling,
-                                 vector_from_csv, vector_to_csv)
+                                 SensingOperator, StackedOperator,
+                                 deterministic_sampling, equispaced_sampling,
+                                 random_sampling, vector_from_csv,
+                                 vector_to_csv)
 
 
 def _rand_vec(n, seed):
@@ -318,6 +319,57 @@ def test_columns_match_forward_batch(circ_name, basis_kind):
         assert got.shape == (theta.m, idx.size)
         np.testing.assert_allclose(got, theta.forward_batch(block),
                                    rtol=0, atol=1e-13)
+
+
+def _reference_columns(theta, idx):
+    """Theta[:, idx] by the one-operator formulas the stacked form replaced
+    (kept as the bit-for-bit reference)."""
+    rows = theta.sampling.indices[:, None]
+    if theta.basis.kind == "identity":
+        return theta.circulant.filter[(rows - idx) % theta.n] \
+            / np.sqrt(theta.m)
+    if theta.basis.kind == "inverse_fourier":
+        phase = np.exp((2j * np.pi / theta.n) * ((rows * idx) % theta.n))
+        return phase * (theta.circulant.spectrum[idx] / np.sqrt(theta.m))
+    block = np.zeros((theta.n, idx.size), dtype=np.complex128)
+    block[idx, np.arange(idx.size)] = 1.0
+    return theta.forward(block)
+
+
+@pytest.mark.parametrize("basis_kind", ["identity", "inverse_fourier",
+                                        "inverse_dct2"])
+@pytest.mark.parametrize("per_trial", ["sampling", "spectrum"])
+def test_stacked_operator_equals_its_members(per_trial, basis_kind):
+    # 16 members at N = 1024 make a 256 KiB block, the size at which numpy
+    # starts reusing temporaries; a golay spectrum with per-trial sampling
+    # or per-trial random-phase spectra with one equispaced set
+    n, m, b = 1024, 64, 16
+    golay = CirculantOperator.from_spectrum(seqs.golay(n))
+    members = [SensingOperator(
+        golay if per_trial == "sampling"
+        else CirculantOperator.from_spectrum(seqs.random_phase(n, i)),
+        random_sampling(n, m, i) if per_trial == "sampling"
+        else equispaced_sampling(n, m), Basis(basis_kind))
+        for i in range(b)]
+    stack = StackedOperator.of(members)
+    assert (len(stack), stack.n, stack.m) == (b, n, m)
+    assert stack.spectra.shape[0] == (1 if per_trial == "sampling" else b)
+    rng = np.random.default_rng(0)
+    y = rng.standard_normal((m, b)) + 1j * rng.standard_normal((m, b))
+    idx = np.sort(rng.choice(n, size=(b, 12)), axis=1)
+    got_adj, got_cols = stack.adjoint(y), stack.columns(idx)
+    assert got_adj.shape == (n, b) and got_cols.shape == (b, m, 12)
+    for i, op in enumerate(members):
+        assert np.array_equal(got_adj[:, i], op.adjoint(y[:, i]))
+        want = _reference_columns(op, idx[i])
+        assert np.array_equal(got_cols[i], want)
+        assert np.array_equal(op.columns(idx[i]), want)
+    sel = np.array([3, 0, 9])
+    assert np.array_equal(stack[sel].columns(idx[sel]), got_cols[sel])
+    assert np.array_equal(stack[sel].adjoint(y[:, sel]), got_adj[:, sel])
+    with pytest.raises(ValueError, match="share N, M and basis"):
+        StackedOperator.of(members[:1] + [SensingOperator(
+            golay, random_sampling(n, m + 1, 0), Basis(basis_kind))])
 
 
 def test_columns_reject_bad_indices():

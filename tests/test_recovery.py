@@ -10,10 +10,10 @@ from convsense import harness
 from convsense import sequences as seqs
 from convsense.operators import (Basis, CirculantOperator, SensingOperator,
                                  random_sampling)
-from convsense.recovery import (RecoveryProblem, SOLVERS, _fista_stage,
-                                _power_iteration_step_bound, _soft_threshold,
-                                _top_indices, fista_lasso, omp,
-                                subspace_pursuit)
+from convsense.recovery import (RecoveryProblem, RecoveryResult, SOLVERS,
+                                _fista_stage, _power_iteration_step_bound,
+                                _soft_threshold, _top_indices, fista_lasso,
+                                omp, subspace_pursuit, subspace_pursuit_block)
 
 
 def _problem(n=64, m=24, k=3, seed=0, basis="identity", snr_db=None):
@@ -110,6 +110,92 @@ def test_non_finite_measurements_are_refused(bad):
     y[4] = bad
     with pytest.raises(ValueError, match="finite"):
         RecoveryProblem(operator=theta, y=y, k=3)
+
+
+# The one-problem subspace pursuit the lockstep solver replaced, with the
+# helpers it called, kept verbatim as the bit-for-bit reference.
+
+def _reference_least_squares(cols, y):
+    cols_h = cols.conj().T
+    gram = cols_h @ cols
+    gram.flat[::gram.shape[0] + 1] += 1e-12
+    return np.linalg.solve(gram, cols_h @ y)
+
+
+def _reference_top_indices(mags, k):
+    neg = -mags
+    kth = np.partition(neg, k - 1)[k - 1]
+    better = np.flatnonzero(neg < kth)
+    tied = np.flatnonzero(neg == kth)[:k - better.size]
+    return np.concatenate((better, tied))
+
+
+def _reference_subspace_pursuit(p):
+    op, y, k = p.operator, p.y, p.k
+    support = np.sort(_reference_top_indices(np.abs(op.adjoint(y)), k)
+                      .astype(np.int64))
+    cols = op.columns(support)
+    coef = _reference_least_squares(cols, y)
+    r = y - cols @ coef
+    rnorm = float(np.linalg.norm(r))
+    iterations = 0
+    converged = False
+    for _ in range(50):
+        iterations += 1
+        cand = np.union1d(support,
+                          _reference_top_indices(np.abs(op.adjoint(r)), k))
+        ccols = op.columns(cand)
+        ccoef = _reference_least_squares(ccols, y)
+        keep = np.sort(_reference_top_indices(np.abs(ccoef), k))
+        new_support = cand[keep]
+        ncols = ccols[:, keep]
+        ncoef = _reference_least_squares(ncols, y)
+        nres = y - ncols @ ncoef
+        nnorm = float(np.linalg.norm(nres))
+        if nnorm > rnorm:
+            converged = True
+            break
+        moved = rnorm - nnorm
+        support, coef, r, rnorm = new_support, ncoef, nres, nnorm
+        if moved <= 1e-7 * max(rnorm, 1e-300):
+            converged = True
+            break
+    f_hat = np.zeros(op.n, dtype=np.complex128)
+    f_hat[support] = coef
+    return RecoveryResult(f_hat=f_hat, support=support,
+                          iterations=iterations, residual_norm=rnorm,
+                          converged=converged)
+
+
+@pytest.mark.parametrize("basis", ["identity", "inverse_fourier",
+                                   "inverse_dct2"])
+@pytest.mark.parametrize("kind, sampling", [("golay", "random"),
+                                            ("random_phase", "equispaced")])
+def test_sp_block_equals_the_one_problem_reference(basis, kind, sampling):
+    # per-trial sampling sets (golay) or per-trial spectra (random phase),
+    # noisy enough that the trials of a block stop at different rounds
+    cfg = harness.ExperimentConfig(experiment="sp", n=256, m=40, k=5,
+                                   sequence_kind=kind, basis=basis,
+                                   sampling_mode=sampling)
+    draw = harness._operator_draw(cfg)
+    problems = []
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+        theta = draw(rng)
+        f, _ = harness._sparse_signal(rng, cfg.n, cfg.k, zero_mean=False)
+        y0 = theta.forward(f)
+        y = harness._add_noise(y0, harness._noise(rng, cfg.m), 8.0 + seed)
+        problems.append(RecoveryProblem(theta, y, k=cfg.k))
+    want = [_reference_subspace_pursuit(p) for p in problems]
+    assert len({w.iterations for w in want}) > 1
+    for b, lo in ((1, 0), (3, 1), (8, 4)):
+        got = subspace_pursuit_block(problems[lo:lo + b])
+        assert len(got) == b
+        for g, w in zip(got, want[lo:lo + b]):
+            for name in ("f_hat", "support", "iterations", "residual_norm",
+                         "converged"):
+                assert np.array_equal(getattr(g, name), getattr(w, name)), \
+                    name
 
 
 def test_frequency_domain_recovery():
@@ -324,12 +410,16 @@ def test_solver_registry():
 def test_top_indices_same_set_as_stable_argsort():
     # integer-valued magnitudes give many ties; every k must pick the
     # lowest-index members of the tied group, like a stable argsort
+    # (a 2-D block is taken row by row, each row its own ties)
     rng = np.random.default_rng(11)
     for n in (1, 2, 7, 33, 64):
         for levels in (1, 2, 5, 1000):
-            mags = rng.integers(0, levels, size=n).astype(float)
-            order = np.argsort(-mags, kind="stable")
-            for k in range(1, n + 1):
-                got = _top_indices(mags, k)
-                assert got.size == k
-                assert set(got.tolist()) == set(order[:k].tolist())
+            for shape in ((n,), (4, n)):
+                mags = rng.integers(0, levels, size=shape).astype(float)
+                rows = mags.reshape(-1, n)
+                order = np.argsort(-rows, axis=1, kind="stable")
+                for k in range(1, n + 1):
+                    got = _top_indices(mags, k)
+                    assert got.shape == shape[:-1] + (k,)
+                    for row, want in zip(got.reshape(-1, k), order):
+                        assert np.array_equal(row, np.sort(want[:k]))
