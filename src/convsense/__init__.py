@@ -43,10 +43,8 @@ from .operators import (
     SensingOperator,
     StackedOperator,
     random_sampling,
-    deterministic_sampling,
     equispaced_sampling,
     vector_to_csv,
-    vector_from_csv,
 )
 from .coherence import (
     CoherenceReport,
@@ -102,8 +100,8 @@ __all__ = [
     "complete_gauss_closed_form", "reflection_identity_residual",
     "q_identity_residual", "bound_check",
     "CirculantOperator", "SamplingSet", "Basis", "SensingOperator",
-    "StackedOperator", "random_sampling", "deterministic_sampling",
-    "equispaced_sampling", "vector_to_csv", "vector_from_csv",
+    "StackedOperator", "random_sampling", "equispaced_sampling",
+    "vector_to_csv",
     "CoherenceReport", "coherence_circulant", "mutual_coherence",
     "autocorrelation_bound_check", "bound_table_report", "dct_coherence_report", "bound_table_csv",
     "RecoveryProblem", "RecoveryResult", "omp", "subspace_pursuit",

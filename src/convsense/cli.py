@@ -32,7 +32,7 @@ import numpy as np
 from . import sequences as seqs
 from .coherence import bound_table_csv, coherence_row
 from .harness import (ExperimentConfig, GOLAY_PAPR_LIMIT, PAPR_HEADER,
-                      REFERENCE_OFDM_OUTPUT_SNR_DB,
+                      PAPR_OVERSAMPLE, REFERENCE_OFDM_OUTPUT_SNR_DB,
                       audit_gauss, audit_papr, ofdm_reference_config,
                       papr as papr_of, run_dct_experiment,
                       run_ofdm_experiment, run_phase_transition,
@@ -204,7 +204,8 @@ def _cmd_papr(args) -> int:
         _require_flags(args, ("n",), "papr --seq")
         s = seqs.family(args.seq).build(args.n, _seq_params(args))
         value = papr_of(s.values)
-        csv_text = _csv(PAPR_HEADER, [[args.seq, args.n, 16, value]])
+        csv_text = _csv(PAPR_HEADER,
+                        [[args.seq, args.n, PAPR_OVERSAMPLE, value]])
         ok = value <= GOLAY_PAPR_LIMIT if args.seq == "golay" else True
     _emit(args, "papr", csv_text)
     return EXIT_OK if ok else EXIT_VIOLATION
@@ -223,7 +224,7 @@ def _cmd_recover(args) -> int:
                            basis=args.basis, solver=args.solver)
     rng = np.random.default_rng(args.seed)
     theta = _operator_draw(cfg)(rng)
-    f, support = _sparse_signal(rng, args.n, args.k, zero_mean=False)
+    f, support = _sparse_signal(rng, args.n, args.k)
     y0 = theta.forward(f)
     rows, ok = [], True
     for snr in args.snr_list or [None]:

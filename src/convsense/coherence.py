@@ -41,6 +41,7 @@ from .operators import (Basis, CirculantOperator, _csv, _unit_block,
 from .sequences import Sequence
 
 _PASS_SLACK = 1e-9
+_COLUMN_BLOCK = 128  # columns of Psi per block in mutual_coherence
 
 
 @dataclass(frozen=True)
@@ -71,14 +72,13 @@ def coherence_circulant(a: CirculantOperator) -> float:
     return float(np.max(np.abs(a.filter)))
 
 
-def mutual_coherence(a: CirculantOperator, psi: Basis,
-                     block: int = 128) -> float:
-    """Largest entry magnitude of A @ Psi, streamed in column blocks of
-    Psi so memory stays O(N * block) at any size."""
+def mutual_coherence(a: CirculantOperator, psi: Basis) -> float:
+    """Largest entry magnitude of A @ Psi, streamed in blocks of 128
+    columns of Psi so memory stays O(N) at any size."""
     n = a.n
     worst = 0.0
-    for lo in range(0, n, block):
-        hi = min(lo + block, n)
+    for lo in range(0, n, _COLUMN_BLOCK):
+        hi = min(lo + _COLUMN_BLOCK, n)
         prod = a.apply_batch(psi.apply(_unit_block(n, np.arange(lo, hi))))
         worst = max(worst, float(np.max(np.abs(prod))))
     return worst

@@ -41,14 +41,16 @@ from .coherence import bound_table_report, bound_table_csv, dct_coherence_report
 from .operators import (Basis, build_circulant, equispaced_sampling,
                         random_sampling, SensingOperator, StackedOperator,
                         _csv)
-from .recovery import (RecoveryProblem, RecoveryResult, SOLVERS, _embed,
-                       _least_squares, _top_indices, subspace_pursuit,
+from .recovery import (RecoveryProblem, RecoveryResult, SOLVERS, _RIDGE,
+                       _embed, _least_squares, _top_indices, subspace_pursuit,
                        subspace_pursuit_block)
 
 _SNR_CAP_DB = 300.0
 
-# the PAPR table's columns, and the most a Golay row may read
+# the PAPR table's columns, its envelope grid (points per tone), and the
+# most a Golay row may read
 PAPR_HEADER = ["kind", "N", "oversample", "papr"]
+PAPR_OVERSAMPLE = 16
 GOLAY_PAPR_LIMIT = 2.01
 
 
@@ -98,7 +100,7 @@ def attc_channel(n: int) -> ChannelModel:
     return ChannelModel(n=n, taps=_ATTC_TAPS)
 
 
-def papr(sigma, oversample: int = 16) -> float:
+def papr(sigma, oversample: int = PAPR_OVERSAMPLE) -> float:
     """Peak-to-average power of the length-N tone sum
     (1/sqrt(N)) sum_n sigma_n exp(2j pi n t / T), evaluated on an
     oversample*N uniform grid via a zero-padded inverse FFT."""
@@ -131,6 +133,12 @@ def _require_counts(**counts: int) -> None:
             raise ValueError(f"{name} must be >= 1, got {value}")
 
 
+# the keys some experiment reads: a config that sets another is refused,
+# as a misspelt or retired key would only change the config hash
+_EXTRA_KEYS = ("real_taps", "k_grid", "m_grid", "bases", "image")
+_SOLVER_PARAM_KEYS = ("lam_rel",)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything that determines an experiment's output bytes."""
@@ -152,6 +160,13 @@ class ExperimentConfig:
 
     def __post_init__(self):
         _require_counts(n=self.n, m=self.m, k=self.k, trials=self.trials)
+        for name, given, known in (
+                ("extra", self.extra, _EXTRA_KEYS),
+                ("solver_params", self.solver_params, _SOLVER_PARAM_KEYS)):
+            for key in given:
+                if key not in known:
+                    raise ValueError(f"unknown {name} key {key!r}; "
+                                     f"expected one of {known}")
 
     def canonical_json(self) -> str:
         payload = dataclasses.asdict(self)
@@ -285,7 +300,7 @@ def _real_least_squares(cols: np.ndarray, y: np.ndarray) -> np.ndarray:
     a_t = np.swapaxes(a, 1, 2)
     gram = a_t @ a
     diag = np.arange(gram.shape[-1])
-    gram[:, diag, diag] += 1e-12
+    gram[:, diag, diag] += _RIDGE
     rhs = np.matvec(a_t, np.concatenate([y.real, y.imag], axis=1))
     return scipy.linalg.solve(gram, rhs[..., None], assume_a="pos")[..., 0]
 
@@ -469,20 +484,17 @@ class PhaseReport:
 
 
 def _sparse_signal(rng: np.random.Generator, n: int, k: int,
-                   zero_mean: bool, real_values: bool = False
+                   real_values: bool = False
                    ) -> Tuple[np.ndarray, np.ndarray]:
     """(signal, support).  Draw order: support via choice(n, k,
     replace=False), then one standard-normal block (complex: real then
-    imaginary).  Zero-mean mode subtracts the support mean (keeps the
-    support, kills the DC component)."""
+    imaginary)."""
     support = rng.choice(n, size=k, replace=False)
     f = np.zeros(n, dtype=np.complex128)
     vals = rng.standard_normal(k).astype(np.complex128)
     if not real_values:
         vals += 1j * rng.standard_normal(k)
     f[support] = vals
-    if zero_mean:
-        f[support] -= np.mean(f[support])
     return f, support
 
 
@@ -516,7 +528,7 @@ def _sign_test_p(wins: int, losses: int) -> float:
 
 # measurements a greedy solver needs per atom: OMP solves with K columns
 # (K <= M), subspace pursuit with up to 2K candidates (2K <= M)
-_ROWS_PER_ATOM = {"omp": 1, "sp": 2, "subspace_pursuit": 2}
+_ROWS_PER_ATOM = {"omp": 1, "sp": 2}
 
 
 def _grid_reason(name: str, grid: List[int], n: int) -> Optional[str]:
@@ -530,7 +542,7 @@ def _grid_reason(name: str, grid: List[int], n: int) -> Optional[str]:
 def run_phase_transition(cfg: ExperimentConfig) -> PhaseReport:
     """Noiseless success rates (``_recovered``) over a grid of
     (basis, K, M) cells; grids come from cfg.extra (k_grid, m_grid,
-    bases, zero_mean) and default to the single configured cell.  The
+    bases) and default to the single configured cell.  The
     same per-trial seeds are reused in every cell, pairing the grid.
     Cells the greedy solver cannot attempt (K > M for OMP, 2K > M for
     subspace pursuit) score zero successes without solving; any error
@@ -540,7 +552,6 @@ def run_phase_transition(cfg: ExperimentConfig) -> PhaseReport:
     k_grid = [int(v) for v in cfg.extra.get("k_grid", [cfg.k])]
     m_grid = [int(v) for v in cfg.extra.get("m_grid", [cfg.m])]
     bases = list(cfg.extra.get("bases", [cfg.basis]))
-    zero_mean = bool(cfg.extra.get("zero_mean", False))
     for basis_kind in bases:
         Basis(basis_kind)  # refuses an unknown basis
     for name, grid in (("K", k_grid), ("M", m_grid)):
@@ -558,7 +569,7 @@ def run_phase_transition(cfg: ExperimentConfig) -> PhaseReport:
                 trials = cfg.trials if feasible else 0
                 for _, _, rng in _trial_rngs(cfg.master_seed, trials):
                     theta = draw(rng, m, basis_kind)
-                    f, _ = _sparse_signal(rng, cfg.n, k, zero_mean)
+                    f, _ = _sparse_signal(rng, cfg.n, k)
                     result, = _solve(cell_cfg, [(theta, theta.forward(f))])
                     successes += _recovered(f, result.f_hat)
                 cells.append(PhaseCell(basis=basis_kind, k=k, m=m,
@@ -672,8 +683,7 @@ def run_dct_experiment(cfg: ExperimentConfig) -> DctReport:
         # (3) baseline spectrum
         theta_p = draw_proposed(rng)
         if image_path is None:
-            f_true, _ = _sparse_signal(rng, cfg.n, cfg.k, zero_mean=False,
-                                       real_values=True)
+            f_true, _ = _sparse_signal(rng, cfg.n, cfg.k, real_values=True)
             x_ref = basis.apply(f_true)
         else:
             x_ref = x_img
@@ -722,14 +732,12 @@ _DEFAULT_TABLE1_SIZES: Dict[str, Tuple[int, ...]] = {
 }
 
 
-def audit_coherence_bounds(sizes: Optional[Dict[str, Tuple[int, ...]]] = None,
-                 fzc_gamma: int = 1,
-                 dct_sizes: Tuple[int, ...] = (64, 256, 1024)
-                 ) -> AuditResult:
-    """Coherence-bound table plus the 6*sqrt(2) DCT mutual-coherence rows."""
-    reports = bound_table_report(sizes or _DEFAULT_TABLE1_SIZES,
-                            fzc_gamma=fzc_gamma)
-    reports += dct_coherence_report(dct_sizes, fzc_gamma)
+def audit_coherence_bounds() -> AuditResult:
+    """Coherence-bound table at ``_DEFAULT_TABLE1_SIZES`` plus the
+    6*sqrt(2) DCT mutual-coherence rows at N = 64, 256, 1024 (FZC with
+    gamma = 1 throughout)."""
+    reports = bound_table_report(_DEFAULT_TABLE1_SIZES)
+    reports += dct_coherence_report((64, 256, 1024))
     failures = tuple(
         f"{r.kind} N={r.n}: mu={r.mu_observed:.9g} > bound={r.bound:.9g}"
         for r in reports if not r.passed)
@@ -799,28 +807,27 @@ def audit_gauss(closed_form_max: int = 4096, identity_max: int = 256,
 
 
 def audit_papr(golay_sizes: Tuple[int, ...] = (256, 512, 1024),
-               random_n: int = 1024, random_seeds: int = 100,
-               oversample: int = 16) -> AuditResult:
+               random_seeds: int = 100) -> AuditResult:
     """PAPR table: Golay rows must sit within 2 +/- 0.01 and the smallest
-    random-phase PAPR over the seed set must be at least 4."""
+    random-phase PAPR at N = 1024 over the seed set must be at least 4."""
     if not golay_sizes:
         raise ValueError("golay_sizes must name at least one size")
-    _require_counts(random_n=random_n, random_seeds=random_seeds,
-                    oversample=oversample)
+    _require_counts(random_seeds=random_seeds)
+    random_n = 1024
     rows: List[list] = []
     failures: List[str] = []
     for n in golay_sizes:
-        val = papr(seqs.golay(n), oversample)
-        rows.append(["golay", n, oversample, val])
+        val = papr(seqs.golay(n))
+        rows.append(["golay", n, PAPR_OVERSAMPLE, val])
         if not (val <= GOLAY_PAPR_LIMIT):
             failures.append(
                 f"golay N={n}: PAPR {val:.6g} > {GOLAY_PAPR_LIMIT}")
     for n in golay_sizes:
-        rows.append(["fzc(gamma=1)", n, oversample,
-                     papr(seqs.fzc(n, 1), oversample)])
-    random_vals = [papr(seqs.random_phase(random_n, s), oversample)
+        rows.append(["fzc(gamma=1)", n, PAPR_OVERSAMPLE,
+                     papr(seqs.fzc(n, 1))])
+    random_vals = [papr(seqs.random_phase(random_n, s))
                    for s in range(random_seeds)]
-    rows += [[f"random_phase(seed={s})", random_n, oversample, val]
+    rows += [[f"random_phase(seed={s})", random_n, PAPR_OVERSAMPLE, val]
              for s, val in enumerate(random_vals)]
     if min(random_vals) < 4.0:
         failures.append(f"random_phase N={random_n}: min PAPR "

@@ -80,7 +80,6 @@ class CirculantOperator:
     filter: np.ndarray
     real_flag: bool
     unimodular: bool
-    source: str
 
     def __post_init__(self):
         spec = np.ascontiguousarray(self.spectrum, dtype=np.complex128)
@@ -111,7 +110,7 @@ class CirculantOperator:
         filt = np.sqrt(n) * np.fft.ifft(vals)
         return cls(n=n, spectrum=vals, filter=filt,
                    real_flag=float(np.max(np.abs(filt.imag))) <= _REAL_FLAG_TOL,
-                   unimodular=True, source="spectrum")
+                   unimodular=True)
 
     @classmethod
     def from_filter(cls, a: ArrayLike) -> "CirculantOperator":
@@ -123,7 +122,7 @@ class CirculantOperator:
         dev = float(np.max(np.abs(np.abs(spec) - 1.0))) if n else 0.0
         return cls(n=n, spectrum=spec, filter=vals,
                    real_flag=float(np.max(np.abs(vals.imag))) <= _REAL_FLAG_TOL,
-                   unimodular=dev <= 1e-9, source="filter")
+                   unimodular=dev <= 1e-9)
 
     # -- application --------------------------------------------------
     def apply(self, x: ArrayLike) -> np.ndarray:
@@ -216,16 +215,11 @@ def random_sampling(n: int, m: int, seed) -> SamplingSet:
     return SamplingSet(n=n, indices=arr[:m])
 
 
-def deterministic_sampling(n: int, indices) -> SamplingSet:
-    return SamplingSet(n=n, indices=np.asarray(indices, dtype=np.int64))
-
-
 def equispaced_sampling(n: int, m: int) -> SamplingSet:
     """The deterministic comparison pattern: index i -> floor(i*N/M)."""
     if not (1 <= m <= n):
         raise ValueError(f"require 1 <= M <= N, got M={m}, N={n}")
-    idx = (np.arange(m, dtype=np.int64) * n) // m
-    return deterministic_sampling(n, idx)
+    return SamplingSet(n=n, indices=(np.arange(m, dtype=np.int64) * n) // m)
 
 
 # ---------------------------------------------------------------------------
@@ -479,13 +473,3 @@ def vector_to_csv(v: np.ndarray) -> str:
     lines.extend(f"{float(x.real)!r},{float(x.imag)!r}" for x in vals)
     return "\n".join(lines) + "\n"
 
-
-def vector_from_csv(text: str) -> np.ndarray:
-    lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-    if not lines or lines[0].strip().lower() != "re,im":
-        raise ValueError("expected a re,im CSV header")
-    out = np.empty(len(lines) - 1, dtype=np.complex128)
-    for i, ln in enumerate(lines[1:]):
-        re_s, im_s = ln.split(",")
-        out[i] = complex(float(re_s), float(im_s))
-    return out

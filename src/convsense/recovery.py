@@ -345,6 +345,5 @@ def fista_lasso(p: RecoveryProblem) -> RecoveryResult:
 SOLVERS = {
     "omp": omp,
     "sp": subspace_pursuit,
-    "subspace_pursuit": subspace_pursuit,
     "fista": fista_lasso,
 }

@@ -640,10 +640,6 @@ def _random(draw: Callable, seeded: Callable) -> Family:
 
 # Entries call the generators through module globals looked up at call
 # time, so a generator rebound on this module is the one that runs.
-_PERFECT_BINARY = Family(
-    lambda n, p, rng=None: perfect_binary_from_m(m_sequence(_m_degree(n))),
-    _m_reason, domain="filter")
-
 FAMILIES: Dict[str, Family] = {
     "fzc": Family(lambda n, p, rng=None: fzc(n, int(p.get("gamma", 1))),
                   _fzc_reason, lambda n: (1.0, "1"), params=("gamma",)),
@@ -657,8 +653,9 @@ FAMILIES: Dict[str, Family] = {
     "m_sequence_filter": Family(
         lambda n, p, rng=None: m_sequence(_m_degree(n)), _m_reason,
         domain="filter"),
-    "perfect_binary_from_m": _PERFECT_BINARY,
-    "perfect_binary_filter": _PERFECT_BINARY,
+    "perfect_binary_filter": Family(
+        lambda n, p, rng=None: perfect_binary_from_m(
+            m_sequence(_m_degree(n))), _m_reason, domain="filter"),
     "golay": Family(lambda n, p, rng=None: golay(n), _golay_reason,
                     lambda n: (math.sqrt(2.0), "sqrt(2)")),
     # the odd-N bound fails at some admissible N (see convsense.coherence)

@@ -9,7 +9,6 @@ import pytest
 
 from convsense import recovery
 from convsense.cli import main
-from convsense.operators import vector_from_csv
 from convsense.sequences import FAMILIES
 
 
@@ -19,6 +18,13 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def read_vector(text):
+    """The values of a re,im vector CSV."""
+    lines = text.splitlines()
+    assert lines[0] == "re,im"
+    return np.array([complex(*map(float, ln.split(","))) for ln in lines[1:]])
+
+
 # ---------------------------------------------------------------------------
 # gen-seq
 # ---------------------------------------------------------------------------
@@ -26,7 +32,7 @@ def run(capsys, *argv):
 def test_gen_seq_csv_round_trip(capsys):
     code, out, err = run(capsys, "gen-seq", "--seq", "fzc", "--n", "16")
     assert code == 0
-    v = vector_from_csv(out)
+    v = read_vector(out)
     assert v.size == 16 and np.allclose(np.abs(v), 1.0)
     assert "perfect" in err
 
@@ -58,7 +64,7 @@ def test_gen_seq_writes_file(capsys, tmp_path):
     path = os.path.join(out_dir, "sequence.csv")
     assert out.strip() == path and os.path.exists(path)
     with open(path) as fh:
-        assert vector_from_csv(fh.read()).size == 31
+        assert read_vector(fh.read()).size == 31
 
 
 # ---------------------------------------------------------------------------
@@ -174,9 +180,13 @@ def usage_error(capsys, *argv):
      "--trials"),
     (("papr", "--trials", "0"), "--trials"),
     (("gauss-audit", "--n", "0"), "--n"),
+    # one name per solver and per family: the dropped aliases are refused
+    (("recover", "--n", "64", "--m", "16", "--k", "2", "--seq", "golay",
+      "--solver", "subspace_pursuit"), "--solver"),
+    (("gen-seq", "--n", "63", "--seq", "perfect_binary_from_m"), "--seq"),
 ], ids=["ofdm-seq-without-sizes", "phase-empty-k", "phase-trials-negative",
         "ofdm-trials-negative", "dct-trials-zero", "papr-trials-zero",
-        "gauss-audit-n-zero"])
+        "gauss-audit-n-zero", "recover-solver-alias", "gen-seq-family-alias"])
 def test_missing_and_nonpositive_counts_are_usage_errors(capsys, argv, flag):
     assert flag in usage_error(capsys, *argv)
 

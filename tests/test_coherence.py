@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
-from convsense import sequences as seqs
+from convsense import coherence, sequences as seqs
 from convsense.coherence import (coherence_circulant, autocorrelation_bound_check,
                                  mutual_coherence, bound_table_csv,
                                  bound_table_report, coherence_row,
@@ -26,13 +26,14 @@ def test_coherence_is_max_filter_entry():
 
 @pytest.mark.parametrize("basis_kind", ["inverse_fourier", "inverse_dct2"])
 def test_mutual_coherence_matches_dense(basis_kind):
-    n = 40
+    # two column blocks, the second one partial
+    n = 200
+    assert n > coherence._COLUMN_BLOCK and n % coherence._COLUMN_BLOCK
     a = CirculantOperator.from_spectrum(seqs.fzc(n, 3))
     psi = Basis(basis_kind)
     want = np.max(np.abs(oracles.circulant_from_filter(a.filter)
                          @ psi.dense(n)))
-    assert mutual_coherence(a, psi, block=7) == pytest.approx(want,
-                                                              rel=1e-10)
+    assert mutual_coherence(a, psi) == pytest.approx(want, rel=1e-10)
 
 
 def test_fourier_basis_coherence_is_one_for_unimodular():

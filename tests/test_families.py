@@ -42,7 +42,12 @@ def test_build_raises_exactly_when_inadmissible(kind, data, gamma):
     if reason is None:
         circ = _build(kind, n, gamma)
         assert circ.n == n
-        assert circ.source == FAMILIES[kind].domain
+        # the family's values are stored as the domain it names
+        built = FAMILIES[kind].build(n, {"gamma": gamma},
+                                     np.random.default_rng(n))
+        stored = circ.filter if FAMILIES[kind].domain == "filter" \
+            else circ.spectrum
+        assert np.array_equal(stored, getattr(built, "values", built))
     else:
         with pytest.raises(ValueError):
             _build(kind, n, gamma)
@@ -93,6 +98,11 @@ def test_blocks_match_columns_in_every_basis(kind, data):
         lhs, rhs = np.vdot(tf, y), np.vdot(f, ty)
         assert abs(lhs - rhs) <= 1e-10 * np.linalg.norm(tf) \
             * np.linalg.norm(y)
+
+
+def test_no_two_family_names_share_one_family():
+    # a second name would build the same operators under another hash
+    assert len({id(fam) for fam in FAMILIES.values()}) == len(FAMILIES)
 
 
 def test_unknown_kind_is_a_value_error():

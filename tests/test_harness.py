@@ -307,7 +307,7 @@ def test_solve_keeps_the_top_k_atoms_of_a_larger_greedy_estimate():
     cfg = ExperimentConfig(experiment="ofdm", n=128, m=40, k=8,
                            sequence_kind="golay", solver="sp")
     theta = harness._operator_draw(cfg)(rng)
-    f, _ = harness._sparse_signal(rng, 128, 8, zero_mean=False)
+    f, _ = harness._sparse_signal(rng, 128, 8)
     y0 = theta.forward(f)
     y = harness._add_noise(y0, harness._noise(rng, y0.size), 20.0)
     sp = recovery.subspace_pursuit(recovery.RecoveryProblem(theta, y, k=8))
@@ -418,13 +418,18 @@ def test_phase_csv_bytes_pinned(case):
     assert hashlib.sha256(csv.encode()).hexdigest() == _PHASE_SHA256[case]
 
 
-def test_phase_zero_mean_mode():
-    cfg = ExperimentConfig(
-        experiment="phase", n=63, m=32, k=3,
-        sequence_kind="m_sequence_filter", solver="sp", trials=10,
-        master_seed=1, extra={"zero_mean": True})
-    report = run_phase_transition(cfg)
-    assert report.cells[0].success_rate == 1.0
+@pytest.mark.parametrize("field, mapping", [
+    ("extra", {"zero_mean": True}),   # a retired phase-grid mode
+    ("extra", {"k-grid": [2]}),       # a misspelt grid key
+    ("solver_params", {"lam": 1.0}),  # FISTA reads lam_rel
+], ids=["zero_mean", "k-grid", "lam"])
+def test_config_refuses_keys_that_nothing_reads(field, mapping):
+    # an unread key would change only the config hash, not the run
+    key, = mapping
+    with pytest.raises(ValueError, match=f"{field} key '{key}'"):
+        ExperimentConfig(experiment="phase", n=63, m=32, k=3,
+                         sequence_kind="m_sequence_filter",
+                         **{field: mapping})
 
 
 # ---------------------------------------------------------------------------
@@ -522,7 +527,7 @@ def test_fista_refit_is_least_squares_on_the_top_k_support():
     theta = SensingOperator(build_circulant("fzc", 64, {}),
                             random_sampling(64, 32, rng),
                             Basis("inverse_dct2"))
-    f, _ = harness._sparse_signal(rng, 64, 3, zero_mean=False)
+    f, _ = harness._sparse_signal(rng, 64, 3)
     y0 = theta.forward(f)
     y = harness._add_noise(y0, harness._noise(rng, y0.size), 20.0)
     lasso = recovery.fista_lasso(recovery.RecoveryProblem(
@@ -630,12 +635,11 @@ def test_dct_image_mode(tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_audit_coherence_bounds():
-    res = audit_coherence_bounds(sizes={"fzc": [64], "golay": [20, 26]},
-                       dct_sizes=[64])
+    res = audit_coherence_bounds()
     assert res.ok and not res.failures
     lines = res.csv.splitlines()
     assert lines[0] == "kind,N,mu_observed,bound,margin,pass"
-    assert len(lines) == 5  # 3 sequence rows + 1 dct row
+    assert len(lines) == 28  # 24 sequence rows + 3 dct rows
 
 
 def test_audit_gauss_small():
@@ -645,7 +649,7 @@ def test_audit_gauss_small():
 
 
 def test_audit_papr_small():
-    res = audit_papr(golay_sizes=(64,), random_n=128, random_seeds=5)
+    res = audit_papr(golay_sizes=(64,), random_seeds=5)
     assert res.ok
     lines = res.csv.splitlines()
     assert lines[0] == "kind,N,oversample,papr"
@@ -656,8 +660,6 @@ def test_audit_papr_small():
 @pytest.mark.parametrize("kwargs, name", [
     (dict(golay_sizes=()), "golay_sizes"),
     (dict(random_seeds=0), "random_seeds"),
-    (dict(random_n=0), "random_n"),
-    (dict(oversample=0), "oversample"),
 ])
 def test_audit_papr_refuses_to_check_nothing(kwargs, name):
     with pytest.raises(ValueError, match=name):
@@ -682,6 +684,6 @@ def test_audit_papr_fails_when_random_phase_papr_drops_below_4(monkeypatch):
         return real_papr(sigma, oversample)
 
     monkeypatch.setattr(harness, "papr", low_random_rows)
-    res = audit_papr(golay_sizes=(64,), random_n=128, random_seeds=3)
+    res = audit_papr(golay_sizes=(64,), random_seeds=3)
     assert res.ok is False
     assert any("random_phase" in f for f in res.failures)
