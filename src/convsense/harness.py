@@ -134,8 +134,10 @@ def _require_counts(**counts: int) -> None:
 
 
 # the keys some experiment reads: a config that sets another is refused,
-# as a misspelt or retired key would only change the config hash
-_EXTRA_KEYS = ("real_taps", "k_grid", "m_grid", "bases", "image")
+# as a misspelt or retired key would only change the config hash; each
+# extra key maps to the one experiment that reads it (None: every one)
+_EXTRA_READERS = {"real_taps": None, "k_grid": "phase", "m_grid": "phase",
+                  "bases": "phase", "image": "dct"}
 _SOLVER_PARAM_KEYS = ("lam_rel",)
 
 
@@ -161,12 +163,18 @@ class ExperimentConfig:
     def __post_init__(self):
         _require_counts(n=self.n, m=self.m, k=self.k, trials=self.trials)
         for name, given, known in (
-                ("extra", self.extra, _EXTRA_KEYS),
+                ("extra", self.extra, tuple(_EXTRA_READERS)),
                 ("solver_params", self.solver_params, _SOLVER_PARAM_KEYS)):
             for key in given:
                 if key not in known:
                     raise ValueError(f"unknown {name} key {key!r}; "
                                      f"expected one of {known}")
+        for key in self.extra:
+            reader = _EXTRA_READERS[key]
+            if reader not in (None, self.experiment):
+                raise ValueError(
+                    f"extra key {key!r} is read only by the {reader!r} "
+                    f"experiment, not {self.experiment!r}")
 
     def canonical_json(self) -> str:
         payload = dataclasses.asdict(self)

@@ -209,7 +209,8 @@ def random_sampling(n: int, m: int, seed) -> SamplingSet:
     if not (1 <= m <= n):
         raise ValueError(f"require 1 <= M <= N, got M={m}, N={n}")
     rng = np.random.default_rng(seed)
-    arr = np.arange(n, dtype=np.int64)
+    # swaps on a Python list: indexing an int64 array makes numpy scalars
+    arr = list(range(n))
     for i, j in enumerate(rng.integers(np.arange(m), n).tolist()):
         arr[i], arr[j] = arr[j], arr[i]
     return SamplingSet(n=n, indices=arr[:m])

@@ -104,6 +104,10 @@ def omp(p: RecoveryProblem) -> RecoveryResult:
     """Orthogonal matching pursuit: K rounds of pick-the-most-correlated
     atom, least-squares refit, stopping early at residual 1e-6*||y||.
 
+    Each round builds only the new atom's column and appends it to the
+    (M, i) block kept from the rounds before; the least squares is then
+    re-solved on the whole block, so a K-round solve builds K columns.
+
     ``converged`` reports whether that residual threshold was reached
     (always true on noiseless solvable instances, false under noise)."""
     if p.k is None or p.k < 1:
@@ -115,6 +119,7 @@ def omp(p: RecoveryProblem) -> RecoveryResult:
     ynorm = float(np.linalg.norm(y))
     support: list = []
     coef = np.zeros(0, dtype=np.complex128)
+    cols = np.zeros((op.m, 0), dtype=np.complex128)
     r = y.copy()
     iterations = 0
     for _ in range(p.k):
@@ -124,7 +129,9 @@ def omp(p: RecoveryProblem) -> RecoveryResult:
         if support:
             mags[np.asarray(support)] = -1.0
         support.append(int(np.argmax(mags)))
-        cols = op.columns(np.asarray(support, dtype=np.int64))
+        # concatenate keeps the C-contiguous (M, i) layout ``columns``
+        # returns; the layout picks the BLAS kernel, and so the rounding
+        cols = np.concatenate((cols, op.columns(support[-1:])), axis=1)
         coef = _least_squares(cols, y)
         r = y - cols @ coef
         iterations += 1

@@ -432,6 +432,35 @@ def test_config_refuses_keys_that_nothing_reads(field, mapping):
                          **{field: mapping})
 
 
+@pytest.mark.parametrize("experiment, extra, key", [
+    ("ofdm", {"real_taps": True, "k_grid": [2], "image": "none.pgm"},
+     "k_grid"),
+    ("ofdm", {"real_taps": True, "image": "none.pgm"}, "image"),
+    ("dct", {"m_grid": [16]}, "m_grid"),
+    ("recover", {"bases": ["identity"]}, "bases"),
+    ("phase", {"image": "none.pgm"}, "image"),
+], ids=["ofdm-k_grid", "ofdm-image", "dct-m_grid", "recover-bases",
+        "phase-image"])
+def test_config_refuses_keys_its_experiment_does_not_read(experiment, extra,
+                                                          key):
+    # a key another experiment reads would change only this run's hash
+    with pytest.raises(ValueError, match=f"extra key '{key}' is read only "
+                                         f"by the '.+' experiment, not "
+                                         f"'{experiment}'"):
+        ExperimentConfig(experiment=experiment, n=256, m=32, k=6,
+                         sequence_kind="golay", extra=extra)
+
+
+def test_config_accepts_the_keys_its_experiment_reads():
+    for experiment, extra in (
+            ("ofdm", {"real_taps": True}),
+            ("phase", {"real_taps": False, "k_grid": [2], "m_grid": [16],
+                       "bases": ["identity"]}),
+            ("dct", {"real_taps": False, "image": "none.pgm"})):
+        ExperimentConfig(experiment=experiment, n=256, m=32, k=6,
+                         sequence_kind="golay", extra=extra)
+
+
 # ---------------------------------------------------------------------------
 # DCT experiment and PGM ingestion
 # ---------------------------------------------------------------------------

@@ -320,6 +320,31 @@ def test_columns_match_forward_batch(circ_name, basis_kind):
                                    rtol=0, atol=1e-13)
 
 
+@pytest.mark.parametrize("basis_kind", ["identity", "inverse_fourier",
+                                        "inverse_dct2"])
+@pytest.mark.parametrize("circ_name", sorted(_COLUMN_CIRCULANTS))
+def test_column_block_equals_its_one_column_builds(circ_name, basis_kind):
+    # OMP appends one newly built column per round to the block of the
+    # rounds before, so a block must equal its columns built one at a time
+    # bit for bit (for inverse DCT-II: pocketfft transforms each column of
+    # an (N, c) block as it transforms a single column)
+    circ = _COLUMN_CIRCULANTS[circ_name]()
+    n = circ.n
+    rng = np.random.default_rng(11)
+    theta = SensingOperator(circ, random_sampling(n, 60, rng),
+                            Basis(basis_kind))
+    for idx in (rng.permutation(n)[:16], [n - 1, 3, 0, 2, n - 2, 1],
+                rng.permutation(n)[:33].tolist() + [n - 1]):
+        idx = np.asarray(idx, dtype=np.int64)
+        got = theta.columns(idx)
+        one_by_one = np.concatenate(
+            [theta.columns(idx[j:j + 1]) for j in range(idx.size)], axis=1)
+        assert np.array_equal(got, one_by_one)
+        # and every leading block, as OMP's block grows
+        for c in (1, 2, 5, idx.size - 1):
+            assert np.array_equal(theta.columns(idx[:c]), got[:, :c])
+
+
 def _reference_columns(theta, idx):
     """Theta[:, idx] by the one-operator formulas the stacked form replaced
     (kept as the bit-for-bit reference)."""

@@ -9,9 +9,11 @@ import oracles
 from convsense import harness
 from convsense import sequences as seqs
 from convsense.operators import (Basis, CirculantOperator, SensingOperator,
-                                 random_sampling)
-from convsense.recovery import (RecoveryProblem, RecoveryResult, SOLVERS,
-                                _fista_stage, _power_iteration_step_bound,
+                                 StackedOperator, random_sampling)
+from convsense.recovery import (_OMP_STOP_REL, RecoveryProblem,
+                                RecoveryResult, SOLVERS, _embed,
+                                _fista_stage, _least_squares,
+                                _power_iteration_step_bound,
                                 _soft_threshold, _top_indices, fista_lasso,
                                 omp, subspace_pursuit, subspace_pursuit_block)
 
@@ -196,6 +198,91 @@ def test_sp_block_equals_the_one_problem_reference(basis, kind, sampling):
                          "converged"):
                 assert np.array_equal(getattr(g, name), getattr(w, name)), \
                     name
+
+
+# The OMP that rebuilt its whole support's columns every round, kept
+# verbatim as the bit-for-bit reference for the one that appends a column.
+
+def _reference_omp(p: RecoveryProblem) -> RecoveryResult:
+    if p.k is None or p.k < 1:
+        raise ValueError("omp requires a positive sparsity K")
+    op = p.operator
+    if p.k > op.m:
+        raise ValueError(f"K={p.k} exceeds M={op.m}")
+    y = p.y
+    ynorm = float(np.linalg.norm(y))
+    support: list = []
+    coef = np.zeros(0, dtype=np.complex128)
+    r = y.copy()
+    iterations = 0
+    for _ in range(p.k):
+        if float(np.linalg.norm(r)) <= _OMP_STOP_REL * ynorm:
+            break
+        mags = np.abs(op.adjoint(r))
+        if support:
+            mags[np.asarray(support)] = -1.0
+        support.append(int(np.argmax(mags)))
+        cols = op.columns(np.asarray(support, dtype=np.int64))
+        coef = _least_squares(cols, y)
+        r = y - cols @ coef
+        iterations += 1
+    sup = np.asarray(support, dtype=np.int64)
+    order = np.argsort(sup)
+    f_hat = _embed(op.n, sup[order], coef[order])
+    res = float(np.linalg.norm(r))
+    return RecoveryResult(f_hat=f_hat, support=np.sort(sup),
+                          iterations=iterations, residual_norm=res,
+                          converged=res <= _OMP_STOP_REL * ynorm)
+
+
+@pytest.mark.parametrize("basis", ["identity", "inverse_fourier",
+                                   "inverse_dct2"])
+@pytest.mark.parametrize("kind, sampling", [("golay", "random"),
+                                            ("random_phase", "equispaced")])
+def test_omp_equals_the_rebuild_every_column_reference(basis, kind,
+                                                       sampling):
+    # N = 1024 as in the phase grid; noiseless signals sparser than K stop
+    # early at the 1e-6 residual, noisy ones run all K rounds
+    cfg = harness.ExperimentConfig(experiment="omp", n=1024, m=128, k=16,
+                                   sequence_kind=kind, basis=basis,
+                                   sampling_mode=sampling)
+    draw = harness._operator_draw(cfg)
+    early = 0
+    for seed, (k_signal, k, snr) in enumerate([
+            (5, 16, None), (16, 16, None), (4, 4, None), (16, 16, 20.0),
+            (3, 8, 10.0), (10, 16, 30.0)]):
+        rng = np.random.default_rng(seed)
+        theta = draw(rng)
+        f, _ = harness._sparse_signal(rng, cfg.n, k_signal)
+        y = theta.forward(f)
+        if snr is not None:
+            y = harness._add_noise(y, harness._noise(rng, cfg.m), snr)
+        p = RecoveryProblem(theta, y, k=k)
+        got, want = omp(p), _reference_omp(p)
+        early += want.converged and want.iterations < k
+        for name in ("f_hat", "support", "iterations", "residual_norm",
+                     "converged"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), \
+                (seed, name)
+    assert early > 0
+
+
+def test_omp_builds_each_column_once(monkeypatch):
+    # a K-round solve builds K columns; rebuilding the support every round
+    # built K(K+1)/2 (136 at K = 16)
+    theta, f, support, y = _problem(n=256, m=128, k=16, seed=3,
+                                    basis="inverse_dct2")
+    built = []
+    real = StackedOperator.columns
+
+    def counted(self, idx):
+        built.append(np.shape(idx)[-1])
+        return real(self, idx)
+    monkeypatch.setattr(StackedOperator, "columns", counted)
+    res = omp(RecoveryProblem(operator=theta, y=y, k=16))
+    assert res.iterations == 16 and res.converged
+    assert set(res.support.tolist()) == set(support.tolist())
+    assert built == [1] * 16
 
 
 def test_frequency_domain_recovery():
