@@ -38,7 +38,7 @@ from .harness import (ExperimentConfig, GOLAY_PAPR_LIMIT, PAPR_HEADER,
                       run_ofdm_experiment, run_phase_transition,
                       _add_noise, _grid_reason, _noise, _operator_draw,
                       _recovered, _rel_error, _solve, _sparse_signal)
-from .operators import _BASIS_KINDS, _csv, vector_to_csv
+from .operators import _BASIS_KINDS, Basis, _csv, vector_to_csv
 from .recovery import SOLVERS
 
 EXIT_OK = 0
@@ -126,11 +126,10 @@ def _parse_count_list(text: str) -> List[int]:
 
 
 def _parse_basis_list(text: str) -> List[str]:
-    for kind in text.split(","):
-        if kind not in _BASIS_KINDS:
-            raise argparse.ArgumentTypeError(
-                f"unknown basis {kind!r}; expected one of {_BASIS_KINDS}")
-    return text.split(",")
+    try:
+        return [Basis(kind).kind for kind in text.split(",")]
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _parse_float_list(text: str) -> List[float]:
@@ -270,6 +269,17 @@ def _cmd_exp_ofdm(args) -> int:
                                       trials=args.trials or 500,
                                       master_seed=args.seed)
                 for scheme in ("proposed", "baseline")]
+        # a flag the reference does not run as given is refused, not
+        # ignored (gamma: no reference family reads it, 1 is its default)
+        unread = [flag for flag, as_run in (
+            ("--n", args.n is None), ("--m", args.m is None),
+            ("--k", args.k is None), ("--snr-list", args.snr_list is None),
+            ("--solver", args.solver == cfgs[0].solver),
+            ("--gamma", args.gamma == 1)) if not as_run]
+        if unread:
+            raise ValueError(f"exp-ofdm without --seq runs the reference "
+                             f"configuration, which does not read "
+                             f"{', '.join(unread)}")
     else:
         # custom mode: one scheme, reported without a reference check
         _require_flags(args, ("n", "m", "k"), "exp-ofdm --seq")

@@ -135,15 +135,15 @@ def coherence_row(kind: str, n: int, params: dict,
                            bound_label=bound_label)
 
 
-def bound_table_report(n_lists: Dict[str, Iterable[int]],
-                  fzc_gamma: int = 1) -> List[CoherenceReport]:
+def bound_table_report(n_lists: Dict[str, Iterable[int]]
+                       ) -> List[CoherenceReport]:
     """One CoherenceReport per (kind, N) for families with a closed
-    bound.  Inadmissible sizes produce a skipped row (note says why,
-    never counted as a failure)."""
+    bound, FZC at gamma = 1.  Inadmissible sizes produce a skipped row
+    (note says why, never counted as a failure)."""
     for kind in n_lists:
         if seqs.family(kind).bound is None:
             raise ValueError(f"{kind!r} has no closed coherence bound")
-    return [coherence_row(kind, int(n), {"gamma": fzc_gamma})
+    return [coherence_row(kind, int(n), {"gamma": 1})
             for kind, ns in n_lists.items() for n in ns]
 
 

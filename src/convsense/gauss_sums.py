@@ -151,26 +151,43 @@ class BoundCheckRecord:
 
 _SOFT_BASE_4K1 = 1.07
 
-# N mod 4 -> (case, scale on |G(m)|/sqrt(N), largest m, bound(N, c), hard),
-# with c the additive constant fitted over the sweep's 4k+1 sizes
-_GN_CASES = {
-    0: ("quarter0", 2.0, lambda n: n // 2,
-        lambda n, c: math.sqrt(2.0), True),
-    1: ("quarter1_soft", 2.0, lambda n: (n - 1) // 2,
-        lambda n, c: _SOFT_BASE_4K1 + c / math.sqrt(n), False),
-    2: ("quarter2", 2.0, lambda n: n,
-        lambda n, c: 0.95 + (101.0 / 40.0) / math.sqrt(n), True),
-    3: ("quarter3_half_normalized", 1.0, lambda n: (n - 1) // 2,
-        lambda n, c: math.sqrt(1.0 + 1.0 / n), True),
+# kind -> (summed family, smallest N, records grouped by case or in order
+# of N, cases); a case is (name, (modulus, residue) of the N it covers,
+# scale(N) on |S(m)|, m range searched (lo, hi)(N), bound(N, c), hard),
+# with c the additive constant fitted over the sweep's soft-case sizes
+_BOUND_CASES = {
+    "gn_normalized": ("gn", 4, True, (
+        ("quarter0", (4, 0), lambda n: 2.0 / math.sqrt(n),
+         lambda n: (0, n // 2), lambda n, c: math.sqrt(2.0), True),
+        ("quarter1_soft", (4, 1), lambda n: 2.0 / math.sqrt(n),
+         lambda n: (0, (n - 1) // 2),
+         lambda n, c: _SOFT_BASE_4K1 + c / math.sqrt(n), False),
+        ("quarter2", (4, 2), lambda n: 2.0 / math.sqrt(n), lambda n: (0, n),
+         lambda n, c: 0.95 + (101.0 / 40.0) / math.sqrt(n), True),
+        ("quarter3_half_normalized", (4, 3), lambda n: 1.0 / math.sqrt(n),
+         lambda n: (0, (n - 1) // 2),
+         lambda n, c: math.sqrt(1.0 + 1.0 / n), True))),
+    "g2n": ("g2n", 2, False, (
+        ("even_head", (2, 0), lambda n: 1.0, lambda n: (0, n),
+         lambda n, c: math.sqrt(n), True),
+        ("even_tail", (2, 0), lambda n: 1.0, lambda n: (n + 1, 2 * n),
+         lambda n, c: 3.0 * math.sqrt(n) + 1.0, True),
+        ("odd_full", (2, 1), lambda n: 1.0, lambda n: (0, 2 * n),
+         lambda n, c: math.sqrt(2.0 * n) / 2.0
+         * (0.95 + (101.0 / 40.0) / math.sqrt(n)), True))),
+    "qn": ("qn", 1, False, (
+        ("full", (1, 0), lambda n: 1.0, lambda n: (0, n),
+         lambda n, c: 3.0 * math.sqrt(n), True),)),
 }
 
 
 def bound_check(kind: str, n_values: Iterable[int]) -> list:
     """Exhaustively evaluate a normalized-sum family over sizes and report
-    the worst observed value against its bound per case.
+    the worst observed value against its bound per case (the table
+    _BOUND_CASES; sizes below a kind's smallest N are skipped).
 
-    kind 'gn_normalized': g(m) = 2*|G(m)|/sqrt(N) with four cases by
-    N mod 4 (the table _GN_CASES):
+    kind 'gn_normalized' (N >= 4): g(m) = 2*|G(m)|/sqrt(N) with four
+    cases by N mod 4:
       * N=4k,   m <= N/2:  sqrt(2)
       * N=4k+1, m <  N/2:  1.07 + c/sqrt(N) with c fitted over the sweep
         (soft: reported, never failed — the additive constant is open)
@@ -179,58 +196,30 @@ def bound_check(kind: str, n_values: Iterable[int]) -> list:
         (the doubled normalization provably fails here; see the report
         case name 'quarter3_half_normalized')
     Records come grouped by N mod 4, in that order.
-    kind 'g2n': |G2(m)| against sqrt(N) for m <= N (N even), 3*sqrt(N)+1
-    for N < m <= 2N (N even), and (sqrt(2N)/2)*(0.95 + (101/40)/sqrt(N))
-    for m <= 2N (N odd).
-    kind 'qn': |Q(m)| <= 3*sqrt(N) for m <= N.
+    kind 'g2n' (N >= 2): |G2(m)| against sqrt(N) for m <= N (N even),
+    3*sqrt(N)+1 for N < m <= 2N (N even), and
+    (sqrt(2N)/2)*(0.95 + (101/40)/sqrt(N)) for m <= 2N (N odd).
+    kind 'qn' (N >= 1): |Q(m)| <= 3*sqrt(N) for m <= N.
+    Records of 'g2n' and 'qn' come in order of N.
     """
-    records = []
-    if kind == "gn_normalized":
-        per_case = {res: [] for res in _GN_CASES}
-        for n in n_values:
-            if n < 4:
-                continue
-            _, scale, largest_m, _, _ = _GN_CASES[n % 4]
-            mags = np.abs(gauss_sum_sweep("gn", n, n))[: largest_m(n) + 1]
-            vals = scale / math.sqrt(n) * mags
-            worst_m = int(np.argmax(vals))
-            per_case[n % 4].append((n, worst_m, float(vals[worst_m])))
-        c_fit = max([0.0] + [(obs - _SOFT_BASE_4K1) * math.sqrt(n)
-                             for n, _, obs in per_case[1]])
-        for res, rows in per_case.items():
-            case, _, _, bound, hard = _GN_CASES[res]
-            records += [BoundCheckRecord("gn_normalized", case, n, worst_m,
-                                         obs, bound(n, c_fit), hard)
-                        for n, worst_m, obs in rows]
-    elif kind == "g2n":
-        for n in n_values:
-            if n < 2:
-                continue
-            g = gauss_sum_sweep("g2n", n, 2 * n)
-            mags = np.abs(g)
-            if n % 2 == 0:
-                head = mags[: n + 1]
-                m0 = int(np.argmax(head))
-                records.append(BoundCheckRecord(
-                    "g2n", "even_head", n, m0, float(head[m0]),
-                    math.sqrt(n)))
-                tail = mags[n + 1:]
-                m1 = n + 1 + int(np.argmax(tail))
-                records.append(BoundCheckRecord(
-                    "g2n", "even_tail", n, m1, float(tail.max()),
-                    3.0 * math.sqrt(n) + 1.0))
-            else:
-                m0 = int(np.argmax(mags))
-                bound = math.sqrt(2.0 * n) / 2.0 * (0.95 + (101.0 / 40.0)
-                                                    / math.sqrt(n))
-                records.append(BoundCheckRecord(
-                    "g2n", "odd_full", n, m0, float(mags[m0]), bound))
-    elif kind == "qn":
-        for n in n_values:
-            q = np.abs(gauss_sum_sweep("qn", n, n))
-            m0 = int(np.argmax(q))
-            records.append(BoundCheckRecord(
-                "qn", "full", n, m0, float(q[m0]), 3.0 * math.sqrt(n)))
-    else:
+    if kind not in _BOUND_CASES:
         raise ValueError(f"unknown bound family {kind!r}")
-    return records
+    family, smallest_n, by_case, cases = _BOUND_CASES[kind]
+    found = []  # (case index, N, worst m, observed)
+    for n in n_values:
+        if n < smallest_n:
+            continue
+        mags = np.abs(gauss_sum_sweep(family, n))
+        for i, (_, (mod, res), scale, m_range, _, _) in enumerate(cases):
+            if n % mod == res:
+                lo, hi = m_range(n)
+                vals = scale(n) * mags[lo:hi + 1]
+                worst = int(np.argmax(vals))
+                found.append((i, n, lo + worst, float(vals[worst])))
+    c_fit = max([0.0] + [(obs - _SOFT_BASE_4K1) * math.sqrt(n)
+                         for i, n, _, obs in found if not cases[i][5]])
+    if by_case:
+        found.sort(key=lambda row: row[0])
+    return [BoundCheckRecord(kind, cases[i][0], n, worst_m, obs,
+                             cases[i][4](n, c_fit), cases[i][5])
+            for i, n, worst_m, obs in found]

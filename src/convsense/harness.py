@@ -28,6 +28,7 @@ import hashlib
 import itertools
 import json
 import math
+import re
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -133,12 +134,13 @@ def _require_counts(**counts: int) -> None:
             raise ValueError(f"{name} must be >= 1, got {value}")
 
 
-# the keys some experiment reads: a config that sets another is refused,
-# as a misspelt or retired key would only change the config hash; each
-# extra key maps to the one experiment that reads it (None: every one)
+# the keys something reads: a config that sets another is refused, as a
+# misspelt or retired key would only change the config hash; each extra
+# key maps to the one experiment that reads it (None: every one), each
+# solver_params key to the one solver that reads it
 _EXTRA_READERS = {"real_taps": None, "k_grid": "phase", "m_grid": "phase",
                   "bases": "phase", "image": "dct"}
-_SOLVER_PARAM_KEYS = ("lam_rel",)
+_SOLVER_PARAM_READERS = {"lam_rel": "fista"}
 
 
 @dataclass(frozen=True)
@@ -162,19 +164,18 @@ class ExperimentConfig:
 
     def __post_init__(self):
         _require_counts(n=self.n, m=self.m, k=self.k, trials=self.trials)
-        for name, given, known in (
-                ("extra", self.extra, tuple(_EXTRA_READERS)),
-                ("solver_params", self.solver_params, _SOLVER_PARAM_KEYS)):
-            for key in given:
-                if key not in known:
+        for name, readers, role, own in (
+                ("extra", _EXTRA_READERS, "experiment", self.experiment),
+                ("solver_params", _SOLVER_PARAM_READERS, "solver",
+                 self.solver)):
+            for key in getattr(self, name):
+                if key not in readers:
                     raise ValueError(f"unknown {name} key {key!r}; "
-                                     f"expected one of {known}")
-        for key in self.extra:
-            reader = _EXTRA_READERS[key]
-            if reader not in (None, self.experiment):
-                raise ValueError(
-                    f"extra key {key!r} is read only by the {reader!r} "
-                    f"experiment, not {self.experiment!r}")
+                                     f"expected one of {tuple(readers)}")
+                if readers[key] not in (None, own):
+                    raise ValueError(
+                        f"{name} key {key!r} is read only by the "
+                        f"{readers[key]!r} {role}, not {own!r}")
 
     def canonical_json(self) -> str:
         payload = dataclasses.asdict(self)
@@ -193,6 +194,14 @@ def trial_seed(master_seed: int, i: int) -> int:
     sha256("{master_seed}:{i}")."""
     digest = hashlib.sha256(f"{master_seed}:{i}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
+
+
+def _require_experiment(cfg: ExperimentConfig, experiment: str) -> None:
+    """Refuse a config labelled for another experiment: its hash and its
+    extra keys would describe a run that is not the one made."""
+    if cfg.experiment != experiment:
+        raise ValueError(f"the {experiment!r} experiment refuses a config "
+                         f"labelled for the {cfg.experiment!r} experiment")
 
 
 def _trial_rngs(master_seed: int, trials: int):
@@ -317,17 +326,6 @@ def _real_least_squares(cols: np.ndarray, y: np.ndarray) -> np.ndarray:
 # OFDM channel-estimation experiment
 # ---------------------------------------------------------------------------
 
-NOISE_CONVENTION_NOTE = (
-    "noise: complex circular Gaussian drawn per trial and rescaled so the "
-    "measurement-domain SNR 10*log10(||Theta x||^2/||e||^2) equals the "
-    "target exactly; per-trial output SNR is "
-    "10*log10(||x||^2/||x - x_hat||^2) on the channel estimate; the "
-    "'mean output SNR' row value is the dB of the MEAN LINEAR SNR ratio "
-    "over trials. The reference configuration refits real tap gains on "
-    "the recovered support (the benchmark channel is real). Reference "
-    "bands are +/-3 dB wide because the original tabulation does not "
-    "state its noise convention.")
-
 REFERENCE_OFDM_OUTPUT_SNR_DB = {
     # benchmark configuration N=1024, M=64, K=6, subspace pursuit,
     # real-tap refit enabled
@@ -371,7 +369,6 @@ class OfdmReport:
     config: ExperimentConfig
     rows: Tuple[SnrRow, ...]
     records: Tuple[TrialRecord, ...]
-    note: str = NOISE_CONVENTION_NOTE
 
     def summary_csv(self) -> str:
         h = self.config.config_hash()
@@ -428,6 +425,7 @@ def run_ofdm_experiment(cfg: ExperimentConfig) -> OfdmReport:
     unit noise are the same in every row: they are drawn once and the
     noise is scaled per row.  Trials go in blocks of ``_OFDM_BLOCK``,
     each SNR row of a block one ``_solve``."""
+    _require_experiment(cfg, "ofdm")
     channel = attc_channel(cfg.n)
     x = channel.impulse_response()
     true_support = channel.support
@@ -557,6 +555,7 @@ def run_phase_transition(cfg: ExperimentConfig) -> PhaseReport:
     raised while solving a feasible cell propagates.  Every basis and
     every K and M (1 <= K, M <= N) is checked before the first draw, so
     a bad grid fails before any cell runs."""
+    _require_experiment(cfg, "phase")
     k_grid = [int(v) for v in cfg.extra.get("k_grid", [cfg.k])]
     m_grid = [int(v) for v in cfg.extra.get("m_grid", [cfg.m])]
     bases = list(cfg.extra.get("bases", [cfg.basis]))
@@ -590,41 +589,30 @@ def run_phase_transition(cfg: ExperimentConfig) -> PhaseReport:
 # DCT-domain experiment
 # ---------------------------------------------------------------------------
 
+# an 8-bit PGM header: the magic, then width, height and maxval, each
+# after whitespace or comment lines, then one whitespace byte
+_PGM_HEADER = re.compile(rb"(P[25])" + 3 * rb"(?:\s|#[^\n]*\n)+(\d+)" + rb"\s")
+
+
 def read_pgm(path: str) -> np.ndarray:
     """8-bit grayscale PGM (P2 ascii or P5 binary) as floats in [0, 1]."""
     with open(path, "rb") as fh:
         data = fh.read()
-    tokens: List[bytes] = []
-    pos = 0
-    while len(tokens) < 4 and pos < len(data):
-        # skip whitespace and comment lines
-        while pos < len(data) and data[pos:pos + 1].isspace():
-            pos += 1
-        if pos < len(data) and data[pos:pos + 1] == b"#":
-            while pos < len(data) and data[pos] != 0x0A:
-                pos += 1
-            continue
-        start = pos
-        while pos < len(data) and not data[pos:pos + 1].isspace():
-            pos += 1
-        tokens.append(data[start:pos])
-    if len(tokens) < 4:
-        raise ValueError("truncated PGM header")
-    magic, w_s, h_s, maxval_s = tokens
-    width, height, maxval = int(w_s), int(h_s), int(maxval_s)
+    header = _PGM_HEADER.match(data)
+    if header is None:
+        raise ValueError(f"not a PGM file (magic {data[:2]!r})"
+                         if data[:2] not in (b"P2", b"P5")
+                         else "truncated PGM header")
+    width, height, maxval = (int(v) for v in header.group(2, 3, 4))
     if maxval <= 0 or maxval > 255:
         raise ValueError("only 8-bit PGM supported")
     count = width * height
-    if magic == b"P5":
-        pos += 1  # single whitespace after maxval
-        pix = np.frombuffer(data, dtype=np.uint8, count=count, offset=pos)
-    elif magic == b"P2":
-        vals = data[pos:].split()
-        if len(vals) < count:
-            raise ValueError("truncated PGM pixel data")
-        pix = np.array([int(v) for v in vals[:count]], dtype=np.uint8)
-    else:
-        raise ValueError(f"not a PGM file (magic {magic!r})")
+    pixels = data[header.end():]
+    if header.group(1) == b"P2":
+        pixels = bytes(int(v) for v in pixels.split()[:count])
+    if len(pixels) < count:
+        raise ValueError("truncated PGM pixel data")
+    pix = np.frombuffer(pixels, dtype=np.uint8, count=count)
     return pix.reshape(height, width).astype(np.float64) / maxval
 
 
@@ -670,6 +658,7 @@ def run_dct_experiment(cfg: ExperimentConfig) -> DctReport:
     exact one-sided sign test (``_sign_test_p``) asks whether the
     configured scheme beats the baseline on one paired outcome: success
     in synthetic mode, output SNR in image mode."""
+    _require_experiment(cfg, "dct")
     if (cfg.basis, cfg.sampling_mode) != ("inverse_dct2", "random"):
         raise ValueError("the DCT experiment runs basis 'inverse_dct2' with "
                          "'random' sampling, as its rows are labelled")

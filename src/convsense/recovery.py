@@ -259,23 +259,23 @@ def _fista_stage(op: SensingOperator, y: np.ndarray, L: float, lam: float,
         return 0.5 * float(np.linalg.norm(y - rf)) ** 2 \
             + lam * float(np.sum(np.abs(f)))
 
+    def step(z, rz):
+        """The proximal step from z (rz = Theta z): (f, Theta f, objective)."""
+        f_new = _soft_threshold(z - op.adjoint(rz - y) / L, lam / L)
+        rf_new = op.forward(f_new)
+        return f_new, rf_new, objective(f_new, rf_new)
+
     obj = objective(f, rf)
     z, rz = f, rf  # the momentum point and Theta z
     t = 1.0
     iterations = 0
     for _ in range(max_iters):
         iterations += 1
-        grad = op.adjoint(rz - y)
-        f_new = _soft_threshold(z - grad / L, lam / L)
-        rf_new = op.forward(f_new)
-        obj_new = objective(f_new, rf_new)
+        f_new, rf_new, obj_new = step(z, rz)
         if obj_new > obj:
             # restart momentum at the last good point
             t = 1.0
-            grad = op.adjoint(rf - y)
-            f_new = _soft_threshold(f - grad / L, lam / L)
-            rf_new = op.forward(f_new)
-            obj_new = objective(f_new, rf_new)
+            f_new, rf_new, obj_new = step(f, rf)
         t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
         beta = (t - 1.0) / t_new
         z = f_new + beta * (f_new - f)

@@ -9,6 +9,7 @@ import pytest
 
 from convsense import recovery
 from convsense.cli import main
+from convsense.harness import audit_papr
 from convsense.sequences import FAMILIES
 
 
@@ -184,11 +185,37 @@ def usage_error(capsys, *argv):
     (("recover", "--n", "64", "--m", "16", "--k", "2", "--seq", "golay",
       "--solver", "subspace_pursuit"), "--solver"),
     (("gen-seq", "--n", "63", "--seq", "perfect_binary_from_m"), "--seq"),
+    # the reference run reads none of these: refused, not ignored
+    (("exp-ofdm", "--trials", "2", "--n", "64"), "--n"),
+    (("exp-ofdm", "--trials", "2", "--m", "16"), "--m"),
+    (("exp-ofdm", "--trials", "2", "--k", "3"), "--k"),
+    (("exp-ofdm", "--trials", "2", "--snr-list", "5"), "--snr-list"),
+    (("exp-ofdm", "--trials", "2", "--solver", "omp"), "--solver"),
+    (("exp-ofdm", "--trials", "2", "--gamma", "7"), "--gamma"),
+    (("exp-ofdm", "--trials", "2", "--solver", "omp", "--snr-list", "5",
+      "--n", "64", "--m", "16", "--k", "3", "--gamma", "7"),
+     "--n, --m, --k, --snr-list, --solver, --gamma"),
 ], ids=["ofdm-seq-without-sizes", "phase-empty-k", "phase-trials-negative",
         "ofdm-trials-negative", "dct-trials-zero", "papr-trials-zero",
-        "gauss-audit-n-zero", "recover-solver-alias", "gen-seq-family-alias"])
+        "gauss-audit-n-zero", "recover-solver-alias", "gen-seq-family-alias",
+        "ofdm-reference-n", "ofdm-reference-m", "ofdm-reference-k",
+        "ofdm-reference-snr-list", "ofdm-reference-solver",
+        "ofdm-reference-gamma", "ofdm-reference-all"])
 def test_missing_and_nonpositive_counts_are_usage_errors(capsys, argv, flag):
     assert flag in usage_error(capsys, *argv)
+
+
+def test_papr_audit_mode(capsys):
+    code, out, _ = run(capsys, "papr", "--trials", "3")
+    lines = out.splitlines()
+    assert lines[0] == "kind,N,oversample,papr"
+    # three Golay rows, three FZC rows, three random-phase seeds
+    assert [ln.split(",")[0] for ln in lines[1:]] == \
+        ["golay"] * 3 + ["fzc(gamma=1)"] * 3 + \
+        [f"random_phase(seed={s})" for s in range(3)]
+    res = audit_papr(random_seeds=3)
+    assert out == res.csv
+    assert code == (0 if res.ok else 1)
 
 
 def test_papr_requires_n_with_seq(capsys):
@@ -283,6 +310,37 @@ def test_exp_ofdm_json(capsys):
     doc = json.loads(out)
     assert doc["config"]["sequence_kind"] == "fzc"
     assert len(doc["rows"]) == 1
+
+
+def test_exp_ofdm_benchmark_mode(capsys, tmp_path):
+    code, out, err = run(capsys, "exp-ofdm", "--trials", "2", "--format",
+                         "json")
+    doc = json.loads(out)
+    assert sorted(doc) == ["schemes", "tolerance_db", "violations"]
+    assert doc["tolerance_db"] == 3.0
+    assert [s["scheme"] for s in doc["schemes"]] == ["proposed", "baseline"]
+    misses = 0
+    for scheme in doc["schemes"]:
+        assert sorted(scheme) == ["config", "reference_output_snr_db",
+                                  "rows", "scheme"]
+        assert scheme["config"]["trials"] == 2
+        ref = {float(snr): value for snr, value
+               in scheme["reference_output_snr_db"].items()}
+        assert [row["input_snr_db"] for row in scheme["rows"]] == \
+            list(ref) == [0.0, 10.0, 20.0, 30.0]
+        misses += sum(abs(row["mean_output_snr_db"]
+                          - ref[row["input_snr_db"]]) > 3.0
+                      for row in scheme["rows"])
+    assert len(doc["violations"]) == misses
+    assert err.count("violation:") == misses
+    assert code == (1 if doc["violations"] else 0)
+    out_dir = str(tmp_path)
+    assert run(capsys, "exp-ofdm", "--trials", "2", "--out",
+               out_dir)[0] == code
+    with open(os.path.join(out_dir, "ofdm_summary.csv")) as fh:
+        assert len(fh.read().splitlines()) == 1 + 2 * 4
+    with open(os.path.join(out_dir, "ofdm_trials.csv")) as fh:
+        assert len(fh.read().splitlines()) == 1 + 2 * 4 * 2
 
 
 def test_exp_phase_grid(capsys):

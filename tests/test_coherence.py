@@ -112,7 +112,7 @@ def test_golay_certify_bytes_pinned():
 
 def test_fzc_coherence_exactly_one():
     for n, g in [(64, 1), (255, 2), (256, 3)]:
-        rep = bound_table_report({"fzc": [n]}, fzc_gamma=g)[0]
+        rep = coherence_row("fzc", n, {"gamma": g})
         assert rep.mu_observed == pytest.approx(1.0, abs=1e-10)
 
 

@@ -184,7 +184,8 @@ def test_ofdm_blocks_equal_a_per_trial_replay(kind, sampling, solver, snrs):
     # large lambda, which it solves in few iterations)
     cfg = _small_ofdm_cfg(sequence_kind=kind, sampling_mode=sampling,
                           solver=solver, snr_list=snrs,
-                          solver_params={"lam_rel": 0.05},
+                          solver_params={"lam_rel": 0.05}
+                          if solver == "fista" else {},
                           trials=harness._OFDM_BLOCK + 3)
     report = run_ofdm_experiment(cfg)
     assert [rec.index for rec in report.records] == \
@@ -451,6 +452,38 @@ def test_config_refuses_keys_its_experiment_does_not_read(experiment, extra,
                          sequence_kind="golay", extra=extra)
 
 
+@pytest.mark.parametrize("solver", ["sp", "omp"],
+                         ids=lambda solver: f"lam_rel-{solver}")
+def test_config_refuses_solver_params_its_solver_does_not_read(solver):
+    # only FISTA reads lam_rel; under a greedy solver it would change only
+    # the config hash
+    with pytest.raises(ValueError, match=f"solver_params key 'lam_rel' is "
+                                         f"read only by the 'fista' solver, "
+                                         f"not '{solver}'"):
+        ExperimentConfig(experiment="dct", n=128, m=32, k=4,
+                         sequence_kind="fzc", basis="inverse_dct2",
+                         solver=solver, solver_params={"lam_rel": 0.5})
+
+
+_RUNNERS = {"ofdm": run_ofdm_experiment, "phase": run_phase_transition,
+            "dct": run_dct_experiment}
+
+
+@pytest.mark.parametrize("runner, label", [
+    (runner, label) for runner in _RUNNERS
+    for label in ("ofdm", "phase", "dct", "recover") if label != runner])
+def test_runners_refuse_a_config_labelled_for_another_experiment(runner,
+                                                                  label):
+    # the config hash would name an experiment that is not what ran
+    cfg = ExperimentConfig(experiment=label, n=64, m=16, k=2,
+                           sequence_kind="golay", basis="inverse_dct2",
+                           trials=2)
+    with pytest.raises(ValueError, match=f"the '{runner}' experiment "
+                                         f"refuses a config labelled for "
+                                         f"the '{label}' experiment"):
+        _RUNNERS[runner](cfg)
+
+
 def test_config_accepts_the_keys_its_experiment_reads():
     for experiment, extra in (
             ("ofdm", {"real_taps": True}),
@@ -635,6 +668,31 @@ def test_read_pgm_rejects_other_formats(tmp_path):
         fh.write(b"P6\n2 2\n255\n" + bytes(12))
     with pytest.raises(ValueError):
         read_pgm(path)
+
+
+@pytest.mark.parametrize("data, message", [
+    (b"P5\n3 2\n", "truncated PGM header"),
+    (b"P5\n3 2\n0\n" + bytes(6), "only 8-bit PGM"),
+    (b"P5\n3 2\n300\n" + bytes(6), "only 8-bit PGM"),
+    (b"P2\n3 2\n255\n1 2 3\n4 5\n", "truncated PGM pixel data"),
+    (b"P5\n3 2\n255\n" + bytes(5), "truncated PGM pixel data"),
+    (b"P2\n2 1\n255\n1 300\n", "range"),
+], ids=["truncated-header", "maxval-0", "maxval-300", "short-p2",
+        "short-p5", "p2-sample-above-255"])
+def test_read_pgm_refuses_malformed_files(tmp_path, data, message):
+    path = tmp_path / "bad.pgm"
+    path.write_bytes(data)
+    with pytest.raises(ValueError, match=message):
+        read_pgm(str(path))
+
+
+@pytest.mark.parametrize("kind, pixels", [("P2", b"0 255\n51\n"),
+                                          ("P5", bytes([0, 255, 51]))])
+def test_read_pgm_reads_a_comment_between_size_and_maxval(tmp_path, kind,
+                                                          pixels):
+    path = tmp_path / "img.pgm"
+    path.write_bytes(kind.encode() + b" 3\t1\n# maxval next\n255\n" + pixels)
+    assert np.array_equal(read_pgm(str(path)), [[0.0, 1.0, 0.2]])
 
 
 def test_dct_image_mode(tmp_path):
