@@ -43,10 +43,7 @@ def main() -> None:
         label = "noiseless" if snr is None else f"{snr:g} dB"
         print(f"One K={K} problem at N={N}, M={M} ({label}):")
         for name in ("omp", "sp", "fista"):
-            lam = 1e-4 * float(np.max(np.abs(theta.adjoint(y)))) \
-                if name == "fista" else None
-            res = SOLVERS[name](
-                RecoveryProblem(operator=theta, y=y, k=K, lam=lam))
+            res = SOLVERS[name](RecoveryProblem(operator=theta, y=y, k=K))
             rel = np.linalg.norm(res.f_hat - f) / np.linalg.norm(f)
             hit = set(res.support.tolist()) >= set(support.tolist())
             print(f"  {name:6s} rel error {rel:9.2e}  "

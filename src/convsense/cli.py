@@ -58,15 +58,19 @@ def _seq_params(args) -> dict:
     return {"gamma": args.gamma, "seed": args.seed}
 
 
+def _recorded_params(args, kind: str) -> dict:
+    """--gamma as a config records it: when the family reads it, or when it
+    is not 1, so that the config refuses a gamma the family would ignore."""
+    read = "gamma" in seqs.family(kind).params
+    return {"gamma": args.gamma} if read or args.gamma != 1 else {}
+
+
 def _experiment_config(args, experiment: str, kind: str, trials: int,
                        **fields) -> ExperimentConfig:
-    """Config from the shared flags.  Only families that read gamma record
-    it in sequence_params, and so in the config hash."""
-    fam = seqs.family(kind)
-    params = {"gamma": args.gamma} if "gamma" in fam.params else {}
+    """Config from the shared flags (gamma as ``_recorded_params``)."""
     return ExperimentConfig(
         experiment=experiment, n=args.n, sequence_kind=kind,
-        sequence_params=params, solver=args.solver,
+        sequence_params=_recorded_params(args, kind), solver=args.solver,
         trials=args.trials or trials, master_seed=args.seed, **fields)
 
 
@@ -219,7 +223,7 @@ def _cmd_recover(args) -> int:
     fails ``harness._recovered`` is an acceptance violation."""
     cfg = ExperimentConfig(experiment="recover", n=args.n, m=args.m,
                            k=args.k, sequence_kind=args.seq,
-                           sequence_params={"gamma": args.gamma},
+                           sequence_params=_recorded_params(args, args.seq),
                            basis=args.basis, solver=args.solver)
     rng = np.random.default_rng(args.seed)
     theta = _operator_draw(cfg)(rng)

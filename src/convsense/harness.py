@@ -135,7 +135,8 @@ def _require_counts(**counts: int) -> None:
 
 
 # the keys something reads: a config that sets another is refused, as a
-# misspelt or retired key would only change the config hash; each extra
+# misspelt or retired key would only change the config hash (a
+# sequence_params key is read by the family that names it); each extra
 # key maps to the one experiment that reads it (None: every one), each
 # solver_params key to the one solver that reads it
 _EXTRA_READERS = {"real_taps": None, "k_grid": "phase", "m_grid": "phase",
@@ -164,6 +165,13 @@ class ExperimentConfig:
 
     def __post_init__(self):
         _require_counts(n=self.n, m=self.m, k=self.k, trials=self.trials)
+        reads = seqs.family(self.sequence_kind).params
+        for key in self.sequence_params:
+            if key not in reads:
+                raise ValueError(
+                    f"sequence_params key {key!r} is not read by the "
+                    f"{self.sequence_kind!r} family, which reads "
+                    f"{', '.join(reads) or 'none'}")
         for name, readers, role, own in (
                 ("extra", _EXTRA_READERS, "experiment", self.experiment),
                 ("solver_params", _SOLVER_PARAM_READERS, "solver",
@@ -264,13 +272,13 @@ def _solve(cfg: ExperimentConfig,
            block: List[Tuple[SensingOperator, np.ndarray]],
            k: Optional[int] = None) -> List[RecoveryResult]:
     """The one place estimates are formed, one per (Theta, y) problem of
-    the block: solve (greedy with K = cfg.k, FISTA with lambda = lam_rel *
-    max|Theta^* y|), keep the k (default cfg.k) largest atoms, and refit
-    once by least squares on them, over real coefficients when
-    cfg.extra["real_taps"] is set.  The refit debiases FISTA (GPSR:
-    Figueiredo, Nowak & Wright, 2007); a greedy estimate with at most k
-    atoms stands unless a real refit is asked for.  Iterations, residual
-    and convergence flag stay the solver's.
+    the block: solve (with K = cfg.k and cfg.solver_params), keep the k
+    (default cfg.k) largest atoms, and refit once by least squares on
+    them, over real coefficients when cfg.extra["real_taps"] is set.
+    The refit debiases FISTA (GPSR: Figueiredo, Nowak & Wright, 2007); a
+    greedy estimate with at most k atoms stands unless a real refit is
+    asked for.  Iterations, residual and convergence flag stay the
+    solver's.
 
     The library's subspace pursuit solves the whole block in lockstep;
     any other registered solver is called once per problem, in order.
@@ -281,13 +289,8 @@ def _solve(cfg: ExperimentConfig,
                          f"expected one of {sorted(SOLVERS)}")
     k = cfg.k if k is None else k
     real = bool(cfg.extra.get("real_taps"))
-    if cfg.solver == "fista":
-        lam_rel = float(cfg.solver_params.get("lam_rel", 1e-4))
-        problems = [RecoveryProblem(theta, y, lam=max(
-            lam_rel * float(np.max(np.abs(theta.adjoint(y)))), 1e-300))
-            for theta, y in block]
-    else:
-        problems = [RecoveryProblem(theta, y, k=cfg.k) for theta, y in block]
+    problems = [RecoveryProblem(theta, y, k=cfg.k, **cfg.solver_params)
+                for theta, y in block]
     results = subspace_pursuit_block(problems) \
         if solver is subspace_pursuit else [solver(p) for p in problems]
     refits: Dict[int, List[int]] = {}  # support size -> problems

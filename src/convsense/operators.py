@@ -30,7 +30,6 @@ from .sequences import Sequence
 _DENSE_GUARD = 4096
 _DENSE_BATCH = 256
 _UNIMODULAR_TOL = 1e-12
-_REAL_FLAG_TOL = 1e-10
 _ROUNDTRIP_TOL = 1e-10
 
 ArrayLike = Union[Sequence, np.ndarray, TypingSequence[complex]]
@@ -68,18 +67,12 @@ def _unit_block(n: int, idx: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CirculantOperator:
-    """Circulant A = (1/sqrt(N)) F^* diag(spectrum) F with cached filter.
-
-    ``filter`` is the first column of A; ``real_flag`` marks an exactly
-    real filter (conjugate-symmetric spectrum); ``unimodular`` records
-    whether |spectrum| = 1 everywhere, i.e. whether A^*A = N I holds.
-    """
+    """Circulant A = (1/sqrt(N)) F^* diag(spectrum) F with its filter,
+    the first column of A, cached."""
 
     n: int
     spectrum: np.ndarray
     filter: np.ndarray
-    real_flag: bool
-    unimodular: bool
 
     def __post_init__(self):
         spec = np.ascontiguousarray(self.spectrum, dtype=np.complex128)
@@ -108,21 +101,15 @@ class CirculantOperator:
             raise ValueError(
                 f"spectrum is not unimodular (max | |sigma|-1 | = {dev:.3e})")
         filt = np.sqrt(n) * np.fft.ifft(vals)
-        return cls(n=n, spectrum=vals, filter=filt,
-                   real_flag=float(np.max(np.abs(filt.imag))) <= _REAL_FLAG_TOL,
-                   unimodular=True)
+        return cls(n=n, spectrum=vals, filter=filt)
 
     @classmethod
     def from_filter(cls, a: ArrayLike) -> "CirculantOperator":
-        """Time-domain construction; spectrum may be non-unimodular, in
-        which case A is not a scaled isometry (recorded in .unimodular)."""
+        """Time-domain construction; the spectrum may be non-unimodular,
+        in which case A is not a scaled isometry."""
         vals = _as_array(a)
         n = vals.size
-        spec = np.fft.fft(vals) / np.sqrt(n)
-        dev = float(np.max(np.abs(np.abs(spec) - 1.0))) if n else 0.0
-        return cls(n=n, spectrum=spec, filter=vals,
-                   real_flag=float(np.max(np.abs(vals.imag))) <= _REAL_FLAG_TOL,
-                   unimodular=dev <= 1e-9)
+        return cls(n=n, spectrum=np.fft.fft(vals) / np.sqrt(n), filter=vals)
 
     # -- application --------------------------------------------------
     def apply(self, x: ArrayLike) -> np.ndarray:

@@ -8,8 +8,8 @@ FISTA minimizes 0.5*||y - Theta f||^2 + lambda*||f||_1, warm-started
 along a short geometric lambda path down to the posed lambda.
 
 Deterministic by construction: correlation and magnitude ties always
-break to the lowest index, and the FISTA step size comes from a
-fixed-seed power iteration, so reruns are bit-identical.
+break to the lowest index, and the FISTA step size is read off the
+circulant's spectrum in closed form, so reruns are bit-identical.
 """
 
 from __future__ import annotations
@@ -36,12 +36,15 @@ _FISTA_STAGE_MAX_ITERS = 200
 
 @dataclass(frozen=True)
 class RecoveryProblem:
-    """Measurements plus either a sparsity K (greedy) or lambda (LASSO)."""
+    """Measurements plus a sparsity K (greedy) or, for the LASSO, the
+    penalty as a fraction ``lam_rel`` of max|Theta^* y|: FISTA solves at
+    lambda = lam_rel * max|Theta^* y| (FPC's convention: Hale, Yin &
+    Zhang, 2008), so one setting poses every problem alike."""
 
     operator: SensingOperator
     y: np.ndarray
     k: Optional[int] = None
-    lam: Optional[float] = None
+    lam_rel: float = 1e-4
 
     def __post_init__(self):
         if not isinstance(self.operator, SensingOperator):
@@ -221,27 +224,10 @@ def subspace_pursuit(p: RecoveryProblem) -> RecoveryResult:
     return subspace_pursuit_block([p])[0]
 
 
-def _power_iteration_step_bound(op: SensingOperator) -> float:
-    """Largest eigenvalue of Theta^* Theta by at most 30 power-iteration
-    steps (1e-6 relative tolerance, fixed seed), inflated 0.1% so 1/L is
-    a safe step.  When Theta Theta^* = (N/M) I, as for a unimodular
-    spectrum with a unitary basis, it stops at step 3."""
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(op.n) + 1j * rng.standard_normal(op.n)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(30):
-        w = op.adjoint(op.forward(v))
-        nw = float(np.linalg.norm(w))
-        if nw == 0.0:
-            return 1.0
-        new_lam = nw
-        v = w / nw
-        if lam and abs(new_lam - lam) <= 1e-6 * lam:
-            lam = new_lam
-            break
-        lam = new_lam
-    return lam * (1.0 + 1e-3)
+def _step_bound(op: SensingOperator) -> float:
+    """FISTA's L, (N/M) max|sigma|^2 inflated 0.1% (``fista_lasso``)."""
+    return op.n / op.m * float(np.max(np.abs(op.circulant.spectrum) ** 2)) \
+        * (1.0 + 1e-3)
 
 
 def _soft_threshold(u: np.ndarray, tau: float) -> np.ndarray:
@@ -294,7 +280,8 @@ def fista_lasso(p: RecoveryProblem) -> RecoveryResult:
     under warm-started lambda-continuation (FPC: Hale, Yin & Zhang, 2008;
     SpaRSA: Wright, Nowak & Figueiredo, 2009).
 
-    Stages solve at lambdas falling geometrically from
+    The posed lambda is max(lam_rel max|Theta^* y|, 1e-300).  Stages
+    solve at lambdas falling geometrically from
     lambda_0 = 0.5 max|Theta^* y| to the posed lambda, each from the
     last stage's solution with momentum restarted.  An intermediate stage
     stops at 1e-5 relative objective change or 200 iterations; the last,
@@ -309,30 +296,43 @@ def fista_lasso(p: RecoveryProblem) -> RecoveryResult:
     steps with a sparse iterate.  ``_FISTA_LAM0_FACTOR`` (0.5) starts
     where the solution has only the strongest atoms (every lambda above
     max|Theta^* y| gives zero); ``_FISTA_STAGES`` (6) steps lambda down
-    by a factor of (lambda/lambda_0)^(1/5), about 5.5 at the experiments'
-    lambda = 1e-4 max|Theta^* y|, small enough that each stage's support
-    grows a little past the last; ``_FISTA_STAGE_STOP_REL`` (1e-5) only
+    by a factor of (lambda/lambda_0)^(1/5), about 5.5 at the default
+    lam_rel = 1e-4, small enough that each stage's support grows a
+    little past the last; ``_FISTA_STAGE_STOP_REL`` (1e-5) only
     has to bring an intermediate stage near its path point, since the
     next stage moves it again; ``_FISTA_STAGE_MAX_ITERS`` (200) bounds the
     intermediate stages to half the 2000-iteration total, so the last
     stage always has at least 1000.
 
-    Each iteration makes one forward and one adjoint (a restart one more
-    of each), and a solve one more adjoint for max|Theta^* y|: Theta z is
+    The step is 1/L with L = (N/M) max|sigma|^2 (1 + 1e-3), sigma the
+    circulant's spectrum, the 0.1% margin keeping 1/L safe when
+    max|sigma|^2 is rounded.  Theta Theta^* = (N/M) R F_u^* diag(|sigma|^2)
+    F_u R^* (R the sampling, F_u the unitary DFT), so ||Theta||^2 <=
+    (N/M) max|sigma|^2, with equality for a unimodular spectrum (every
+    other family) and for ``m_sequence_filter`` (|sigma|^2 =
+    1 + 1/N off bin 0, so the restricted matrix is (1 + 1/N) I -
+    (1/N) 11^*, top eigenvalue 1 + 1/N for M >= 2).  A hand-built
+    ``from_filter`` circulant with an uneven spectrum gets a safe but
+    larger L, and so more iterations, than ||Theta||^2 would give.
+
+    The set-up is one adjoint, which poses both lambda and lambda_0; the
+    start f = 0 has Theta f = 0 without a forward.  Each iteration makes
+    one forward and one adjoint (a restart one more of each): Theta z is
     carried by linearity beside the momentum point z, as the same
     combination of the two latest forwards, so its rounding does not
     build up, and a stage starts from the last one's Theta f."""
-    if p.lam is None or p.lam <= 0:
-        raise ValueError("fista requires lambda > 0")
+    if not p.lam_rel > 0:
+        raise ValueError(f"fista requires lam_rel > 0, got {p.lam_rel}")
     op = p.operator
     y = p.y
-    lam = float(p.lam)
-    L = _power_iteration_step_bound(op)
-    lam0 = _FISTA_LAM0_FACTOR * float(np.max(np.abs(op.adjoint(y))))
+    top = float(np.max(np.abs(op.adjoint(y))))
+    lam = max(float(p.lam_rel) * top, 1e-300)
+    lam0 = _FISTA_LAM0_FACTOR * top
+    L = _step_bound(op)
     # the intermediate stages; the last one runs at lam itself
     path = np.geomspace(lam0, lam, _FISTA_STAGES)[:-1] if lam < lam0 else []
     f = np.zeros(op.n, dtype=np.complex128)
-    rf = op.forward(f)
+    rf = np.zeros(op.m, dtype=np.complex128)
     iterations = 0
     for stage_lam in path:
         f, rf, used, _ = _fista_stage(op, y, L, float(stage_lam), f, rf,

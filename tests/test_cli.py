@@ -195,12 +195,20 @@ def usage_error(capsys, *argv):
     (("exp-ofdm", "--trials", "2", "--solver", "omp", "--snr-list", "5",
       "--n", "64", "--m", "16", "--k", "3", "--gamma", "7"),
      "--n, --m, --k, --snr-list, --solver, --gamma"),
+    # golay does not read gamma: a gamma other than 1 is refused
+    (("exp-phase", "--n", "64", "--k", "2", "--m", "16", "--seq", "golay",
+      "--trials", "3", "--gamma", "7"), "'gamma'"),
+    (("exp-dct", "--n", "64", "--m", "24", "--k", "2", "--seq", "golay",
+      "--trials", "2", "--gamma", "7"), "'gamma'"),
+    (("recover", "--n", "64", "--m", "16", "--k", "2", "--seq", "golay",
+      "--gamma", "7"), "'gamma'"),
 ], ids=["ofdm-seq-without-sizes", "phase-empty-k", "phase-trials-negative",
         "ofdm-trials-negative", "dct-trials-zero", "papr-trials-zero",
         "gauss-audit-n-zero", "recover-solver-alias", "gen-seq-family-alias",
         "ofdm-reference-n", "ofdm-reference-m", "ofdm-reference-k",
         "ofdm-reference-snr-list", "ofdm-reference-solver",
-        "ofdm-reference-gamma", "ofdm-reference-all"])
+        "ofdm-reference-gamma", "ofdm-reference-all", "phase-unread-gamma",
+        "dct-unread-gamma", "recover-unread-gamma"])
 def test_missing_and_nonpositive_counts_are_usage_errors(capsys, argv, flag):
     assert flag in usage_error(capsys, *argv)
 
@@ -397,6 +405,17 @@ def test_exp_dct_json_reports_unconverged_solves(capsys):
         [("fzc+random", 0), ("random_phase+equispaced", 3)]
     _, csv_out, _ = run(capsys, *argv)
     assert "unconverged" not in csv_out
+
+
+def test_exp_dct_fista_json_bytes_pinned(capsys):
+    # the FISTA DCT comparison: its unconverged counts and its two SNR rows
+    # at 212-239 dB move on a last-bit change of any FISTA iterate
+    code, out, err = run(capsys, "exp-dct", "--n", "128", "--m", "48",
+                         "--k", "6", "--solver", "fista", "--trials", "6",
+                         "--format", "json")
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "194659820f1f6e5f586bfff957c686af1fb41b8ec1f58c19793ba190ac595132")
 
 
 def test_exp_dct_image(capsys, tmp_path):

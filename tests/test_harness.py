@@ -91,7 +91,7 @@ def test_build_circulant_kinds():
         assert a.n == n
     rng = np.random.default_rng(0)
     r = build_circulant("random_phase", 16, {}, rng)
-    assert r.unimodular
+    assert np.max(np.abs(np.abs(r.spectrum) - 1.0)) <= 1e-12
     with pytest.raises(ValueError):
         build_circulant("random_phase", 16, {})  # needs a Generator
     with pytest.raises(ValueError):
@@ -423,7 +423,9 @@ def test_phase_csv_bytes_pinned(case):
     ("extra", {"zero_mean": True}),   # a retired phase-grid mode
     ("extra", {"k-grid": [2]}),       # a misspelt grid key
     ("solver_params", {"lam": 1.0}),  # FISTA reads lam_rel
-], ids=["zero_mean", "k-grid", "lam"])
+    ("sequence_params", {"gamma": 7}),  # only fzc reads gamma
+    ("sequence_params", {"zzz": 1}),
+], ids=["zero_mean", "k-grid", "lam", "gamma", "zzz"])
 def test_config_refuses_keys_that_nothing_reads(field, mapping):
     # an unread key would change only the config hash, not the run
     key, = mapping
@@ -431,6 +433,15 @@ def test_config_refuses_keys_that_nothing_reads(field, mapping):
         ExperimentConfig(experiment="phase", n=63, m=32, k=3,
                          sequence_kind="m_sequence_filter",
                          **{field: mapping})
+
+
+def test_config_takes_the_sequence_params_its_family_reads():
+    # fzc reads gamma; an unknown family is refused at construction
+    ExperimentConfig(experiment="phase", n=63, m=32, k=3,
+                     sequence_kind="fzc", sequence_params={"gamma": 2})
+    with pytest.raises(ValueError, match="unknown sequence kind 'nope'"):
+        ExperimentConfig(experiment="phase", n=63, m=32, k=3,
+                         sequence_kind="nope")
 
 
 @pytest.mark.parametrize("experiment, extra, key", [
@@ -592,8 +603,7 @@ def test_fista_refit_is_least_squares_on_the_top_k_support():
     f, _ = harness._sparse_signal(rng, 64, 3)
     y0 = theta.forward(f)
     y = harness._add_noise(y0, harness._noise(rng, y0.size), 20.0)
-    lasso = recovery.fista_lasso(recovery.RecoveryProblem(
-        theta, y, lam=1e-4 * float(np.max(np.abs(theta.adjoint(y))))))
+    lasso = recovery.fista_lasso(recovery.RecoveryProblem(theta, y))
     result, = harness._solve(cfg, [(theta, y)])
     support = np.sort(np.argsort(-np.abs(lasso.f_hat), kind="stable")[:3])
     assert np.array_equal(result.support, support)

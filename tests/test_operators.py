@@ -42,7 +42,8 @@ def test_spectrum_filter_round_trip(n):
     b = CirculantOperator.from_filter(a.filter)
     assert np.allclose(a.spectrum, b.spectrum, atol=1e-10)
     assert np.allclose(a.filter, b.filter, atol=1e-10)
-    assert a.unimodular and b.unimodular
+    for circ in (a, b):
+        assert np.max(np.abs(np.abs(circ.spectrum) - 1.0)) <= 1e-9
 
 
 def test_from_spectrum_rejects_non_unimodular():
@@ -102,7 +103,7 @@ def test_apply_batch_matches_single():
 
 def test_real_filter_flag():
     a = CirculantOperator.from_filter(seqs.m_sequence(4))
-    assert a.real_flag
+    assert np.max(np.abs(a.filter.imag)) <= 1e-10
 
 
 def test_arrays_are_immutable():
@@ -306,7 +307,8 @@ _COLUMN_CIRCULANTS = {
 def test_columns_match_forward_batch(circ_name, basis_kind):
     circ = _COLUMN_CIRCULANTS[circ_name]()
     n = circ.n
-    assert circ.unimodular == (circ_name != "m_sequence_filter_255")
+    unimodular = np.max(np.abs(np.abs(circ.spectrum) - 1.0)) <= 1e-9
+    assert unimodular == (circ_name != "m_sequence_filter_255")
     theta = SensingOperator(circ, random_sampling(n, 40, 3),
                             Basis(basis_kind))
     for idx in ([0, n - 1], [n - 1, 17, 0, 200, 5, 128], [],

@@ -9,13 +9,14 @@ import oracles
 from convsense import harness
 from convsense import sequences as seqs
 from convsense.operators import (Basis, CirculantOperator, SensingOperator,
-                                 StackedOperator, random_sampling)
+                                 StackedOperator, build_circulant,
+                                 equispaced_sampling, random_sampling)
 from convsense.recovery import (_OMP_STOP_REL, RecoveryProblem,
                                 RecoveryResult, SOLVERS, _embed,
                                 _fista_stage, _least_squares,
-                                _power_iteration_step_bound,
-                                _soft_threshold, _top_indices, fista_lasso,
-                                omp, subspace_pursuit, subspace_pursuit_block)
+                                _soft_threshold, _step_bound, _top_indices,
+                                fista_lasso, omp, subspace_pursuit,
+                                subspace_pursuit_block)
 
 
 def _problem(n=64, m=24, k=3, seed=0, basis="identity", snr_db=None):
@@ -72,10 +73,7 @@ def test_sp_refit_matches_lstsq():
 @pytest.mark.parametrize("solver", [omp, subspace_pursuit, fista_lasso])
 def test_results_deterministic(solver):
     theta, f, support, y = _problem(seed=5, snr_db=15)
-    if solver is fista_lasso:
-        pose = {"lam": 1e-2 * float(np.max(np.abs(theta.adjoint(y))))}
-    else:
-        pose = {"k": 3}
+    pose = {"lam_rel": 1e-2} if solver is fista_lasso else {"k": 3}
     a = solver(RecoveryProblem(operator=theta, y=y, **pose))
     b = solver(RecoveryProblem(operator=theta, y=y, **pose))
     assert np.array_equal(a.f_hat, b.f_hat)
@@ -98,6 +96,8 @@ def test_guards():
         subspace_pursuit(RecoveryProblem(operator=theta, y=y, k=13))
     with pytest.raises(ValueError):
         omp(RecoveryProblem(operator=theta, y=y, k=None))
+    with pytest.raises(ValueError, match="lam_rel > 0"):
+        fista_lasso(RecoveryProblem(operator=theta, y=y, lam_rel=0.0))
 
 
 def test_dense_matrix_operator_is_refused():
@@ -295,10 +295,36 @@ def test_frequency_domain_recovery():
 # FISTA
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("kind", sorted(seqs.FAMILIES))
+def test_fista_step_bound_is_the_squared_operator_norm(kind):
+    # Theta Theta^* = (N/M) R F_u^* diag(|sigma|^2) F_u R^*: its top
+    # eigenvalue is (N/M) max|sigma|^2 for every family, whatever the
+    # basis and the sampling
+    n = next(n for n in range(16, 100)
+             if seqs.FAMILIES[kind].admissible(n, {}) is None)
+    rng = np.random.default_rng(4)
+    circ = build_circulant(kind, n, {}, rng)
+    for sampling in (random_sampling(n, n // 3, rng),
+                     equispaced_sampling(n, n // 3)):
+        for basis in ("identity", "inverse_fourier", "inverse_dct2"):
+            theta = SensingOperator(circ, sampling, Basis(basis))
+            norm2 = np.linalg.norm(theta.dense(), 2) ** 2
+            assert _step_bound(theta) / (1.0 + 1e-3) == \
+                pytest.approx(norm2, rel=1e-12, abs=0)
+
+
+def test_fista_step_bound_is_safe_for_an_uneven_spectrum():
+    # a Gaussian filter's spectrum is uneven: the bound is above
+    # ||Theta||^2, which keeps 1/L a safe step
+    for seed in range(3):
+        theta, _ = _fista_case("gaussian_filter", seed, None)
+        assert _step_bound(theta) >= np.linalg.norm(theta.dense(), 2) ** 2
+
+
 def test_fista_recovers_support_and_obeys_kkt():
     theta, f, support, y = _problem(n=64, m=32, k=3, seed=8)
+    res = fista_lasso(RecoveryProblem(operator=theta, y=y, lam_rel=1e-3))
     lam = 1e-3 * float(np.max(np.abs(theta.adjoint(y))))
-    res = fista_lasso(RecoveryProblem(operator=theta, y=y, lam=lam))
     assert set(support.tolist()) <= set(res.support.tolist())
     # KKT for lasso: |Theta^*(y - Theta f)| <= lam + slack off-support,
     # = lam on the support (up to solver tolerance)
@@ -308,16 +334,15 @@ def test_fista_recovers_support_and_obeys_kkt():
 
 def test_fista_null_condition():
     theta, f, support, y = _problem(seed=9)
-    lam = float(np.max(np.abs(theta.adjoint(y)))) * 1.01
-    res = fista_lasso(RecoveryProblem(operator=theta, y=y, lam=lam))
+    res = fista_lasso(RecoveryProblem(operator=theta, y=y, lam_rel=1.01))
     assert np.allclose(res.f_hat, 0.0)
     assert res.support.size == 0
 
 
 def test_fista_objective_beats_soft_start():
     theta, f, support, y = _problem(seed=10, snr_db=20)
+    res = fista_lasso(RecoveryProblem(operator=theta, y=y, lam_rel=1e-2))
     lam = 1e-2 * float(np.max(np.abs(theta.adjoint(y))))
-    res = fista_lasso(RecoveryProblem(operator=theta, y=y, lam=lam))
 
     def objective(x):
         r = y - theta.forward(x)
@@ -327,18 +352,20 @@ def test_fista_objective_beats_soft_start():
     assert res.converged
 
 
-def _fista_three_applications(operator, y, lam):
+def _fista_three_applications(operator, y, lam_rel):
     """Reference FISTA that recomputes Theta z each iteration (two forwards
     and one adjoint) under the same lambda-continuation as ``fista_lasso``:
-    six geometric stages from 0.5 max|Theta^* y| down to lam (lam alone
-    when lam is not below that), each restarting momentum from the last
+    six geometric stages from 0.5 max|Theta^* y| down to
+    lam = lam_rel max|Theta^* y| (lam alone when lam is not below that),
+    with the closed-form step bound, each restarting momentum from the last
     stage's solution, intermediate stages stopping at 1e-5 relative
     objective change or 200 iterations, the last at 1e-8, and 2000
     iterations over all stages; the same iterates up to rounding.
     Returns (f_hat, iterations, converged, restarts), ``converged`` that
     of the last stage."""
-    L = _power_iteration_step_bound(operator)
-    lam0 = 0.5 * float(np.max(np.abs(operator.adjoint(y))))
+    L = _step_bound(operator)
+    top = float(np.max(np.abs(operator.adjoint(y))))
+    lam, lam0 = lam_rel * top, 0.5 * top
     lams = [lam] if lam >= lam0 else \
         [float(v) for v in np.geomspace(lam0, lam, 6)[:-1]] + [lam]
 
@@ -381,7 +408,7 @@ def _fista_three_applications(operator, y, lam):
 def _fista_case(basis, seed, snr_db):
     if basis == "gaussian_filter":
         # a non-unimodular spectrum, so Theta Theta^* is not (N/M) I and
-        # the power iteration runs past step 3
+        # the step bound is above ||Theta||^2
         rng = np.random.default_rng(seed)
         circ = CirculantOperator.from_filter(
             rng.standard_normal(64) + 1j * rng.standard_normal(64))
@@ -393,13 +420,12 @@ def _fista_case(basis, seed, snr_db):
     else:
         theta, f, support, y = _problem(n=64, m=32, k=3, seed=seed,
                                         basis=basis, snr_db=snr_db)
-    lam = 1e-3 * float(np.max(np.abs(theta.adjoint(y))))
-    return theta, y, lam
+    return theta, y
 
 
 def test_fista_makes_one_forward_and_one_adjoint_per_iteration(monkeypatch):
-    theta, y, lam = _fista_case("inverse_dct2", 1, 20)
-    _, _, _, restarts = _fista_three_applications(theta, y, lam)
+    theta, y = _fista_case("inverse_dct2", 1, 20)
+    _, _, _, restarts = _fista_three_applications(theta, y, 1e-3)
     assert restarts > 0  # the restart branch runs too
     calls = {"forward": 0, "adjoint": 0}
     for name in calls:
@@ -408,25 +434,20 @@ def test_fista_makes_one_forward_and_one_adjoint_per_iteration(monkeypatch):
             calls[_name] += 1
             return _real(self, x)
         monkeypatch.setattr(SensingOperator, name, counted)
-    _power_iteration_step_bound(theta)
-    # Theta Theta^* = (N/M) I here, so the power iteration stops at step 3
-    assert calls == {"forward": 3, "adjoint": 3}
-    calls.update(forward=0, adjoint=0)
-    res = fista_lasso(RecoveryProblem(operator=theta, y=y, lam=lam))
-    # power iteration, then one adjoint for max|Theta^* y| and one
-    # forward at the zero start
-    n_apps = res.iterations + restarts + 3
-    assert calls == {"forward": n_apps + 1, "adjoint": n_apps + 1}
+    res = fista_lasso(RecoveryProblem(operator=theta, y=y, lam_rel=1e-3))
+    # one adjoint more, for max|Theta^* y|; the zero start needs no forward
+    n_apps = res.iterations + restarts
+    assert calls == {"forward": n_apps, "adjoint": n_apps + 1}
 
 
 @pytest.mark.parametrize("basis", ["identity", "inverse_fourier",
                                    "inverse_dct2", "gaussian_filter"])
 def test_fista_matches_three_application_reference(basis):
     for seed, snr_db in ((0, None), (1, 20), (2, 20)):
-        theta, y, lam = _fista_case(basis, seed, snr_db)
+        theta, y = _fista_case(basis, seed, snr_db)
         f_ref, iterations, converged, restarts = \
-            _fista_three_applications(theta, y, lam)
-        res = fista_lasso(RecoveryProblem(operator=theta, y=y, lam=lam))
+            _fista_three_applications(theta, y, 1e-3)
+        res = fista_lasso(RecoveryProblem(operator=theta, y=y, lam_rel=1e-3))
         assert restarts > 0
         assert res.iterations == iterations
         assert res.converged == converged
@@ -461,9 +482,9 @@ def test_fista_continuation_finishes_solves_plain_fista_capped(trial):
     # they converge (783, 383 and 684 iterations) and the LASSO
     # optimality condition holds at the posed lambda
     theta, y = _dct_baseline_draw(trial)
-    lam = 1e-4 * float(np.max(np.abs(theta.adjoint(y))))
-    res = fista_lasso(RecoveryProblem(operator=theta, y=y, lam=lam))
+    res = fista_lasso(RecoveryProblem(operator=theta, y=y))
     assert res.converged and res.iterations < 2000
+    lam = 1e-4 * float(np.max(np.abs(theta.adjoint(y))))
     grad = theta.adjoint(y - theta.forward(res.f_hat))
     assert np.max(np.abs(grad)) <= 1.05 * lam
 
@@ -476,13 +497,14 @@ def test_fista_at_a_large_lambda_is_one_plain_stage(basis):
     for seed in range(3):
         theta, f, support, y = _problem(n=64, m=32, k=3, seed=seed,
                                         basis=basis, snr_db=20)
-        lam0 = 0.5 * float(np.max(np.abs(theta.adjoint(y))))
-        L = _power_iteration_step_bound(theta)
-        for lam in (lam0, 1.2 * lam0, 1.8 * lam0):
-            res = fista_lasso(RecoveryProblem(operator=theta, y=y, lam=lam))
-            zero = np.zeros(64, dtype=np.complex128)
+        top = float(np.max(np.abs(theta.adjoint(y))))
+        for lam_rel in (0.5, 0.6, 0.9):  # lambda_0 times 1, 1.2 and 1.8
+            res = fista_lasso(RecoveryProblem(operator=theta, y=y,
+                                              lam_rel=lam_rel))
             f_ref, _, iterations, converged = _fista_stage(
-                theta, y, L, lam, zero, theta.forward(zero), 1e-8, 2000)
+                theta, y, _step_bound(theta), lam_rel * top,
+                np.zeros(64, dtype=np.complex128),
+                np.zeros(32, dtype=np.complex128), 1e-8, 2000)
             assert res.support.size > 0
             assert np.array_equal(res.f_hat, f_ref)
             assert (res.iterations, res.converged) == (iterations, converged)
