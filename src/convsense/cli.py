@@ -46,32 +46,44 @@ EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 
 _REFERENCE_TOL_DB = 3.0
+_SEQ_DEFAULTS = {"gamma": 1, "seed": 0}
 
 
 # ---------------------------------------------------------------------------
 # small shared helpers
 # ---------------------------------------------------------------------------
 
-def _seq_params(args) -> dict:
-    """--gamma and --seed as family build params (a random family reads
-    the seed only when it is not given a Generator)."""
-    return {"gamma": args.gamma, "seed": args.seed}
+def _check_flags(args, what: str, needs=(), unread=None) -> None:
+    """Refuse a run (usage error) that lacks a flag it needs, or that sets
+    one it does not read (``unread``: dest -> default) off its default."""
+    missing = ["--" + dest for dest in needs if getattr(args, dest) is None]
+    ignored = ["--" + dest.replace("_", "-")
+               for dest, default in (unread or {}).items()
+               if getattr(args, dest) != default]
+    problems = [f"{verb} {', '.join(flags)}" for verb, flags in (
+        ("requires", missing), ("does not read", ignored)) if flags]
+    if problems:
+        raise ValueError(f"{what} {' and '.join(problems)}")
 
 
-def _recorded_params(args, kind: str) -> dict:
-    """--gamma as a config records it: when the family reads it, or when it
-    is not 1, so that the config refuses a gamma the family would ignore."""
-    read = "gamma" in seqs.family(kind).params
-    return {"gamma": args.gamma} if read or args.gamma != 1 else {}
+def _seq_params(args, kind: str, flags=("gamma", "seed")) -> dict:
+    """Family `kind`'s params from the `flags` it reads (gamma when it
+    records gamma, seed when it is random); the others keep defaults."""
+    fam = seqs.family(kind)
+    reads = {"gamma": "gamma" in fam.params, "seed": fam.random}
+    _check_flags(args, f"the {kind!r} family", unread={
+        flag: _SEQ_DEFAULTS[flag] for flag in flags if not reads[flag]})
+    return {flag: getattr(args, flag) for flag in flags if reads[flag]}
 
 
 def _experiment_config(args, experiment: str, kind: str, trials: int,
                        **fields) -> ExperimentConfig:
-    """Config from the shared flags (gamma as ``_recorded_params``)."""
+    """Config from the shared flags; --seed is the master seed."""
     return ExperimentConfig(
         experiment=experiment, n=args.n, sequence_kind=kind,
-        sequence_params=_recorded_params(args, kind), solver=args.solver,
-        trials=args.trials or trials, master_seed=args.seed, **fields)
+        sequence_params=_seq_params(args, kind, ("gamma",)),
+        solver=args.solver, trials=args.trials or trials,
+        master_seed=args.seed, **fields)
 
 
 def _write(out_dir: Optional[str], name: str, text: str) -> None:
@@ -122,30 +134,17 @@ def _count(text: str) -> int:
     return value
 
 
-def _parse_count_list(text: str) -> List[int]:
-    values = [_count(tok) for tok in text.split(",") if tok]
-    if not values:
-        raise argparse.ArgumentTypeError("expected at least one count")
-    return values
-
-
-def _parse_basis_list(text: str) -> List[str]:
-    try:
-        return [Basis(kind).kind for kind in text.split(",")]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-def _parse_float_list(text: str) -> List[float]:
-    return [float(tok) for tok in text.split(",") if tok]
-
-
-def _require_flags(args, names, what: str) -> None:
-    """Refuse a run (usage error) when any of the named flags is unset."""
-    missing = [f"--{name}" for name in names
-               if getattr(args, name, None) is None]
-    if missing:
-        raise ValueError(f"{what} requires {', '.join(missing)}")
+def _list_of(convert, what: str):
+    """A comma-list flag type: at least one value, each ``convert``ed."""
+    def parse(text: str) -> list:
+        try:
+            values = [convert(tok) for tok in text.split(",") if tok]
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        if not values:
+            raise argparse.ArgumentTypeError(f"expected at least one {what}")
+        return values
+    return parse
 
 
 def _emit(args, name: str, csv_text: str, payload=None,
@@ -164,7 +163,7 @@ def _emit(args, name: str, csv_text: str, payload=None,
 # ---------------------------------------------------------------------------
 
 def _cmd_gen_seq(args) -> int:
-    s = seqs.family(args.seq).build(args.n, _seq_params(args))
+    s = seqs.family(args.seq).build(args.n, _seq_params(args, args.seq))
     rep = seqs.classify(s)
     payload = {
         "kind": s.kind.value,
@@ -184,7 +183,8 @@ def _cmd_gen_seq(args) -> int:
 
 
 def _cmd_coherence(args) -> int:
-    rep = coherence_row(args.seq, args.n, _seq_params(args), args.basis)
+    rep = coherence_row(args.seq, args.n, _seq_params(args, args.seq),
+                        args.basis)
     if rep.skipped:
         raise ValueError(rep.note)
     _emit(args, "coherence", bound_table_csv([rep]))
@@ -201,11 +201,14 @@ def _cmd_gauss_audit(args) -> int:
 
 def _cmd_papr(args) -> int:
     if args.seq is None:
+        _check_flags(args, "papr without --seq",
+                     unread={"n": None, **_SEQ_DEFAULTS})
         res = audit_papr(random_seeds=args.trials or 100)
         csv_text, ok = res.csv, res.ok
     else:
-        _require_flags(args, ("n",), "papr --seq")
-        s = seqs.family(args.seq).build(args.n, _seq_params(args))
+        _check_flags(args, "papr --seq", needs=("n",),
+                     unread={"trials": None})
+        s = seqs.family(args.seq).build(args.n, _seq_params(args, args.seq))
         value = papr_of(s.values)
         csv_text = _csv(PAPR_HEADER,
                         [[args.seq, args.n, PAPR_OVERSAMPLE, value]])
@@ -221,10 +224,10 @@ def _cmd_recover(args) -> int:
     kinds), then the signal's support and values, then each SNR's noise;
     estimates are formed as in ``harness._solve``.  A noiseless run that
     fails ``harness._recovered`` is an acceptance violation."""
-    cfg = ExperimentConfig(experiment="recover", n=args.n, m=args.m,
-                           k=args.k, sequence_kind=args.seq,
-                           sequence_params=_recorded_params(args, args.seq),
-                           basis=args.basis, solver=args.solver)
+    cfg = ExperimentConfig(
+        experiment="recover", n=args.n, m=args.m, k=args.k,
+        sequence_kind=args.seq, basis=args.basis, solver=args.solver,
+        sequence_params=_seq_params(args, args.seq, ("gamma",)))
     rng = np.random.default_rng(args.seed)
     theta = _operator_draw(cfg)(rng)
     f, support = _sparse_signal(rng, args.n, args.k)
@@ -269,24 +272,17 @@ def _concat_csv(blocks: List[str]) -> str:
 def _cmd_exp_ofdm(args) -> int:
     if args.seq is None:
         # benchmark mode: both reference schemes, checked to +/-3 dB
-        cfgs = [ofdm_reference_config(scheme=scheme,
-                                      trials=args.trials or 500,
-                                      master_seed=args.seed)
+        # the bands were set for the reference as it stands, 500 trials
+        # included, so every flag that would change it is refused
+        cfgs = [ofdm_reference_config(scheme=scheme, master_seed=args.seed)
                 for scheme in ("proposed", "baseline")]
-        # a flag the reference does not run as given is refused, not
-        # ignored (gamma: no reference family reads it, 1 is its default)
-        unread = [flag for flag, as_run in (
-            ("--n", args.n is None), ("--m", args.m is None),
-            ("--k", args.k is None), ("--snr-list", args.snr_list is None),
-            ("--solver", args.solver == cfgs[0].solver),
-            ("--gamma", args.gamma == 1)) if not as_run]
-        if unread:
-            raise ValueError(f"exp-ofdm without --seq runs the reference "
-                             f"configuration, which does not read "
-                             f"{', '.join(unread)}")
+        _check_flags(args, "exp-ofdm without --seq", unread={
+            "n": None, "m": None, "k": None, "snr_list": None,
+            "solver": cfgs[0].solver, "gamma": _SEQ_DEFAULTS["gamma"],
+            "trials": None})
     else:
         # custom mode: one scheme, reported without a reference check
-        _require_flags(args, ("n", "m", "k"), "exp-ofdm --seq")
+        _check_flags(args, "exp-ofdm --seq", needs=("n", "m", "k"))
         mode = "equispaced" if args.seq == "random_phase" else "random"
         cfgs = [_experiment_config(
             args, "ofdm", args.seq, 100, m=args.m, k=args.k,
@@ -370,7 +366,7 @@ def _add_common(p: argparse.ArgumentParser, *names: str) -> None:
         p.add_argument("--seq", choices=tuple(seqs.FAMILIES),
                        help="sequence family")
     if "gamma" in names:
-        p.add_argument("--gamma", type=int, default=1,
+        p.add_argument("--gamma", type=int, default=_SEQ_DEFAULTS["gamma"],
                        help="fzc root parameter (coprime with N)")
     if "basis" in names:
         p.add_argument("--basis", default="identity", choices=_BASIS_KINDS,
@@ -379,14 +375,15 @@ def _add_common(p: argparse.ArgumentParser, *names: str) -> None:
         p.add_argument("--solver", default="sp", choices=sorted(SOLVERS),
                        help="recovery solver")
     if "snr-list" in names:
-        p.add_argument("--snr-list", type=_parse_float_list, default=None,
-                       metavar="DB[,DB...]", dest="snr_list",
+        p.add_argument("--snr-list", type=_list_of(float, "value"),
+                       default=None, metavar="DB[,DB...]", dest="snr_list",
                        help="input SNRs in dB (omit for noiseless)")
     if "trials" in names:
         p.add_argument("--trials", type=_count, default=None,
                        help="number of Monte Carlo trials")
     if "seed" in names:
-        p.add_argument("--seed", type=int, default=0, help="master seed")
+        p.add_argument("--seed", type=int, default=_SEQ_DEFAULTS["seed"],
+                       help="master seed (random families: their seed)")
     p.add_argument("--out", default=None, metavar="DIR",
                    help="write outputs into DIR instead of stdout")
     p.add_argument("--format", default="csv", choices=("csv", "json"),
@@ -435,11 +432,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("exp-phase", help="noiseless phase-transition grid "
                        "(--k/--m/--basis accept comma lists)")
     _add_common(p, "n", "seq", "gamma", "solver", "trials", "seed")
-    p.add_argument("--k", type=_parse_count_list, dest="k_list",
+    p.add_argument("--k", type=_list_of(_count, "count"), dest="k_list",
                    metavar="K[,K...]", required=True)
-    p.add_argument("--m", type=_parse_count_list, dest="m_list",
+    p.add_argument("--m", type=_list_of(_count, "count"), dest="m_list",
                    metavar="M[,M...]", required=True)
-    p.add_argument("--basis", type=_parse_basis_list,
+    p.add_argument("--basis", type=_list_of(lambda b: Basis(b).kind,
+                                             "basis"),
                    dest="basis_list", default=["identity"],
                    metavar="B[,B...]")
     p.set_defaults(func=_cmd_exp_phase, require=("n",))
@@ -455,10 +453,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        _require_flags(args, args.require, args.command)
+        _check_flags(args, args.command, needs=args.require)
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

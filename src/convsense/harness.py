@@ -107,11 +107,10 @@ def papr(sigma, oversample: int = PAPR_OVERSAMPLE) -> float:
     oversample*N uniform grid via a zero-padded inverse FFT."""
     if oversample < 4:
         raise ValueError("oversample < 4 aliases the envelope peak")
-    vals = sigma.values if isinstance(sigma, seqs.Sequence) \
-        else np.asarray(sigma, dtype=np.complex128)
+    vals = seqs._values(sigma)
     n = vals.size
     dev = float(np.max(np.abs(np.abs(vals) - 1.0)))
-    if dev > 1e-12:
+    if dev > seqs._UNIMODULAR_TOL:
         raise ValueError(
             f"PAPR defined here for unimodular/bipolar input (dev {dev:.2e})")
     grid = oversample * n

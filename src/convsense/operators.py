@@ -29,7 +29,6 @@ from .sequences import Sequence
 
 _DENSE_GUARD = 4096
 _DENSE_BATCH = 256
-_UNIMODULAR_TOL = 1e-12
 _ROUNDTRIP_TOL = 1e-10
 
 ArrayLike = Union[Sequence, np.ndarray, TypingSequence[complex]]
@@ -38,8 +37,7 @@ ArrayLike = Union[Sequence, np.ndarray, TypingSequence[complex]]
 def _as_array(x: ArrayLike, n: Optional[int] = None) -> np.ndarray:
     """x as complex128.  Without ``n`` it must be a 1-D vector; with ``n``
     it may be a length-n vector or an (n, B) block of column vectors."""
-    vals = np.asarray(x.values if isinstance(x, Sequence) else x,
-                      dtype=np.complex128)
+    vals = seqs._values(x)
     if n is None:
         if vals.ndim != 1:
             raise ValueError("expected a 1-D vector")
@@ -97,7 +95,7 @@ class CirculantOperator:
         vals = _as_array(sigma)
         n = vals.size
         dev = float(np.max(np.abs(np.abs(vals) - 1.0))) if n else 0.0
-        if dev > _UNIMODULAR_TOL:
+        if dev > seqs._UNIMODULAR_TOL:
             raise ValueError(
                 f"spectrum is not unimodular (max | |sigma|-1 | = {dev:.3e})")
         filt = np.sqrt(n) * np.fft.ifft(vals)

@@ -1,5 +1,6 @@
 """CLI subcommands run in-process: exit codes, schemas, file output."""
 
+import functools
 import hashlib
 import json
 import os
@@ -7,9 +8,9 @@ import os
 import numpy as np
 import pytest
 
-from convsense import recovery
+from convsense import cli, recovery
 from convsense.cli import main
-from convsense.harness import audit_papr
+from convsense.harness import audit_papr, ofdm_reference_config
 from convsense.sequences import FAMILIES
 
 
@@ -186,29 +187,39 @@ def usage_error(capsys, *argv):
       "--solver", "subspace_pursuit"), "--solver"),
     (("gen-seq", "--n", "63", "--seq", "perfect_binary_from_m"), "--seq"),
     # the reference run reads none of these: refused, not ignored
-    (("exp-ofdm", "--trials", "2", "--n", "64"), "--n"),
-    (("exp-ofdm", "--trials", "2", "--m", "16"), "--m"),
-    (("exp-ofdm", "--trials", "2", "--k", "3"), "--k"),
-    (("exp-ofdm", "--trials", "2", "--snr-list", "5"), "--snr-list"),
-    (("exp-ofdm", "--trials", "2", "--solver", "omp"), "--solver"),
-    (("exp-ofdm", "--trials", "2", "--gamma", "7"), "--gamma"),
+    (("exp-ofdm", "--n", "64"), "--n"),
+    (("exp-ofdm", "--m", "16"), "--m"),
+    (("exp-ofdm", "--k", "3"), "--k"),
+    (("exp-ofdm", "--snr-list", "5"), "--snr-list"),
+    (("exp-ofdm", "--solver", "omp"), "--solver"),
+    (("exp-ofdm", "--gamma", "7"), "--gamma"),
+    (("exp-ofdm", "--trials", "2"), "--trials"),
     (("exp-ofdm", "--trials", "2", "--solver", "omp", "--snr-list", "5",
       "--n", "64", "--m", "16", "--k", "3", "--gamma", "7"),
-     "--n, --m, --k, --snr-list, --solver, --gamma"),
+     "--n, --m, --k, --snr-list, --solver, --gamma, --trials"),
     # golay does not read gamma: a gamma other than 1 is refused
     (("exp-phase", "--n", "64", "--k", "2", "--m", "16", "--seq", "golay",
-      "--trials", "3", "--gamma", "7"), "'gamma'"),
+      "--trials", "3", "--gamma", "7"), "--gamma"),
     (("exp-dct", "--n", "64", "--m", "24", "--k", "2", "--seq", "golay",
-      "--trials", "2", "--gamma", "7"), "'gamma'"),
+      "--trials", "2", "--gamma", "7"), "--gamma"),
     (("recover", "--n", "64", "--m", "16", "--k", "2", "--seq", "golay",
-      "--gamma", "7"), "'gamma'"),
+      "--gamma", "7"), "--gamma"),
+    # an empty list is refused, not read as an omitted flag
+    (("recover", "--n", "64", "--m", "16", "--k", "2", "--seq", "golay",
+      "--snr-list", ""), "--snr-list"),
+    (("exp-ofdm", "--seq", "golay", "--n", "256", "--m", "48", "--k", "6",
+      "--trials", "2", "--snr-list", ","), "--snr-list"),
+    (("exp-phase", "--n", "64", "--k", "2", "--m", "16", "--basis", ""),
+     "--basis"),
 ], ids=["ofdm-seq-without-sizes", "phase-empty-k", "phase-trials-negative",
         "ofdm-trials-negative", "dct-trials-zero", "papr-trials-zero",
         "gauss-audit-n-zero", "recover-solver-alias", "gen-seq-family-alias",
         "ofdm-reference-n", "ofdm-reference-m", "ofdm-reference-k",
         "ofdm-reference-snr-list", "ofdm-reference-solver",
-        "ofdm-reference-gamma", "ofdm-reference-all", "phase-unread-gamma",
-        "dct-unread-gamma", "recover-unread-gamma"])
+        "ofdm-reference-gamma", "ofdm-reference-trials", "ofdm-reference-all",
+        "phase-unread-gamma", "dct-unread-gamma", "recover-unread-gamma",
+        "recover-empty-snr-list", "ofdm-empty-snr-list",
+        "phase-empty-basis"])
 def test_missing_and_nonpositive_counts_are_usage_errors(capsys, argv, flag):
     assert flag in usage_error(capsys, *argv)
 
@@ -321,8 +332,8 @@ def test_exp_ofdm_json(capsys):
 
 
 def test_exp_ofdm_benchmark_mode(capsys, tmp_path):
-    code, out, err = run(capsys, "exp-ofdm", "--trials", "2", "--format",
-                         "json")
+    # the one 500-trial reference run of the suite
+    code, out, err = run(capsys, "exp-ofdm", "--format", "json")
     doc = json.loads(out)
     assert sorted(doc) == ["schemes", "tolerance_db", "violations"]
     assert doc["tolerance_db"] == 3.0
@@ -331,7 +342,7 @@ def test_exp_ofdm_benchmark_mode(capsys, tmp_path):
     for scheme in doc["schemes"]:
         assert sorted(scheme) == ["config", "reference_output_snr_db",
                                   "rows", "scheme"]
-        assert scheme["config"]["trials"] == 2
+        assert scheme["config"]["trials"] == 500
         ref = {float(snr): value for snr, value
                in scheme["reference_output_snr_db"].items()}
         assert [row["input_snr_db"] for row in scheme["rows"]] == \
@@ -342,13 +353,14 @@ def test_exp_ofdm_benchmark_mode(capsys, tmp_path):
     assert len(doc["violations"]) == misses
     assert err.count("violation:") == misses
     assert code == (1 if doc["violations"] else 0)
+    # --out writes both CSVs through the write a custom run shares
     out_dir = str(tmp_path)
-    assert run(capsys, "exp-ofdm", "--trials", "2", "--out",
-               out_dir)[0] == code
+    assert run(capsys, "exp-ofdm", "--seq", "golay", "--n", "256", "--m",
+               "48", "--k", "6", "--trials", "2", "--out", out_dir)[0] == 0
     with open(os.path.join(out_dir, "ofdm_summary.csv")) as fh:
-        assert len(fh.read().splitlines()) == 1 + 2 * 4
+        assert len(fh.read().splitlines()) == 1 + 4
     with open(os.path.join(out_dir, "ofdm_trials.csv")) as fh:
-        assert len(fh.read().splitlines()) == 1 + 2 * 4 * 2
+        assert len(fh.read().splitlines()) == 1 + 4 * 2
 
 
 def test_exp_phase_grid(capsys):
@@ -426,6 +438,167 @@ def test_exp_dct_image(capsys, tmp_path):
     code, out, _ = run(capsys, "exp-dct", "--n", "64", "--m", "32",
                        "--k", "6", "--trials", "4", "--image", path)
     assert code == 0 and len(out.splitlines()) == 3
+
+
+# ---------------------------------------------------------------------------
+# every flag changes its run
+# ---------------------------------------------------------------------------
+
+_MODES = {
+    "gen-seq": ("gen-seq", "--seq", "golay", "--n", "20"),
+    "gen-seq-fzc": ("gen-seq", "--seq", "fzc", "--n", "16"),
+    "gen-seq-random": ("gen-seq", "--seq", "random_phase", "--n", "20"),
+    "coherence": ("coherence", "--seq", "golay", "--n", "52"),
+    "coherence-fzc": ("coherence", "--seq", "fzc", "--n", "64", "--basis",
+                      "inverse_dct2"),
+    "coherence-random": ("coherence", "--seq", "random_phase", "--n", "64"),
+    "gauss-audit": ("gauss-audit", "--n", "32"),
+    "papr": ("papr", "--trials", "3"),
+    "papr-seq": ("papr", "--seq", "golay", "--n", "64"),
+    "papr-seq-fzc": ("papr", "--seq", "fzc", "--n", "64"),
+    "papr-seq-random": ("papr", "--seq", "random_phase", "--n", "64"),
+    "recover": ("recover", "--n", "64", "--m", "16", "--k", "2", "--seq",
+                "golay"),
+    "recover-fzc": ("recover", "--n", "64", "--m", "16", "--k", "2",
+                    "--seq", "fzc"),
+    "exp-ofdm": ("exp-ofdm",),
+    "exp-ofdm-seq": ("exp-ofdm", "--seq", "golay", "--n", "256", "--m", "48",
+                     "--k", "6", "--trials", "2", "--snr-list", "20"),
+    "exp-ofdm-seq-fzc": ("exp-ofdm", "--seq", "fzc", "--n", "256", "--m",
+                         "48", "--k", "6", "--trials", "2", "--snr-list",
+                         "20"),
+    "exp-phase": ("exp-phase", "--n", "64", "--k", "2", "--m", "16",
+                  "--trials", "3"),
+    "exp-phase-fzc": ("exp-phase", "--n", "64", "--k", "2", "--m", "16",
+                      "--trials", "3", "--seq", "fzc"),
+    "exp-dct": ("exp-dct", "--n", "64", "--m", "24", "--k", "2", "--trials",
+                "2"),
+    "exp-dct-golay": ("exp-dct", "--n", "64", "--m", "24", "--k", "2",
+                      "--trials", "2", "--seq", "golay"),
+}
+_SHARED = (("--out", "DIR"), ("--format", "json"))
+
+# (mode, flag and value set after the mode's own, read or refused); a
+# read flag changes the stdout bytes, a refused one exits 2 naming it
+_FLAG_CASES = [
+    ("gen-seq", ("--n", "26"), "read"),
+    ("gen-seq", ("--seq", "fzc"), "read"),
+    ("gen-seq", ("--gamma", "7"), "refused"),
+    ("gen-seq", ("--seed", "5"), "refused"),
+    ("gen-seq-fzc", ("--gamma", "3"), "read"),
+    ("gen-seq-fzc", ("--seed", "5"), "refused"),
+    ("gen-seq-random", ("--seed", "5"), "read"),
+    ("gen-seq-random", ("--gamma", "3"), "refused"),
+    ("coherence", ("--n", "20"), "read"),
+    ("coherence", ("--seq", "fzc"), "read"),
+    ("coherence", ("--basis", "inverse_fourier"), "read"),
+    ("coherence", ("--gamma", "7"), "refused"),
+    ("coherence", ("--seed", "9"), "refused"),
+    ("coherence-fzc", ("--gamma", "3"), "read"),
+    ("coherence-fzc", ("--seed", "9"), "refused"),
+    ("coherence-random", ("--seed", "9"), "read"),
+    ("coherence-random", ("--gamma", "3"), "refused"),
+    ("gauss-audit", ("--n", "64"), "read"),
+    ("papr", ("--trials", "4"), "read"),
+    ("papr", ("--n", "64"), "refused"),
+    ("papr", ("--gamma", "5"), "refused"),
+    ("papr", ("--seed", "4"), "refused"),
+    ("papr-seq", ("--n", "128"), "read"),
+    ("papr-seq", ("--seq", "legendre", "--n", "67"), "read"),
+    ("papr-seq", ("--trials", "9"), "refused"),
+    ("papr-seq", ("--gamma", "7"), "refused"),
+    ("papr-seq", ("--seed", "3"), "refused"),
+    ("papr-seq-fzc", ("--gamma", "5"), "read"),
+    ("papr-seq-random", ("--seed", "3"), "read"),
+    ("recover", ("--n", "128"), "read"),
+    ("recover", ("--m", "24"), "read"),
+    ("recover", ("--k", "3"), "read"),
+    ("recover", ("--seq", "fzc"), "read"),
+    ("recover", ("--basis", "inverse_fourier"), "read"),
+    ("recover", ("--solver", "omp"), "read"),
+    ("recover", ("--snr-list", "20"), "read"),
+    ("recover", ("--seed", "1"), "read"),
+    ("recover", ("--gamma", "7"), "refused"),
+    ("recover-fzc", ("--gamma", "3"), "read"),
+    ("exp-ofdm", ("--seq", "golay", "--n", "256", "--m", "48", "--k", "6"),
+     "read"),
+    ("exp-ofdm", ("--seed", "1"), "read"),
+    ("exp-ofdm", ("--n", "256"), "refused"),
+    ("exp-ofdm", ("--m", "48"), "refused"),
+    ("exp-ofdm", ("--k", "6"), "refused"),
+    ("exp-ofdm", ("--snr-list", "20"), "refused"),
+    ("exp-ofdm", ("--solver", "omp"), "refused"),
+    ("exp-ofdm", ("--gamma", "3"), "refused"),
+    ("exp-ofdm", ("--trials", "2"), "refused"),
+    ("exp-ofdm-seq", ("--n", "260"), "read"),
+    ("exp-ofdm-seq", ("--m", "40"), "read"),
+    ("exp-ofdm-seq", ("--k", "5"), "read"),
+    ("exp-ofdm-seq", ("--seq", "fzc"), "read"),
+    ("exp-ofdm-seq", ("--solver", "omp"), "read"),
+    ("exp-ofdm-seq", ("--snr-list", "10"), "read"),
+    ("exp-ofdm-seq", ("--trials", "3"), "read"),
+    ("exp-ofdm-seq", ("--seed", "1"), "read"),
+    ("exp-ofdm-seq", ("--gamma", "7"), "refused"),
+    ("exp-ofdm-seq-fzc", ("--gamma", "3"), "read"),
+    ("exp-phase", ("--n", "128"), "read"),
+    ("exp-phase", ("--k", "3"), "read"),
+    ("exp-phase", ("--m", "20"), "read"),
+    ("exp-phase", ("--seq", "fzc"), "read"),
+    ("exp-phase", ("--solver", "omp"), "read"),
+    ("exp-phase", ("--trials", "4"), "read"),
+    ("exp-phase", ("--seed", "1"), "read"),
+    ("exp-phase", ("--basis", "inverse_fourier"), "read"),
+    ("exp-phase", ("--gamma", "7"), "refused"),
+    ("exp-phase-fzc", ("--gamma", "3"), "read"),
+    ("exp-dct", ("--n", "128"), "read"),
+    ("exp-dct", ("--m", "32"), "read"),
+    ("exp-dct", ("--k", "3"), "read"),
+    ("exp-dct", ("--seq", "golay"), "read"),
+    ("exp-dct", ("--gamma", "3"), "read"),
+    ("exp-dct", ("--solver", "omp"), "read"),
+    ("exp-dct", ("--trials", "3"), "read"),
+    ("exp-dct", ("--seed", "1"), "read"),
+    ("exp-dct", ("--image", "PGM"), "read"),
+    ("exp-dct-golay", ("--gamma", "7"), "refused"),
+] + [(mode, flag, "read") for mode in ("gen-seq", "coherence",
+                                       "gauss-audit", "papr", "papr-seq",
+                                       "recover", "exp-ofdm",
+                                       "exp-ofdm-seq", "exp-phase", "exp-dct")
+     for flag in _SHARED]
+
+_BASE_RUNS = {}
+
+
+def _flag_run(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+@pytest.mark.parametrize("mode, flag, expect", _FLAG_CASES, ids=[
+    f"{mode}{flag[0]}" for mode, flag, _ in _FLAG_CASES])
+def test_every_flag_changes_its_run_or_is_refused(capsys, monkeypatch,
+                                                  tmp_path, mode, flag,
+                                                  expect):
+    # the reference runs at 2 trials here: what it reads does not depend
+    # on its trial count, and test_exp_ofdm_benchmark_mode runs all 500
+    monkeypatch.setattr(cli, "ofdm_reference_config", functools.partial(
+        ofdm_reference_config, trials=2))
+    pgm = tmp_path / "img.pgm"
+    pgm.write_bytes(b"P5\n8 8\n255\n" + bytes(range(0, 256, 4)))
+    extra = [{"DIR": str(tmp_path / "out"), "PGM": str(pgm)}.get(tok, tok)
+             for tok in flag]
+    code, out, err = _flag_run(capsys, _MODES[mode] + tuple(extra))
+    if expect == "refused":
+        assert code == 2 and flag[0] in err, err
+        return
+    if mode not in _BASE_RUNS:
+        _BASE_RUNS[mode] = _flag_run(capsys, _MODES[mode])
+    assert code in (0, 1) and _BASE_RUNS[mode][0] in (0, 1), err
+    assert out != _BASE_RUNS[mode][1]
 
 
 def test_unknown_command_exits_2():

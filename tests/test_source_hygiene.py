@@ -1,13 +1,17 @@
 """Source hygiene of src/convsense, read with ``ast``: every import is
-used (the package ``__init__`` re-exports, so it is exempt), and every
-private top-level name is referenced somewhere in the package."""
+used (the package ``__init__`` re-exports, so it is exempt), every
+private top-level name is referenced somewhere in the package, and every
+public one outside its own definition, in the package, demos/ or
+perfbench/."""
 
 import ast
 import pathlib
+import re
 
 import pytest
 
-_SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "convsense"
+_ROOT = pathlib.Path(__file__).resolve().parents[1]
+_SRC = _ROOT / "src" / "convsense"
 _MODULES = {path.name: ast.parse(path.read_text(), filename=str(path))
             for path in sorted(_SRC.glob("*.py"))}
 
@@ -30,9 +34,21 @@ def _imported(tree: ast.AST):
                 yield node.lineno, alias.asname or alias.name
 
 
-def _private_top_level(tree: ast.Module):
-    """(line, name) of each top-level def, class or assignment whose name
-    starts with one underscore."""
+def _referenced(tree: ast.AST) -> set:
+    """Names a tree reads: as a bare name, as an attribute
+    (``harness._csv``) or imported by name."""
+    names = _loaded_names(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names |= {alias.name for alias in node.names}
+    return names
+
+
+def _top_level(tree: ast.Module):
+    """(line, name, node) of each name a top-level def, class or
+    assignment binds."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             names = [node.name]
@@ -43,8 +59,7 @@ def _private_top_level(tree: ast.Module):
         else:
             continue
         for name in names:
-            if name.startswith("_") and not name.startswith("__"):
-                yield node.lineno, name
+            yield node.lineno, name, node
 
 
 @pytest.mark.parametrize("module", sorted(set(_MODULES) - {"__init__.py"}))
@@ -57,18 +72,36 @@ def test_every_import_is_used(module):
 
 
 def test_every_private_top_level_name_is_referenced():
-    # read as a bare name, as an attribute (``harness._csv``) or
-    # imported by name into another module
-    referenced = set()
-    for tree in _MODULES.values():
-        referenced |= _loaded_names(tree)
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Attribute):
-                referenced.add(node.attr)
-            elif isinstance(node, ast.ImportFrom):
-                referenced |= {alias.name for alias in node.names}
+    referenced = set().union(*map(_referenced, _MODULES.values()))
     dead = [f"{module}:{line} {name}"
             for module, tree in _MODULES.items()
-            for line, name in _private_top_level(tree)
-            if name not in referenced]
+            for line, name, _ in _top_level(tree)
+            if name.startswith("_") and not name.startswith("__")
+            and name not in referenced]
+    assert dead == []
+
+
+def test_every_public_top_level_name_is_referenced():
+    # by another top-level statement of the package (the re-exports of
+    # __init__ aside), or by demos/ or perfbench/, whose string literals
+    # count too: the tracer looks names up by string
+    public = {module: tree for module, tree in _MODULES.items()
+              if module != "__init__.py"}
+    users = [(node, _referenced(node)) for tree in public.values()
+             for node in tree.body]
+    for path in sorted(_ROOT.glob("demos/*.py")) + \
+            sorted(_ROOT.glob("perfbench/*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        words = {word for node in ast.walk(tree)
+                 if path.parent.name == "perfbench"
+                 and isinstance(node, ast.Constant)
+                 and isinstance(node.value, str)
+                 for word in re.findall(r"\w+", node.value)}
+        users.append((tree, _referenced(tree) | words))
+    dead = [f"{module}:{line} {name}"
+            for module, tree in public.items()
+            for line, name, node in _top_level(tree)
+            if not name.startswith("_")
+            and not any(name in names for user, names in users
+                        if user is not node)]
     assert dead == []
