@@ -32,12 +32,12 @@ import numpy as np
 from . import sequences as seqs
 from .coherence import bound_table_csv, coherence_row
 from .harness import (ExperimentConfig, GOLAY_PAPR_LIMIT, PAPR_HEADER,
-                      PAPR_OVERSAMPLE, REFERENCE_OFDM_OUTPUT_SNR_DB,
-                      audit_gauss, audit_papr, ofdm_reference_config,
-                      papr as papr_of, run_dct_experiment,
+                      REFERENCE_OFDM_OUTPUT_SNR_DB, audit_gauss, audit_papr,
+                      ofdm_reference_config, run_dct_experiment,
                       run_ofdm_experiment, run_phase_transition,
                       _add_noise, _grid_reason, _noise, _operator_draw,
-                      _recovered, _rel_error, _solve, _sparse_signal)
+                      _papr_row, _recovered, _rel_error, _solve,
+                      _sparse_signal)
 from .operators import _BASIS_KINDS, Basis, _csv, vector_to_csv
 from .recovery import SOLVERS
 
@@ -208,11 +208,9 @@ def _cmd_papr(args) -> int:
     else:
         _check_flags(args, "papr --seq", needs=("n",),
                      unread={"trials": None})
-        s = seqs.family(args.seq).build(args.n, _seq_params(args, args.seq))
-        value = papr_of(s.values)
-        csv_text = _csv(PAPR_HEADER,
-                        [[args.seq, args.n, PAPR_OVERSAMPLE, value]])
-        ok = value <= GOLAY_PAPR_LIMIT if args.seq == "golay" else True
+        row = _papr_row(args.seq, args.n, _seq_params(args, args.seq))
+        csv_text = _csv(PAPR_HEADER, [row])
+        ok = row[-1] <= GOLAY_PAPR_LIMIT if args.seq == "golay" else True
     _emit(args, "papr", csv_text)
     return EXIT_OK if ok else EXIT_VIOLATION
 

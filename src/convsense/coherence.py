@@ -30,6 +30,7 @@ N <= 32768.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Union
 
@@ -151,8 +152,9 @@ def dct_coherence_report(n_list: Iterable[int],
                     gammas: Union[Iterable[int], int] = 1
                     ) -> List[CoherenceReport]:
     """mu(A @ InverseDCT2) for FZC spectra against the 6*sqrt(2) bound;
-    one row per (N, gamma), non-coprime pairs skipped."""
-    gammas = [gammas] if isinstance(gammas, int) else list(gammas)
+    one row per (N, gamma), non-coprime pairs skipped.  ``gammas`` is one
+    integer of any integer type or an iterable of them."""
+    gammas = [operator.index(g) for g in np.atleast_1d(gammas)]
     return [coherence_row("fzc", int(n), {"gamma": g}, "inverse_dct2")
             for n in n_list for g in gammas]
 

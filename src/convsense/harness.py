@@ -101,24 +101,31 @@ def attc_channel(n: int) -> ChannelModel:
     return ChannelModel(n=n, taps=_ATTC_TAPS)
 
 
-def papr(sigma, oversample: int = PAPR_OVERSAMPLE) -> float:
+def papr(sigma) -> float:
     """Peak-to-average power of the length-N tone sum
-    (1/sqrt(N)) sum_n sigma_n exp(2j pi n t / T), evaluated on an
-    oversample*N uniform grid via a zero-padded inverse FFT."""
-    if oversample < 4:
-        raise ValueError("oversample < 4 aliases the envelope peak")
+    (1/sqrt(N)) sum_n sigma_n exp(2j pi n t / T), evaluated on a
+    PAPR_OVERSAMPLE*N uniform grid via a zero-padded inverse FFT."""
     vals = seqs._values(sigma)
     n = vals.size
     dev = float(np.max(np.abs(np.abs(vals) - 1.0)))
     if dev > seqs._UNIMODULAR_TOL:
         raise ValueError(
             f"PAPR defined here for unimodular/bipolar input (dev {dev:.2e})")
-    grid = oversample * n
+    grid = PAPR_OVERSAMPLE * n
     padded = np.zeros(grid, dtype=np.complex128)
     padded[:n] = vals
     envelope = np.fft.ifft(padded) * grid / np.sqrt(n)
     avg_power = float(np.linalg.norm(vals) ** 2) / n
     return float(np.max(np.abs(envelope) ** 2) / avg_power)
+
+
+def _papr_row(kind: str, n: int, params: dict) -> list:
+    """A PAPR table row for family ``kind`` built at length N, labelled
+    with the params it reads: ``golay``, ``fzc(gamma=1)``,
+    ``random_phase(seed=3)``."""
+    label = kind + "".join(f"({key}={val})" for key, val in params.items())
+    sigma = seqs.family(kind).build(n, params)
+    return [label, n, PAPR_OVERSAMPLE, papr(sigma)]
 
 
 # ---------------------------------------------------------------------------
@@ -813,23 +820,17 @@ def audit_papr(golay_sizes: Tuple[int, ...] = (256, 512, 1024),
         raise ValueError("golay_sizes must name at least one size")
     _require_counts(random_seeds=random_seeds)
     random_n = 1024
-    rows: List[list] = []
-    failures: List[str] = []
-    for n in golay_sizes:
-        val = papr(seqs.golay(n))
-        rows.append(["golay", n, PAPR_OVERSAMPLE, val])
-        if not (val <= GOLAY_PAPR_LIMIT):
-            failures.append(
-                f"golay N={n}: PAPR {val:.6g} > {GOLAY_PAPR_LIMIT}")
-    for n in golay_sizes:
-        rows.append(["fzc(gamma=1)", n, PAPR_OVERSAMPLE,
-                     papr(seqs.fzc(n, 1))])
-    random_vals = [papr(seqs.random_phase(random_n, s))
+    golay_rows = [_papr_row("golay", n, {}) for n in golay_sizes]
+    fzc_rows = [_papr_row("fzc", n, {"gamma": 1}) for n in golay_sizes]
+    random_rows = [_papr_row("random_phase", random_n, {"seed": s})
                    for s in range(random_seeds)]
-    rows += [[f"random_phase(seed={s})", random_n, PAPR_OVERSAMPLE, val]
-             for s, val in enumerate(random_vals)]
-    if min(random_vals) < 4.0:
+    failures = [f"golay N={n}: PAPR {val:.6g} > {GOLAY_PAPR_LIMIT}"
+                for _, n, _, val in golay_rows
+                if not (val <= GOLAY_PAPR_LIMIT)]
+    random_min = min(row[-1] for row in random_rows)
+    if random_min < 4.0:
         failures.append(f"random_phase N={random_n}: min PAPR "
-                        f"{min(random_vals):.6g} < 4")
+                        f"{random_min:.6g} < 4")
+    rows = golay_rows + fzc_rows + random_rows
     return AuditResult(name="papr", ok=not failures,
                        csv=_csv(PAPR_HEADER, rows), failures=tuple(failures))

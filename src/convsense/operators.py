@@ -22,13 +22,11 @@ from dataclasses import dataclass
 from typing import Optional, Sequence as TypingSequence, Union
 
 import numpy as np
-import scipy.linalg
+import scipy
 
 from . import sequences as seqs
 from .sequences import Sequence
 
-_DENSE_GUARD = 4096
-_DENSE_BATCH = 256
 _ROUNDTRIP_TOL = 1e-10
 
 ArrayLike = Union[Sequence, np.ndarray, TypingSequence[complex]]
@@ -121,13 +119,6 @@ class CirculantOperator:
 
     # block callers and the benchmark tracer use this name
     apply_batch = apply
-
-    def dense(self) -> np.ndarray:
-        """Explicit N x N matrix, A(p, q) = filter[(p - q) mod N]."""
-        if self.n > _DENSE_GUARD:
-            raise ValueError(
-                f"dense materialization refused for N={self.n} > {_DENSE_GUARD}")
-        return scipy.linalg.circulant(self.filter)
 
 
 def build_circulant(kind: str, n: int, params: dict,
@@ -264,21 +255,6 @@ class Basis:
             return np.fft.fft(g, axis=0) / np.sqrt(n)
         return scipy.fft.dct(g, type=2, norm="ortho", axis=0)
 
-    def dense(self, n: int) -> np.ndarray:
-        """Explicit Psi from the defining entries (reference form)."""
-        if n > _DENSE_GUARD:
-            raise ValueError(
-                f"dense materialization refused for N={n} > {_DENSE_GUARD}")
-        if self.kind == "identity":
-            return np.eye(n, dtype=np.complex128)
-        p = np.arange(n)
-        if self.kind == "inverse_fourier":
-            return np.exp(2j * np.pi * np.outer(p, p) / n) / np.sqrt(n)
-        mat = np.sqrt(2.0 / n) * np.cos(
-            np.pi * np.outer(p + 0.5, p) / n).astype(np.complex128)
-        mat[:, 0] = 1.0 / np.sqrt(n)
-        return mat
-
 
 # ---------------------------------------------------------------------------
 # composed sensing operator
@@ -331,15 +307,6 @@ class SensingOperator:
     @functools.cached_property
     def _stack(self) -> "StackedOperator":
         return StackedOperator.of([self])
-
-    def dense(self) -> np.ndarray:
-        """Explicit M x N matrix, from ``columns`` in batches."""
-        if self.n > _DENSE_GUARD:
-            raise ValueError(
-                f"dense materialization refused for N={self.n} > {_DENSE_GUARD}")
-        idx = np.arange(self.n)
-        return np.hstack([self.columns(idx[lo:lo + _DENSE_BATCH])
-                          for lo in range(0, self.n, _DENSE_BATCH)])
 
 
 @dataclass(frozen=True)

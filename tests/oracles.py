@@ -45,6 +45,18 @@ def idct2_matrix(n: int) -> np.ndarray:
     return m
 
 
+def basis_matrix(kind: str, n: int) -> np.ndarray:
+    """The sparsity basis Psi named ``kind`` from the matrices above:
+    identity, inverse Fourier (1/sqrt(n)) F^*, or inverse DCT-II."""
+    if kind == "identity":
+        return np.eye(n, dtype=np.complex128)
+    if kind == "inverse_fourier":
+        return dft_matrix(n).conj().T / math.sqrt(n)
+    if kind == "inverse_dct2":
+        return idct2_matrix(n).astype(np.complex128)
+    raise ValueError(kind)
+
+
 def periodic_autocorr(x, lag: int) -> complex:
     """R(lag) = sum_k x[k] * conj(x[(k + lag) mod n])."""
     x = np.asarray(x)

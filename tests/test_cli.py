@@ -237,6 +237,20 @@ def test_papr_audit_mode(capsys):
     assert code == (0 if res.ok else 1)
 
 
+@pytest.mark.parametrize("argv", [
+    ("--seq", "golay", "--n", "256"),
+    ("--seq", "fzc", "--n", "512", "--gamma", "1"),
+    ("--seq", "random_phase", "--n", "1024", "--seed", "2"),
+])
+def test_papr_seq_row_is_the_audit_row(capsys, argv):
+    # one labelling rule: a single-sequence row reads as the audit's row
+    # for the same family, length and params
+    code, out, _ = run(capsys, "papr", *argv)
+    assert code == 0
+    row = out.splitlines()[1]
+    assert row in audit_papr(random_seeds=3).csv.splitlines()
+
+
 def test_papr_requires_n_with_seq(capsys):
     code, _, err = run(capsys, "papr", "--seq", "golay")
     assert code == 2 and "--n" in err
@@ -509,6 +523,9 @@ _FLAG_CASES = [
     ("papr-seq", ("--gamma", "7"), "refused"),
     ("papr-seq", ("--seed", "3"), "refused"),
     ("papr-seq-fzc", ("--gamma", "5"), "read"),
+    # roots 1 and N - 1 give one PAPR: only the row label tells them
+    # apart (one token, so the case id differs from the one above)
+    ("papr-seq-fzc", ("--gamma=63",), "read"),
     ("papr-seq-random", ("--seed", "3"), "read"),
     ("recover", ("--n", "128"), "read"),
     ("recover", ("--m", "24"), "read"),

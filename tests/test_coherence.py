@@ -32,7 +32,7 @@ def test_mutual_coherence_matches_dense(basis_kind):
     a = CirculantOperator.from_spectrum(seqs.fzc(n, 3))
     psi = Basis(basis_kind)
     want = np.max(np.abs(oracles.circulant_from_filter(a.filter)
-                         @ psi.dense(n)))
+                         @ oracles.basis_matrix(basis_kind, n)))
     assert mutual_coherence(a, psi) == pytest.approx(want, rel=1e-10)
 
 
@@ -133,6 +133,17 @@ def test_dct_coherence_rows():
     # non-coprime pairs skip
     skipped = dct_coherence_report([64], gammas=[2])[0]
     assert skipped.skipped
+
+
+@pytest.mark.parametrize("gammas, as_list", [
+    (np.int64(3), [3]), (np.array(3), [3]),
+    (np.array([1, 3], dtype=np.int32), [1, 3]),
+])
+def test_dct_coherence_report_takes_numpy_integers(gammas, as_list):
+    assert bound_table_csv(dct_coherence_report([64], gammas)) == \
+        bound_table_csv(dct_coherence_report([64], as_list))
+    with pytest.raises(TypeError):
+        dct_coherence_report([64], 2.5)
 
 
 def test_coherence_row_labels_and_bounds():

@@ -14,8 +14,9 @@ import pytest
 import oracles
 from convsense import harness, recovery
 from convsense import sequences as seqs
-from convsense.harness import (ExperimentConfig, attc_channel, audit_gauss,
-                               audit_papr, audit_coherence_bounds, build_circulant,
+from convsense.harness import (PAPR_OVERSAMPLE, ExperimentConfig,
+                               attc_channel, audit_gauss, audit_papr,
+                               audit_coherence_bounds, build_circulant,
                                ofdm_reference_config, papr, read_pgm,
                                run_dct_experiment, run_ofdm_experiment,
                                run_phase_transition, trial_seed)
@@ -65,21 +66,16 @@ def test_attc_channel_taps():
 
 def test_papr_matches_direct_evaluation():
     sigma = seqs.golay(8).values
-    assert papr(sigma, oversample=4) == pytest.approx(
-        oracles.papr_direct(sigma, 4), rel=1e-9)
+    assert papr(sigma) == pytest.approx(
+        oracles.papr_direct(sigma, PAPR_OVERSAMPLE), rel=1e-9)
     rng_sigma = seqs.random_phase(12, 0).values
-    assert papr(rng_sigma, oversample=4) == pytest.approx(
-        oracles.papr_direct(rng_sigma, 4), rel=1e-9)
+    assert papr(rng_sigma) == pytest.approx(
+        oracles.papr_direct(rng_sigma, PAPR_OVERSAMPLE), rel=1e-9)
 
 
 def test_papr_all_ones_is_n():
     # a flat spectrum concentrates all power in one time sample
     assert papr(np.ones(16)) == pytest.approx(16.0, rel=1e-9)
-
-
-def test_papr_rejects_low_oversampling():
-    with pytest.raises(ValueError):
-        papr(np.ones(8), oversample=2)
 
 
 def test_build_circulant_kinds():
@@ -241,7 +237,7 @@ def test_ofdm_high_snr_rows_equal_the_oracle_refit():
         y = harness._add_noise(y0, harness._noise(rng, y0.size),
                                rec.input_snr_db)
         if rec.index not in tap_cols:
-            tap_cols[rec.index] = theta.dense()[:, taps]
+            tap_cols[rec.index] = theta.columns(taps)
         cols = tap_cols[rec.index]
         coef, *_ = np.linalg.lstsq(np.vstack([cols.real, cols.imag]),
                                    np.concatenate([y.real, y.imag]),
@@ -315,7 +311,8 @@ def test_solve_keeps_the_top_k_atoms_of_a_larger_greedy_estimate():
     result, = harness._solve(cfg, [(theta, y)], 6)
     support = np.sort(np.argsort(-np.abs(sp.f_hat), kind="stable")[:6])
     assert np.array_equal(result.support, support)
-    expected = oracles.least_squares_on_support(theta.dense(), y, support)
+    expected = oracles.least_squares_on_support(
+        theta.columns(np.arange(theta.n)), y, support)
     assert np.allclose(result.f_hat, expected, rtol=0, atol=1e-9)
     # keeping all K atoms, the greedy estimate stands as it is
     assert np.array_equal(harness._solve(cfg, [(theta, y)])[0].f_hat,
@@ -609,7 +606,8 @@ def test_fista_refit_is_least_squares_on_the_top_k_support():
     assert np.array_equal(result.support, support)
     assert (result.iterations, result.converged) == \
         (lasso.iterations, lasso.converged)
-    expected = oracles.least_squares_on_support(theta.dense(), y, support)
+    expected = oracles.least_squares_on_support(
+        theta.columns(np.arange(theta.n)), y, support)
     assert np.allclose(result.f_hat, expected, rtol=0, atol=1e-9)
 
 
@@ -775,10 +773,10 @@ def test_audit_gauss_refuses_to_check_nothing(name):
 def test_audit_papr_fails_when_random_phase_papr_drops_below_4(monkeypatch):
     real_papr = harness.papr
 
-    def low_random_rows(sigma, oversample=16):
+    def low_random_rows(sigma):
         if getattr(sigma, "kind", None) is seqs.SequenceKind.RANDOM_PHASE:
             return 3.0
-        return real_papr(sigma, oversample)
+        return real_papr(sigma)
 
     monkeypatch.setattr(harness, "papr", low_random_rows)
     res = audit_papr(golay_sizes=(64,), random_seeds=3)

@@ -1,8 +1,8 @@
 """Source hygiene of src/convsense, read with ``ast``: every import is
 used (the package ``__init__`` re-exports, so it is exempt), every
 private top-level name is referenced somewhere in the package, and every
-public one outside its own definition, in the package, demos/ or
-perfbench/."""
+public top-level name and public class member outside its own
+definition, in the package, demos/ or perfbench/."""
 
 import ast
 import pathlib
@@ -81,27 +81,70 @@ def test_every_private_top_level_name_is_referenced():
     assert dead == []
 
 
-def test_every_public_top_level_name_is_referenced():
-    # by another top-level statement of the package (the re-exports of
-    # __init__ aside), or by demos/ or perfbench/, whose string literals
-    # count too: the tracer looks names up by string
-    public = {module: tree for module, tree in _MODULES.items()
-              if module != "__init__.py"}
-    users = [(node, _referenced(node)) for tree in public.values()
-             for node in tree.body]
-    for path in sorted(_ROOT.glob("demos/*.py")) + \
-            sorted(_ROOT.glob("perfbench/*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
-        words = {word for node in ast.walk(tree)
-                 if path.parent.name == "perfbench"
-                 and isinstance(node, ast.Constant)
-                 and isinstance(node.value, str)
-                 for word in re.findall(r"\w+", node.value)}
-        users.append((tree, _referenced(tree) | words))
-    dead = [f"{module}:{line} {name}"
-            for module, tree in public.items()
-            for line, name, node in _top_level(tree)
+# the package modules a public name may be used from: the re-exports of
+# __init__ do not count
+_PUBLIC = {module: tree for module, tree in _MODULES.items()
+           if module != "__init__.py"}
+
+
+def _script(path: pathlib.Path):
+    """(tree, names it references) of a demos/ or perfbench/ script;
+    perfbench's string literals count too: the tracer looks names up by
+    string."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    words = {word for node in ast.walk(tree)
+             if path.parent.name == "perfbench"
+             and isinstance(node, ast.Constant)
+             and isinstance(node.value, str)
+             for word in re.findall(r"\w+", node.value)}
+    return tree, _referenced(tree) | words
+
+
+_SCRIPTS = [_script(path) for path in sorted(_ROOT.glob("demos/*.py"))
+            + sorted(_ROOT.glob("perfbench/*.py"))]
+
+
+def _unreferenced(defined, units):
+    """"module:line name" for each public (module, line, name, node) in
+    ``defined`` that no (unit, names) but its own node references."""
+    return [f"{module}:{line} {name}" for module, line, name, node in defined
             if not name.startswith("_")
-            and not any(name in names for user, names in users
-                        if user is not node)]
-    assert dead == []
+            and not any(name in names for unit, names in units
+                        if unit is not node)]
+
+
+def _class_members(tree: ast.Module):
+    """(line, name, node) of each method, property, classmethod and
+    class-level alias a top-level class defines; dataclass fields are
+    annotations, not members here."""
+    for cls in tree.body:
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for node in cls.body:
+            if isinstance(node, ast.FunctionDef):
+                yield node.lineno, node.name, node
+            elif isinstance(node, ast.Assign):
+                for target in node.targets:
+                    if isinstance(target, ast.Name):
+                        yield node.lineno, target.id, node
+
+
+def test_every_public_top_level_name_is_referenced():
+    # by another top-level statement of the package or by a script
+    units = [(node, _referenced(node)) for tree in _PUBLIC.values()
+             for node in tree.body]
+    defined = [(module, line, name, node) for module, tree in _PUBLIC.items()
+               for line, name, node in _top_level(tree)]
+    assert _unreferenced(defined, units + _SCRIPTS) == []
+
+
+def test_every_public_class_member_is_referenced():
+    # by another top-level statement of the package, another statement
+    # of its class's body, or a script
+    units = [(node, _referenced(node)) for tree in _PUBLIC.values()
+             for top in tree.body
+             for node in (top.body if isinstance(top, ast.ClassDef)
+                          else [top])]
+    defined = [(module, line, name, node) for module, tree in _PUBLIC.items()
+               for line, name, node in _class_members(tree)]
+    assert _unreferenced(defined, units + _SCRIPTS) == []
