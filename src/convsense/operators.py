@@ -304,6 +304,24 @@ class SensingOperator:
             raise ValueError(f"column indices out of range [0, {self.n})")
         return self._stack.columns(idx[None])[0]
 
+    def matrix(self) -> np.ndarray:
+        """Theta as a C-contiguous (M, N) array, built row-wise.
+
+        Row p of A is the filter read backwards from p, so the sampled
+        rows of A, conjugated, are the length-N windows of the reversed,
+        conjugated filter written twice that start at N - 1 - p.  As
+        Psi^T = conj . Psi^* . conj, their block times Psi is one
+        ``basis.adjoint`` on the block's transpose, conjugated."""
+        n = self.n
+        rev = np.conj(self.circulant.filter[::-1])
+        windows = np.lib.stride_tricks.sliding_window_view(
+            np.concatenate((rev, rev)), n)
+        rows = windows[n - 1 - self.sampling.indices]
+        theta = np.ascontiguousarray(self.basis.adjoint(rows.T).T)
+        np.conj(theta, out=theta)
+        theta /= np.sqrt(self.m)
+        return theta
+
     @functools.cached_property
     def _stack(self) -> "StackedOperator":
         return StackedOperator.of([self])

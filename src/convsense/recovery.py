@@ -1,11 +1,14 @@
 """Sparse recovery solvers: OMP, subspace pursuit, and FISTA.
 
-All three solve for a SensingOperator Theta, which they reach only
-through its FFT-backed ``forward`` and ``adjoint`` and its ``columns``
-(subspace pursuit through those of a stack of them, ``StackedOperator``),
-and run fully in complex arithmetic.  Greedy solvers take a sparsity K;
-FISTA minimizes 0.5*||y - Theta f||^2 + lambda*||f||_1, warm-started
-along a short geometric lambda path down to the posed lambda.
+All three solve for a SensingOperator Theta and run fully in complex
+arithmetic.  The greedy solvers reach Theta only through its FFT-backed
+``adjoint`` and ``columns`` (subspace pursuit through those of a
+``StackedOperator``).  FISTA applies Theta as ``matrix()`` when
+M*N <= 2^17, one O(MN) product each way per iteration, and above that
+through ``forward`` and ``adjoint``, two FFTs and a basis transform each
+way, O(N log N).  Greedy solvers take a sparsity K; FISTA minimizes
+0.5*||y - Theta f||^2 + lambda*||f||_1, warm-started along a short
+geometric lambda path down to the posed lambda.
 
 Deterministic by construction: correlation and magnitude ties always
 break to the lowest index, and the FISTA step size is read off the
@@ -15,7 +18,7 @@ circulant's spectrum in closed form, so reruns are bit-identical.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence as TypingSequence
+from typing import Callable, List, Optional, Sequence as TypingSequence, Tuple
 
 import numpy as np
 
@@ -32,6 +35,8 @@ _FISTA_STAGES = 6
 _FISTA_LAM0_FACTOR = 0.5
 _FISTA_STAGE_STOP_REL = 1e-5
 _FISTA_STAGE_MAX_ITERS = 200
+# largest M*N at which FISTA applies Theta as a matrix (2 MiB of complex128)
+_FISTA_DENSE_MAX = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -51,6 +56,9 @@ class RecoveryProblem:
             raise TypeError("operator must be a SensingOperator, got "
                             f"{type(self.operator).__name__}")
         y = np.ascontiguousarray(self.y, dtype=np.complex128)
+        if y.shape != (self.operator.m,):
+            raise ValueError(f"measurements y must have shape "
+                             f"({self.operator.m},), got {y.shape}")
         if not np.all(np.isfinite(y)):
             raise ValueError("measurements y must be finite")
         object.__setattr__(self, "y", y)
@@ -236,19 +244,32 @@ def _soft_threshold(u: np.ndarray, tau: float) -> np.ndarray:
     return u * scale
 
 
-def _fista_stage(op: SensingOperator, y: np.ndarray, L: float, lam: float,
-                 f: np.ndarray, rf: np.ndarray, stop_rel: float,
+def _fista_applications(op: SensingOperator) -> Tuple[Callable, Callable]:
+    """The (forward, adjoint) pair FISTA applies Theta by: products with
+    ``op.matrix()`` when M*N <= ``_FISTA_DENSE_MAX``, else the operator's
+    own FFT-backed pair."""
+    if op.m * op.n > _FISTA_DENSE_MAX:
+        return op.forward, op.adjoint
+    theta = op.matrix()
+    return (lambda f: theta @ f), (lambda r: np.conj(np.conj(r) @ theta))
+
+
+def _fista_stage(theta: Tuple[Callable, Callable], y: np.ndarray, L: float,
+                 lam: float, f: np.ndarray, rf: np.ndarray, stop_rel: float,
                  max_iters: int):
     """FISTA at one lambda from f (rf = Theta f), with momentum starting
-    afresh at f; returns (f, Theta f, iterations, converged)."""
+    afresh at f, Theta applied by the (forward, adjoint) pair ``theta``;
+    returns (f, Theta f, iterations, converged)."""
+    forward, adjoint = theta
+
     def objective(f, rf):
         return 0.5 * float(np.linalg.norm(y - rf)) ** 2 \
             + lam * float(np.sum(np.abs(f)))
 
     def step(z, rz):
         """The proximal step from z (rz = Theta z): (f, Theta f, objective)."""
-        f_new = _soft_threshold(z - op.adjoint(rz - y) / L, lam / L)
-        rf_new = op.forward(f_new)
+        f_new = _soft_threshold(z - adjoint(rz - y) / L, lam / L)
+        rf_new = forward(f_new)
         return f_new, rf_new, objective(f_new, rf_new)
 
     obj = objective(f, rf)
@@ -320,12 +341,15 @@ def fista_lasso(p: RecoveryProblem) -> RecoveryResult:
     one forward and one adjoint (a restart one more of each): Theta z is
     carried by linearity beside the momentum point z, as the same
     combination of the two latest forwards, so its rounding does not
-    build up, and a stage starts from the last one's Theta f."""
+    build up, and a stage starts from the last one's Theta f.  Up to
+    M*N = 2^17 an application is a product with Theta built for this
+    solve, O(MN); above, two FFTs and a basis transform, O(N log N)."""
     if not p.lam_rel > 0:
         raise ValueError(f"fista requires lam_rel > 0, got {p.lam_rel}")
     op = p.operator
     y = p.y
-    top = float(np.max(np.abs(op.adjoint(y))))
+    theta = _fista_applications(op)
+    top = float(np.max(np.abs(theta[1](y))))  # theta[1] is the adjoint
     lam = max(float(p.lam_rel) * top, 1e-300)
     lam0 = _FISTA_LAM0_FACTOR * top
     L = _step_bound(op)
@@ -335,11 +359,11 @@ def fista_lasso(p: RecoveryProblem) -> RecoveryResult:
     rf = np.zeros(op.m, dtype=np.complex128)
     iterations = 0
     for stage_lam in path:
-        f, rf, used, _ = _fista_stage(op, y, L, float(stage_lam), f, rf,
+        f, rf, used, _ = _fista_stage(theta, y, L, float(stage_lam), f, rf,
                                       _FISTA_STAGE_STOP_REL,
                                       _FISTA_STAGE_MAX_ITERS)
         iterations += used
-    f, rf, used, converged = _fista_stage(op, y, L, lam, f, rf,
+    f, rf, used, converged = _fista_stage(theta, y, L, lam, f, rf,
                                           _FISTA_STOP_REL,
                                           _FISTA_MAX_ITERS - iterations)
     iterations += used

@@ -286,6 +286,23 @@ def test_forward_batch_matches_single():
                            atol=1e-12)
 
 
+@pytest.mark.parametrize("basis_kind", ["identity", "inverse_fourier",
+                                        "inverse_dct2"])
+@pytest.mark.parametrize("domain", ["spectrum", "filter"])
+@pytest.mark.parametrize("n,m", [(64, 32), (63, 20)])
+def test_matrix_equals_every_column(n, m, domain, basis_kind):
+    values = _rand_vec(n, n)
+    if domain == "spectrum":
+        circ = CirculantOperator.from_spectrum(values / np.abs(values))
+    else:
+        circ = CirculantOperator.from_filter(values)
+    theta = SensingOperator(circ, random_sampling(n, m, 5), Basis(basis_kind))
+    got = theta.matrix()
+    want = theta.columns(np.arange(n))
+    assert got.shape == (m, n) and got.flags.c_contiguous
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 _COLUMN_CIRCULANTS = {
     "golay_256": lambda: CirculantOperator.from_spectrum(seqs.golay(256)),
     "fzc_257": lambda: CirculantOperator.from_spectrum(seqs.fzc(257, 1)),

@@ -1,19 +1,22 @@
 """Sparse solvers: exact recovery, dense least-squares agreement, guards."""
 
 import dataclasses
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import oracles
-from convsense import harness
+from convsense import harness, recovery
 from convsense import sequences as seqs
 from convsense.operators import (Basis, CirculantOperator, SensingOperator,
                                  StackedOperator, build_circulant,
                                  equispaced_sampling, random_sampling)
 from convsense.recovery import (_OMP_STOP_REL, RecoveryProblem,
                                 RecoveryResult, SOLVERS, _embed,
-                                _fista_stage, _least_squares,
+                                _fista_applications, _fista_stage,
+                                _least_squares,
                                 _soft_threshold, _step_bound, _top_indices,
                                 fista_lasso, omp, subspace_pursuit,
                                 subspace_pursuit_block)
@@ -105,6 +108,15 @@ def test_guards():
 def test_dense_matrix_operator_is_refused():
     with pytest.raises(TypeError, match="SensingOperator"):
         RecoveryProblem(np.eye(4), np.ones(4), k=1)
+
+
+@pytest.mark.parametrize("solver", sorted(SOLVERS))
+def test_measurements_of_another_shape_are_refused(solver):
+    theta, f, support, y = _problem()  # M = 24
+    for bad in (np.stack([y, y], axis=1), y[:-1]):
+        with pytest.raises(ValueError, match=re.escape(
+                f"shape (24,), got {bad.shape}")):
+            SOLVERS[solver](RecoveryProblem(operator=theta, y=bad, k=3))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -431,12 +443,19 @@ def test_fista_makes_one_forward_and_one_adjoint_per_iteration(monkeypatch):
     _, _, _, restarts = _fista_three_applications(theta, y, 1e-3)
     assert restarts > 0  # the restart branch runs too
     calls = {"forward": 0, "adjoint": 0}
-    for name in calls:
-        def counted(self, x, _name=name,
-                    _real=getattr(SensingOperator, name)):
-            calls[_name] += 1
-            return _real(self, x)
-        monkeypatch.setattr(SensingOperator, name, counted)
+
+    def counted(name, apply):
+        def wrapper(x):
+            calls[name] += 1
+            return apply(x)
+        return wrapper
+
+    def applications(op):
+        forward, adjoint = _fista_applications(op)
+        return counted("forward", forward), counted("adjoint", adjoint)
+
+    # FISTA applies Theta only through the pair this seam returns
+    monkeypatch.setattr(recovery, "_fista_applications", applications)
     res = fista_lasso(RecoveryProblem(operator=theta, y=y, lam_rel=1e-3))
     # one adjoint more, for max|Theta^* y|; the zero start needs no forward
     n_apps = res.iterations + restarts
@@ -457,6 +476,46 @@ def test_fista_matches_three_application_reference(basis):
         assert np.array_equal(res.support, np.flatnonzero(np.abs(f_ref) > 0))
         assert np.max(np.abs(res.f_hat - f_ref)) \
             <= 1e-12 * np.linalg.norm(f_ref)
+
+
+@pytest.mark.parametrize("basis", ["identity", "inverse_fourier",
+                                   "inverse_dct2", "gaussian_filter"])
+def test_fista_above_the_dense_cap_solves_alike(basis, monkeypatch):
+    # these 32 x 64 problems apply Theta as a matrix; with the cap at 0
+    # they run on the operator's own FFT-backed forward and adjoint
+    cases = [_fista_case(basis, seed, snr_db)
+             for seed, snr_db in ((0, None), (1, 20), (2, 20))]
+    dense = [fista_lasso(RecoveryProblem(operator=theta, y=y, lam_rel=1e-3))
+             for theta, y in cases]
+    monkeypatch.setattr(recovery, "_FISTA_DENSE_MAX", 0)
+    for (theta, y), want in zip(cases, dense):
+        assert _fista_applications(theta) == (theta.forward, theta.adjoint)
+        got = fista_lasso(RecoveryProblem(operator=theta, y=y, lam_rel=1e-3))
+        assert (got.iterations, got.converged) == \
+            (want.iterations, want.converged)
+        assert np.array_equal(got.support, want.support)
+        assert np.max(np.abs(got.f_hat - want.f_hat)) \
+            <= 1e-12 * np.linalg.norm(want.f_hat)
+
+
+def test_fista_solve_at_the_dct_experiment_size_stays_small():
+    # Theta as a 128 x 512 matrix is 1 MiB, and building it holds one
+    # more 1 MiB block while the basis transforms it (2.03 MiB in all);
+    # an (N, M) gather index (2.50 MiB) or a stored Theta^H (3.00 MiB)
+    # would show here
+    n, m = 512, 128
+    theta = SensingOperator(CirculantOperator.from_spectrum(seqs.fzc(n, 1)),
+                            random_sampling(n, m, 0), Basis.inverse_dct2())
+    f, _ = harness._sparse_signal(np.random.default_rng(0), n, 8,
+                                  real_values=True)
+    problem = RecoveryProblem(operator=theta, y=theta.forward(f))
+    tracemalloc.start()
+    try:
+        fista_lasso(problem)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.25 * 2 ** 20
 
 
 def _dct_baseline_draw(trial):
@@ -500,12 +559,13 @@ def test_fista_at_a_large_lambda_is_one_plain_stage(basis):
     for seed in range(3):
         theta, f, support, y = _problem(n=64, m=32, k=3, seed=seed,
                                         basis=basis, snr_db=20)
-        top = float(np.max(np.abs(theta.adjoint(y))))
+        pair = _fista_applications(theta)  # the pair fista_lasso uses
+        top = float(np.max(np.abs(pair[1](y))))
         for lam_rel in (0.5, 0.6, 0.9):  # lambda_0 times 1, 1.2 and 1.8
             res = fista_lasso(RecoveryProblem(operator=theta, y=y,
                                               lam_rel=lam_rel))
             f_ref, _, iterations, converged = _fista_stage(
-                theta, y, _step_bound(theta), lam_rel * top,
+                pair, y, _step_bound(theta), lam_rel * top,
                 np.zeros(64, dtype=np.complex128),
                 np.zeros(32, dtype=np.complex128), 1e-8, 2000)
             assert res.support.size > 0
