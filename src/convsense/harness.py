@@ -752,8 +752,12 @@ def audit_coherence_bounds() -> AuditResult:
 
 
 def _complete_sum(n: int) -> complex:
-    k = np.arange(n, dtype=np.int64)
-    return complex(np.sum(np.exp(2j * np.pi * ((k * k) % n) / n)))
+    """sum_{k<N} e^{2 pi j k^2/N}.  k and N - k share the residue k^2
+    mod N, so the terms for k <= N/2 are evaluated and mirrored: the
+    same elements in the same order, hence the same pairwise sum."""
+    k = np.arange(n // 2 + 1, dtype=np.int64)
+    half = np.exp(2j * np.pi * ((k * k) % n) / n)
+    return complex(np.sum(np.concatenate((half, half[1:(n + 1) // 2][::-1]))))
 
 
 def audit_gauss(closed_form_max: int = 4096, identity_max: int = 256,

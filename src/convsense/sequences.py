@@ -188,30 +188,67 @@ PRIMITIVE_POLYNOMIALS = {
 }
 
 
+# a power of two, as the stride recurrence rests on p(x)^s = p(x^s)
+_STRIDE = 64
+
+
+def _recurrence_bits(taps: int, degree: int, n: int) -> np.ndarray:
+    """Bits 0..n-1 of the recurrence whose characteristic polynomial has
+    bitmask ``taps`` (bit i the coefficient of x^i, i <= degree), from
+    initial state 1: bits 0..degree-1 are 1, 0, ..., 0 and bit
+    t + degree is the XOR of bits t + i over the terms x^i, i < degree.
+
+    The first degree * s bits (s = _STRIDE) are run bit by bit.  Past
+    them, b[t + degree*s] = XOR_i b[t + i*s], the recurrence of
+    p(x^s) = p(x)^s, which every solution of p's recurrence also solves,
+    primitive or not.  Each step of it fills (degree - max i) * s bits
+    with one XOR of array slices per term.
+    """
+    terms = [i for i in range(degree) if (taps >> i) & 1]
+    head = min(n, degree * _STRIDE)
+    bits = [1] + [0] * (degree - 1)
+    for t in range(head - degree):
+        fb = 0
+        for i in terms:
+            fb ^= bits[t + i]
+        bits.append(fb)
+    out = np.zeros(n, dtype=np.uint8)
+    out[:head] = bits[:head]
+    step = (degree - max(terms)) * _STRIDE
+    for start in range(head, n, step):
+        stop = min(start + step, n)
+        lo = start - degree * _STRIDE
+        for i in terms:
+            src = lo + i * _STRIDE
+            out[start:stop] ^= out[src:src + stop - start]
+    return out
+
+
 def m_sequence(degree: int) -> Sequence:
     """Maximum-length +/-1 sequence of period N = 2^degree - 1 from the
     primitive polynomial tabulated for its degree (PRIMITIVE_POLYNOMIALS).
 
     Initial state 1 gives bits 0..degree-1 = 1, 0, ..., 0; after that
     bit t + degree is the XOR of bits t + i over the polynomial's terms
-    x^i, i < degree.  Output bit b is mapped to (-1)^b, so the sequence
-    sums to -1.  The exact two-valued autocorrelation check (off-peak
-    R(l) = -1) verifies the table entry on every build.
+    x^i, i < degree (past bit degree * 64 through the equivalent stride
+    recurrence of _recurrence_bits).  Output bit b is mapped to (-1)^b,
+    so the sequence sums to -1.
+
+    The exact two-valued autocorrelation gate verifies the table entry
+    on every build: the periodic autocorrelation R(l) = r(l) + r(N - l)
+    is read off the aperiodic autocorrelation r of _lag_sums (one
+    power-of-two real FFT, error bound stated there), rounded to
+    integers, and must lie within 1e-6 of them, with R(0) = N and every
+    off-peak R(l) = -1.
     """
     taps = PRIMITIVE_POLYNOMIALS.get(degree)
     if taps is None:
         raise ValueError(f"no primitive polynomial tabulated for {degree=}")
     n = (1 << degree) - 1
-    terms = [i for i in range(degree) if (taps >> i) & 1]
-    bits = [1] + [0] * (degree - 1)
-    for t in range(n - degree):
-        fb = 0
-        for i in terms:
-            fb ^= bits[t + i]
-        bits.append(fb)
-    vals = 1.0 - 2.0 * np.array(bits, dtype=np.int64)
+    vals = 1.0 - 2.0 * _recurrence_bits(taps, degree, n)
     # exact two-valued autocorrelation gate: peak N, off-peak -1
-    corr = autocorr_periodic_all(vals).real
+    r = _lag_sums(vals)
+    corr = r + np.append(0.0, r[:0:-1])  # R(l) = r(l) + r(N - l), r(N) = 0
     corr_int = np.rint(corr).astype(np.int64)
     if np.max(np.abs(corr - corr_int)) > 1e-6 or corr_int[0] != n or \
             not np.all(corr_int[1:] == -1):
@@ -301,39 +338,56 @@ def _complementary_exact(a: np.ndarray, b: np.ndarray) -> bool:
     """Exact complementarity test of integer sequences a, b of length N:
     r(l) = r_a(l) + r_b(l) = 0 at every lag l = 1 .. N-1.
 
-    One zero-padded real FFT of length L, the smallest power of two
-    >= 2N - 1, gives r^ = irfft(|rfft(a, L)|^2 + |rfft(b, L)|^2, L)[1:N],
-    and the pair is accepted when every |r^(l)| < 0.5.  Every true r(l)
-    is an integer, so the answer is exact while the rounding error of r^
-    stays below 0.5.
+    r^ = _lag_sums(a, b)[1:N], and the pair is accepted when every
+    |r^(l)| < 0.5.  Every true r(l) is an integer, and by the bound in
+    _lag_sums the rounding error stays far below 0.5, so the test
+    accepts exactly the complementary pairs.
+    """
+    n = a.shape[0]
+    return bool(np.all(np.abs(_lag_sums(a, b)[1:n]) < 0.5))
+
+
+def _lag_sums(*xs: np.ndarray) -> np.ndarray:
+    """Summed aperiodic autocorrelations r(l) = sum_x sum_k x_k x_{k+l}
+    of real integer sequences of one length N: entry l holds r(l) for
+    l = 0 .. N-1.
+
+    One zero-padded real FFT per sequence, of length L, the smallest
+    power of two >= 2N - 1, gives r^ = irfft(sum_x |rfft(x, L)|^2, L),
+    with no wrap-around at that length.
 
     Error bound.  For a radix-2 FFT of length L = 2^t with twiddle
     factors accurate to u = 2^-53, Higham, Accuracy and Stability of
     Numerical Algorithms (2nd ed., ch. 24, Thm 24.2), gives
     ||y^ - y||_2 <= c ||y||_2 with c = t*eta / (1 - t*eta) and
     eta = u + gamma_4 (sqrt(2) + u), about (1 + 4 sqrt(2)) u.  Carried
-    through the two forward transforms, |.|^2 and the sum (4u), and the
+    through the forward transforms, |.|^2 and the sum (4u), and the
     inverse transform, it gives
 
-      ||r^ - r||_inf <= C log2(L) u (||a||^2 + ||b||^2 + sqrt(2N) ||r||_inf)
+      ||r^ - r||_inf <= C log2(L) u (sum_x ||x||^2 + ||r||_2)
 
     with C = 4 (1 + 4 sqrt(2)) + 4 < 31, up to second-order terms in
-    log2(L) u.  For a complementary pair ||r||_inf = 0, and with entries
-    in {-1, 0, 1} the bound is at most C log2(L) u 2N: 1.7e-9 at
-    N = 16384.  Otherwise some |r(l)| >= 1, and there
-    |r^(l)| >= 1 - eps (2N + sqrt(2N)) with eps = C log2(L) u.  Both
-    stay clear of 0.5 for every N < 10^12, far beyond memory, so the
-    test accepts exactly the complementary pairs.  numpy's FFT
-    (pocketfft) is mixed-radix rather than the radix-2 algorithm of the
-    theorem; the factor of 3e8 between the bound and 0.5 at N = 16384
-    leaves room for a larger constant.
+    log2(L) u.  r has 2N - 1 lags, none larger in magnitude than
+    r(0) = sum_x ||x||^2, so with eps = C log2(L) u the error is at most
+    eps r(0) (1 + sqrt(2N)).  numpy's FFT (pocketfft) is mixed-radix
+    rather than the radix-2 algorithm of the theorem; the margins below
+    leave room for a larger constant.
+
+    * Golay pair (entries in {-1, 0, 1}, r(0) <= 2N): the error is at most
+      eps 2N (1 + sqrt(2N)), 3.1e-7 at N = 16384 and below 0.3 for
+      every N <= 10^8, so |r^(l)| < 0.5 exactly where r(l) = 0.
+    * m-sequence (+/-1, r(0) = N): each periodic value
+      R(l) = r(l) + r(N - l) is off by at most 2 eps N (1 + sqrt(2N)),
+      2.2e-4 at N = 2^20 - 1, so rounding recovers every R(l) exactly.
+      From N = 2^16 - 1 on, that worst case exceeds the gate's 1e-6
+      closeness test, which could then refuse a valid table entry,
+      though never accept a bad one; the deviation measured at every
+      tabulated degree is at most 2.6e-11 (degree 20).
     """
-    n = a.shape[0]
+    n = xs[0].shape[0]
     size = 1 << (2 * n - 2).bit_length()
-    power = (np.abs(np.fft.rfft(a, size)) ** 2
-             + np.abs(np.fft.rfft(b, size)) ** 2)
-    r = np.fft.irfft(power, size)[1:n]
-    return bool(np.all(np.abs(r) < 0.5))
+    power = sum(np.abs(np.fft.rfft(x, size)) ** 2 for x in xs)
+    return np.fft.irfft(power, size)[:n]
 
 
 def admissible_golay_length(n0: int) -> bool:

@@ -113,6 +113,28 @@ def gauss_sum_direct(kind: str, n: int, m: int) -> complex:
     raise ValueError(kind)
 
 
+def complete_gauss_sum(n: int) -> complex:
+    """sum_{k<n} e^{2 pi j (k^2 mod n)/n}, every one of the n terms
+    evaluated and summed in index order by one np.sum."""
+    k = np.arange(n, dtype=np.int64)
+    return complex(np.sum(np.exp(2j * np.pi * ((k * k) % n) / n)))
+
+
+def lfsr_bits(taps: int, degree: int, n: int) -> list:
+    """n output bits of a Fibonacci shift register, one clock at a time:
+    the register starts at 1 (bit j holds the j-th next output), shifts
+    right each clock, and feeds back the parity of the register masked
+    by the polynomial's terms below x^degree."""
+    mask = taps & ((1 << degree) - 1)
+    state = 1
+    out = []
+    for _ in range(n):
+        out.append(state & 1)
+        feedback = bin(state & mask).count("1") & 1
+        state = (state >> 1) | (feedback << (degree - 1))
+    return out
+
+
 def papr_direct(sigma, oversample: int) -> float:
     """Peak instantaneous power of (1/sqrt(n)) * sum_k sigma_k
     e^{2*pi*j*k*t/(n*L)} over t = 0..n*L-1, divided by the mean tone

@@ -2,6 +2,7 @@
 tolerances and runtime budgets.  Each test pins one criterion; budgets
 are asserted with wall-clock measurements around the whole body."""
 
+import hashlib
 import math
 import time
 from contextlib import contextmanager
@@ -89,6 +90,10 @@ def test_04_gauss_sum_audit():
         rows = res.csv.splitlines()[1:]
         kinds = {r.split(",")[0] for r in rows}
         assert {"gn_closed_form", "gn_reflection", "qn_split"} <= kinds
+        # the full-size CSV is frozen: the digest the certify benchmark
+        # holds for audit_gauss.csv
+        assert hashlib.sha256(res.csv.encode()).hexdigest() == (
+            "1e157a28b434ed021b3beb7a7a625ccc074e43e79223402c034751170e780c54")
 
 
 # ---------------------------------------------------------------------------

@@ -737,6 +737,13 @@ def test_audit_coherence_bounds():
     assert len(lines) == 28  # 24 sequence rows + 3 dct rows
 
 
+def test_complete_sum_equals_every_term_summed():
+    # the mirrored half holds the same terms in the same order, so the
+    # pairwise sum is the same to the bit
+    for n in range(1, 4097):
+        assert harness._complete_sum(n) == oracles.complete_gauss_sum(n), n
+
+
 def test_audit_gauss_small():
     res = audit_gauss(closed_form_max=64, identity_max=32, sweep_max=64)
     assert res.ok and not res.failures

@@ -123,11 +123,28 @@ def test_m_sequence_bytes_pinned(degree):
                         "taps": seqs.PRIMITIVE_POLYNOMIALS[degree], "init": 1}
 
 
-def test_m_sequence_check_catches_a_bad_table_entry(monkeypatch):
-    # x^5 + x^4 + x^3 + x^2 + x + 1 = (x + 1)(x^2 + x + 1)^2 is not primitive
-    monkeypatch.setitem(seqs.PRIMITIVE_POLYNOMIALS, 5, 0x3F)
+# x^5 + x^4 + x^3 + x^2 + x + 1 = (x + 1)(x^2 + x + 1)^2 is built bit by
+# bit (N = 31 < 5 * 64); x^16 + x^15 + x^2 + 1 = (x + 1)(x^15 + x + 1)
+# runs the stride recurrence past bit 16 * 64
+_REDUCIBLE = {5: 0x3F, 16: 0x18005}
+
+
+@pytest.mark.parametrize("degree", sorted(_REDUCIBLE))
+def test_m_sequence_check_catches_a_bad_table_entry(monkeypatch, degree):
+    monkeypatch.setitem(seqs.PRIMITIVE_POLYNOMIALS, degree,
+                        _REDUCIBLE[degree])
     with pytest.raises(ValueError, match="maximum-length"):
-        seqs.m_sequence(5)
+        seqs.m_sequence(degree)
+
+
+# every tabulated polynomial, and a reducible one at a stride degree:
+# p(x)^64 = p(x^64) over GF(2) whether p is primitive or not
+@pytest.mark.parametrize("degree,taps", sorted(
+    seqs.PRIMITIVE_POLYNOMIALS.items()) + [(16, _REDUCIBLE[16])])
+def test_recurrence_bits_match_a_clocked_register(degree, taps):
+    n = (1 << degree) - 1
+    assert seqs._recurrence_bits(taps, degree, n).tolist() == \
+        oracles.lfsr_bits(taps, degree, n)
 
 
 # ---------------------------------------------------------------------------
