@@ -7,7 +7,6 @@ bounds behind them, and run sparse-recovery experiments.
 
 from .sequences import (
     Sequence,
-    SequenceKind,
     GolayPair,
     ClassifyReport,
     fzc,
@@ -90,7 +89,7 @@ from .harness import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Sequence", "SequenceKind", "GolayPair", "ClassifyReport",
+    "Sequence", "GolayPair", "ClassifyReport",
     "fzc", "extended_polyphase", "m_sequence", "perfect_binary_from_m",
     "golay_pair", "golay", "extended_golay", "legendre",
     "random_phase", "random_binary",

@@ -166,7 +166,7 @@ def _cmd_gen_seq(args) -> int:
     s = seqs.family(args.seq).build(args.n, _seq_params(args, args.seq))
     rep = seqs.classify(s)
     payload = {
-        "kind": s.kind.value,
+        "kind": s.kind,
         "n": int(s.values.size),
         "params": {k: _cell_value(str(v)) for k, v in s.params.items()},
         "label": rep.label,
@@ -175,7 +175,7 @@ def _cmd_gen_seq(args) -> int:
         "values": [[float(v.real), float(v.imag)] for v in s.values],
     }
     _emit(args, "sequence", vector_to_csv(s.values), payload)
-    print(f"{s.kind.value} N={s.values.size}: {rep.label}, "
+    print(f"{s.kind} N={s.values.size}: {rep.label}, "
           f"epsilon_observed={rep.epsilon_observed:.6g}", file=sys.stderr)
     if rep.claim_consistent is False:
         return EXIT_VIOLATION

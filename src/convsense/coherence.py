@@ -93,7 +93,7 @@ def autocorrelation_bound_check(s: Sequence) -> CoherenceReport:
     rep = seqs.classify(s)
     eps = rep.epsilon_observed
     return CoherenceReport(
-        kind=s.kind.value, n=s.values.size,
+        kind=s.kind, n=s.values.size,
         mu_observed=coherence_circulant(a),
         bound=math.sqrt(1.0 + eps),
         bound_label="sqrt(1 + epsilon_observed)",

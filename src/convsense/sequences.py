@@ -12,40 +12,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
-
-class SequenceKind(str, Enum):
-    FZC = "fzc"
-    EXTENDED_POLYPHASE = "extended_polyphase"
-    M_SEQUENCE = "m_sequence"
-    PERFECT_BINARY_FROM_M = "perfect_binary_from_m"
-    GOLAY = "golay"
-    EXTENDED_GOLAY = "extended_golay"
-    LEGENDRE = "legendre"
-    RANDOM_PHASE = "random_phase"
-    RANDOM_BINARY = "random_binary"
-
-
-UNIMODULAR_KINDS = {
-    SequenceKind.FZC,
-    SequenceKind.EXTENDED_POLYPHASE,
-    SequenceKind.RANDOM_PHASE,
-}
-BIPOLAR_KINDS = {
-    SequenceKind.M_SEQUENCE,
-    SequenceKind.GOLAY,
-    SequenceKind.EXTENDED_GOLAY,
-    SequenceKind.LEGENDRE,
-    SequenceKind.RANDOM_BINARY,
-}
-CONJUGATE_SYMMETRIC_KINDS = {
-    SequenceKind.EXTENDED_POLYPHASE,
-    SequenceKind.EXTENDED_GOLAY,
-}
 
 _UNIMODULAR_TOL = 1e-12
 _SYMMETRY_TOL = 1e-12
@@ -62,21 +32,16 @@ class Sequence:
     values : ndarray
         Complex vector of length N.  Immutable (the array is set
         non-writeable on construction).
-    kind : SequenceKind
-        Generator family.
+    kind : str
+        Its family's name in ``FAMILIES``, whose invariants it must meet.
     params : dict
         Kind-specific generation parameters (e.g. ``gamma`` for fzc,
         ``degree/taps/init`` for m_sequence, ``seed`` for random kinds).
-    epsilon_claim : float or None
-        Off-peak periodic-autocorrelation magnitude the kind promises
-        (0 for perfect kinds, 1 for m-sequences, None when no claim is
-        made and only the observed value is reported).
     """
 
     values: np.ndarray
-    kind: SequenceKind
+    kind: str
     params: dict = field(default_factory=dict)
-    epsilon_claim: Optional[float] = None
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=np.complex128)
@@ -90,26 +55,27 @@ class Sequence:
 
 
 def _validate_sequence(seq: Sequence) -> None:
+    fam = family(seq.kind)
     vals = seq.values
     n = vals.shape[0]
     if n < 1:
         raise ValueError("sequence must have length >= 1")
     if not np.all(np.isfinite(vals)):
         raise ValueError("sequence entries must be finite")
-    if seq.kind in UNIMODULAR_KINDS:
+    if fam.entries == "unimodular":
         dev = np.max(np.abs(np.abs(vals) - 1.0))
         if dev > _UNIMODULAR_TOL:
             raise ValueError(
-                f"{seq.kind.value} sequence must be unimodular "
+                f"{seq.kind} sequence must be unimodular "
                 f"(max deviation {dev:.3e})")
-    if seq.kind in BIPOLAR_KINDS:
-        if not np.all((vals == 1.0) | (vals == -1.0)):
-            raise ValueError(f"{seq.kind.value} sequence must be exactly +/-1")
-    if seq.kind in CONJUGATE_SYMMETRIC_KINDS and n >= 2:
+    if fam.entries == "bipolar" and \
+            not np.all((vals == 1.0) | (vals == -1.0)):
+        raise ValueError(f"{seq.kind} sequence must be exactly +/-1")
+    if fam.conjugate_symmetric and n >= 2:
         dev = np.max(np.abs(vals[1:] - np.conj(vals[::-1][: n - 1])))
         if dev > _SYMMETRY_TOL:
             raise ValueError(
-                f"{seq.kind.value} sequence must satisfy "
+                f"{seq.kind} sequence must satisfy "
                 f"sigma_k = conj(sigma_(N-k)) (max deviation {dev:.3e})")
 
 
@@ -141,7 +107,7 @@ def fzc(n: int, gamma: int) -> Sequence:
     g = gamma % (2 * n)
     phase = (g * quad) % (2 * n)
     vals = np.exp(-1j * np.pi * phase / n)
-    return Sequence(vals, SequenceKind.FZC, {"gamma": int(gamma)}, epsilon_claim=0.0)
+    return Sequence(vals, "fzc", {"gamma": int(gamma)})
 
 
 def extended_polyphase(n: int) -> Sequence:
@@ -169,7 +135,7 @@ def extended_polyphase(n: int) -> Sequence:
         half = (n - 1) // 2
         vals[1:half + 1] = lower[1:half + 1]
         vals[half + 1:] = -upper[half + 1:]
-    return Sequence(vals, SequenceKind.EXTENDED_POLYPHASE, {}, epsilon_claim=None)
+    return Sequence(vals, "extended_polyphase", {})
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +222,7 @@ def m_sequence(degree: int) -> Sequence:
             f"taps=0x{taps:X} do not generate a maximum-length sequence "
             f"(off-peak autocorrelation is not uniformly -1)")
     params = {"degree": int(degree), "taps": int(taps), "init": 1}
-    return Sequence(vals, SequenceKind.M_SEQUENCE, params, epsilon_claim=1.0)
+    return Sequence(vals, "m_sequence", params)
 
 
 def perfect_binary_from_m(m: Sequence) -> Sequence:
@@ -272,7 +238,7 @@ def perfect_binary_from_m(m: Sequence) -> Sequence:
     lag, energy ||a~||^2 = N, and a unimodular spectrum; the zero-lag
     perfectness is verified at build time to 1e-9.
     """
-    if not isinstance(m, Sequence) or m.kind is not SequenceKind.M_SEQUENCE:
+    if not isinstance(m, Sequence) or m.kind != "m_sequence":
         raise ValueError("input must be a Sequence of kind m_sequence")
     a = m.values.real
     n = a.shape[0]
@@ -280,8 +246,8 @@ def perfect_binary_from_m(m: Sequence) -> Sequence:
     alpha = math.sqrt(n / (n + 1))
     beta = s_total * (1.0 - 1.0 / math.sqrt(n + 1)) / math.sqrt(n)
     vals = alpha * a + beta
-    seq = Sequence(vals.astype(np.complex128), SequenceKind.PERFECT_BINARY_FROM_M,
-                   {"degree": m.params.get("degree")}, epsilon_claim=0.0)
+    seq = Sequence(vals.astype(np.complex128), "perfect_binary_filter",
+                   {"degree": m.params.get("degree")})
     report = classify(seq)
     if report.label != "perfect":
         raise AssertionError(
@@ -445,8 +411,7 @@ def golay(n0: int) -> Sequence:
     """The first member of the complementary pair of length n0, as a
     +/-1 sequence."""
     pair = golay_pair(n0)
-    return Sequence(pair.a.astype(np.complex128), SequenceKind.GOLAY,
-                    {"n0": int(n0)}, epsilon_claim=None)
+    return Sequence(pair.a.astype(np.complex128), "golay", {"n0": int(n0)})
 
 
 def extended_golay(n: int) -> Sequence:
@@ -472,8 +437,8 @@ def extended_golay(n: int) -> Sequence:
         vals = np.concatenate([s, [s[0]], s[1:][::-1]])
     else:
         vals = np.concatenate([s, [-s[0], -s[0]], s[1:][::-1]])
-    return Sequence(vals.astype(np.complex128), SequenceKind.EXTENDED_GOLAY,
-                    {"n0": int(n0)}, epsilon_claim=None)
+    return Sequence(vals.astype(np.complex128), "extended_golay",
+                    {"n0": int(n0)})
 
 
 # ---------------------------------------------------------------------------
@@ -506,8 +471,7 @@ def legendre(n: int) -> Sequence:
     residues[(k * k) % n] = True
     vals = np.where(residues, 1.0, -1.0)
     vals[0] = 1.0
-    return Sequence(vals.astype(np.complex128), SequenceKind.LEGENDRE, {},
-                    epsilon_claim=None)
+    return Sequence(vals.astype(np.complex128), "legendre", {})
 
 
 def random_phase(n: int, seed: int) -> Sequence:
@@ -518,8 +482,7 @@ def random_phase(n: int, seed: int) -> Sequence:
     """
     _require(FAMILIES["random_phase"].admissible(n, {}))
     return Sequence(_phase_draw(np.random.default_rng(seed), n),
-                    SequenceKind.RANDOM_PHASE, {"seed": int(seed)},
-                    epsilon_claim=None)
+                    "random_phase", {"seed": int(seed)})
 
 
 def _phase_draw(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -534,8 +497,7 @@ def random_binary(n: int, seed: int) -> Sequence:
     """
     _require(FAMILIES["random_binary"].admissible(n, {}))
     return Sequence(_sign_draw(np.random.default_rng(seed), n),
-                    SequenceKind.RANDOM_BINARY, {"seed": int(seed)},
-                    epsilon_claim=None)
+                    "random_binary", {"seed": int(seed)})
 
 
 def _sign_draw(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -584,8 +546,9 @@ def classify(s: Sequence) -> ClassifyReport:
     """Classify a sequence by its worst off-peak periodic autocorrelation.
 
     perfect when max_{l != 0} |R(l)| <= 1e-9; nearly_perfect when it is at
-    most _NEARLY_PERFECT (4); neither otherwise.  When the sequence carries
-    an epsilon claim, consistency (observed <= claim + 1e-9) is reported.
+    most _NEARLY_PERFECT (4); neither otherwise.  When the sequence's
+    family makes a claim, consistency (observed <= claim + 1e-9, so a
+    claim of 0 holds exactly when the label is perfect) is reported.
     """
     corr = autocorr_periodic_all(s)
     n = corr.shape[0]
@@ -596,12 +559,8 @@ def classify(s: Sequence) -> ClassifyReport:
         label = "nearly_perfect"
     else:
         label = "neither"
-    consistent = None
-    if isinstance(s, Sequence) and s.epsilon_claim is not None:
-        if s.epsilon_claim == 0.0:
-            consistent = label == "perfect"
-        else:
-            consistent = eps <= s.epsilon_claim + 1e-9
+    claim = family(s.kind).claim
+    consistent = None if claim is None else eps <= claim + _PERFECT_TOL
     return ClassifyReport(label, eps, consistent)
 
 
@@ -615,7 +574,9 @@ class Family:
     Sequence, except that a random family given a Generator returns the
     raw draws (no per-trial Sequence checks); ``admissible(n, params)``
     returns why N is refused, or None; ``bound(n)``, when set, returns the
-    closed bound on the circulant's coherence and its label."""
+    closed bound on the circulant's coherence and its label.  A Sequence
+    of the family must meet its invariants (``entries``, conjugate
+    symmetry), and classify() judges it against its ``claim``."""
 
     build: Callable
     admissible: Callable[[int, dict], Optional[str]]
@@ -623,6 +584,9 @@ class Family:
     domain: str = "spectrum"  # the sequence is A's spectrum, or "filter"
     random: bool = False  # drawn afresh from each trial's Generator
     params: Tuple[str, ...] = ()  # params keys an experiment config records
+    entries: Optional[str] = None  # "unimodular", "bipolar" (+/-1) or None
+    conjugate_symmetric: bool = False  # sigma_k = conj(sigma_(N-k))
+    claim: Optional[float] = None  # promised max off-peak |R(l)|, or None
 
 
 def _require(reason: Optional[str]) -> None:
@@ -677,7 +641,7 @@ def _parity_bound(even: tuple, odd: tuple) -> Callable[[int], tuple]:
     return bound
 
 
-def _random(draw: Callable, seeded: Callable) -> Family:
+def _random(draw: Callable, seeded: Callable, entries: str) -> Family:
     """``draw(rng, n)`` from a trial Generator, or without one the seeded
     Sequence ``seeded(n, params['seed'])``; both refuse N < 1."""
     admissible = _at_least(1)
@@ -689,39 +653,48 @@ def _random(draw: Callable, seeded: Callable) -> Family:
         if "seed" not in params:
             raise ValueError("a random family needs a Generator or a seed")
         return seeded(n, int(params["seed"]))
-    return Family(build, admissible, random=True)
+    return Family(build, admissible, random=True, entries=entries)
 
 
 # Entries call the generators through module globals looked up at call
 # time, so a generator rebound on this module is the one that runs.
 FAMILIES: Dict[str, Family] = {
     "fzc": Family(lambda n, p, rng=None: fzc(n, int(p.get("gamma", 1))),
-                  _fzc_reason, lambda n: (1.0, "1"), params=("gamma",)),
+                  _fzc_reason, lambda n: (1.0, "1"), params=("gamma",),
+                  entries="unimodular", claim=0.0),
     "extended_polyphase": Family(
         lambda n, p, rng=None: extended_polyphase(n), _at_least(2),
         _parity_bound((4.0, 4.0, "4 + 4/sqrt(N)"),
-                      (2.69, 8.15, "2.69 + 8.15/sqrt(N)"))),
+                      (2.69, 8.15, "2.69 + 8.15/sqrt(N)")),
+        entries="unimodular", conjugate_symmetric=True),
     "m_sequence": Family(
         lambda n, p, rng=None: m_sequence(_m_degree(n)), _m_reason,
-        lambda n: (math.sqrt(1.0 + 1.0 / n), "sqrt(1 + 1/N)")),
+        lambda n: (math.sqrt(1.0 + 1.0 / n), "sqrt(1 + 1/N)"),
+        entries="bipolar", claim=1.0),
+    # builds the Sequence of kind m_sequence, used as the filter
     "m_sequence_filter": Family(
         lambda n, p, rng=None: m_sequence(_m_degree(n)), _m_reason,
-        domain="filter"),
+        domain="filter", entries="bipolar"),
     "perfect_binary_filter": Family(
         lambda n, p, rng=None: perfect_binary_from_m(
-            m_sequence(_m_degree(n))), _m_reason, domain="filter"),
+            m_sequence(_m_degree(n))), _m_reason, domain="filter",
+        claim=0.0),
     "golay": Family(lambda n, p, rng=None: golay(n), _golay_reason,
-                    lambda n: (math.sqrt(2.0), "sqrt(2)")),
+                    lambda n: (math.sqrt(2.0), "sqrt(2)"), entries="bipolar"),
     # the odd-N bound fails at some admissible N (see convsense.coherence)
     "extended_golay": Family(
         lambda n, p, rng=None: extended_golay(n), _extended_golay_reason,
         _parity_bound((2.0, 2.0, "2 + 2/sqrt(N)"),
-                      (2.0, 1.0, "2 + 1/sqrt(N)"))),
-    "legendre": Family(lambda n, p, rng=None: legendre(n), _legendre_reason),
+                      (2.0, 1.0, "2 + 1/sqrt(N)")),
+        entries="bipolar", conjugate_symmetric=True),
+    "legendre": Family(lambda n, p, rng=None: legendre(n), _legendre_reason,
+                       entries="bipolar"),
     "random_phase": _random(_phase_draw,
-                            lambda n, seed: random_phase(n, seed)),
+                            lambda n, seed: random_phase(n, seed),
+                            "unimodular"),
     "random_binary": _random(_sign_draw,
-                             lambda n, seed: random_binary(n, seed)),
+                             lambda n, seed: random_binary(n, seed),
+                             "bipolar"),
 }
 
 

@@ -48,6 +48,16 @@ def test_gen_seq_json(capsys):
     assert len(doc["values"]) == 20
 
 
+def test_gen_seq_reports_the_family_name(capsys):
+    code, out, err = run(capsys, "gen-seq", "--seq", "perfect_binary_filter",
+                         "--n", "7", "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["kind"] == "perfect_binary_filter"
+    assert doc["claim_consistent"] is True and doc["label"] == "perfect"
+    assert err.startswith("perfect_binary_filter N=7: perfect, ")
+
+
 def test_gen_seq_missing_flags(capsys):
     code, _, err = run(capsys, "gen-seq", "--seq", "fzc")
     assert code == 2 and "--n" in err

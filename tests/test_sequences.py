@@ -384,10 +384,50 @@ def test_classify_labels():
     assert rep.claim_consistent is None
 
 
-def test_m_sequence_epsilon_claim_consistent():
-    rep = seqs.classify(seqs.m_sequence(6))
-    assert rep.epsilon_observed == pytest.approx(1.0, abs=1e-9)
-    assert rep.claim_consistent is True
+def _smallest(kind):
+    """The family's Sequence at its smallest admissible N >= 5 (a length
+    with a mirror pair k != N - k, k >= 1), random kinds at seed 0."""
+    n = next(n for n in range(5, 64)
+             if seqs.FAMILIES[kind].admissible(n, {}) is None)
+    return seqs.FAMILIES[kind].build(n, {"seed": 0})
+
+
+_CLAIMED = ("fzc", "m_sequence", "m_sequence_filter", "perfect_binary_filter")
+
+
+@pytest.mark.parametrize("kind", sorted(seqs.FAMILIES))
+def test_family_claim_consistent(kind):
+    rep = seqs.classify(_smallest(kind))
+    assert rep.claim_consistent is (True if kind in _CLAIMED else None)
+    if kind.startswith("m_sequence"):
+        assert rep.epsilon_observed == pytest.approx(1.0, abs=1e-9)
+
+
+def _break(vals, how):
+    vals = vals.copy()
+    if how == "unimodular":
+        vals[1] *= 1.5
+    elif how == "bipolar":
+        vals[1] = 0.5
+    else:  # the mirror pair (1, N - 1), keeping every entry's modulus
+        vals[1] = -vals[1]
+    return vals
+
+
+@pytest.mark.parametrize("kind,how", [
+    (kind, how) for kind, fam in sorted(seqs.FAMILIES.items())
+    for how in ([fam.entries] if fam.entries else [])
+    + (["mirror"] if fam.conjugate_symmetric else [])])
+def test_sequence_refuses_values_against_its_family_invariant(kind, how):
+    vals = np.array(_smallest(kind).values)
+    assert seqs.Sequence(vals, kind).kind == kind
+    with pytest.raises(ValueError, match=f"^{kind} sequence must "):
+        seqs.Sequence(_break(vals, how), kind)
+
+
+def test_sequence_refuses_an_unknown_kind():
+    with pytest.raises(ValueError, match="no_such_kind"):
+        seqs.Sequence(np.ones(4), "no_such_kind")
 
 
 def test_sequence_values_immutable():
