@@ -319,7 +319,7 @@ class SensingOperator:
         rows = windows[n - 1 - self.sampling.indices]
         theta = np.ascontiguousarray(self.basis.adjoint(rows.T).T)
         np.conj(theta, out=theta)
-        theta /= np.sqrt(self.m)
+        theta *= 1.0 / np.sqrt(self.m)
         return theta
 
     @functools.cached_property

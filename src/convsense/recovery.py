@@ -8,7 +8,9 @@ M*N <= 2^17, one O(MN) product each way per iteration, and above that
 through ``forward`` and ``adjoint``, two FFTs and a basis transform each
 way, O(N log N).  Greedy solvers take a sparsity K; FISTA minimizes
 0.5*||y - Theta f||^2 + lambda*||f||_1, warm-started along a short
-geometric lambda path down to the posed lambda.
+geometric lambda path down to the posed lambda.  A FISTA stage writes
+only into buffers it makes itself, never into the point it starts from
+or into an array Theta's applications return.
 
 Deterministic by construction: correlation and magnitude ties always
 break to the lowest index, and the FISTA step size is read off the
@@ -17,6 +19,7 @@ circulant's spectrum in closed form, so reruns are bit-identical.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence as TypingSequence, Tuple
 
@@ -238,12 +241,6 @@ def _step_bound(op: SensingOperator) -> float:
         * (1.0 + 1e-3)
 
 
-def _soft_threshold(u: np.ndarray, tau: float) -> np.ndarray:
-    mags = np.abs(u)
-    scale = np.maximum(1.0 - tau / np.maximum(mags, 1e-300), 0.0)
-    return u * scale
-
-
 def _fista_applications(op: SensingOperator) -> Tuple[Callable, Callable]:
     """The (forward, adjoint) pair FISTA applies Theta by: products with
     ``op.matrix()`` when M*N <= ``_FISTA_DENSE_MAX``, else the operator's
@@ -259,18 +256,44 @@ def _fista_stage(theta: Tuple[Callable, Callable], y: np.ndarray, L: float,
                  max_iters: int):
     """FISTA at one lambda from f (rf = Theta f), with momentum starting
     afresh at f, Theta applied by the (forward, adjoint) pair ``theta``;
-    returns (f, Theta f, iterations, converged)."""
+    returns (f, Theta f, iterations, converged).
+
+    The stage writes only into buffers it makes (``out=``): candidates
+    alternate between two f slots, so a restart still has the current
+    point, and the momentum point (z, Theta z) has its own.  It never
+    writes into the f and rf it is given or into an array the pair
+    returns.  Each step makes the plain step's operations in its order:
+    ``np.linalg.norm`` as its sqrt(re.re + im.im), ``np.sum`` as
+    ``np.add.reduce``, and / L as * (1/L), which numpy's complex division
+    by a real scalar equals in every nonzero component."""
     forward, adjoint = theta
+    slots = (np.empty_like(f), np.empty_like(f))
+    z_slot, rz_slot = np.empty_like(f), np.empty_like(rf)
+    r = np.empty_like(rf)  # rz - y for the gradient, y - rf for the objective
+    r_re, r_im = r.real, r.imag
+    mags = np.empty(f.shape)
+    inv_L, tau = 1.0 / L, lam / L
 
     def objective(f, rf):
-        return 0.5 * float(np.linalg.norm(y - rf)) ** 2 \
-            + lam * float(np.sum(np.abs(f)))
+        np.subtract(y, rf, out=r)
+        np.abs(f, out=mags)
+        return 0.5 * math.sqrt(r_re.dot(r_re) + r_im.dot(r_im)) ** 2 \
+            + lam * float(np.add.reduce(mags))
 
-    def step(z, rz):
-        """The proximal step from z (rz = Theta z): (f, Theta f, objective)."""
-        f_new = _soft_threshold(z - adjoint(rz - y) / L, lam / L)
-        rf_new = forward(f_new)
-        return f_new, rf_new, objective(f_new, rf_new)
+    def step(z, rz, out):
+        """The proximal step from z (rz = Theta z): (out, Theta out, obj)."""
+        np.subtract(rz, y, out=r)
+        np.multiply(adjoint(r), inv_L, out=out)
+        np.subtract(z, out, out=out)
+        # soft threshold: out * max(1 - tau / max(|out|, 1e-300), 0)
+        np.abs(out, out=mags)
+        np.maximum(mags, 1e-300, out=mags)
+        np.divide(tau, mags, out=mags)
+        np.subtract(1.0, mags, out=mags)
+        np.maximum(mags, 0.0, out=mags)
+        np.multiply(out, mags, out=out)
+        rf_new = forward(out)
+        return out, rf_new, objective(out, rf_new)
 
     obj = objective(f, rf)
     z, rz = f, rf  # the momentum point and Theta z
@@ -278,15 +301,20 @@ def _fista_stage(theta: Tuple[Callable, Callable], y: np.ndarray, L: float,
     iterations = 0
     for _ in range(max_iters):
         iterations += 1
-        f_new, rf_new, obj_new = step(z, rz)
+        candidate = slots[iterations % 2]  # not the current point's slot
+        f_new, rf_new, obj_new = step(z, rz, candidate)
         if obj_new > obj:
             # restart momentum at the last good point
             t = 1.0
-            f_new, rf_new, obj_new = step(f, rf)
-        t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+            f_new, rf_new, obj_new = step(f, rf, candidate)
+        t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
         beta = (t - 1.0) / t_new
-        z = f_new + beta * (f_new - f)
-        rz = rf_new + beta * (rf_new - rf)
+        for new, old, out in ((f_new, f, z_slot), (rf_new, rf, rz_slot)):
+            # out = new + beta * (new - old)
+            np.subtract(new, old, out=out)
+            np.multiply(beta, out, out=out)
+            np.add(new, out, out=out)
+        z, rz = z_slot, rz_slot
         rel_drop = abs(obj - obj_new)
         f, rf, t = f_new, rf_new, t_new
         if rel_drop <= stop_rel * max(obj, 1e-300):

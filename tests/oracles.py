@@ -3,7 +3,9 @@
 Everything here is written the slow, obvious way (index loops, direct
 ``cmath`` sums, dense matrices built entry by entry) so the fast
 library paths have something genuinely independent to agree with.
-Nothing imports from :mod:`convsense`.
+Where a fast path replaced a plain numpy one bit for bit, the plain one
+is kept here as it was (``soft_threshold``, ``fista_stage``,
+``sensing_matrix``).  Nothing imports from :mod:`convsense`.
 """
 
 import cmath
@@ -170,3 +172,64 @@ def binomial_half_tails(n: int) -> list:
     for w in range(n, -1, -1):
         tails[w] = tails[w + 1] + pmf[w]
     return tails[:n + 1]
+
+
+def soft_threshold(u: np.ndarray, tau: float) -> np.ndarray:
+    mags = np.abs(u)
+    scale = np.maximum(1.0 - tau / np.maximum(mags, 1e-300), 0.0)
+    return u * scale
+
+
+def fista_stage(theta, y: np.ndarray, L: float, lam: float, f: np.ndarray,
+                rf: np.ndarray, stop_rel: float, max_iters: int):
+    """FISTA at one lambda from f (rf = Theta f), with momentum starting
+    afresh at f, Theta applied by the (forward, adjoint) pair ``theta``;
+    returns (f, Theta f, iterations, converged).  Every step allocates
+    its result."""
+    forward, adjoint = theta
+
+    def objective(f, rf):
+        return 0.5 * float(np.linalg.norm(y - rf)) ** 2 \
+            + lam * float(np.sum(np.abs(f)))
+
+    def step(z, rz):
+        """The proximal step from z (rz = Theta z): (f, Theta f, objective)."""
+        f_new = soft_threshold(z - adjoint(rz - y) / L, lam / L)
+        rf_new = forward(f_new)
+        return f_new, rf_new, objective(f_new, rf_new)
+
+    obj = objective(f, rf)
+    z, rz = f, rf  # the momentum point and Theta z
+    t = 1.0
+    iterations = 0
+    for _ in range(max_iters):
+        iterations += 1
+        f_new, rf_new, obj_new = step(z, rz)
+        if obj_new > obj:
+            # restart momentum at the last good point
+            t = 1.0
+            f_new, rf_new, obj_new = step(f, rf)
+        t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+        beta = (t - 1.0) / t_new
+        z = f_new + beta * (f_new - f)
+        rz = rf_new + beta * (rf_new - rf)
+        rel_drop = abs(obj - obj_new)
+        f, rf, t = f_new, rf_new, t_new
+        if rel_drop <= stop_rel * max(obj, 1e-300):
+            return f, rf, iterations, True
+        obj = min(obj, obj_new)
+    return f, rf, iterations, False
+
+
+def sensing_matrix(op) -> np.ndarray:
+    """Theta of a ``SensingOperator`` built row-wise and scaled by a
+    division by sqrt(M)."""
+    n = op.n
+    rev = np.conj(op.circulant.filter[::-1])
+    windows = np.lib.stride_tricks.sliding_window_view(
+        np.concatenate((rev, rev)), n)
+    rows = windows[n - 1 - op.sampling.indices]
+    theta = np.ascontiguousarray(op.basis.adjoint(rows.T).T)
+    np.conj(theta, out=theta)
+    theta /= np.sqrt(op.m)
+    return theta

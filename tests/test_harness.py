@@ -565,6 +565,29 @@ def test_dct_fista_successes_measure_recovery():
     assert proposed.successes > 0
 
 
+# the dct_fista benchmark workload's own size, at its round seeds 0-3 at
+# seed 0: csv() sha256, taken before FISTA's stage worked in place
+_DCT_FISTA_WORKLOAD_SHA256 = (
+    "94d6e2af94e4b77ddddf9ce69facda6f0e5b7e06f08b71d3d5debb3879b58559",
+    "16992fadd8f1ce03cc0c5dd8fd75b8aa53fb27e127e5916184311347aded2872",
+    "b3e3705049bb73816993cb629d729a73daee7bf89a9b30e32d420190a9e70932",
+    "8a62d15eb4f1aafdedc3ec39fe78204fbade7d25a951ed5eca795ed85c231f9b",
+)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_dct_fista_at_the_workload_size_bytes_pinned(seed):
+    # N=512, M=128 runs FISTA on its dense path at the benchmark's size;
+    # its SNR columns move on a last-bit change of any iterate
+    report = run_dct_experiment(ExperimentConfig(
+        experiment="dct", n=512, m=128, k=8, sequence_kind="fzc",
+        sequence_params={"gamma": 1}, basis="inverse_dct2", solver="fista",
+        trials=1, master_seed=seed))
+    assert hashlib.sha256(report.csv().encode()).hexdigest() == \
+        _DCT_FISTA_WORKLOAD_SHA256[seed]
+    assert [row.unconverged for row in report.rows] == [0, 0]
+
+
 @pytest.mark.parametrize("solver, n, m, k, trials, counts", [
     ("omp", 128, 32, 4, 10, [0, 3]),
     ("fista", 256, 64, 6, 4, [0, 1]),

@@ -303,6 +303,36 @@ def test_matrix_equals_every_column(n, m, domain, basis_kind):
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+_MATRIX_CIRCULANTS = {
+    "fzc_512": lambda: CirculantOperator.from_spectrum(seqs.fzc(512, 1)),
+    "fzc_127": lambda: CirculantOperator.from_spectrum(seqs.fzc(127, 1)),
+    "complex_filter_64": lambda: CirculantOperator.from_filter(
+        _rand_vec(64, 3)),
+    "m_sequence_filter_127": lambda: CirculantOperator.from_filter(
+        seqs.m_sequence(7)),
+}
+
+
+@pytest.mark.parametrize("basis_kind", ["identity", "inverse_fourier",
+                                        "inverse_dct2"])
+@pytest.mark.parametrize("circ_name", sorted(_MATRIX_CIRCULANTS))
+def test_matrix_scales_as_the_division_by_sqrt_m(circ_name, basis_kind):
+    # matrix() multiplies by 1/sqrt(M) where it divided by sqrt(M), kept
+    # as oracles.sensing_matrix.  numpy divides a complex entry by a real
+    # s as (re + im*0, im - re*0) times fl(1/s), so every nonzero part
+    # keeps its bytes and an exact zero may change sign: array_equal on
+    # the float parts says just that.  The real filter's Theta has zero
+    # parts in every basis, FZC's a few under the Fourier and DCT bases,
+    # and 1-3906 of them change sign under the Fourier and DCT bases
+    circ = _MATRIX_CIRCULANTS[circ_name]()
+    n = circ.n
+    theta = SensingOperator(circ, random_sampling(n, n // 4, 1),
+                            Basis(basis_kind))
+    got, want = theta.matrix(), oracles.sensing_matrix(theta)
+    assert got.flags.c_contiguous
+    assert np.array_equal(got.view(np.float64), want.view(np.float64))
+
+
 _COLUMN_CIRCULANTS = {
     "golay_256": lambda: CirculantOperator.from_spectrum(seqs.golay(256)),
     "fzc_257": lambda: CirculantOperator.from_spectrum(seqs.fzc(257, 1)),

@@ -16,8 +16,7 @@ from convsense.operators import (Basis, CirculantOperator, SensingOperator,
 from convsense.recovery import (_OMP_STOP_REL, RecoveryProblem,
                                 RecoveryResult, SOLVERS, _embed,
                                 _fista_applications, _fista_stage,
-                                _least_squares,
-                                _soft_threshold, _step_bound, _top_indices,
+                                _least_squares, _step_bound, _top_indices,
                                 fista_lasso, omp, subspace_pursuit,
                                 subspace_pursuit_block)
 
@@ -399,14 +398,14 @@ def _fista_three_applications(operator, y, lam_rel):
         for _ in range(cap):
             iterations += 1
             grad = operator.adjoint(operator.forward(z) - y)
-            f_new = _soft_threshold(z - grad / L, stage_lam / L)
+            f_new = oracles.soft_threshold(z - grad / L, stage_lam / L)
             rf_new = operator.forward(f_new)
             obj_new = objective(f_new, rf_new, stage_lam)
             if obj_new > obj:
                 restarts += 1
                 t = 1.0
                 grad = operator.adjoint(rf - y)
-                f_new = _soft_threshold(f - grad / L, stage_lam / L)
+                f_new = oracles.soft_threshold(f - grad / L, stage_lam / L)
                 rf_new = operator.forward(f_new)
                 obj_new = objective(f_new, rf_new, stage_lam)
             t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
@@ -496,6 +495,57 @@ def test_fista_above_the_dense_cap_solves_alike(basis, monkeypatch):
         assert np.array_equal(got.support, want.support)
         assert np.max(np.abs(got.f_hat - want.f_hat)) \
             <= 1e-12 * np.linalg.norm(want.f_hat)
+
+
+@pytest.mark.parametrize("dense", [True, False])
+def test_fista_stage_matches_the_allocating_stage_bit_for_bit(dense,
+                                                              monkeypatch):
+    # the in-place stage against the one it replaced, kept as
+    # oracles.fista_stage: every stage of these solves, and one cut by
+    # max_iters, returns the same f and Theta f bytes, iterations and
+    # stop, on either application pair, leaving its inputs and every
+    # array the pair returned as they were
+    if not dense:
+        monkeypatch.setattr(recovery, "_FISTA_DENSE_MAX", 0)
+    stages = []
+
+    def checked(theta, y, L, lam, f, rf, stop_rel, max_iters):
+        inputs = [(a, a.tobytes()) for a in (y, f, rf)]
+        returned = []
+
+        def kept(apply):
+            def wrapper(x):
+                out = apply(x)
+                returned.append((out, out.tobytes()))
+                return out
+            return wrapper
+
+        got = _fista_stage((kept(theta[0]), kept(theta[1])), y, L, lam, f,
+                           rf, stop_rel, max_iters)
+        want = oracles.fista_stage(theta, y, L, lam, f, rf, stop_rel,
+                                   max_iters)
+        assert [a.tobytes() for a in got[:2]] == \
+            [a.tobytes() for a in want[:2]]
+        assert got[2:] == want[2:]
+        assert all(a.tobytes() == b for a, b in inputs + returned)
+        forwards = len(returned) // 2  # one adjoint per forward
+        stages.append((got[2], max_iters, got[3], forwards))
+        return got
+
+    monkeypatch.setattr(recovery, "_fista_stage", checked)
+    for basis in ("identity", "inverse_fourier", "inverse_dct2",
+                  "gaussian_filter"):
+        theta, y = _fista_case(basis, 1, 20)
+        fista_lasso(RecoveryProblem(operator=theta, y=y, lam_rel=1e-3))
+        zeros = np.zeros(theta.n, dtype=np.complex128)
+        checked(_fista_applications(theta), y, _step_bound(theta),
+                1e-3 * float(np.max(np.abs(theta.adjoint(y)))), zeros,
+                theta.forward(zeros), 1e-8, 5)
+    # some stage restarted (a forward more than its iterations), and the
+    # capped ones stopped at max_iters unconverged
+    assert any(forwards > used for used, _, _, forwards in stages)
+    assert sum(used == cap and not converged
+               for used, cap, converged, _ in stages) >= 4
 
 
 def test_fista_solve_at_the_dct_experiment_size_stays_small():
