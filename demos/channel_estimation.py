@@ -31,10 +31,10 @@ def main() -> None:
     print(f"{'scheme':28s} {'input dB':>9s} {'output dB':>10s} "
           f"{'+/-':>6s} {'reference':>10s} {'support hit':>12s}")
     for scheme in ("proposed", "baseline"):
-        cfg = ofdm_reference_config(scheme, trials=TRIALS)
-        key = f"{cfg.sequence_kind}+{cfg.sampling_mode}"
+        report = run_ofdm_experiment(
+            ofdm_reference_config(scheme, trials=TRIALS))
+        key = report.reference_key
         reference = REFERENCE_OFDM_OUTPUT_SNR_DB[key]
-        report = run_ofdm_experiment(cfg)
         for row in report.rows:
             print(f"{key:28s} {row.input_snr_db:9.0f} "
                   f"{row.mean_output_snr_db:10.2f} "

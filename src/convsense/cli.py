@@ -27,25 +27,20 @@ import re
 import sys
 from typing import List, Optional
 
-import numpy as np
-
 from . import sequences as seqs
 from .coherence import bound_table_csv, coherence_row
-from .harness import (ExperimentConfig, GOLAY_PAPR_LIMIT, PAPR_HEADER,
-                      REFERENCE_OFDM_OUTPUT_SNR_DB, audit_gauss, audit_papr,
-                      ofdm_reference_config, run_dct_experiment,
-                      run_ofdm_experiment, run_phase_transition,
-                      _add_noise, _grid_reason, _noise, _operator_draw,
-                      _papr_row, _recovered, _rel_error, _solve,
-                      _sparse_signal)
-from .operators import _BASIS_KINDS, Basis, _csv, vector_to_csv
+from .harness import (ExperimentConfig, REFERENCE_OFDM_OUTPUT_SNR_DB,
+                      REFERENCE_OFDM_TOL_DB, audit_gauss, audit_papr,
+                      audit_papr_sequence, ofdm_reference_config,
+                      run_dct_experiment, run_ofdm_experiment,
+                      run_phase_transition, run_recover, _grid_reason)
+from .operators import _BASIS_KINDS, Basis, vector_to_csv
 from .recovery import SOLVERS
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 
-_REFERENCE_TOL_DB = 3.0
 _SEQ_DEFAULTS = {"gamma": 1, "seed": 0}
 
 
@@ -122,10 +117,6 @@ def _csv_to_rows(csv_text: str) -> List[dict]:
             for ln in lines[1:]]
 
 
-def _json_dump(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
-
-
 def _count(text: str) -> int:
     """A count flag: an integer >= 1."""
     value = int(text)
@@ -154,8 +145,9 @@ def _emit(args, name: str, csv_text: str, payload=None,
     if args.format == "csv":
         _write(args.out, f"{csv_name or name}.csv", csv_text)
     else:
-        _write(args.out, f"{name}.json", _json_dump(
-            _csv_to_rows(csv_text) if payload is None else payload))
+        _write(args.out, f"{name}.json", json.dumps(
+            _csv_to_rows(csv_text) if payload is None else payload,
+            indent=2, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -204,61 +196,24 @@ def _cmd_papr(args) -> int:
         _check_flags(args, "papr without --seq",
                      unread={"n": None, **_SEQ_DEFAULTS})
         res = audit_papr(random_seeds=args.trials or 100)
-        csv_text, ok = res.csv, res.ok
     else:
         _check_flags(args, "papr --seq", needs=("n",),
                      unread={"trials": None})
-        row = _papr_row(args.seq, args.n, _seq_params(args, args.seq))
-        csv_text = _csv(PAPR_HEADER, [row])
-        ok = row[-1] <= GOLAY_PAPR_LIMIT if args.seq == "golay" else True
-    _emit(args, "papr", csv_text)
-    return EXIT_OK if ok else EXIT_VIOLATION
+        res = audit_papr_sequence(args.seq, args.n,
+                                  _seq_params(args, args.seq))
+    _emit(args, "papr", res.csv)
+    return EXIT_OK if res.ok else EXIT_VIOLATION
 
 
 def _cmd_recover(args) -> int:
-    """One synthetic recovery per SNR (noiseless when --snr-list is
-    omitted).  Theta is drawn as in the experiments
-    (``harness._operator_draw``: sampling, then spectrum for random
-    kinds), then the signal's support and values, then each SNR's noise;
-    estimates are formed as in ``harness._solve``.  A noiseless run that
-    fails ``harness._recovered`` is an acceptance violation."""
-    cfg = ExperimentConfig(
+    # a noiseless run that fails is an acceptance violation
+    csv_text, ok = run_recover(ExperimentConfig(
         experiment="recover", n=args.n, m=args.m, k=args.k,
         sequence_kind=args.seq, basis=args.basis, solver=args.solver,
-        sequence_params=_seq_params(args, args.seq, ("gamma",)))
-    rng = np.random.default_rng(args.seed)
-    theta = _operator_draw(cfg)(rng)
-    f, support = _sparse_signal(rng, args.n, args.k)
-    y0 = theta.forward(f)
-    rows, ok = [], True
-    for snr in args.snr_list or [None]:
-        y = y0 if snr is None else _add_noise(y0, _noise(rng, y0.size), snr)
-        result, = _solve(cfg, [(theta, y)])
-        if snr is None and not _recovered(f, result.f_hat):
-            ok = False
-        rows.append([math.inf if snr is None else snr, args.solver,
-                     _rel_error(f, result.f_hat),
-                     set(result.support.tolist()) == set(support.tolist()),
-                     result.iterations, result.converged])
-    _emit(args, "recover", _csv(["input_snr_db", "solver", "rel_error",
-                                 "support_exact", "iterations", "converged"],
-                                rows))
+        sequence_params=_seq_params(args, args.seq, ("gamma",)),
+        snr_list=tuple(args.snr_list or ()), master_seed=args.seed))
+    _emit(args, "recover", csv_text)
     return EXIT_OK if ok else EXIT_VIOLATION
-
-
-def _reference_violations(scheme: str, rows) -> List[str]:
-    ref = REFERENCE_OFDM_OUTPUT_SNR_DB[scheme]
-    out = []
-    for row in rows:
-        target = ref.get(row.input_snr_db)
-        if target is None:
-            continue
-        diff = row.mean_output_snr_db - target
-        if abs(diff) > _REFERENCE_TOL_DB:
-            out.append(f"{scheme} @ {row.input_snr_db:g} dB: "
-                       f"{row.mean_output_snr_db:.2f} vs {target:.2f} "
-                       f"(diff {diff:+.2f})")
-    return out
 
 
 def _concat_csv(blocks: List[str]) -> str:
@@ -287,23 +242,17 @@ def _cmd_exp_ofdm(args) -> int:
             snr_list=tuple(args.snr_list or (0.0, 10.0, 20.0, 30.0)),
             sampling_mode=mode, extra={"real_taps": True})]
     reports = [run_ofdm_experiment(cfg) for cfg in cfgs]
-    violations = []
+    docs = [{"config": json.loads(r.config.canonical_json()),
+             "rows": _csv_to_rows(r.summary_csv())} for r in reports]
     if args.seq is None:
-        payload = {"schemes": [], "tolerance_db": _REFERENCE_TOL_DB,
+        violations = [v for r in reports for v in r.reference_violations()]
+        schemes = [dict(doc, scheme=scheme, reference_output_snr_db=(
+            REFERENCE_OFDM_OUTPUT_SNR_DB[r.reference_key])) for scheme, doc, r
+            in zip(("proposed", "baseline"), docs, reports)]
+        payload = {"schemes": schemes, "tolerance_db": REFERENCE_OFDM_TOL_DB,
                    "violations": violations}
-        for scheme, cfg, report in zip(("proposed", "baseline"), cfgs,
-                                       reports):
-            key = f"{cfg.sequence_kind}+{cfg.sampling_mode}"
-            violations += _reference_violations(key, report.rows)
-            payload["schemes"].append({
-                "scheme": scheme,
-                "config": json.loads(cfg.canonical_json()),
-                "rows": _csv_to_rows(report.summary_csv()),
-                "reference_output_snr_db": REFERENCE_OFDM_OUTPUT_SNR_DB[key],
-            })
     else:
-        payload = {"config": json.loads(cfgs[0].canonical_json()),
-                   "rows": _csv_to_rows(reports[0].summary_csv())}
+        violations, payload = [], docs[0]
     _emit(args, "ofdm", _concat_csv([r.summary_csv() for r in reports]),
           payload, csv_name="ofdm_summary")
     if args.format == "csv" and args.out is not None:
@@ -333,9 +282,7 @@ def _cmd_exp_phase(args) -> int:
 
 
 def _cmd_exp_dct(args) -> int:
-    extra = {}
-    if args.image is not None:
-        extra["image"] = args.image
+    extra = {} if args.image is None else {"image": args.image}
     cfg = _experiment_config(args, "dct", args.seq or "fzc", 100, m=args.m,
                              k=args.k, basis="inverse_dct2", extra=extra)
     report = run_dct_experiment(cfg)
@@ -353,39 +300,37 @@ def _cmd_exp_dct(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+# the flags the subcommands share, in help order: name -> add_argument
+# keywords; every subcommand takes --out and --format
+_COMMON_FLAGS = {
+    "n": dict(type=int, help="vector length N"),
+    "m": dict(type=int, help="number of measurements M"),
+    "k": dict(type=int, help="sparsity K"),
+    "seq": dict(choices=tuple(seqs.FAMILIES), help="sequence family"),
+    "gamma": dict(type=int, default=_SEQ_DEFAULTS["gamma"],
+                  help="fzc root parameter (coprime with N)"),
+    "basis": dict(default="identity", choices=_BASIS_KINDS,
+                  help="sparsity basis"),
+    "solver": dict(default="sp", choices=sorted(SOLVERS),
+                   help="recovery solver"),
+    "snr-list": dict(type=_list_of(float, "value"), default=None,
+                     metavar="DB[,DB...]",
+                     help="input SNRs in dB (omit for noiseless)"),
+    "trials": dict(type=_count, default=None,
+                   help="number of Monte Carlo trials"),
+    "seed": dict(type=int, default=_SEQ_DEFAULTS["seed"],
+                 help="master seed (random families: their seed)"),
+    "out": dict(default=None, metavar="DIR",
+                help="write outputs into DIR instead of stdout"),
+    "format": dict(default="csv", choices=("csv", "json"),
+                   help="output format"),
+}
+
+
 def _add_common(p: argparse.ArgumentParser, *names: str) -> None:
-    if "n" in names:
-        p.add_argument("--n", type=int, help="vector length N")
-    if "m" in names:
-        p.add_argument("--m", type=int, help="number of measurements M")
-    if "k" in names:
-        p.add_argument("--k", type=int, help="sparsity K")
-    if "seq" in names:
-        p.add_argument("--seq", choices=tuple(seqs.FAMILIES),
-                       help="sequence family")
-    if "gamma" in names:
-        p.add_argument("--gamma", type=int, default=_SEQ_DEFAULTS["gamma"],
-                       help="fzc root parameter (coprime with N)")
-    if "basis" in names:
-        p.add_argument("--basis", default="identity", choices=_BASIS_KINDS,
-                       help="sparsity basis")
-    if "solver" in names:
-        p.add_argument("--solver", default="sp", choices=sorted(SOLVERS),
-                       help="recovery solver")
-    if "snr-list" in names:
-        p.add_argument("--snr-list", type=_list_of(float, "value"),
-                       default=None, metavar="DB[,DB...]", dest="snr_list",
-                       help="input SNRs in dB (omit for noiseless)")
-    if "trials" in names:
-        p.add_argument("--trials", type=_count, default=None,
-                       help="number of Monte Carlo trials")
-    if "seed" in names:
-        p.add_argument("--seed", type=int, default=_SEQ_DEFAULTS["seed"],
-                       help="master seed (random families: their seed)")
-    p.add_argument("--out", default=None, metavar="DIR",
-                   help="write outputs into DIR instead of stdout")
-    p.add_argument("--format", default="csv", choices=("csv", "json"),
-                   help="output format")
+    for name, kwargs in _COMMON_FLAGS.items():
+        if name in names + ("out", "format"):
+            p.add_argument("--" + name, **kwargs)
 
 
 def _build_parser() -> argparse.ArgumentParser:

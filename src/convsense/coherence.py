@@ -110,8 +110,9 @@ def coherence_row(kind: str, n: int, params: dict,
     the registry's reason when N is inadmissible, else mu (the largest
     entry of A, or of A @ Psi) against the family's closed bound for the
     identity basis, 6*sqrt(2) for FZC against the inverse DCT-II, and an
-    informational infinite bound otherwise."""
-    fam = seqs.family(kind)
+    informational infinite bound otherwise.  An unknown basis is refused
+    before N is judged."""
+    fam, psi = seqs.family(kind), Basis(basis)
     if basis == "identity":
         label, bound = kind, fam.bound
     elif kind == "fzc" and basis == "inverse_dct2":
@@ -126,7 +127,7 @@ def coherence_row(kind: str, n: int, params: dict,
                                note=f"skipped: {reason}", skipped=True)
     a = build_circulant(kind, n, params)
     mu = coherence_circulant(a) if basis == "identity" \
-        else mutual_coherence(a, Basis(basis))
+        else mutual_coherence(a, psi)
     if bound is None:
         return CoherenceReport(kind=label, n=n, mu_observed=mu,
                                bound=math.inf, bound_label="",

@@ -6,7 +6,8 @@ Reproducibility contract
 * Trial ``i`` of any experiment uses the derived seed
   ``int.from_bytes(sha256(f"{master_seed}:{i}").digest()[:8], "big")``,
   so trial subsets are stable when the trial count changes and rows are
-  paired across SNR points and schemes.
+  paired across SNR points and schemes.  ``run_recover``'s one run is
+  seeded by ``master_seed`` itself.
 * Within a trial the Generator is consumed in a fixed, documented order:
   (1) random sampling indices, (2) random spectrum draws, (3) signal
   support, (4) signal values, (5) baseline spectrum draws, (6) noise.
@@ -107,10 +108,8 @@ def papr(sigma) -> float:
     PAPR_OVERSAMPLE*N uniform grid via a zero-padded inverse FFT."""
     vals = seqs._values(sigma)
     n = vals.size
-    dev = float(np.max(np.abs(np.abs(vals) - 1.0)))
-    if dev > seqs._UNIMODULAR_TOL:
-        raise ValueError(
-            f"PAPR defined here for unimodular/bipolar input (dev {dev:.2e})")
+    seqs._require_unimodular(
+        vals, "PAPR defined here for unimodular/bipolar input")
     grid = PAPR_OVERSAMPLE * n
     padded = np.zeros(grid, dtype=np.complex128)
     padded[:n] = vals
@@ -342,6 +341,8 @@ REFERENCE_OFDM_OUTPUT_SNR_DB = {
     "random_phase+equispaced": {0.0: 5.32, 10.0: 13.98, 20.0: 37.53,
                                 30.0: 45.22},
 }
+# the band (dB) a reference run's mean output SNR must keep to its table
+REFERENCE_OFDM_TOL_DB = 3.0
 
 
 def ofdm_reference_config(scheme: str = "proposed", trials: int = 500,
@@ -397,6 +398,29 @@ class OfdmReport:
         rows = [[h, r.input_snr_db, r.index, r.seed, r.output_snr_db,
                  r.support_exact, r.iterations] for r in self.records]
         return _csv(header, rows)
+
+    @property
+    def reference_key(self) -> str:
+        """This scheme's key in REFERENCE_OFDM_OUTPUT_SNR_DB."""
+        return f"{self.config.sequence_kind}+{self.config.sampling_mode}"
+
+    def reference_violations(self) -> List[str]:
+        """The rows of a reference run (``ofdm_reference_config``) whose
+        mean output SNR is more than REFERENCE_OFDM_TOL_DB off the table;
+        input SNRs the table lacks are not checked."""
+        key = self.reference_key
+        ref = REFERENCE_OFDM_OUTPUT_SNR_DB[key]
+        out = []
+        for row in self.rows:
+            target = ref.get(row.input_snr_db)
+            if target is None:
+                continue
+            diff = row.mean_output_snr_db - target
+            if not abs(diff) <= REFERENCE_OFDM_TOL_DB:
+                out.append(f"{key} @ {row.input_snr_db:g} dB: "
+                           f"{row.mean_output_snr_db:.2f} vs {target:.2f} "
+                           f"(diff {diff:+.2f})")
+        return out
 
 
 def _aggregate(snr: float, recs: List[TrialRecord]) -> SnrRow:
@@ -594,6 +618,30 @@ def run_phase_transition(cfg: ExperimentConfig) -> PhaseReport:
     return PhaseReport(config=cfg, cells=tuple(cells))
 
 
+def run_recover(cfg: ExperimentConfig) -> Tuple[str, bool]:
+    """The recover CSV, one row per input SNR of cfg.snr_list (noiseless
+    when empty), and whether every noiseless row meets ``_recovered``.
+    One Generator, seeded by cfg.master_seed itself, draws Theta, the
+    signal's support and values, then one noise per SNR in order."""
+    _require_experiment(cfg, "recover")
+    rng = np.random.default_rng(cfg.master_seed)
+    theta = _operator_draw(cfg)(rng)
+    f, support = _sparse_signal(rng, cfg.n, cfg.k)
+    y0 = theta.forward(f)
+    rows, ok = [], True
+    for snr in cfg.snr_list or (None,):
+        y = y0 if snr is None else _add_noise(y0, _noise(rng, y0.size), snr)
+        result, = _solve(cfg, [(theta, y)])
+        if snr is None and not _recovered(f, result.f_hat):
+            ok = False
+        rows.append([math.inf if snr is None else snr, cfg.solver,
+                     _rel_error(f, result.f_hat),
+                     set(result.support.tolist()) == set(support.tolist()),
+                     result.iterations, result.converged])
+    return _csv(["input_snr_db", "solver", "rel_error", "support_exact",
+                 "iterations", "converged"], rows), ok
+
+
 # ---------------------------------------------------------------------------
 # DCT-domain experiment
 # ---------------------------------------------------------------------------
@@ -604,7 +652,8 @@ _PGM_HEADER = re.compile(rb"(P[25])" + 3 * rb"(?:\s|#[^\n]*\n)+(\d+)" + rb"\s")
 
 
 def read_pgm(path: str) -> np.ndarray:
-    """8-bit grayscale PGM (P2 ascii or P5 binary) as floats in [0, 1]."""
+    """8-bit grayscale PGM (P2 ascii or P5 binary) as floats in [0, 1];
+    a sample above the header's maxval is refused."""
     with open(path, "rb") as fh:
         data = fh.read()
     header = _PGM_HEADER.match(data)
@@ -622,6 +671,9 @@ def read_pgm(path: str) -> np.ndarray:
     if len(pixels) < count:
         raise ValueError("truncated PGM pixel data")
     pix = np.frombuffer(pixels, dtype=np.uint8, count=count)
+    if np.any(pix > maxval):
+        raise ValueError(f"PGM sample {int(pix.max())} exceeds maxval "
+                         f"{maxval}")
     return pix.reshape(height, width).astype(np.float64) / maxval
 
 
@@ -828,13 +880,23 @@ def audit_papr(golay_sizes: Tuple[int, ...] = (256, 512, 1024),
     fzc_rows = [_papr_row("fzc", n, {"gamma": 1}) for n in golay_sizes]
     random_rows = [_papr_row("random_phase", random_n, {"seed": s})
                    for s in range(random_seeds)]
-    failures = [f"golay N={n}: PAPR {val:.6g} > {GOLAY_PAPR_LIMIT}"
-                for _, n, _, val in golay_rows
-                if not (val <= GOLAY_PAPR_LIMIT)]
     random_min = min(row[-1] for row in random_rows)
-    if random_min < 4.0:
-        failures.append(f"random_phase N={random_n}: min PAPR "
-                        f"{random_min:.6g} < 4")
-    rows = golay_rows + fzc_rows + random_rows
+    failures = [f"random_phase N={random_n}: min PAPR {random_min:.6g} < 4"
+                ] if random_min < 4.0 else []
+    return _papr_audit(golay_rows + fzc_rows + random_rows, *failures)
+
+
+def audit_papr_sequence(kind: str, n: int, params: dict) -> AuditResult:
+    """``audit_papr``'s table and Golay check for family ``kind`` at N."""
+    return _papr_audit([_papr_row(kind, n, params)])
+
+
+def _papr_audit(rows: List[list], *failures: str) -> AuditResult:
+    """The PAPR table of ``_papr_row`` rows, failing each Golay row (its
+    label's family ``golay``) above GOLAY_PAPR_LIMIT, then ``failures``."""
+    failures = tuple(f"golay N={n}: PAPR {val:.6g} > {GOLAY_PAPR_LIMIT}"
+                     for label, n, _, val in rows
+                     if label.split("(")[0] == "golay"
+                     and not val <= GOLAY_PAPR_LIMIT) + failures
     return AuditResult(name="papr", ok=not failures,
-                       csv=_csv(PAPR_HEADER, rows), failures=tuple(failures))
+                       csv=_csv(PAPR_HEADER, rows), failures=failures)

@@ -92,10 +92,7 @@ class CirculantOperator:
         """Frequency-domain construction; sigma must be unimodular."""
         vals = _as_array(sigma)
         n = vals.size
-        dev = float(np.max(np.abs(np.abs(vals) - 1.0))) if n else 0.0
-        if dev > seqs._UNIMODULAR_TOL:
-            raise ValueError(
-                f"spectrum is not unimodular (max | |sigma|-1 | = {dev:.3e})")
+        seqs._require_unimodular(vals, "spectrum is not unimodular")
         filt = np.sqrt(n) * np.fft.ifft(vals)
         return cls(n=n, spectrum=vals, filter=filt)
 
@@ -146,9 +143,13 @@ class SamplingSet:
     indices: np.ndarray
 
     def __post_init__(self):
-        idx = np.asarray(self.indices, dtype=np.int64)
+        idx = np.asarray(self.indices)
         if idx.ndim != 1 or idx.size == 0:
             raise ValueError("sampling set must contain at least one index")
+        if idx.dtype.kind not in "iu":
+            raise ValueError(f"sampling indices must be integers, got "
+                             f"dtype {idx.dtype}")
+        idx = idx.astype(np.int64, copy=False)
         if idx.size > self.n:
             raise ValueError(f"M={idx.size} exceeds N={self.n}")
         if np.any(idx < 0) or np.any(idx >= self.n):
@@ -189,7 +190,7 @@ def random_sampling(n: int, m: int, seed) -> SamplingSet:
     arr = list(range(n))
     for i, j in enumerate(rng.integers(np.arange(m), n).tolist()):
         arr[i], arr[j] = arr[j], arr[i]
-    return SamplingSet(n=n, indices=arr[:m])
+    return SamplingSet(n=n, indices=np.array(arr[:m], dtype=np.int64))
 
 
 def equispaced_sampling(n: int, m: int) -> SamplingSet:

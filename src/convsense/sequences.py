@@ -57,17 +57,14 @@ class Sequence:
 def _validate_sequence(seq: Sequence) -> None:
     fam = family(seq.kind)
     vals = seq.values
+    if vals.ndim != 1 or vals.size < 1:
+        raise ValueError("sequence must be 1-D of length >= 1, got shape "
+                         f"{vals.shape}")
     n = vals.shape[0]
-    if n < 1:
-        raise ValueError("sequence must have length >= 1")
     if not np.all(np.isfinite(vals)):
         raise ValueError("sequence entries must be finite")
     if fam.entries == "unimodular":
-        dev = np.max(np.abs(np.abs(vals) - 1.0))
-        if dev > _UNIMODULAR_TOL:
-            raise ValueError(
-                f"{seq.kind} sequence must be unimodular "
-                f"(max deviation {dev:.3e})")
+        _require_unimodular(vals, f"{seq.kind} sequence must be unimodular")
     if fam.entries == "bipolar" and \
             not np.all((vals == 1.0) | (vals == -1.0)):
         raise ValueError(f"{seq.kind} sequence must be exactly +/-1")
@@ -77,6 +74,14 @@ def _validate_sequence(seq: Sequence) -> None:
             raise ValueError(
                 f"{seq.kind} sequence must satisfy "
                 f"sigma_k = conj(sigma_(N-k)) (max deviation {dev:.3e})")
+
+
+def _require_unimodular(vals: np.ndarray, what: str) -> None:
+    """Refuse ``vals`` unless every |v| lies within _UNIMODULAR_TOL of 1,
+    with ``what`` (naming the caller) as the message; a NaN is refused."""
+    dev = float(np.max(np.abs(np.abs(vals) - 1.0), initial=0.0))
+    if not dev <= _UNIMODULAR_TOL:
+        raise ValueError(f"{what} (max | |v|-1 | = {dev:.3e})")
 
 
 def _values(s) -> np.ndarray:

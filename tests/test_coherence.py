@@ -165,6 +165,12 @@ def test_coherence_row_labels_and_bounds():
         assert rep.skipped and rep.note == "skipped: N must be >= 2"
 
 
+def test_coherence_row_refuses_an_unknown_basis_before_admissibility():
+    # N=7 is no Golay length: the basis is refused, not the row skipped
+    with pytest.raises(ValueError, match="unknown basis 'bogus'"):
+        coherence_row("golay", 7, {}, "bogus")
+
+
 def test_dct_coherence_matches_dense():
     n = 32
     rep = dct_coherence_report([n], gammas=1)[0]

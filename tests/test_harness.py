@@ -15,11 +15,12 @@ import oracles
 from convsense import harness, recovery
 from convsense import sequences as seqs
 from convsense.harness import (PAPR_OVERSAMPLE, ExperimentConfig,
-                               attc_channel, audit_gauss, audit_papr,
+                               OfdmReport, SnrRow, attc_channel, audit_gauss,
+                               audit_papr, audit_papr_sequence,
                                audit_coherence_bounds, build_circulant,
                                ofdm_reference_config, papr, read_pgm,
                                run_dct_experiment, run_ofdm_experiment,
-                               run_phase_transition, trial_seed)
+                               run_phase_transition, run_recover, trial_seed)
 from convsense.operators import Basis, SensingOperator, random_sampling
 
 
@@ -76,6 +77,13 @@ def test_papr_matches_direct_evaluation():
 def test_papr_all_ones_is_n():
     # a flat spectrum concentrates all power in one time sample
     assert papr(np.ones(16)) == pytest.approx(16.0, rel=1e-9)
+
+
+@pytest.mark.parametrize("bad", [np.nan, 1.5])
+def test_papr_refuses_a_value_off_the_unit_circle(bad):
+    # NaN too: max| |v| - 1 | is NaN there, which no tolerance admits
+    with pytest.raises(ValueError, match="unimodular/bipolar input"):
+        papr([bad, 1, 1, 1])
 
 
 def test_build_circulant_kinds():
@@ -474,7 +482,7 @@ def test_config_refuses_solver_params_its_solver_does_not_read(solver):
 
 
 _RUNNERS = {"ofdm": run_ofdm_experiment, "phase": run_phase_transition,
-            "dct": run_dct_experiment}
+            "dct": run_dct_experiment, "recover": run_recover}
 
 
 @pytest.mark.parametrize("runner, label", [
@@ -490,6 +498,21 @@ def test_runners_refuse_a_config_labelled_for_another_experiment(runner,
                                          f"refuses a config labelled for "
                                          f"the '{label}' experiment"):
         _RUNNERS[runner](cfg)
+
+
+def test_reference_violations_keep_the_band_of_the_scheme_table():
+    cfg = ofdm_reference_config("baseline", trials=1)
+
+    def row(snr, mean):
+        return SnrRow(snr, mean, 0.0, 1.0, 1.0, 1)
+    # 0 dB is 3.01 below its 5.32, 10 dB exactly 3 above its 13.98, 5 dB
+    # is not in the table, and a NaN mean is out of every band
+    report = OfdmReport(cfg, (row(0.0, 2.31), row(10.0, 16.98),
+                              row(5.0, 99.0), row(30.0, np.nan)), ())
+    assert report.reference_key == "random_phase+equispaced"
+    assert report.reference_violations() == [
+        "random_phase+equispaced @ 0 dB: 2.31 vs 5.32 (diff -3.01)",
+        "random_phase+equispaced @ 30 dB: nan vs 45.22 (diff +nan)"]
 
 
 def test_config_accepts_the_keys_its_experiment_reads():
@@ -708,8 +731,11 @@ def test_read_pgm_rejects_other_formats(tmp_path):
     (b"P2\n3 2\n255\n1 2 3\n4 5\n", "truncated PGM pixel data"),
     (b"P5\n3 2\n255\n" + bytes(5), "truncated PGM pixel data"),
     (b"P2\n2 1\n255\n1 300\n", "range"),
+    (b"P2\n2 1\n15\n20 3\n", "sample 20 exceeds maxval 15"),
+    (b"P5\n1 1\n15\n" + bytes([200]), "sample 200 exceeds maxval 15"),
 ], ids=["truncated-header", "maxval-0", "maxval-300", "short-p2",
-        "short-p5", "p2-sample-above-255"])
+        "short-p5", "p2-sample-above-255", "p2-sample-above-maxval",
+        "p5-sample-above-maxval"])
 def test_read_pgm_refuses_malformed_files(tmp_path, data, message):
     path = tmp_path / "bad.pgm"
     path.write_bytes(data)
@@ -798,6 +824,20 @@ def test_audit_gauss_refuses_to_check_nothing(name):
     sizes[name] = 0
     with pytest.raises(ValueError, match=name):
         audit_gauss(**sizes)
+
+
+def test_golay_papr_verdict_is_one_rule(monkeypatch):
+    # the audit's Golay rows and a single Golay sequence fail alike
+    real_papr = harness.papr
+    monkeypatch.setattr(harness, "papr", lambda sigma: 2.5 if getattr(
+        sigma, "kind", None) == "golay" else real_papr(sigma))
+    one = audit_papr_sequence("golay", 64, {})
+    assert one.ok is False
+    assert one.failures == ("golay N=64: PAPR 2.5 > 2.01",)
+    assert one.csv == "kind,N,oversample,papr\ngolay,64,16,2.5\n"
+    res = audit_papr(golay_sizes=(64,), random_seeds=1)
+    assert res.ok is False and res.failures == one.failures
+    assert audit_papr_sequence("fzc", 64, {"gamma": 1}).ok
 
 
 def test_audit_papr_fails_when_random_phase_papr_drops_below_4(monkeypatch):

@@ -192,6 +192,12 @@ def test_sampling_rejects_bad_shapes():
         SamplingSet(5, [7])
 
 
+def test_sampling_refuses_non_integer_indices():
+    # 1.7 and 3.2 would otherwise be truncated to rows 1 and 3
+    with pytest.raises(ValueError, match="must be integers"):
+        SamplingSet(8, [1.7, 3.2])
+
+
 # ---------------------------------------------------------------------------
 # bases
 # ---------------------------------------------------------------------------

@@ -425,6 +425,11 @@ def test_sequence_refuses_values_against_its_family_invariant(kind, how):
         seqs.Sequence(_break(vals, how), kind)
 
 
+def test_sequence_refuses_values_that_are_not_1d():
+    with pytest.raises(ValueError, match="1-D"):
+        seqs.Sequence(np.ones((2, 2)), "golay")
+
+
 def test_sequence_refuses_an_unknown_kind():
     with pytest.raises(ValueError, match="no_such_kind"):
         seqs.Sequence(np.ones(4), "no_such_kind")

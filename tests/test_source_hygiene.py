@@ -62,6 +62,16 @@ def _top_level(tree: ast.Module):
             yield node.lineno, name, node
 
 
+def test_cli_imports_no_private_harness_name_but_grid_reason():
+    # the CLI parses, calls the harness and prints; _grid_reason stays
+    # so that a grid error can name its flag
+    private = {alias.name for node in ast.walk(_MODULES["cli.py"])
+               if isinstance(node, ast.ImportFrom)
+               and (node.module or "").split(".")[-1] == "harness"
+               for alias in node.names if alias.name.startswith("_")}
+    assert private <= {"_grid_reason"}
+
+
 @pytest.mark.parametrize("module", sorted(set(_MODULES) - {"__init__.py"}))
 def test_every_import_is_used(module):
     tree = _MODULES[module]
