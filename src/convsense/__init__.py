@@ -86,6 +86,7 @@ from .harness import (
     audit_gauss,
     audit_papr,
     audit_papr_sequence,
+    ofdm_config,
     ofdm_reference_config,
     REFERENCE_OFDM_OUTPUT_SNR_DB,
     REFERENCE_OFDM_TOL_DB,

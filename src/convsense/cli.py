@@ -1,15 +1,4 @@
-"""Command-line interface.
-
-Subcommands
------------
-gen-seq      generate a sequence and classify its autocorrelation
-coherence    coherence of one circulant (optionally against a basis)
-gauss-audit  exponential-sum identity and bound audit
-papr         peak-to-average power ratio audit (or one sequence)
-recover      one synthetic sparse-recovery run
-exp-ofdm     sparse channel estimation benchmark
-exp-phase    noiseless phase-transition grid
-exp-dct      DCT-domain recovery vs. the deterministic-sampling baseline
+"""Command-line interface: one subcommand per entry of ``_COMMANDS``.
 
 Exit codes: 0 all checks passed, 1 a bound/acceptance check failed,
 2 usage error (argparse errors exit 2 as well).
@@ -31,17 +20,16 @@ from . import sequences as seqs
 from .coherence import bound_table_csv, coherence_row
 from .harness import (ExperimentConfig, REFERENCE_OFDM_OUTPUT_SNR_DB,
                       REFERENCE_OFDM_TOL_DB, audit_gauss, audit_papr,
-                      audit_papr_sequence, ofdm_reference_config,
-                      run_dct_experiment, run_ofdm_experiment,
-                      run_phase_transition, run_recover, _grid_reason)
+                      audit_papr_sequence, ofdm_config,
+                      ofdm_reference_config, run_dct_experiment,
+                      run_ofdm_experiment, run_phase_transition, run_recover,
+                      _grid_reason)
 from .operators import _BASIS_KINDS, Basis, vector_to_csv
 from .recovery import SOLVERS
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
-
-_SEQ_DEFAULTS = {"gamma": 1, "seed": 0}
 
 
 # ---------------------------------------------------------------------------
@@ -61,24 +49,31 @@ def _check_flags(args, what: str, needs=(), unread=None) -> None:
         raise ValueError(f"{what} {' and '.join(problems)}")
 
 
+def _defaults(*dests: str) -> dict:
+    """``_check_flags``'s ``unread``: each flag at its parser default."""
+    return {dest: _COMMON_FLAGS[dest.replace("_", "-")].get("default")
+            for dest in dests}
+
+
+def _given(**kwargs) -> dict:
+    """The arguments whose flags were set: the library's defaults stand."""
+    return {key: val for key, val in kwargs.items() if val is not None}
+
+
 def _seq_params(args, kind: str, flags=("gamma", "seed")) -> dict:
-    """Family `kind`'s params from the `flags` it reads (gamma when it
-    records gamma, seed when it is random); the others keep defaults."""
-    fam = seqs.family(kind)
-    reads = {"gamma": "gamma" in fam.params, "seed": fam.random}
-    _check_flags(args, f"the {kind!r} family", unread={
-        flag: _SEQ_DEFAULTS[flag] for flag in flags if not reads[flag]})
-    return {flag: getattr(args, flag) for flag in flags if reads[flag]}
+    """Family `kind`'s params from the `flags` it reads; others default."""
+    reads = seqs.family(kind).reads()
+    _check_flags(args, f"the {kind!r} family", unread=_defaults(
+        *(flag for flag in flags if flag not in reads)))
+    return {flag: getattr(args, flag) for flag in flags if flag in reads}
 
 
-def _experiment_config(args, experiment: str, kind: str, trials: int,
+def _experiment_config(args, kind: str, make=ExperimentConfig,
                        **fields) -> ExperimentConfig:
-    """Config from the shared flags; --seed is the master seed."""
-    return ExperimentConfig(
-        experiment=experiment, n=args.n, sequence_kind=kind,
-        sequence_params=_seq_params(args, kind, ("gamma",)),
-        solver=args.solver, trials=args.trials or trials,
-        master_seed=args.seed, **fields)
+    """``make``'s config from the shared flags; --seed is the master seed."""
+    return make(n=args.n, sequence_kind=kind,
+                sequence_params=_seq_params(args, kind, ("gamma",)),
+                solver=args.solver, master_seed=args.seed, **fields)
 
 
 def _write(out_dir: Optional[str], name: str, text: str) -> None:
@@ -184,7 +179,7 @@ def _cmd_coherence(args) -> int:
 
 
 def _cmd_gauss_audit(args) -> int:
-    res = audit_gauss(closed_form_max=args.n or 4096)
+    res = audit_gauss(**_given(closed_form_max=args.n))
     _emit(args, "gauss_audit", res.csv, {
         "ok": res.ok, "failures": list(res.failures),
         "rows": _csv_to_rows(res.csv)})
@@ -194,8 +189,8 @@ def _cmd_gauss_audit(args) -> int:
 def _cmd_papr(args) -> int:
     if args.seq is None:
         _check_flags(args, "papr without --seq",
-                     unread={"n": None, **_SEQ_DEFAULTS})
-        res = audit_papr(random_seeds=args.trials or 100)
+                     unread=_defaults("n", "gamma", "seed"))
+        res = audit_papr(**_given(random_seeds=args.trials))
     else:
         _check_flags(args, "papr --seq", needs=("n",),
                      unread={"trials": None})
@@ -207,11 +202,9 @@ def _cmd_papr(args) -> int:
 
 def _cmd_recover(args) -> int:
     # a noiseless run that fails is an acceptance violation
-    csv_text, ok = run_recover(ExperimentConfig(
-        experiment="recover", n=args.n, m=args.m, k=args.k,
-        sequence_kind=args.seq, basis=args.basis, solver=args.solver,
-        sequence_params=_seq_params(args, args.seq, ("gamma",)),
-        snr_list=tuple(args.snr_list or ()), master_seed=args.seed))
+    csv_text, ok = run_recover(_experiment_config(
+        args, args.seq, experiment="recover", m=args.m, k=args.k,
+        basis=args.basis, snr_list=tuple(args.snr_list or ())))
     _emit(args, "recover", csv_text)
     return EXIT_OK if ok else EXIT_VIOLATION
 
@@ -229,18 +222,14 @@ def _cmd_exp_ofdm(args) -> int:
         # included, so every flag that would change it is refused
         cfgs = [ofdm_reference_config(scheme=scheme, master_seed=args.seed)
                 for scheme in ("proposed", "baseline")]
-        _check_flags(args, "exp-ofdm without --seq", unread={
-            "n": None, "m": None, "k": None, "snr_list": None,
-            "solver": cfgs[0].solver, "gamma": _SEQ_DEFAULTS["gamma"],
-            "trials": None})
+        _check_flags(args, "exp-ofdm without --seq", unread=_defaults(
+            "n", "m", "k", "snr_list", "solver", "gamma", "trials"))
     else:
         # custom mode: one scheme, reported without a reference check
         _check_flags(args, "exp-ofdm --seq", needs=("n", "m", "k"))
-        mode = "equispaced" if args.seq == "random_phase" else "random"
-        cfgs = [_experiment_config(
-            args, "ofdm", args.seq, 100, m=args.m, k=args.k,
-            snr_list=tuple(args.snr_list or (0.0, 10.0, 20.0, 30.0)),
-            sampling_mode=mode, extra={"real_taps": True})]
+        cfgs = [_experiment_config(args, args.seq, ofdm_config, m=args.m,
+                                   k=args.k, snr_list=args.snr_list,
+                                   **_given(trials=args.trials))]
     reports = [run_ofdm_experiment(cfg) for cfg in cfgs]
     docs = [{"config": json.loads(r.config.canonical_json()),
              "rows": _csv_to_rows(r.summary_csv())} for r in reports]
@@ -270,10 +259,10 @@ def _cmd_exp_phase(args) -> int:
         if reason is not None:
             raise ValueError(f"argument {flag}: {reason}")
     cfg = _experiment_config(
-        args, "phase", args.seq or "golay", 50, m=args.m_list[0],
-        k=args.k_list[0], extra={"k_grid": args.k_list,
-                                 "m_grid": args.m_list,
-                                 "bases": args.basis_list})
+        args, args.seq or "golay", experiment="phase", m=args.m_list[0],
+        k=args.k_list[0], trials=args.trials or 50,
+        extra={"k_grid": args.k_list, "m_grid": args.m_list,
+               "bases": args.basis_list})
     report = run_phase_transition(cfg)
     _emit(args, "phase", report.csv(), {
         "config": json.loads(cfg.canonical_json()),
@@ -283,8 +272,9 @@ def _cmd_exp_phase(args) -> int:
 
 def _cmd_exp_dct(args) -> int:
     extra = {} if args.image is None else {"image": args.image}
-    cfg = _experiment_config(args, "dct", args.seq or "fzc", 100, m=args.m,
-                             k=args.k, basis="inverse_dct2", extra=extra)
+    cfg = _experiment_config(args, args.seq or "fzc", experiment="dct",
+                             m=args.m, k=args.k, basis="inverse_dct2",
+                             extra=extra, **_given(trials=args.trials))
     report = run_dct_experiment(cfg)
     rows = _csv_to_rows(report.csv())
     for row, scheme_row in zip(rows, report.rows):
@@ -307,7 +297,7 @@ _COMMON_FLAGS = {
     "m": dict(type=int, help="number of measurements M"),
     "k": dict(type=int, help="sparsity K"),
     "seq": dict(choices=tuple(seqs.FAMILIES), help="sequence family"),
-    "gamma": dict(type=int, default=_SEQ_DEFAULTS["gamma"],
+    "gamma": dict(type=int, default=seqs.FAMILIES["fzc"].params["gamma"],
                   help="fzc root parameter (coprime with N)"),
     "basis": dict(default="identity", choices=_BASIS_KINDS,
                   help="sparsity basis"),
@@ -318,7 +308,7 @@ _COMMON_FLAGS = {
                      help="input SNRs in dB (omit for noiseless)"),
     "trials": dict(type=_count, default=None,
                    help="number of Monte Carlo trials"),
-    "seed": dict(type=int, default=_SEQ_DEFAULTS["seed"],
+    "seed": dict(type=int, default=0,
                  help="master seed (random families: their seed)"),
     "out": dict(default=None, metavar="DIR",
                 help="write outputs into DIR instead of stdout"),
@@ -327,10 +317,31 @@ _COMMON_FLAGS = {
 }
 
 
-def _add_common(p: argparse.ArgumentParser, *names: str) -> None:
-    for name, kwargs in _COMMON_FLAGS.items():
-        if name in names + ("out", "format"):
-            p.add_argument("--" + name, **kwargs)
+# subcommand -> (help, handler, the shared flags it takes besides --out
+# and --format, the flags it requires), in help order
+_COMMANDS = {
+    "gen-seq": ("generate and classify a sequence", _cmd_gen_seq,
+                ("n", "seq", "gamma", "seed"), ("n", "seq")),
+    "coherence": ("coherence vs. its closed bound", _cmd_coherence,
+                  ("n", "seq", "gamma", "basis", "seed"), ("n", "seq")),
+    "gauss-audit": ("exponential-sum identities and bounds",
+                    _cmd_gauss_audit, (), ()),
+    "papr": ("peak-to-average power ratio", _cmd_papr,
+             ("n", "seq", "gamma", "trials", "seed"), ()),
+    "recover": ("one synthetic recovery run", _cmd_recover,
+                ("n", "m", "k", "seq", "gamma", "basis", "solver",
+                 "snr-list", "seed"), ("n", "m", "k", "seq")),
+    "exp-ofdm": ("sparse channel estimation benchmark (no --seq: both "
+                 "reference schemes, checked to +/-3 dB)", _cmd_exp_ofdm,
+                 ("n", "m", "k", "seq", "gamma", "solver", "snr-list",
+                  "trials", "seed"), ()),
+    "exp-phase": ("noiseless phase-transition grid (--k/--m/--basis "
+                  "accept comma lists)", _cmd_exp_phase,
+                  ("n", "seq", "gamma", "solver", "trials", "seed"), ("n",)),
+    "exp-dct": ("DCT-domain recovery vs. baseline", _cmd_exp_dct,
+                ("n", "m", "k", "seq", "gamma", "solver", "trials", "seed"),
+                ("n", "m", "k")),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -340,41 +351,16 @@ def _build_parser() -> argparse.ArgumentParser:
                     "sensing: sequences, coherence audits, recovery, "
                     "experiments.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen-seq", help="generate and classify a sequence")
-    _add_common(p, "n", "seq", "gamma", "seed")
-    p.set_defaults(func=_cmd_gen_seq, require=("n", "seq"))
-
-    p = sub.add_parser("coherence", help="coherence vs. its closed bound")
-    _add_common(p, "n", "seq", "gamma", "basis", "seed")
-    p.set_defaults(func=_cmd_coherence, require=("n", "seq"))
-
-    p = sub.add_parser("gauss-audit",
-                       help="exponential-sum identities and bounds")
-    _add_common(p)
-    p.add_argument("--n", type=_count,
-                   help="largest N of the closed-form check")
-    p.set_defaults(func=_cmd_gauss_audit, require=())
-
-    p = sub.add_parser("papr", help="peak-to-average power ratio")
-    _add_common(p, "n", "seq", "gamma", "trials", "seed")
-    p.set_defaults(func=_cmd_papr, require=())
-
-    p = sub.add_parser("recover", help="one synthetic recovery run")
-    _add_common(p, "n", "m", "k", "seq", "gamma", "basis", "solver",
-                "snr-list", "seed")
-    p.set_defaults(func=_cmd_recover, require=("n", "m", "k", "seq"))
-
-    p = sub.add_parser("exp-ofdm", help="sparse channel estimation "
-                       "benchmark (no --seq: both reference schemes, "
-                       "checked to +/-3 dB)")
-    _add_common(p, "n", "m", "k", "seq", "gamma", "solver", "snr-list",
-                "trials", "seed")
-    p.set_defaults(func=_cmd_exp_ofdm, require=())
-
-    p = sub.add_parser("exp-phase", help="noiseless phase-transition grid "
-                       "(--k/--m/--basis accept comma lists)")
-    _add_common(p, "n", "seq", "gamma", "solver", "trials", "seed")
+    subs = {}
+    for name, (text, func, flags, require) in _COMMANDS.items():
+        p = subs[name] = sub.add_parser(name, help=text)
+        for flag, kwargs in _COMMON_FLAGS.items():
+            if flag in flags + ("out", "format"):
+                p.add_argument("--" + flag, **kwargs)
+        p.set_defaults(func=func, require=require)
+    subs["gauss-audit"].add_argument(
+        "--n", type=_count, help="largest N of the closed-form check")
+    p = subs["exp-phase"]
     p.add_argument("--k", type=_list_of(_count, "count"), dest="k_list",
                    metavar="K[,K...]", required=True)
     p.add_argument("--m", type=_list_of(_count, "count"), dest="m_list",
@@ -383,15 +369,9 @@ def _build_parser() -> argparse.ArgumentParser:
                                              "basis"),
                    dest="basis_list", default=["identity"],
                    metavar="B[,B...]")
-    p.set_defaults(func=_cmd_exp_phase, require=("n",))
-
-    p = sub.add_parser("exp-dct", help="DCT-domain recovery vs. baseline")
-    _add_common(p, "n", "m", "k", "seq", "gamma", "solver", "trials",
-                "seed")
-    p.add_argument("--image", default=None, metavar="PGM",
-                   help="measure this 8-bit PGM instead of synthetic "
-                        "sparse signals")
-    p.set_defaults(func=_cmd_exp_dct, require=("n", "m", "k"))
+    subs["exp-dct"].add_argument(
+        "--image", default=None, metavar="PGM",
+        help="measure this 8-bit PGM instead of synthetic sparse signals")
     return parser
 
 

@@ -2,28 +2,16 @@
 
 For a circulant A with filter a, the coherence is mu(A) = max_k |a_k|;
 for a basis Psi it is the largest entry magnitude of A @ Psi.  Each
-deterministic spectrum family carries a closed-form bound:
+deterministic spectrum family's admissible sizes and closed-form bound
+on mu(A) live in the family registry
+(:data:`convsense.sequences.FAMILIES`), tabulated in docs/formats.md.
+Bounds are checked as non-strict inequalities with +1e-9 slack.
 
-=====================  ==========================  =====================
-kind                   admissible N                bound on mu(A)
-=====================  ==========================  =====================
-fzc                    gcd(gamma, N) = 1           1
-m_sequence             2^d - 1 (d in table)        sqrt(1 + 1/N)
-golay                  2^k1 * 10^k2 * 26^k3        sqrt(2)
-extended_polyphase     even N                      4 + 4/sqrt(N)
-                       odd N                       2.69 + 8.15/sqrt(N)
-extended_golay         even N, N/2 Golay           2 + 2/sqrt(N)
-                       odd N, (N-1)/2 Golay        2 + 1/sqrt(N) (*)
-=====================  ==========================  =====================
-
-Bounds are checked as non-strict inequalities with +1e-9 slack.  The
-admissible sizes, bounds and labels live in the family registry
-(:data:`convsense.sequences.FAMILIES`).
-
-(*) Not a proven bound: it holds at every admissible odd N below 521 but
-fails at 24 of the 66 admissible odd N <= 32769 (N=521: mu = 2.07004
-against 2.04381; N=32769: 2.00731 against 2.00552), and such rows report
-pass = false.  The even-N bound holds at all 66 admissible even
+The odd-N extended_golay bound 2 + 1/sqrt(N) is not a proven bound: it
+holds at every admissible odd N below 521 but fails at 24 of the 66
+admissible odd N <= 32769 (N=521: mu = 2.07004 against 2.04381;
+N=32769: 2.00731 against 2.00552), and such rows report pass = false.
+The even-N bound 2 + 2/sqrt(N) holds at all 66 admissible even
 N <= 32768.
 """
 
@@ -110,13 +98,14 @@ def coherence_row(kind: str, n: int, params: dict,
     the registry's reason when N is inadmissible, else mu (the largest
     entry of A, or of A @ Psi) against the family's closed bound for the
     identity basis, 6*sqrt(2) for FZC against the inverse DCT-II, and an
-    informational infinite bound otherwise.  An unknown basis is refused
-    before N is judged."""
+    informational infinite bound otherwise.  An unknown basis and a param
+    the family does not read are refused before N is judged."""
     fam, psi = seqs.family(kind), Basis(basis)
+    params = seqs.read_params(kind, params)
     if basis == "identity":
         label, bound = kind, fam.bound
     elif kind == "fzc" and basis == "inverse_dct2":
-        label = f"fzc(gamma={params.get('gamma', 1)})+inverse_dct2"
+        label = f"fzc(gamma={params['gamma']})+inverse_dct2"
         bound = lambda _: (6.0 * math.sqrt(2.0), "6*sqrt(2)")
     else:
         label, bound = f"{kind}+{basis}", None
@@ -145,7 +134,7 @@ def bound_table_report(n_lists: Dict[str, Iterable[int]]
     for kind in n_lists:
         if seqs.family(kind).bound is None:
             raise ValueError(f"{kind!r} has no closed coherence bound")
-    return [coherence_row(kind, int(n), {"gamma": 1})
+    return [coherence_row(kind, int(n), {})
             for kind, ns in n_lists.items() for n in ns]
 
 

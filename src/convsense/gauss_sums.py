@@ -42,17 +42,17 @@ def _phase_ints(kind: str, n: int, m: int) -> tuple:
     return (k * k) % period, period
 
 
-def _domain_limit(kind: str, n: int) -> int:
+def _check_domain(kind: str, n: int, m: Optional[int] = None) -> int:
+    """m, or the top of kind's m domain when None, after refusing an
+    unknown kind or an m outside the domain."""
     if kind not in _KINDS:
         raise ValueError(
             f"unknown kind {kind!r}; expected one of {tuple(_KINDS)}")
-    return _KINDS[kind][1] * n
-
-
-def _check_domain(kind: str, n: int, m: int) -> None:
-    limit = _domain_limit(kind, n)
+    limit = _KINDS[kind][1] * n
+    m = limit if m is None else m
     if not (0 <= m <= limit):
         raise ValueError(f"m={m} out of domain [0, {limit}] for kind {kind!r}")
+    return m
 
 
 def gauss_sum(kind: str, n: int, m: int) -> complex:
@@ -75,10 +75,7 @@ def gauss_sum_sweep(kind: str, n: int, m_max: Optional[int] = None) -> np.ndarra
     """Vector of partial sums for m = 0 .. m_max (inclusive) via a
     cumulative sum.  Error grows like m*eps, far below the identity
     tolerances at desk scale."""
-    limit = _domain_limit(kind, n)
-    if m_max is None:
-        m_max = limit
-    _check_domain(kind, n, m_max)
+    m_max = _check_domain(kind, n, m_max)
     nums, period = _phase_ints(kind, n, m_max)
     terms = np.exp(2j * np.pi * nums / period)
     out = np.empty(m_max + 1, dtype=np.complex128)
@@ -186,21 +183,17 @@ def bound_check(kind: str, n_values: Iterable[int]) -> list:
     the worst observed value against its bound per case (the table
     _BOUND_CASES; sizes below a kind's smallest N are skipped).
 
-    kind 'gn_normalized' (N >= 4): g(m) = 2*|G(m)|/sqrt(N) with four
-    cases by N mod 4:
-      * N=4k,   m <= N/2:  sqrt(2)
-      * N=4k+1, m <  N/2:  1.07 + c/sqrt(N) with c fitted over the sweep
-        (soft: reported, never failed — the additive constant is open)
-      * N=4k+2, m <= N:    0.95 + (101/40)/sqrt(N)
-      * N=4k+3, m <  N/2:  half-normalized |G(m)|/sqrt(N) <= sqrt(1+1/N)
-        (the doubled normalization provably fails here; see the report
-        case name 'quarter3_half_normalized')
-    Records come grouped by N mod 4, in that order.
-    kind 'g2n' (N >= 2): |G2(m)| against sqrt(N) for m <= N (N even),
-    3*sqrt(N)+1 for N < m <= 2N (N even), and
-    (sqrt(2N)/2)*(0.95 + (101/40)/sqrt(N)) for m <= 2N (N odd).
-    kind 'qn' (N >= 1): |Q(m)| <= 3*sqrt(N) for m <= N.
-    Records of 'g2n' and 'qn' come in order of N.
+    'gn_normalized' (N >= 4), g(m) = 2|G(m)|/sqrt(N), one case per N mod 4:
+    N = 4k, m <= N/2: sqrt(2); N = 4k+1, m < N/2: 1.07 + c/sqrt(N), c
+    fitted over the sweep (soft: reported, never failed, as the additive
+    constant is open); N = 4k+2, m <= N: 0.95 + (101/40)/sqrt(N); N = 4k+3,
+    m < N/2: half-normalized |G(m)|/sqrt(N) <= sqrt(1 + 1/N), as the
+    doubled normalization provably fails there.  Records come grouped by
+    N mod 4, in that order.  'g2n' (N >= 2): |G2(m)| against sqrt(N) for
+    m <= N and 3 sqrt(N) + 1 for N < m <= 2N (N even), and
+    (sqrt(2N)/2)(0.95 + (101/40)/sqrt(N)) for m <= 2N (N odd).  'qn'
+    (N >= 1): |Q(m)| <= 3 sqrt(N) for m <= N.  Records of 'g2n' and 'qn'
+    come in order of N.
     """
     if kind not in _BOUND_CASES:
         raise ValueError(f"unknown bound family {kind!r}")

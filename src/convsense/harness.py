@@ -43,9 +43,9 @@ from .coherence import bound_table_report, bound_table_csv, dct_coherence_report
 from .operators import (Basis, build_circulant, equispaced_sampling,
                         random_sampling, SensingOperator, StackedOperator,
                         _csv)
-from .recovery import (RecoveryProblem, RecoveryResult, SOLVERS, _RIDGE,
-                       _embed, _least_squares, _top_indices, subspace_pursuit,
-                       subspace_pursuit_block)
+from .recovery import (ROWS_PER_ATOM, RecoveryProblem, RecoveryResult,
+                       SOLVERS, _RIDGE, _embed, _least_squares, _top_indices,
+                       subspace_pursuit, subspace_pursuit_block)
 
 _SNR_CAP_DB = 300.0
 
@@ -120,8 +120,9 @@ def papr(sigma) -> float:
 
 def _papr_row(kind: str, n: int, params: dict) -> list:
     """A PAPR table row for family ``kind`` built at length N, labelled
-    with the params it reads: ``golay``, ``fzc(gamma=1)``,
-    ``random_phase(seed=3)``."""
+    with the params it reads (``seqs.read_params``): ``golay``,
+    ``fzc(gamma=1)``, ``random_phase(seed=3)``."""
+    params = seqs.read_params(kind, params)
     label = kind + "".join(f"({key}={val})" for key, val in params.items())
     sigma = seqs.family(kind).build(n, params)
     return [label, n, PAPR_OVERSAMPLE, papr(sigma)]
@@ -141,9 +142,9 @@ def _require_counts(**counts: int) -> None:
 
 # the keys something reads: a config that sets another is refused, as a
 # misspelt or retired key would only change the config hash (a
-# sequence_params key is read by the family that names it); each extra
-# key maps to the one experiment that reads it (None: every one), each
-# solver_params key to the one solver that reads it
+# sequence_params key is one its family reads, ``seqs.read_params``);
+# each extra key maps to the one experiment that reads it (None: every
+# one), each solver_params key to the one solver that reads it
 _EXTRA_READERS = {"real_taps": None, "k_grid": "phase", "m_grid": "phase",
                   "bases": "phase", "image": "dct"}
 _SOLVER_PARAM_READERS = {"lam_rel": "fista"}
@@ -170,13 +171,8 @@ class ExperimentConfig:
 
     def __post_init__(self):
         _require_counts(n=self.n, m=self.m, k=self.k, trials=self.trials)
-        reads = seqs.family(self.sequence_kind).params
-        for key in self.sequence_params:
-            if key not in reads:
-                raise ValueError(
-                    f"sequence_params key {key!r} is not read by the "
-                    f"{self.sequence_kind!r} family, which reads "
-                    f"{', '.join(reads) or 'none'}")
+        seqs.read_params(self.sequence_kind, self.sequence_params,
+                         standalone=False, what="sequence_params")
         for name, readers, role, own in (
                 ("extra", _EXTRA_READERS, "experiment", self.experiment),
                 ("solver_params", _SOLVER_PARAM_READERS, "solver",
@@ -189,6 +185,11 @@ class ExperimentConfig:
                     raise ValueError(
                         f"{name} key {key!r} is read only by the "
                         f"{readers[key]!r} {role}, not {own!r}")
+
+    @property
+    def scheme(self) -> str:
+        """The scheme's label: family and sampling, as ``golay+random``."""
+        return f"{self.sequence_kind}+{self.sampling_mode}"
 
     def canonical_json(self) -> str:
         payload = dataclasses.asdict(self)
@@ -345,23 +346,35 @@ REFERENCE_OFDM_OUTPUT_SNR_DB = {
 REFERENCE_OFDM_TOL_DB = 3.0
 
 
+def _baseline(cfg: ExperimentConfig) -> ExperimentConfig:
+    """``cfg`` on the comparison baseline: random phase at equispaced rows."""
+    return dataclasses.replace(cfg, sequence_kind="random_phase",
+                               sequence_params={},
+                               sampling_mode="equispaced")
+
+
+def ofdm_config(snr_list: Optional[List[float]] = None,
+                **fields) -> ExperimentConfig:
+    """The OFDM set-up for config ``fields`` (n, m, k, sequence_kind, ...):
+    inputs 0/10/20/30 dB unless ``snr_list`` names others, real-tap refit,
+    random sampling but for the baseline's family (``_baseline``)."""
+    snrs = (0.0, 10.0, 20.0, 30.0) if snr_list is None else snr_list
+    cfg = ExperimentConfig(experiment="ofdm", snr_list=tuple(snrs),
+                           extra={"real_taps": True}, **fields)
+    baseline = _baseline(cfg)
+    return baseline if cfg.sequence_kind == baseline.sequence_kind else cfg
+
+
 def ofdm_reference_config(scheme: str = "proposed", trials: int = 500,
                           master_seed: int = 0) -> ExperimentConfig:
-    """The benchmark configuration behind REFERENCE_OFDM_OUTPUT_SNR_DB:
-    N=1024, M=64, K=6, subspace pursuit, inputs 0/10/20/30 dB, real-tap
-    refit on.  'proposed' = Golay spectrum + random sampling;
-    'baseline' = per-trial random-phase spectrum + equispaced sampling."""
-    if scheme == "proposed":
-        kind, mode = "golay", "random"
-    elif scheme == "baseline":
-        kind, mode = "random_phase", "equispaced"
-    else:
+    """The benchmark configuration behind REFERENCE_OFDM_OUTPUT_SNR_DB,
+    ``ofdm_config`` at N=1024, M=64, K=6 under subspace pursuit: Golay
+    with random sampling ('proposed') or the baseline (``_baseline``)."""
+    if scheme not in ("proposed", "baseline"):
         raise ValueError("scheme must be 'proposed' or 'baseline'")
-    return ExperimentConfig(
-        experiment="ofdm", n=1024, m=64, k=6, sequence_kind=kind,
-        solver="sp", snr_list=(0.0, 10.0, 20.0, 30.0), trials=trials,
-        master_seed=master_seed, sampling_mode=mode,
-        extra={"real_taps": True})
+    cfg = ofdm_config(n=1024, m=64, k=6, sequence_kind="golay",
+                      trials=trials, master_seed=master_seed)
+    return cfg if scheme == "proposed" else _baseline(cfg)
 
 
 @dataclass(frozen=True)
@@ -402,7 +415,7 @@ class OfdmReport:
     @property
     def reference_key(self) -> str:
         """This scheme's key in REFERENCE_OFDM_OUTPUT_SNR_DB."""
-        return f"{self.config.sequence_kind}+{self.config.sampling_mode}"
+        return self.config.scheme
 
     def reference_violations(self) -> List[str]:
         """The rows of a reference run (``ofdm_reference_config``) whose
@@ -565,11 +578,6 @@ def _sign_test_p(wins: int, losses: int) -> float:
     return sum(math.comb(n, i) for i in range(wins, n + 1)) / 2 ** n
 
 
-# measurements a greedy solver needs per atom: OMP solves with K columns
-# (K <= M), subspace pursuit with up to 2K candidates (2K <= M)
-_ROWS_PER_ATOM = {"omp": 1, "sp": 2}
-
-
 def _grid_reason(name: str, grid: List[int], n: int) -> Optional[str]:
     """Why a K or M grid is refused (a value outside [1, N]), or None."""
     for v in grid:
@@ -583,9 +591,9 @@ def run_phase_transition(cfg: ExperimentConfig) -> PhaseReport:
     (basis, K, M) cells; grids come from cfg.extra (k_grid, m_grid,
     bases) and default to the single configured cell.  The
     same per-trial seeds are reused in every cell, pairing the grid.
-    Cells the greedy solver cannot attempt (K > M for OMP, 2K > M for
-    subspace pursuit) score zero successes without solving; any error
-    raised while solving a feasible cell propagates.  Every basis and
+    Cells the greedy solver cannot attempt (``ROWS_PER_ATOM`` * K > M)
+    score zero successes without solving; any error raised while
+    solving a feasible cell propagates.  Every basis and
     every K and M (1 <= K, M <= N) is checked before the first draw, so
     a bad grid fails before any cell runs."""
     _require_experiment(cfg, "phase")
@@ -605,7 +613,7 @@ def run_phase_transition(cfg: ExperimentConfig) -> PhaseReport:
             cell_cfg = dataclasses.replace(cfg, k=k)
             for m in m_grid:
                 successes = 0
-                feasible = _ROWS_PER_ATOM.get(cfg.solver, 0) * k <= m
+                feasible = ROWS_PER_ATOM.get(cfg.solver, 0) * k <= m
                 trials = cfg.trials if feasible else 0
                 for _, _, rng in _trial_rngs(cfg.master_seed, trials):
                     theta = draw(rng, m, basis_kind)
@@ -708,7 +716,7 @@ class DctReport:
 
 def run_dct_experiment(cfg: ExperimentConfig) -> DctReport:
     """Paired comparison of DCT-domain recovery: the configured operator
-    with random sampling vs the random-phase + equispaced baseline on
+    with random sampling vs the comparison baseline (``_baseline``) on
     identical signals.  Synthetic mode draws K-sparse real DCT
     coefficient vectors; image mode (cfg.extra['image']) measures a PGM
     image, recovers a K-sparse DCT approximation, and scores output SNR
@@ -724,10 +732,9 @@ def run_dct_experiment(cfg: ExperimentConfig) -> DctReport:
         raise ValueError("the DCT experiment runs basis 'inverse_dct2' with "
                          "'random' sampling, as its rows are labelled")
     basis = Basis.inverse_dct2()
+    baseline = _baseline(cfg)
     draw_proposed = _operator_draw(cfg)
-    draw_baseline = _operator_draw(dataclasses.replace(
-        cfg, sequence_kind="random_phase", sequence_params={},
-        sampling_mode="equispaced"))
+    draw_baseline = _operator_draw(baseline)
     image_path = cfg.extra.get("image")
     if image_path is not None:
         x_img = read_pgm(str(image_path)).reshape(-1).astype(np.complex128)
@@ -757,7 +764,7 @@ def run_dct_experiment(cfg: ExperimentConfig) -> DctReport:
     compared = 0 if image_path is None else 1
     wins = sum(p[compared] > b[compared] for p, b in outcomes)
     losses = sum(b[compared] > p[compared] for p, b in outcomes)
-    schemes = (f"{cfg.sequence_kind}+random", "random_phase+equispaced")
+    schemes = (cfg.scheme, baseline.scheme)
     rows = tuple(
         DctSchemeRow(scheme=scheme, trials=cfg.trials,
                      successes=sum(ok for ok, _, _ in scheme_outcomes),
@@ -877,7 +884,7 @@ def audit_papr(golay_sizes: Tuple[int, ...] = (256, 512, 1024),
     _require_counts(random_seeds=random_seeds)
     random_n = 1024
     golay_rows = [_papr_row("golay", n, {}) for n in golay_sizes]
-    fzc_rows = [_papr_row("fzc", n, {"gamma": 1}) for n in golay_sizes]
+    fzc_rows = [_papr_row("fzc", n, {}) for n in golay_sizes]
     random_rows = [_papr_row("random_phase", random_n, {"seed": s})
                    for s in range(random_seeds)]
     random_min = min(row[-1] for row in random_rows)

@@ -46,12 +46,15 @@ def _as_array(x: ArrayLike, n: Optional[int] = None) -> np.ndarray:
 
 
 def _circular(spectrum: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """sqrt(N) * ifft(spectrum * fft(x)) down axis 0: the circulant with
-    this spectrum applied to a vector or to each column of a block."""
-    if x.ndim == 2:
+    """sqrt(N) * ifft(spectrum * fft(x)) down axis 0, on a vector, on each
+    column of a block, or on column b with spectrum column b.  The call
+    ``np.multiply`` keeps the spectrum the left operand: numpy's complex
+    multiply is not commutative bit for bit, and the ``*`` operator swaps
+    in a same-shape temporary of 256 KiB or more (a vector from N = 16384)."""
+    if spectrum.ndim < x.ndim:
         spectrum = spectrum[:, None]
     return np.sqrt(x.shape[0]) * np.fft.ifft(
-        spectrum * np.fft.fft(x, axis=0), axis=0)
+        np.multiply(spectrum, np.fft.fft(x, axis=0)), axis=0)
 
 
 def _unit_block(n: int, idx: np.ndarray) -> np.ndarray:
@@ -380,14 +383,8 @@ class StackedOperator:
         (N, B) block out."""
         u = np.zeros((self.n, len(self)), dtype=np.complex128)
         u[self.rows.T, np.arange(len(self))] = y / np.sqrt(self.m)
-        # _circular with the spectrum kept the left operand: numpy's complex
-        # multiply is not bitwise commutative, and when both operands have
-        # one shape and the right is a temporary of 256 KiB or more (an
-        # (N, B) block; a member's length-N vector only from N = 16384),
-        # numpy reuses the temporary and swaps the operands
-        f = np.fft.fft(u, axis=0)
-        np.multiply(np.conj(self.spectra[self.circ]).T, f, out=f)
-        return self.basis.adjoint(np.sqrt(self.n) * np.fft.ifft(f, axis=0))
+        return self.basis.adjoint(
+            _circular(np.conj(self.spectra[self.circ]).T, u))
 
     def columns(self, idx: np.ndarray) -> np.ndarray:
         """Theta_b[:, idx[b]] for every member b: (B, c) indices in, a
@@ -409,8 +406,6 @@ class StackedOperator:
         if self.basis.kind == "inverse_fourier":
             phase = np.exp((2j * np.pi / self.n) * ((rows * idx) % self.n))
             return phase * (self.spectra[circ, idx] / np.sqrt(self.m))
-        # one member at a time: one block for all of them would reach the
-        # operand swap ``adjoint`` avoids
         return np.stack([
             _circular(self.spectra[c], self.basis.apply(
                 _unit_block(self.n, i[0])))[r]

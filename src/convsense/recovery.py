@@ -40,6 +40,9 @@ _FISTA_STAGE_STOP_REL = 1e-5
 _FISTA_STAGE_MAX_ITERS = 200
 # largest M*N at which FISTA applies Theta as a matrix (2 MiB of complex128)
 _FISTA_DENSE_MAX = 1 << 17
+# measurements a greedy solver needs per atom: OMP solves with K columns
+# (K <= M), subspace pursuit with up to 2K candidates (2K <= M)
+ROWS_PER_ATOM = {"omp": 1, "sp": 2}
 
 
 @dataclass(frozen=True)
@@ -127,7 +130,7 @@ def omp(p: RecoveryProblem) -> RecoveryResult:
     if p.k is None or p.k < 1:
         raise ValueError("omp requires a positive sparsity K")
     op = p.operator
-    if p.k > op.m:
+    if ROWS_PER_ATOM["omp"] * p.k > op.m:
         raise ValueError(f"K={p.k} exceeds M={op.m}")
     y = p.y
     ynorm = float(np.linalg.norm(y))
@@ -179,7 +182,7 @@ def subspace_pursuit_block(problems: TypingSequence[RecoveryProblem]
     if any(p.k != k for p in problems):
         raise ValueError("a block of subspace pursuits shares one K")
     op = StackedOperator.of([p.operator for p in problems])
-    if 2 * k > op.m:
+    if ROWS_PER_ATOM["sp"] * k > op.m:
         raise ValueError(
             f"candidate least squares needs 2K <= M, got K={k} M={op.m}")
     y = np.stack([p.y for p in problems])
@@ -369,9 +372,8 @@ def fista_lasso(p: RecoveryProblem) -> RecoveryResult:
     one forward and one adjoint (a restart one more of each): Theta z is
     carried by linearity beside the momentum point z, as the same
     combination of the two latest forwards, so its rounding does not
-    build up, and a stage starts from the last one's Theta f.  Up to
-    M*N = 2^17 an application is a product with Theta built for this
-    solve, O(MN); above, two FFTs and a basis transform, O(N log N)."""
+    build up, and a stage starts from the last one's Theta f
+    (applications: ``_fista_applications``)."""
     if not p.lam_rel > 0:
         raise ValueError(f"fista requires lam_rel > 0, got {p.lam_rel}")
     op = p.operator

@@ -426,11 +426,8 @@ def extended_golay(n: int) -> Sequence:
     Even N:  [s_0..s_{N0-1}, s_0, s_{N0-1}..s_1].
     Odd N:   [s_0..s_{N0-1}, -s_0, -s_0, s_{N0-1}..s_1]  (the two adjacent
     middle entries are forced equal by conjugate symmetry; they are set
-    to -s_0).  The circulant coherence stays below 2 + 2/sqrt(N) at all 66
-    admissible even N <= 32768, but the odd-N figure 2 + 1/sqrt(N) is
-    exceeded at 24 of the 66 admissible odd N <= 32769, first at N=521
-    (mu = 2.07004 against 2.04381); see the bound table in
-    :mod:`convsense.coherence`.
+    to -s_0).  The odd-N coherence bound fails at some admissible N, the
+    first N = 521 (:mod:`convsense.coherence`).
 
     The result is exactly +/-1 and conjugate-symmetric, so its circulant
     filter is real.
@@ -528,8 +525,6 @@ def autocorr_aperiodic(s, l: int) -> complex:
     n = vals.shape[0]
     if not (0 <= l <= n - 1):
         raise ValueError(f"lag {l} out of range [0, {n - 1}]")
-    if l == 0:
-        return complex(np.sum(vals * np.conj(vals)))
     return complex(np.sum(vals[:n - l] * np.conj(vals[l:])))
 
 
@@ -579,19 +574,51 @@ class Family:
     Sequence, except that a random family given a Generator returns the
     raw draws (no per-trial Sequence checks); ``admissible(n, params)``
     returns why N is refused, or None; ``bound(n)``, when set, returns the
-    closed bound on the circulant's coherence and its label.  A Sequence
-    of the family must meet its invariants (``entries``, conjugate
-    symmetry), and classify() judges it against its ``claim``."""
+    closed bound on the circulant's coherence and its label.  Both take
+    ``params`` over the family's defaults; ``build`` refuses only a key
+    no family reads, so one dict serves a sweep over every family, and
+    what labels or records params takes them from ``read_params``.  A
+    Sequence of the family must meet its invariants (``entries``,
+    conjugate symmetry), and classify() judges it against its ``claim``."""
 
-    build: Callable
-    admissible: Callable[[int, dict], Optional[str]]
+    make: Callable  # build's, with the defaults filled in
+    reason: Callable[[int, dict], Optional[str]]  # admissible's, likewise
     bound: Optional[Callable[[int], Tuple[float, str]]] = None
     domain: str = "spectrum"  # the sequence is A's spectrum, or "filter"
     random: bool = False  # drawn afresh from each trial's Generator
-    params: Tuple[str, ...] = ()  # params keys an experiment config records
+    # the params an experiment config records, with their defaults
+    params: Dict[str, int] = field(default_factory=dict)
     entries: Optional[str] = None  # "unimodular", "bipolar" (+/-1) or None
     conjugate_symmetric: bool = False  # sigma_k = conj(sigma_(N-k))
     claim: Optional[float] = None  # promised max off-peak |R(l)|, or None
+
+    def reads(self, standalone: bool = True) -> Tuple[str, ...]:
+        """A config's params keys, and seed for a random build with no rng."""
+        return tuple(self.params) + ("seed",) * (self.random and standalone)
+
+    def build(self, n: int, params: dict, rng=None):
+        _refuse_unread(params, _PARAM_KEYS, "params", "any family")
+        return self.make(n, {**self.params, **params}, rng)
+
+    def admissible(self, n: int, params: dict) -> Optional[str]:
+        return self.reason(n, {**self.params, **params})
+
+
+def read_params(kind: str, params: dict, standalone: bool = True,
+                what: str = "params") -> dict:
+    """``params`` over family ``kind``'s defaults, refusing (naming it,
+    ``what`` naming the mapping) any key outside ``reads(standalone)``:
+    the one rule for which params a family reads."""
+    fam = family(kind)
+    _refuse_unread(params, fam.reads(standalone), what, f"the {kind!r} family")
+    return {**fam.params, **params}
+
+
+def _refuse_unread(params: dict, reads, what: str, reader: str) -> None:
+    for key in params:
+        if key not in reads:
+            raise ValueError(f"{what} key {key!r} is not read by {reader}, "
+                             f"which reads {', '.join(reads) or 'none'}")
 
 
 def _require(reason: Optional[str]) -> None:
@@ -604,7 +631,7 @@ def _at_least(lo: int) -> Callable[[int, dict], Optional[str]]:
 
 
 def _fzc_reason(n: int, params: dict) -> Optional[str]:
-    gamma = int(params.get("gamma", 1))
+    gamma = int(params["gamma"])
     if n < 1 or math.gcd(gamma, n) != 1:
         return f"gcd(gamma={gamma}, N={n}) != 1"
     return None
@@ -664,8 +691,8 @@ def _random(draw: Callable, seeded: Callable, entries: str) -> Family:
 # Entries call the generators through module globals looked up at call
 # time, so a generator rebound on this module is the one that runs.
 FAMILIES: Dict[str, Family] = {
-    "fzc": Family(lambda n, p, rng=None: fzc(n, int(p.get("gamma", 1))),
-                  _fzc_reason, lambda n: (1.0, "1"), params=("gamma",),
+    "fzc": Family(lambda n, p, rng=None: fzc(n, int(p["gamma"])),
+                  _fzc_reason, lambda n: (1.0, "1"), params={"gamma": 1},
                   entries="unimodular", claim=0.0),
     "extended_polyphase": Family(
         lambda n, p, rng=None: extended_polyphase(n), _at_least(2),
@@ -701,6 +728,10 @@ FAMILIES: Dict[str, Family] = {
                              lambda n, seed: random_binary(n, seed),
                              "bipolar"),
 }
+
+
+# every key some family reads (``Family.build``)
+_PARAM_KEYS = sorted({key for fam in FAMILIES.values() for key in fam.reads()})
 
 
 def family(kind: str) -> Family:

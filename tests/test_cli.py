@@ -355,6 +355,18 @@ def test_exp_ofdm_json(capsys):
     assert len(doc["rows"]) == 1
 
 
+def test_exp_ofdm_random_phase_json_bytes_pinned(capsys):
+    # custom mode runs the baseline's family as the baseline does
+    # (equispaced sampling, real-tap refit, inputs 0/10/20/30 dB)
+    code, out, err = run(capsys, "exp-ofdm", "--seq", "random_phase",
+                         "--n", "256", "--m", "48", "--k", "6",
+                         "--trials", "3", "--format", "json")
+    assert code == 0, err
+    assert json.loads(out)["config"]["sampling_mode"] == "equispaced"
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "e85c459373d300b9279d234aa7de9a1efc73c6d5a149e790ffb3341434d7196c")
+
+
 def test_exp_ofdm_benchmark_mode(capsys, tmp_path):
     # the one 500-trial reference run of the suite
     code, out, err = run(capsys, "exp-ofdm", "--format", "json")

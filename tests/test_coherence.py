@@ -171,6 +171,18 @@ def test_coherence_row_refuses_an_unknown_basis_before_admissibility():
         coherence_row("golay", 7, {}, "bogus")
 
 
+@pytest.mark.parametrize("kind, params, basis, key", [
+    ("golay", {"gamma": 7}, "identity", "gamma"),
+    ("fzc", {"gamma": 3, "seed": 9}, "inverse_dct2", "seed"),
+    ("random_phase", {"seed": 4, "bogus": 1}, "identity", "bogus"),
+])
+def test_coherence_row_refuses_a_param_its_family_does_not_read(
+        kind, params, basis, key):
+    # the row would be labelled or built as if the param took effect
+    with pytest.raises(ValueError, match=f"params key '{key}' is not read"):
+        coherence_row(kind, 64, params, basis)
+
+
 def test_dct_coherence_matches_dense():
     n = 32
     rep = dct_coherence_report([n], gammas=1)[0]

@@ -102,6 +102,33 @@ def test_build_circulant_kinds():
         build_circulant("nope", 16, {})
 
 
+def test_build_circulant_refuses_a_key_no_family_reads():
+    # gamma and seed may ride along in one params dict shared by every
+    # family; a key that no family reads is refused by name
+    with pytest.raises(ValueError, match="params key 'bogus' is not read"):
+        build_circulant("golay", 64, {"gamma": 7, "bogus": 1})
+    with pytest.raises(ValueError, match="params key 'gama' is not read"):
+        build_circulant("fzc", 64, {"gama": 3})
+
+
+@pytest.mark.parametrize("kind, params, key", [
+    ("golay", {"seed": 1}, "seed"),
+    ("fzc", {"gamma": 3, "seed": 9}, "seed"),
+    ("random_phase", {"seed": 1, "gamma": 3}, "gamma"),
+])
+def test_audit_papr_sequence_refuses_a_param_its_family_does_not_read(
+        kind, params, key):
+    # the row's label names every param it is given
+    with pytest.raises(ValueError, match=f"params key '{key}' is not read"):
+        audit_papr_sequence(kind, 64, params)
+
+
+def test_papr_rows_are_labelled_with_the_family_defaults():
+    # fzc's root defaults to 1 in the registry, and the label says so
+    assert audit_papr_sequence("fzc", 64, {}).csv.splitlines()[1] \
+        .startswith("fzc(gamma=1),64,")
+
+
 # ---------------------------------------------------------------------------
 # OFDM experiment
 # ---------------------------------------------------------------------------
@@ -369,6 +396,27 @@ def test_phase_infeasible_cells_skip_the_solver(monkeypatch):
         assert calls == [feasible] * 3
         assert rows[1] == (f"{cfg.config_hash()},golay,identity,"
                            f"{k_grid[1]},16,3,0,0")
+
+
+@pytest.mark.parametrize("solver", ["omp", "sp"])
+def test_greedy_row_needs_are_one_table(monkeypatch, solver):
+    # raise a solver's rows per atom in recovery's table: the solver then
+    # refuses a shape it took, and the phase grid skips that cell unsolved
+    monkeypatch.setitem(recovery.ROWS_PER_ATOM, solver, 4)
+    k, m = 5, 16  # 2K <= M < 4K
+    theta = SensingOperator(build_circulant("golay", 64, {}),
+                            random_sampling(64, m, 0), Basis("identity"))
+    with pytest.raises(ValueError, match=f"K={k}"):
+        recovery.SOLVERS[solver](
+            recovery.RecoveryProblem(theta, np.ones(m), k=k))
+
+    def unreachable(p):
+        raise AssertionError("an infeasible cell was solved")
+
+    monkeypatch.setitem(recovery.SOLVERS, solver, unreachable)
+    cfg = ExperimentConfig(experiment="phase", n=64, m=m, k=k,
+                           sequence_kind="golay", solver=solver, trials=2)
+    assert run_phase_transition(cfg).cells[0].successes == 0
 
 
 def test_phase_solver_errors_propagate(monkeypatch):

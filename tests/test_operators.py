@@ -445,6 +445,19 @@ def test_stacked_operator_equals_its_members(per_trial, basis_kind):
             golay, random_sampling(n, m + 1, 0), Basis(basis_kind))])
 
 
+@pytest.mark.parametrize("n", [1024, 16384, 65536])
+def test_stacked_adjoint_equals_the_member_adjoint_at_every_n(n):
+    # one circulant kernel: from N = 16384 a vector's FFT is a temporary
+    # numpy may reuse, and the spectrum must stay the multiply's left
+    # operand there too
+    op = SensingOperator(
+        CirculantOperator.from_spectrum(seqs.random_phase(n, 1)),
+        random_sampling(n, 256, 2), Basis("identity"))
+    y = _rand_vec(256, 0)
+    assert np.array_equal(op.adjoint(y),
+                          StackedOperator.of([op]).adjoint(y[:, None])[:, 0])
+
+
 def test_columns_reject_bad_indices():
     theta = SensingOperator(CirculantOperator.from_spectrum(seqs.fzc(16, 1)),
                             random_sampling(16, 6, 0), Basis.identity())

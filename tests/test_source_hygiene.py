@@ -72,6 +72,15 @@ def test_cli_imports_no_private_harness_name_but_grid_reason():
     assert private <= {"_grid_reason"}
 
 
+def test_cli_restates_no_experiment_decision():
+    # the baseline's family and sampling, the OFDM set-up and the audits'
+    # defaults each live once, in the library
+    text = (_SRC / "cli.py").read_text()
+    for word in ('"random_phase"', '"equispaced"', "real_taps",
+                 "10.0, 20.0, 30.0", "4096", "or 100"):
+        assert word not in text
+
+
 @pytest.mark.parametrize("module", sorted(set(_MODULES) - {"__init__.py"}))
 def test_every_import_is_used(module):
     tree = _MODULES[module]
