@@ -32,6 +32,7 @@ from .gauss_sums import (
     BoundCheckRecord,
     gauss_sum,
     gauss_sum_sweep,
+    complete_gauss_sum,
     complete_gauss_closed_form,
     reflection_identity_residual,
     q_identity_residual,

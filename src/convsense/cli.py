@@ -259,8 +259,8 @@ def _cmd_exp_phase(args) -> int:
         if reason is not None:
             raise ValueError(f"argument {flag}: {reason}")
     cfg = _experiment_config(
-        args, args.seq or "golay", experiment="phase", m=args.m_list[0],
-        k=args.k_list[0], trials=args.trials or 50,
+        args, args.seq, experiment="phase", m=args.m_list[0],
+        k=args.k_list[0], trials=args.trials,
         extra={"k_grid": args.k_list, "m_grid": args.m_list,
                "bases": args.basis_list})
     report = run_phase_transition(cfg)
@@ -272,7 +272,7 @@ def _cmd_exp_phase(args) -> int:
 
 def _cmd_exp_dct(args) -> int:
     extra = {} if args.image is None else {"image": args.image}
-    cfg = _experiment_config(args, args.seq or "fzc", experiment="dct",
+    cfg = _experiment_config(args, args.seq, experiment="dct",
                              m=args.m, k=args.k, basis="inverse_dct2",
                              extra=extra, **_given(trials=args.trials))
     report = run_dct_experiment(cfg)
@@ -361,6 +361,7 @@ def _build_parser() -> argparse.ArgumentParser:
     subs["gauss-audit"].add_argument(
         "--n", type=_count, help="largest N of the closed-form check")
     p = subs["exp-phase"]
+    p.set_defaults(seq="golay", trials=50)
     p.add_argument("--k", type=_list_of(_count, "count"), dest="k_list",
                    metavar="K[,K...]", required=True)
     p.add_argument("--m", type=_list_of(_count, "count"), dest="m_list",
@@ -369,6 +370,7 @@ def _build_parser() -> argparse.ArgumentParser:
                                              "basis"),
                    dest="basis_list", default=["identity"],
                    metavar="B[,B...]")
+    subs["exp-dct"].set_defaults(seq="fzc")
     subs["exp-dct"].add_argument(
         "--image", default=None, metavar="PGM",
         help="measure this 8-bit PGM instead of synthetic sparse signals")

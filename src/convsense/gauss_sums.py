@@ -94,6 +94,15 @@ def complete_gauss_closed_form(n: int) -> complex:
             2: 0j, 3: complex(0.0, r)}[n % 4]
 
 
+def complete_gauss_sum(n: int) -> complex:
+    """sum_{k<N} e^{2 pi j k^2/N}.  k and N - k share the residue k^2
+    mod N, so the terms for k <= N/2 are evaluated and mirrored: the
+    same elements in the same order, hence the same pairwise sum."""
+    k = np.arange(n // 2 + 1, dtype=np.int64)
+    half = np.exp(2j * np.pi * ((k * k) % n) / n)
+    return complex(np.sum(np.concatenate((half, half[1:(n + 1) // 2][::-1]))))
+
+
 def reflection_identity_residual(n: int, m: int) -> float:
     """|G(m) + G(N-m+1) - 1 - G(N)| for the gn family, m <= (N+1)/2.
 

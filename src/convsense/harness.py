@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
-import scipy.linalg
+import scipy  # scipy.linalg loads on first use: the real-tap refit
 
 from . import gauss_sums
 from . import sequences as seqs
@@ -810,15 +810,6 @@ def audit_coherence_bounds() -> AuditResult:
                        csv=bound_table_csv(reports), failures=failures)
 
 
-def _complete_sum(n: int) -> complex:
-    """sum_{k<N} e^{2 pi j k^2/N}.  k and N - k share the residue k^2
-    mod N, so the terms for k <= N/2 are evaluated and mirrored: the
-    same elements in the same order, hence the same pairwise sum."""
-    k = np.arange(n // 2 + 1, dtype=np.int64)
-    half = np.exp(2j * np.pi * ((k * k) % n) / n)
-    return complex(np.sum(np.concatenate((half, half[1:(n + 1) // 2][::-1]))))
-
-
 def audit_gauss(closed_form_max: int = 4096, identity_max: int = 256,
                 sweep_max: int = 512) -> AuditResult:
     """Closed forms vs direct sums, the two identity sweeps, and the
@@ -838,7 +829,7 @@ def audit_gauss(closed_form_max: int = 4096, identity_max: int = 256,
 
     for n in range(1, closed_form_max + 1):
         tol = 1e-8 * math.sqrt(n)
-        resid = abs(_complete_sum(n)
+        resid = abs(gauss_sums.complete_gauss_sum(n)
                     - gauss_sums.complete_gauss_closed_form(n))
         check("gn_closed_form", n, n, resid, tol, resid <= tol,
               "closed form N={n}: residual {observed:.3e}")

@@ -575,11 +575,11 @@ class Family:
     raw draws (no per-trial Sequence checks); ``admissible(n, params)``
     returns why N is refused, or None; ``bound(n)``, when set, returns the
     closed bound on the circulant's coherence and its label.  Both take
-    ``params`` over the family's defaults; ``build`` refuses only a key
-    no family reads, so one dict serves a sweep over every family, and
-    what labels or records params takes them from ``read_params``.  A
-    Sequence of the family must meet its invariants (``entries``,
-    conjugate symmetry), and classify() judges it against its ``claim``."""
+    ``params`` over the family's defaults; ``build`` refuses any key
+    outside ``reads(rng is None)``, and what labels or records params
+    takes them from ``read_params``.  A Sequence of the family must meet
+    its invariants (``entries``, conjugate symmetry), and classify()
+    judges it against its ``claim``."""
 
     make: Callable  # build's, with the defaults filled in
     reason: Callable[[int, dict], Optional[str]]  # admissible's, likewise
@@ -597,7 +597,7 @@ class Family:
         return tuple(self.params) + ("seed",) * (self.random and standalone)
 
     def build(self, n: int, params: dict, rng=None):
-        _refuse_unread(params, _PARAM_KEYS, "params", "any family")
+        _refuse_unread(params, self.reads(rng is None))
         return self.make(n, {**self.params, **params}, rng)
 
     def admissible(self, n: int, params: dict) -> Optional[str]:
@@ -614,8 +614,9 @@ def read_params(kind: str, params: dict, standalone: bool = True,
     return {**fam.params, **params}
 
 
-def _refuse_unread(params: dict, reads, what: str, reader: str) -> None:
-    for key in params:
+def _refuse_unread(params: dict, reads, what: str = "params",
+                   reader: str = "this family") -> None:
+    for key in sorted(params):  # the same error for any key order
         if key not in reads:
             raise ValueError(f"{what} key {key!r} is not read by {reader}, "
                              f"which reads {', '.join(reads) or 'none'}")
@@ -728,10 +729,6 @@ FAMILIES: Dict[str, Family] = {
                              lambda n, seed: random_binary(n, seed),
                              "bipolar"),
 }
-
-
-# every key some family reads (``Family.build``)
-_PARAM_KEYS = sorted({key for fam in FAMILIES.values() for key in fam.reads()})
 
 
 def family(kind: str) -> Family:

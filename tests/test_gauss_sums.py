@@ -61,6 +61,13 @@ def test_complete_closed_form(n):
     assert abs(got - want) < 1e-8 * math.sqrt(n)
 
 
+def test_complete_sum_equals_every_term_summed():
+    # the mirrored half holds the same terms in the same order, so the
+    # pairwise sum is the same to the bit
+    for n in range(1, 4097):
+        assert gs.complete_gauss_sum(n) == oracles.complete_gauss_sum(n), n
+
+
 def test_closed_form_cases():
     # n % 4 selects the closed-form branch
     assert gs.complete_gauss_closed_form(8) == pytest.approx(

@@ -103,12 +103,24 @@ def test_build_circulant_kinds():
 
 
 def test_build_circulant_refuses_a_key_no_family_reads():
-    # gamma and seed may ride along in one params dict shared by every
-    # family; a key that no family reads is refused by name
+    # unread keys are refused by name, the first in sorted order
     with pytest.raises(ValueError, match="params key 'bogus' is not read"):
         build_circulant("golay", 64, {"gamma": 7, "bogus": 1})
     with pytest.raises(ValueError, match="params key 'gama' is not read"):
         build_circulant("fzc", 64, {"gama": 3})
+
+
+@pytest.mark.parametrize("kind, params, key", [
+    ("golay", {"gamma": 7}, "gamma"),
+    ("fzc", {"gamma": 3, "seed": 9}, "seed"),
+    ("random_phase", {"gamma": 3}, "gamma"),
+])
+def test_build_circulant_refuses_a_key_its_family_does_not_read(
+        kind, params, key):
+    # a key another family reads is refused too: a build reads only its
+    # own family's keys, and a seed only with no Generator
+    with pytest.raises(ValueError, match=f"params key '{key}' is not read"):
+        build_circulant(kind, 64, params, np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("kind, params, key", [
@@ -740,6 +752,22 @@ def test_import_convsense_does_not_load_scipy_fft():
     assert _loaded_in_fresh_interpreter("scipy.fft") == ["False", "True"]
 
 
+def test_import_convsense_does_not_load_scipy_linalg():
+    # its one caller is the real-tap refit, so a run without one never
+    # pays for it
+    assert _loaded_in_fresh_interpreter("scipy.linalg") == ["False", "True"]
+
+
+def test_real_tap_ofdm_run_loads_scipy_linalg():
+    # the counterpart: the lazy attribute resolves on the first refit
+    run = ("from convsense.harness import ofdm_config, run_ofdm_experiment\n"
+           "cfg = ofdm_config(n=256, m=48, k=6, sequence_kind='golay', "
+           "trials=1, snr_list=[10.0])\n"
+           "assert run_ofdm_experiment(cfg).rows")
+    assert _loaded_in_fresh_interpreter("scipy.linalg", run) == \
+        ["True", "True"]
+
+
 def _write_pgm(path, kind, pixels):
     h, w = pixels.shape
     if kind == "P5":
@@ -832,13 +860,6 @@ def test_audit_coherence_bounds():
     lines = res.csv.splitlines()
     assert lines[0] == "kind,N,mu_observed,bound,margin,pass"
     assert len(lines) == 28  # 24 sequence rows + 3 dct rows
-
-
-def test_complete_sum_equals_every_term_summed():
-    # the mirrored half holds the same terms in the same order, so the
-    # pairwise sum is the same to the bit
-    for n in range(1, 4097):
-        assert harness._complete_sum(n) == oracles.complete_gauss_sum(n), n
 
 
 def test_audit_gauss_small():

@@ -74,10 +74,12 @@ def test_cli_imports_no_private_harness_name_but_grid_reason():
 
 def test_cli_restates_no_experiment_decision():
     # the baseline's family and sampling, the OFDM set-up and the audits'
-    # defaults each live once, in the library
+    # defaults each live once, in the library; a subcommand's own flag
+    # defaults live once, in its parser
     text = (_SRC / "cli.py").read_text()
     for word in ('"random_phase"', '"equispaced"', "real_taps",
-                 "10.0, 20.0, 30.0", "4096", "or 100"):
+                 "10.0, 20.0, 30.0", "4096", "or 100", "or 50",
+                 'or "golay"', 'or "fzc"'):
         assert word not in text
 
 
