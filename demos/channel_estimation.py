@@ -23,17 +23,17 @@ TRIALS = 100
 
 
 def main() -> None:
-    ch = attc_channel(1024)
-    taps = ", ".join(f"{d}:{a:g}" for d, a in
-                     zip(ch.support, ch.impulse_response()[ch.support].real))
-    print(f"Channel: {ch.k} taps at delay:amplitude {taps}\n")
+    h = attc_channel(1024)
+    support = h.nonzero()[0]
+    taps = ", ".join(f"{d}:{a:g}" for d, a in zip(support, h[support].real))
+    print(f"Channel: {support.size} taps at delay:amplitude {taps}\n")
 
     print(f"{'scheme':28s} {'input dB':>9s} {'output dB':>10s} "
           f"{'+/-':>6s} {'reference':>10s} {'support hit':>12s}")
     for scheme in ("proposed", "baseline"):
         report = run_ofdm_experiment(
             ofdm_reference_config(scheme, trials=TRIALS))
-        key = report.reference_key
+        key = report.config.scheme
         reference = REFERENCE_OFDM_OUTPUT_SNR_DB[key]
         for row in report.rows:
             print(f"{key:28s} {row.input_snr_db:9.0f} "

@@ -34,9 +34,8 @@ def main() -> None:
     print()
     print("Identity residuals (should sit at machine precision):")
     n = 256
-    worst_refl = max(reflection_identity_residual(n, m)
-                     for m in range(1, (n + 1) // 2 + 1))
-    worst_q = max(q_identity_residual(n, m) for m in range(n + 1))
+    worst_refl = reflection_identity_residual(n).max()
+    worst_q = q_identity_residual(n).max()
     print(f"  reflection identity, N={n}: worst residual {worst_refl:.2e}")
     print(f"  quarter-phase split, N={n}: worst residual {worst_q:.2e}")
 

@@ -67,7 +67,6 @@ from .recovery import (
     SOLVERS,
 )
 from .harness import (
-    ChannelModel,
     ExperimentConfig,
     TrialRecord,
     OfdmReport,

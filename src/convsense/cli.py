@@ -236,7 +236,7 @@ def _cmd_exp_ofdm(args) -> int:
     if args.seq is None:
         violations = [v for r in reports for v in r.reference_violations()]
         schemes = [dict(doc, scheme=scheme, reference_output_snr_db=(
-            REFERENCE_OFDM_OUTPUT_SNR_DB[r.reference_key])) for scheme, doc, r
+            REFERENCE_OFDM_OUTPUT_SNR_DB[r.config.scheme])) for scheme, doc, r
             in zip(("proposed", "baseline"), docs, reports)]
         payload = {"schemes": schemes, "tolerance_db": REFERENCE_OFDM_TOL_DB,
                    "violations": violations}

@@ -103,26 +103,26 @@ def complete_gauss_sum(n: int) -> complex:
     return complex(np.sum(np.concatenate((half, half[1:(n + 1) // 2][::-1]))))
 
 
-def reflection_identity_residual(n: int, m: int) -> float:
-    """|G(m) + G(N-m+1) - 1 - G(N)| for the gn family, m <= (N+1)/2.
+def reflection_identity_residual(n: int) -> np.ndarray:
+    """|G(m) + G(N-m+1) - 1 - G(N)| for the gn family at m = 1 .. (N+1)/2
+    (entry m - 1), from one sweep.
 
     The residual contract is <= 1e-8*sqrt(N)."""
-    if not (1 <= 2 * m <= n + 1):
-        raise ValueError(f"m={m} out of range [1, (N+1)/2] for N={n}")
-    lhs = gauss_sum("gn", n, m) + gauss_sum("gn", n, n - m + 1)
-    rhs = 1.0 + gauss_sum("gn", n, n)
-    return abs(lhs - rhs)
+    g = gauss_sum_sweep("gn", n, n)
+    m = np.arange(1, (n + 1) // 2 + 1)
+    return np.abs(g[m] + g[n - m + 1] - 1.0 - g[n])
 
 
-def q_identity_residual(n: int, m: int) -> float:
-    """|Q(m) - (G8(2m) - G2(m))|: the odd/even split of the eighth-period
-    sum into the quarter-period and half-integer families.
+def q_identity_residual(n: int) -> np.ndarray:
+    """|Q(m) - (G8(2m) - G2(m))| at m = 0 .. N (entry m): the odd/even
+    split of the eighth-period sum into the quarter-period and
+    half-integer families, from one sweep of each.
 
     The residual contract is <= 1e-8*sqrt(N)."""
-    _check_domain("qn", n, m)
-    lhs = gauss_sum("qn", n, m)
-    rhs = gauss_sum("g8n", n, 2 * m) - gauss_sum("g2n", n, m)
-    return abs(lhs - rhs)
+    g8 = gauss_sum_sweep("g8n", n, 2 * n)
+    m = np.arange(n + 1)
+    return np.abs(gauss_sum_sweep("qn", n, n)
+                  - (g8[2 * m] - gauss_sum_sweep("g2n", n, n)[m]))
 
 
 # ---------------------------------------------------------------------------

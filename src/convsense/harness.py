@@ -1,4 +1,4 @@
-"""Experiment harness: channel models, PAPR, Monte-Carlo experiments
+"""Experiment harness: the OFDM channel, PAPR, Monte-Carlo experiments
 and audit sweeps, with deterministic CSV emission.
 
 Reproducibility contract
@@ -57,49 +57,22 @@ GOLAY_PAPR_LIMIT = 2.01
 
 
 # ---------------------------------------------------------------------------
-# channel model and PAPR
+# OFDM channel and PAPR
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ChannelModel:
-    """Sparse impulse response: distinct tap delays with real gains."""
-
-    n: int
-    taps: Tuple[Tuple[int, float], ...]
-
-    def __post_init__(self):
-        delays = [d for d, _ in self.taps]
-        if len(set(delays)) != len(delays):
-            raise ValueError("tap delays must be distinct")
-        if any(not (0 <= d < self.n) for d in delays):
-            raise ValueError("tap delays must lie in [0, N)")
-        if any(a == 0 for _, a in self.taps):
-            raise ValueError("tap amplitudes must be nonzero")
-
-    @property
-    def k(self) -> int:
-        return len(self.taps)
-
-    @property
-    def support(self) -> np.ndarray:
-        return np.sort(np.array([d for d, _ in self.taps], dtype=np.int64))
-
-    def impulse_response(self) -> np.ndarray:
-        x = np.zeros(self.n, dtype=np.complex128)
-        for d, a in self.taps:
-            x[d] = a
-        return x
+# the 6-tap ATTC/Grand-Alliance DTV ensemble-E static response: tap
+# delays (ascending) and their real gains
+_ATTC_DELAYS = np.array([0, 2, 17, 36, 75, 137])
+_ATTC_GAINS = np.array([1.0, 0.3162, 0.1995, 0.1296, 0.1, 0.1])
 
 
-_ATTC_TAPS = ((0, 1.0), (2, 0.3162), (17, 0.1995), (36, 0.1296),
-              (75, 0.1), (137, 0.1))
-
-
-def attc_channel(n: int) -> ChannelModel:
-    """The 6-tap ATTC/Grand-Alliance DTV ensemble-E static response."""
+def attc_channel(n: int) -> np.ndarray:
+    """The length-N complex impulse response of the ATTC channel."""
     if n <= 137:
         raise ValueError("N must exceed 137 to hold the last tap")
-    return ChannelModel(n=n, taps=_ATTC_TAPS)
+    x = np.zeros(n, dtype=np.complex128)
+    x[_ATTC_DELAYS] = _ATTC_GAINS
+    return x
 
 
 def papr(sigma) -> float:
@@ -140,6 +113,14 @@ def _require_counts(**counts: int) -> None:
             raise ValueError(f"{name} must be >= 1, got {value}")
 
 
+def _grid_reason(name: str, grid: List[int], n: int) -> Optional[str]:
+    """Why a K or M grid is refused (a value outside [1, N]), or None."""
+    for v in grid:
+        if not 1 <= v <= n:
+            return f"require 1 <= {name} <= N, got {name}={v}, N={n}"
+    return None
+
+
 # the keys something reads: a config that sets another is refused, as a
 # misspelt or retired key would only change the config hash (a
 # sequence_params key is one its family reads, ``seqs.read_params``);
@@ -171,6 +152,14 @@ class ExperimentConfig:
 
     def __post_init__(self):
         _require_counts(n=self.n, m=self.m, k=self.k, trials=self.trials)
+        for name, value in (("K", self.k), ("M", self.m)):
+            reason = _grid_reason(name, [value], self.n)
+            if reason is not None:
+                raise ValueError(reason)
+        for snr in self.snr_list:
+            if snr is not None and not math.isfinite(snr):
+                raise ValueError(f"snr_list entries must be finite dB, got "
+                                 f"{snr:g} (None is the noiseless row)")
         seqs.read_params(self.sequence_kind, self.sequence_params,
                          standalone=False, what="sequence_params")
         for name, readers, role, own in (
@@ -412,16 +401,11 @@ class OfdmReport:
                  r.support_exact, r.iterations] for r in self.records]
         return _csv(header, rows)
 
-    @property
-    def reference_key(self) -> str:
-        """This scheme's key in REFERENCE_OFDM_OUTPUT_SNR_DB."""
-        return self.config.scheme
-
     def reference_violations(self) -> List[str]:
         """The rows of a reference run (``ofdm_reference_config``) whose
         mean output SNR is more than REFERENCE_OFDM_TOL_DB off the table;
         input SNRs the table lacks are not checked."""
-        key = self.reference_key
+        key = self.config.scheme
         ref = REFERENCE_OFDM_OUTPUT_SNR_DB[key]
         out = []
         for row in self.rows:
@@ -472,11 +456,9 @@ def run_ofdm_experiment(cfg: ExperimentConfig) -> OfdmReport:
     noise is scaled per row.  Trials go in blocks of ``_OFDM_BLOCK``,
     each SNR row of a block one ``_solve``."""
     _require_experiment(cfg, "ofdm")
-    channel = attc_channel(cfg.n)
-    x = channel.impulse_response()
-    true_support = channel.support
+    x = attc_channel(cfg.n)
     draw = _operator_draw(cfg)
-    k = min(channel.k, cfg.k)
+    k = min(_ATTC_DELAYS.size, cfg.k)
     snrs = cfg.snr_list if cfg.snr_list else (None,)
     in_snrs = [math.inf if snr is None else float(snr) for snr in snrs]
     recs: List[List[TrialRecord]] = [[] for _ in snrs]
@@ -495,7 +477,7 @@ def run_ofdm_experiment(cfg: ExperimentConfig) -> OfdmReport:
         for row, in_snr, results in zip(recs, in_snrs, solved):
             row.extend(TrialRecord(
                 t, seed, in_snr, _output_snr_db(x, res.f_hat),
-                bool(np.array_equal(res.support, true_support)),
+                bool(np.array_equal(res.support, _ATTC_DELAYS)),
                 res.iterations, wall)
                 for (t, seed, *_), res in zip(trials, results))
     rows = tuple(_aggregate(in_snr, row) for in_snr, row in zip(in_snrs, recs))
@@ -576,14 +558,6 @@ def _sign_test_p(wins: int, losses: int) -> float:
     in integers up to one correctly rounded division; 1.0 at n = 0."""
     n = wins + losses
     return sum(math.comb(n, i) for i in range(wins, n + 1)) / 2 ** n
-
-
-def _grid_reason(name: str, grid: List[int], n: int) -> Optional[str]:
-    """Why a K or M grid is refused (a value outside [1, N]), or None."""
-    for v in grid:
-        if not 1 <= v <= n:
-            return f"require 1 <= {name} <= N, got {name}={v}, N={n}"
-    return None
 
 
 def run_phase_transition(cfg: ExperimentConfig) -> PhaseReport:
@@ -834,25 +808,19 @@ def audit_gauss(closed_form_max: int = 4096, identity_max: int = 256,
         check("gn_closed_form", n, n, resid, tol, resid <= tol,
               "closed form N={n}: residual {observed:.3e}")
 
+    # (kind, residual by m, m of its first entry, failure line)
+    identities = (
+        ("gn_reflection", gauss_sums.reflection_identity_residual, 1,
+         "reflection N={n}: residual {observed:.3e}"),
+        ("qn_split", gauss_sums.q_identity_residual, 0,
+         "q split N={n}: residual {observed:.3e}"))
     for n in range(1, identity_max + 1):
         tol = 1e-8 * math.sqrt(n)
-        g = gauss_sums.gauss_sum_sweep("gn", n, n)
-        m_hi = (n + 1) // 2
-        ref = np.abs(g[1:m_hi + 1] + g[n - np.arange(1, m_hi + 1) + 1]
-                     - 1.0 - g[n])
-        worst = int(np.argmax(ref)) + 1
-        resid = float(ref[worst - 1])
-        check("gn_reflection", n, worst, resid, tol, resid <= tol,
-              "reflection N={n}: residual {observed:.3e}")
-        q = gauss_sums.gauss_sum_sweep("qn", n, n)
-        g8 = gauss_sums.gauss_sum_sweep("g8n", n, 2 * n)
-        g2 = gauss_sums.gauss_sum_sweep("g2n", n, n)
-        m = np.arange(n + 1)
-        qres = np.abs(q - (g8[2 * m] - g2[m]))
-        worst = int(np.argmax(qres))
-        resid = float(qres[worst])
-        check("qn_split", n, worst, resid, tol, resid <= tol,
-              "q split N={n}: residual {observed:.3e}")
+        for kind, residual, m_lo, why in identities:
+            res = residual(n)
+            worst = int(np.argmax(res))
+            resid = float(res[worst])
+            check(kind, n, m_lo + worst, resid, tol, resid <= tol, why)
 
     sweeps = (gauss_sums.bound_check("gn_normalized",
                                      range(4, sweep_max + 1))

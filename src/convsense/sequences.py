@@ -49,10 +49,6 @@ class Sequence:
         object.__setattr__(self, "values", vals)
         _validate_sequence(self)
 
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
-
 
 def _validate_sequence(seq: Sequence) -> None:
     fam = family(seq.kind)

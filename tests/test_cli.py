@@ -328,6 +328,44 @@ def test_recover_infeasible_shape_is_usage_error(capsys):
     assert code == 2 and "2K" in err
 
 
+def test_recover_failing_noiseless_run_exits_one(capsys):
+    # OMP at M = 2K misses this Golay draw: an acceptance violation
+    code, out, _ = run(capsys, "recover", "--seq", "golay", "--n", "64",
+                       "--m", "8", "--k", "4", "--solver", "omp")
+    assert code == 1
+    assert out.splitlines()[1].startswith("inf,omp,1.55086124879,false,")
+
+
+@pytest.mark.parametrize("snrs, value", [("inf", "inf"), ("nan", "nan"),
+                                         ("-inf", "-inf"), ("10,inf", "inf")])
+def test_recover_non_finite_snr_is_usage_error(capsys, snrs, value):
+    # inf is how a noiseless row prints, not an input: given as one, this
+    # failing OMP run printed its noiseless row's bytes and exited 0
+    code, out, err = run(capsys, "recover", "--seq", "golay", "--n", "64",
+                         "--m", "8", "--k", "4", "--solver", "omp",
+                         f"--snr-list={snrs}")
+    assert (code, out) == (2, "")
+    assert err == (f"error: snr_list entries must be finite dB, got {value} "
+                   "(None is the noiseless row)\n")
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (("recover", "--seq", "golay", "--n", "64", "--m", "32", "--k", "100",
+      "--solver", "fista"), "K <= N, got K=100, N=64"),
+    (("exp-dct", "--n", "64", "--m", "32", "--k", "80", "--trials", "2",
+      "--solver", "fista"), "K <= N, got K=80, N=64"),
+    (("recover", "--seq", "fzc", "--n", "64", "--m", "65", "--k", "4"),
+     "M <= N, got M=65, N=64"),
+    (("exp-ofdm", "--seq", "golay", "--n", "256", "--m", "300", "--k", "6",
+      "--trials", "2"), "M <= N, got M=300, N=256"),
+], ids=["recover-k", "dct-k", "recover-m", "ofdm-m"])
+def test_sizes_above_n_are_usage_errors(capsys, argv, reason):
+    # these once ended in numpy's "Cannot take a larger sample than
+    # population" message
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: require 1 <= {reason}\n")
+
+
 # ---------------------------------------------------------------------------
 # experiments
 # ---------------------------------------------------------------------------

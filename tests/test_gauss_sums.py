@@ -80,8 +80,10 @@ def test_closed_form_cases():
 
 @pytest.mark.parametrize("n", [4, 5, 16, 33, 64, 127, 256])
 def test_reflection_identity(n):
-    for m in range(1, (n + 1) // 2 + 1):
-        assert gs.reflection_identity_residual(n, m) < 1e-8 * math.sqrt(n)
+    # one residual for each m = 1 .. (N+1)/2
+    resid = gs.reflection_identity_residual(n)
+    assert resid.shape == ((n + 1) // 2,)
+    assert np.all(resid < 1e-8 * math.sqrt(n))
 
 
 def test_reflection_identity_direct_form():
@@ -95,8 +97,10 @@ def test_reflection_identity_direct_form():
 
 @pytest.mark.parametrize("n", [3, 8, 25, 77, 128, 255])
 def test_q_identity(n):
-    for m in range(0, n + 1):
-        assert gs.q_identity_residual(n, m) < 1e-8 * math.sqrt(n)
+    # one residual for each m = 0 .. N
+    resid = gs.q_identity_residual(n)
+    assert resid.shape == (n + 1,)
+    assert np.all(resid < 1e-8 * math.sqrt(n))
 
 
 def test_q_identity_direct_form():

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import oracles
-from convsense import harness, recovery
+from convsense import gauss_sums, harness, recovery
 from convsense import sequences as seqs
 from convsense.harness import (PAPR_OVERSAMPLE, ExperimentConfig,
                                OfdmReport, SnrRow, attc_channel, audit_gauss,
@@ -41,6 +41,26 @@ def test_config_refuses_counts_below_one():
             _small_ofdm_cfg(**{field: value})
 
 
+@pytest.mark.parametrize("field, value, name", [("k", 257, "K"),
+                                                ("m", 300, "M")])
+def test_config_refuses_sizes_above_n(field, value, name):
+    # K or M above N once surfaced as numpy's sampling message
+    with pytest.raises(ValueError, match=f"require 1 <= {name} <= N, got "
+                                         f"{name}={value}, N=256"):
+        _small_ofdm_cfg(**{field: value})
+    assert getattr(_small_ofdm_cfg(**{field: 256}), field) == 256
+
+
+@pytest.mark.parametrize("snr", [float("nan"), float("inf"), -float("inf")])
+def test_config_refuses_non_finite_snrs(snr):
+    # inf labels the noiseless row; as an input it skipped the noiseless
+    # gate, and NaN failed only inside the solve
+    with pytest.raises(ValueError, match=f"snr_list entries must be finite "
+                                         f"dB, got {snr:g}"):
+        _small_ofdm_cfg(snr_list=(10.0, snr))
+    assert _small_ofdm_cfg(snr_list=(None, 10.0)).snr_list == (None, 10.0)
+
+
 def test_config_hash_is_canonical_json_sha256():
     cfg = ExperimentConfig(experiment="ofdm", n=64, m=16, k=2,
                            sequence_kind="golay")
@@ -54,10 +74,10 @@ def test_config_hash_is_canonical_json_sha256():
 
 
 def test_attc_channel_taps():
-    ch = attc_channel(1024)
-    assert ch.k == 6
-    assert list(ch.support) == [0, 2, 17, 36, 75, 137]
-    h = ch.impulse_response()
+    h = attc_channel(1024)
+    assert h.shape == (1024,)
+    assert list(h.nonzero()[0]) == [0, 2, 17, 36, 75, 137]
+    assert list(harness._ATTC_DELAYS) == [0, 2, 17, 36, 75, 137]
     assert h[0] == pytest.approx(1.0)
     assert h[2] == pytest.approx(0.3162)
     assert np.count_nonzero(h) == 6
@@ -233,8 +253,8 @@ def test_ofdm_blocks_equal_a_per_trial_replay(kind, sampling, solver, snrs):
     report = run_ofdm_experiment(cfg)
     assert [rec.index for rec in report.records] == \
         list(range(cfg.trials)) * len(snrs)
-    channel = attc_channel(cfg.n)
-    x = channel.impulse_response()
+    x = attc_channel(cfg.n)
+    taps = x.nonzero()[0]
     draw = harness._operator_draw(cfg)
     for rec in report.records:
         rng = np.random.default_rng(rec.seed)
@@ -243,10 +263,10 @@ def test_ofdm_blocks_equal_a_per_trial_replay(kind, sampling, solver, snrs):
         if rec.input_snr_db != np.inf:
             y = harness._add_noise(y, harness._noise(rng, cfg.m),
                                    rec.input_snr_db)
-        result, = harness._solve(cfg, [(theta, y)], channel.k)
+        result, = harness._solve(cfg, [(theta, y)], taps.size)
         assert (rec.output_snr_db, rec.support_exact, rec.iterations) == (
             harness._output_snr_db(x, result.f_hat),
-            np.array_equal(result.support, channel.support),
+            np.array_equal(result.support, taps),
             result.iterations)
         assert rec.wall_time > 0
 
@@ -270,8 +290,8 @@ def test_ofdm_high_snr_rows_equal_the_oracle_refit():
     for row in report.rows[2:]:
         assert row.input_snr_db in (20.0, 30.0)
         assert row.support_exact_rate == 1.0
-    channel = attc_channel(cfg.n)
-    x, taps = channel.impulse_response(), channel.support
+    x = attc_channel(cfg.n)
+    taps = x.nonzero()[0]
     draw = harness._operator_draw(cfg)
     tap_cols = {}  # a trial draws the same Theta at every SNR
     checked = 0
@@ -342,6 +362,27 @@ def test_ofdm_fista_real_tap_csv_bytes_pinned():
     assert stripped == (
         "9b4d3bae3bbeb6cdf7df305c4f7d8330c9af7d1ec41ac0c13d4950ed6f74cf6f",
         "f75996054d422552e3aadf0f553e67ed33967503df5fc0da4046b4fbc838a767")
+
+
+def test_solve_refuses_an_unknown_solver_by_name():
+    with pytest.raises(ValueError, match=r"unknown solver 'cosamp'; expected "
+                                         r"one of \['fista', 'omp', 'sp'\]"):
+        harness._solve(_small_ofdm_cfg(solver="cosamp"), [])
+
+
+def test_operator_draw_refuses_an_unknown_sampling_mode_by_name():
+    with pytest.raises(ValueError, match="unknown sampling mode 'uniform'"):
+        harness._operator_draw(_small_ofdm_cfg(sampling_mode="uniform"))
+
+
+def test_recover_fails_a_noiseless_run_that_misses():
+    # OMP at M = 2K misses this Golay draw: the noiseless row fails the
+    # success test, so the run's verdict is a failure
+    cfg = ExperimentConfig(experiment="recover", n=64, m=8, k=4,
+                           sequence_kind="golay", solver="omp")
+    csv_text, ok = run_recover(cfg)
+    assert ok is False
+    assert csv_text.splitlines()[1].startswith("inf,omp,1.55086124879,false,")
 
 
 def test_solve_keeps_the_top_k_atoms_of_a_larger_greedy_estimate():
@@ -569,7 +610,7 @@ def test_reference_violations_keep_the_band_of_the_scheme_table():
     # is not in the table, and a NaN mean is out of every band
     report = OfdmReport(cfg, (row(0.0, 2.31), row(10.0, 16.98),
                               row(5.0, 99.0), row(30.0, np.nan)), ())
-    assert report.reference_key == "random_phase+equispaced"
+    assert report.config.scheme == "random_phase+equispaced"
     assert report.reference_violations() == [
         "random_phase+equispaced @ 0 dB: 2.31 vs 5.32 (diff -3.01)",
         "random_phase+equispaced @ 30 dB: nan vs 45.22 (diff +nan)"]
@@ -866,6 +907,29 @@ def test_audit_gauss_small():
     res = audit_gauss(closed_form_max=64, identity_max=32, sweep_max=64)
     assert res.ok and not res.failures
     assert res.csv.splitlines()[0] == "kind,N,worst_m,observed,bound,margin"
+
+
+@pytest.mark.parametrize("name, kind, m_lo, line", [
+    ("reflection_identity_residual", "gn_reflection", 1, "reflection"),
+    ("q_identity_residual", "qn_split", 0, "q split")])
+def test_audit_gauss_fails_a_residual_above_tolerance(monkeypatch, name, kind,
+                                                      m_lo, line):
+    # one residual entry at N = 5 raised above 1e-8*sqrt(N): the audit
+    # fails on that identity alone and its row names the worst m
+    real = getattr(gauss_sums, name)
+
+    def spiked(n):
+        res = real(n)
+        if n == 5:
+            res[2] = 1.0
+        return res
+    monkeypatch.setattr(gauss_sums, name, spiked)
+    res = audit_gauss(closed_form_max=4, identity_max=8, sweep_max=4)
+    assert res.ok is False
+    assert res.failures == (f"{line} N=5: residual 1.000e+00",)
+    rows = [ln.split(",") for ln in res.csv.splitlines()[1:]]
+    row, = [r for r in rows if r[:2] == [kind, "5"]]
+    assert int(row[2]) == m_lo + 2 and float(row[3]) == 1.0
 
 
 def test_audit_papr_small():
