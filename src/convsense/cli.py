@@ -70,7 +70,13 @@ def _seq_params(args, kind: str, flags=("gamma", "seed")) -> dict:
 
 def _experiment_config(args, kind: str, make=ExperimentConfig,
                        **fields) -> ExperimentConfig:
-    """``make``'s config from the shared flags; --seed is the master seed."""
+    """``make``'s config from the shared flags; --seed is the master seed.
+    A K or M outside [1, N] is refused naming its flag."""
+    for key in ("k", "m"):
+        grid = fields.get("extra", {}).get(f"{key}_grid", [fields[key]])
+        reason = _grid_reason(key.upper(), grid, args.n)
+        if reason is not None:
+            raise ValueError(f"argument --{key}: {reason}")
     return make(n=args.n, sequence_kind=kind,
                 sequence_params=_seq_params(args, kind, ("gamma",)),
                 solver=args.solver, master_seed=args.seed, **fields)
@@ -253,11 +259,6 @@ def _cmd_exp_ofdm(args) -> int:
 
 
 def _cmd_exp_phase(args) -> int:
-    for flag, name, grid in (("--k", "K", args.k_list),
-                             ("--m", "M", args.m_list)):
-        reason = _grid_reason(name, grid, args.n)
-        if reason is not None:
-            raise ValueError(f"argument {flag}: {reason}")
     cfg = _experiment_config(
         args, args.seq, experiment="phase", m=args.m_list[0],
         k=args.k_list[0], trials=args.trials,

@@ -29,13 +29,13 @@ import hashlib
 import itertools
 import json
 import math
+import operator
 import re
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
-import scipy  # scipy.linalg loads on first use: the real-tap refit
 
 from . import gauss_sums
 from . import sequences as seqs
@@ -44,7 +44,7 @@ from .operators import (Basis, build_circulant, equispaced_sampling,
                         random_sampling, SensingOperator, StackedOperator,
                         _csv)
 from .recovery import (ROWS_PER_ATOM, RecoveryProblem, RecoveryResult,
-                       SOLVERS, _RIDGE, _embed, _least_squares, _top_indices,
+                       SOLVERS, _embed, _least_squares, _top_indices,
                        subspace_pursuit, subspace_pursuit_block)
 
 _SNR_CAP_DB = 300.0
@@ -106,11 +106,21 @@ def _papr_row(kind: str, n: int, params: dict) -> list:
 # ---------------------------------------------------------------------------
 
 def _require_counts(**counts: int) -> None:
-    """Refuse any count below 1, naming it, as the CLI parser does: a run
-    over zero sizes or trials would report a pass that checked nothing."""
+    """Refuse a non-integer count or one below 1, by name, as the CLI does:
+    a run over zero sizes or trials would report a pass checking nothing."""
     for name, value in counts.items():
+        _require_int(name, value)
         if value < 1:
             raise ValueError(f"{name} must be >= 1, got {value}")
+
+
+def _require_int(name: str, value) -> None:
+    """Refuse a non-integer size, count or seed by name: a float would be
+    hashed as its integer part, then fail or run as another size."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _grid_reason(name: str, grid: List[int], n: int) -> Optional[str]:
@@ -151,11 +161,8 @@ class ExperimentConfig:
     extra: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        _require_int("master_seed", self.master_seed)
         _require_counts(n=self.n, m=self.m, k=self.k, trials=self.trials)
-        for name, value in (("K", self.k), ("M", self.m)):
-            reason = _grid_reason(name, [value], self.n)
-            if reason is not None:
-                raise ValueError(reason)
         for snr in self.snr_list:
             if snr is not None and not math.isfinite(snr):
                 raise ValueError(f"snr_list entries must be finite dB, got "
@@ -174,6 +181,21 @@ class ExperimentConfig:
                     raise ValueError(
                         f"{name} key {key!r} is read only by the "
                         f"{readers[key]!r} {role}, not {own!r}")
+        if self.solver not in SOLVERS:
+            raise ValueError(f"unknown solver {self.solver!r}; "
+                             f"expected one of {sorted(SOLVERS)}")
+        if self.sampling_mode not in ("random", "equispaced"):
+            raise ValueError(f"unknown sampling mode {self.sampling_mode!r}")
+        for basis in (self.basis, *self.extra.get("bases", ())):
+            Basis(basis)  # refuses an unknown basis
+        for name, key, value in (("K", "k_grid", self.k),
+                                 ("M", "m_grid", self.m)):
+            grid = [value, *self.extra.get(key, ())]
+            for v in grid:
+                _require_int(f"{key} entry", v)
+            reason = _grid_reason(name, grid, self.n)
+            if reason is not None:
+                raise ValueError(reason)
 
     @property
     def scheme(self) -> str:
@@ -245,8 +267,6 @@ def _operator_draw(cfg: ExperimentConfig):
     family's circulant and, in equispaced mode, the sampling set of each
     M.  A draw takes from ``rng`` in the contract's order: random
     sampling indices first, then a random family's spectrum."""
-    if cfg.sampling_mode not in ("random", "equispaced"):
-        raise ValueError(f"unknown sampling mode {cfg.sampling_mode!r}")
     fixed_circ = None if seqs.family(cfg.sequence_kind).random else \
         build_circulant(cfg.sequence_kind, cfg.n, cfg.sequence_params)
     equispaced = functools.lru_cache(maxsize=None)(
@@ -277,11 +297,10 @@ def _solve(cfg: ExperimentConfig,
 
     The library's subspace pursuit solves the whole block in lockstep;
     any other registered solver is called once per problem, in order.
-    The refits of supports of one size are one stacked least squares."""
-    solver = SOLVERS.get(cfg.solver)
-    if solver is None:
-        raise ValueError(f"unknown solver {cfg.solver!r}; "
-                         f"expected one of {sorted(SOLVERS)}")
+    The refits of supports of one size are one stacked call of the
+    solvers' own ``_least_squares``; a real refit passes it the real and
+    imaginary parts of the columns and measurements stacked as rows."""
+    solver = SOLVERS[cfg.solver]
     k = cfg.k if k is None else k
     real = bool(cfg.extra.get("real_taps"))
     problems = [RecoveryProblem(theta, y, k=cfg.k, **cfg.solver_params)
@@ -299,25 +318,15 @@ def _solve(cfg: ExperimentConfig,
         cols = StackedOperator.of([block[i][0] for i in members]) \
             .columns(support)
         y = np.stack([block[i][1] for i in members])
-        coef = _real_least_squares(cols, y) if real \
-            else _least_squares(cols, y)
+        if real:  # real coefficients: real and imaginary rows stacked
+            cols = np.concatenate([cols.real, cols.imag], axis=1)
+            y = np.concatenate([y.real, y.imag], axis=1)
+        coef = _least_squares(cols, y)
         for j, i in enumerate(members):
             results[i] = dataclasses.replace(
                 results[i], f_hat=_embed(block[i][0].n, support[j], coef[j]),
                 support=support[j])
     return results
-
-
-def _real_least_squares(cols: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Real coefficients for a (B, M, c) stack of complex columns and (B, M)
-    measurements: stacked real/imaginary normal equations, tiny ridge."""
-    a = np.concatenate([cols.real, cols.imag], axis=1)
-    a_t = np.swapaxes(a, 1, 2)
-    gram = a_t @ a
-    diag = np.arange(gram.shape[-1])
-    gram[:, diag, diag] += _RIDGE
-    rhs = np.matvec(a_t, np.concatenate([y.real, y.imag], axis=1))
-    return scipy.linalg.solve(gram, rhs[..., None], assume_a="pos")[..., 0]
 
 
 # ---------------------------------------------------------------------------
@@ -567,25 +576,14 @@ def run_phase_transition(cfg: ExperimentConfig) -> PhaseReport:
     same per-trial seeds are reused in every cell, pairing the grid.
     Cells the greedy solver cannot attempt (``ROWS_PER_ATOM`` * K > M)
     score zero successes without solving; any error raised while
-    solving a feasible cell propagates.  Every basis and
-    every K and M (1 <= K, M <= N) is checked before the first draw, so
-    a bad grid fails before any cell runs."""
+    solving a feasible cell propagates."""
     _require_experiment(cfg, "phase")
-    k_grid = [int(v) for v in cfg.extra.get("k_grid", [cfg.k])]
-    m_grid = [int(v) for v in cfg.extra.get("m_grid", [cfg.m])]
-    bases = list(cfg.extra.get("bases", [cfg.basis]))
-    for basis_kind in bases:
-        Basis(basis_kind)  # refuses an unknown basis
-    for name, grid in (("K", k_grid), ("M", m_grid)):
-        reason = _grid_reason(name, grid, cfg.n)
-        if reason is not None:
-            raise ValueError(reason)
     draw = _operator_draw(cfg)
     cells: List[PhaseCell] = []
-    for basis_kind in bases:
-        for k in k_grid:
+    for basis_kind in cfg.extra.get("bases", [cfg.basis]):
+        for k in cfg.extra.get("k_grid", [cfg.k]):
             cell_cfg = dataclasses.replace(cfg, k=k)
-            for m in m_grid:
+            for m in cfg.extra.get("m_grid", [cfg.m]):
                 successes = 0
                 feasible = ROWS_PER_ATOM.get(cfg.solver, 0) * k <= m
                 trials = cfg.trials if feasible else 0

@@ -351,19 +351,19 @@ def test_recover_non_finite_snr_is_usage_error(capsys, snrs, value):
 
 @pytest.mark.parametrize("argv, reason", [
     (("recover", "--seq", "golay", "--n", "64", "--m", "32", "--k", "100",
-      "--solver", "fista"), "K <= N, got K=100, N=64"),
+      "--solver", "fista"), "--k: require 1 <= K <= N, got K=100, N=64"),
     (("exp-dct", "--n", "64", "--m", "32", "--k", "80", "--trials", "2",
-      "--solver", "fista"), "K <= N, got K=80, N=64"),
+      "--solver", "fista"), "--k: require 1 <= K <= N, got K=80, N=64"),
     (("recover", "--seq", "fzc", "--n", "64", "--m", "65", "--k", "4"),
-     "M <= N, got M=65, N=64"),
+     "--m: require 1 <= M <= N, got M=65, N=64"),
     (("exp-ofdm", "--seq", "golay", "--n", "256", "--m", "300", "--k", "6",
-      "--trials", "2"), "M <= N, got M=300, N=256"),
+      "--trials", "2"), "--m: require 1 <= M <= N, got M=300, N=256"),
 ], ids=["recover-k", "dct-k", "recover-m", "ofdm-m"])
 def test_sizes_above_n_are_usage_errors(capsys, argv, reason):
     # these once ended in numpy's "Cannot take a larger sample than
-    # population" message
+    # population" message; each names its flag, as exp-phase's grids do
     code, out, err = run(capsys, *argv)
-    assert (code, out, err) == (2, "", f"error: require 1 <= {reason}\n")
+    assert (code, out, err) == (2, "", f"error: argument {reason}\n")
 
 
 # ---------------------------------------------------------------------------

@@ -51,6 +51,37 @@ def test_config_refuses_sizes_above_n(field, value, name):
     assert getattr(_small_ofdm_cfg(**{field: 256}), field) == 256
 
 
+@pytest.mark.parametrize("field, value", [
+    ("n", 256.0), ("m", 16.5), ("k", 6.0), ("trials", 2.5),
+    ("master_seed", 1.5), ("master_seed", "0")])
+def test_config_refuses_non_integer_sizes_by_name(field, value):
+    # m=16.5 once hashed as "m":16, then failed inside the sampling draw
+    with pytest.raises(TypeError, match=f"^{field} must be an integer, "
+                                        f"got {value!r}$"):
+        _small_ofdm_cfg(**{field: value})
+    assert _small_ofdm_cfg(**{field: np.int64(int(value))}).config_hash()
+
+
+@pytest.mark.parametrize("extra, name", [
+    ({"k_grid": [2.5]}, "k_grid entry"),
+    ({"k_grid": [2], "m_grid": [16, 16.9]}, "m_grid entry")])
+def test_config_refuses_non_integer_grid_entries_by_name(extra, name):
+    # this grid once ran, its cells labelled K=2 and M=16
+    with pytest.raises(TypeError, match=f"^{name} must be an integer"):
+        ExperimentConfig(experiment="phase", n=64, m=16, k=2,
+                         sequence_kind="golay", trials=2, extra=extra)
+
+
+@pytest.mark.parametrize("over", [
+    {"basis": "nope"},
+    {"experiment": "phase", "extra": {"bases": ["identity", "nope"]}}],
+    ids=["basis", "bases"])
+def test_config_refuses_an_unknown_basis_by_name(over):
+    # both once built a config and hashed it; the run refused it later
+    with pytest.raises(ValueError, match="unknown basis 'nope'"):
+        _small_ofdm_cfg(**over)
+
+
 @pytest.mark.parametrize("snr", [float("nan"), float("inf"), -float("inf")])
 def test_config_refuses_non_finite_snrs(snr):
     # inf labels the noiseless row; as an input it skipped the noiseless
@@ -799,14 +830,19 @@ def test_import_convsense_does_not_load_scipy_linalg():
     assert _loaded_in_fresh_interpreter("scipy.linalg") == ["False", "True"]
 
 
-def test_real_tap_ofdm_run_loads_scipy_linalg():
-    # the counterpart: the lazy attribute resolves on the first refit
-    run = ("from convsense.harness import ofdm_config, run_ofdm_experiment\n"
+def test_refit_runs_do_not_load_scipy_linalg():
+    # the real-tap refit and the FISTA debias both solve through
+    # recovery's least squares, so no run needs scipy.linalg
+    run = ("from convsense.harness import (ExperimentConfig, ofdm_config, "
+           "run_ofdm_experiment, run_recover)\n"
            "cfg = ofdm_config(n=256, m=48, k=6, sequence_kind='golay', "
            "trials=1, snr_list=[10.0])\n"
-           "assert run_ofdm_experiment(cfg).rows")
+           "assert run_ofdm_experiment(cfg).rows\n"
+           "cfg = ExperimentConfig(experiment='recover', n=64, m=32, k=3, "
+           "sequence_kind='fzc', solver='fista', snr_list=(20.0,))\n"
+           "assert run_recover(cfg)[0]")
     assert _loaded_in_fresh_interpreter("scipy.linalg", run) == \
-        ["True", "True"]
+        ["False", "True"]
 
 
 def _write_pgm(path, kind, pixels):
