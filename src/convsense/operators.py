@@ -45,16 +45,24 @@ def _as_array(x: ArrayLike, n: Optional[int] = None) -> np.ndarray:
     return vals
 
 
-def _circular(spectrum: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """sqrt(N) * ifft(spectrum * fft(x)) down axis 0, on a vector, on each
-    column of a block, or on column b with spectrum column b.  The call
+def _circular(spectrum, x: np.ndarray, axis: int = 0,
+              out: Optional[np.ndarray] = None) -> np.ndarray:
+    """sqrt(N) * ifft(spectrum * fft(x)) along ``axis`` (a vector, the
+    columns of an (N, B) block, or, given one spectrum per row, the rows
+    of a (B, N) block), all in one buffer: ``out``, which may be ``x``.
     ``np.multiply`` keeps the spectrum the left operand: numpy's complex
-    multiply is not commutative bit for bit, and the ``*`` operator swaps
-    in a same-shape temporary of 256 KiB or more (a vector from N = 16384)."""
-    if spectrum.ndim < x.ndim:
-        spectrum = spectrum[:, None]
-    return np.sqrt(x.shape[0]) * np.fft.ifft(
-        np.multiply(spectrum, np.fft.fft(x, axis=0)), axis=0)
+    multiply is not commutative bit for bit."""
+    u = np.fft.fft(x, axis=axis, out=out)
+    if isinstance(spectrum, np.ndarray):
+        if axis == 0 and u.ndim == 2:
+            spectrum = spectrum[:, None]
+        np.multiply(spectrum, u, out=u)
+    else:
+        for sigma, row in zip(spectrum, u):
+            np.multiply(sigma, row, out=row)
+    np.fft.ifft(u, axis=axis, out=u)
+    u *= np.sqrt(u.shape[axis])
+    return u
 
 
 def _unit_block(n: int, idx: np.ndarray) -> np.ndarray:
@@ -338,9 +346,9 @@ class StackedOperator:
     Member b samples rows ``rows[b]`` of circulant ``circ[b]`` (a row of
     ``spectra`` and ``filters``, shared by the members that share it), so
     per-trial sampling sets and per-trial spectra stack alike, and
-    ``stack[sel]`` selects members without copying a spectrum.
-    ``adjoint`` equals each member's own bit for bit; a member's
-    ``columns`` is its one-member stack's."""
+    ``stack[sel]`` selects members without copying a spectrum.  Blocks
+    hold a row per member; ``adjoint`` equals each member's own bit for
+    bit; a member's ``columns`` is its one-member stack's."""
 
     rows: np.ndarray     # (B, M)
     circ: np.ndarray     # (B,)
@@ -379,12 +387,13 @@ class StackedOperator:
         return self.rows.shape[1]
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
-        """Theta_b^* @ y[:, b] for every member b: an (M, B) block in, an
-        (N, B) block out."""
-        u = np.zeros((self.n, len(self)), dtype=np.complex128)
-        u[self.rows.T, np.arange(len(self))] = y / np.sqrt(self.m)
-        return self.basis.adjoint(
-            _circular(np.conj(self.spectra[self.circ]).T, u))
+        """Theta_b^* @ y[b] for every member b: a (B, M) block in, a (B, N)
+        block out, each member's product done in place along its row."""
+        u = np.zeros((len(self), self.n), dtype=np.complex128)
+        np.put_along_axis(u, self.rows, y / np.sqrt(self.m), axis=-1)
+        sigma = np.empty(self.n, dtype=np.complex128)
+        conj = (np.conj(self.spectra[c], out=sigma) for c in self.circ)
+        return self.basis.adjoint(_circular(conj, u, axis=-1, out=u).T).T
 
     def columns(self, idx: np.ndarray) -> np.ndarray:
         """Theta_b[:, idx[b]] for every member b: (B, c) indices in, a

@@ -3,10 +3,11 @@
 All three solve for a SensingOperator Theta and run fully in complex
 arithmetic.  The greedy solvers reach Theta only through its FFT-backed
 ``adjoint`` and ``columns`` (subspace pursuit through those of a
-``StackedOperator``).  FISTA applies Theta as ``matrix()`` when
-M*N <= 2^17, one O(MN) product each way per iteration, and above that
-through ``forward`` and ``adjoint``, two FFTs and a basis transform each
-way, O(N log N).  Greedy solvers take a sparsity K; FISTA minimizes
+``StackedOperator``, one row per problem: (B, M) residuals in, (B, N)
+correlations out).  FISTA applies Theta as ``matrix()`` when M*N <=
+2^17, one O(MN) product each way per iteration, and above that through
+``forward`` and ``adjoint``, two FFTs and a basis transform each way,
+O(N log N).  Greedy solvers take a sparsity K; FISTA minimizes
 0.5*||y - Theta f||^2 + lambda*||f||_1, warm-started along a short
 geometric lambda path down to the posed lambda.  A FISTA stage writes
 only into buffers it makes itself, never into the point it starts from
@@ -100,13 +101,12 @@ def _top_indices(mags: np.ndarray, k: int) -> np.ndarray:
     """Ascending indices of the k largest magnitudes of a vector, or of
     each row of a (B, N) block as a (B, k) block, ties broken to the
     lowest index: the same set as ``argsort(-mags, kind="stable")[:k]``."""
-    neg = -mags
-    kth = np.partition(neg, k - 1, axis=-1)[..., k - 1:k]
-    keep = neg <= kth
+    kth = np.partition(mags, -k, axis=-1)[..., -k, None]
+    keep = mags >= kth
     if np.count_nonzero(keep) > k * (mags.size // mags.shape[-1]):
         # a row ties at its k-th value: keep the lowest-index tied ones
-        tied = neg == kth
-        room = k - np.count_nonzero(neg < kth, axis=-1, keepdims=True)
+        tied = mags == kth
+        room = k - np.count_nonzero(mags > kth, axis=-1, keepdims=True)
         keep &= ~tied | (np.cumsum(tied, axis=-1) <= room)
     return np.nonzero(keep)[-1].reshape(mags.shape[:-1] + (k,))
 
@@ -186,7 +186,7 @@ def subspace_pursuit_block(problems: TypingSequence[RecoveryProblem]
         raise ValueError(
             f"candidate least squares needs 2K <= M, got K={k} M={op.m}")
     y = np.stack([p.y for p in problems])
-    support = _top_indices(np.abs(op.adjoint(y.T)).T, k)
+    support = _top_indices(np.abs(op.adjoint(y)), k)
     cols = op.columns(support)
     coef = _least_squares(cols, y)
     r = y - np.matvec(cols, coef)
@@ -198,7 +198,7 @@ def subspace_pursuit_block(problems: TypingSequence[RecoveryProblem]
         if not running.size:
             break
         iterations[running] += 1
-        top = _top_indices(np.abs(op[running].adjoint(r[running].T)).T, k)
+        top = _top_indices(np.abs(op[running].adjoint(r[running])), k)
         merged = np.sort(np.concatenate((support[running], top), axis=1))
         fresh = np.ones(merged.shape, dtype=bool)
         fresh[:, 1:] = merged[:, 1:] != merged[:, :-1]

@@ -1,5 +1,7 @@
 """Operators against dense loop-built matrices."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.fft
@@ -428,18 +430,18 @@ def test_stacked_operator_equals_its_members(per_trial, basis_kind):
     assert (len(stack), stack.n, stack.m) == (b, n, m)
     assert stack.spectra.shape[0] == (1 if per_trial == "sampling" else b)
     rng = np.random.default_rng(0)
-    y = rng.standard_normal((m, b)) + 1j * rng.standard_normal((m, b))
+    y = rng.standard_normal((b, m)) + 1j * rng.standard_normal((b, m))
     idx = np.sort(rng.choice(n, size=(b, 12)), axis=1)
     got_adj, got_cols = stack.adjoint(y), stack.columns(idx)
-    assert got_adj.shape == (n, b) and got_cols.shape == (b, m, 12)
+    assert got_adj.shape == (b, n) and got_cols.shape == (b, m, 12)
     for i, op in enumerate(members):
-        assert np.array_equal(got_adj[:, i], op.adjoint(y[:, i]))
+        assert np.array_equal(got_adj[i], op.adjoint(y[i]))
         want = _reference_columns(op, idx[i])
         assert np.array_equal(got_cols[i], want)
         assert np.array_equal(op.columns(idx[i]), want)
     sel = np.array([3, 0, 9])
     assert np.array_equal(stack[sel].columns(idx[sel]), got_cols[sel])
-    assert np.array_equal(stack[sel].adjoint(y[:, sel]), got_adj[:, sel])
+    assert np.array_equal(stack[sel].adjoint(y[sel]), got_adj[sel])
     with pytest.raises(ValueError, match="share N, M and basis"):
         StackedOperator.of(members[:1] + [SensingOperator(
             golay, random_sampling(n, m + 1, 0), Basis(basis_kind))])
@@ -447,15 +449,35 @@ def test_stacked_operator_equals_its_members(per_trial, basis_kind):
 
 @pytest.mark.parametrize("n", [1024, 16384, 65536])
 def test_stacked_adjoint_equals_the_member_adjoint_at_every_n(n):
-    # one circulant kernel: from N = 16384 a vector's FFT is a temporary
-    # numpy may reuse, and the spectrum must stay the multiply's left
-    # operand there too
+    # one circulant kernel: a member's vector and its stacked row take the
+    # same FFTs, and the spectrum must stay the multiply's left operand at
+    # every N
     op = SensingOperator(
         CirculantOperator.from_spectrum(seqs.random_phase(n, 1)),
         random_sampling(n, 256, 2), Basis("identity"))
     y = _rand_vec(256, 0)
     assert np.array_equal(op.adjoint(y),
-                          StackedOperator.of([op]).adjoint(y[:, None])[:, 0])
+                          StackedOperator.of([op]).adjoint(y[None])[0])
+
+
+def test_stacked_adjoint_works_in_one_block():
+    # the (B, N) result is the only block-sized buffer: a copy of it for
+    # the FFT, the product, the inverse FFT, the scale or a gather of the
+    # conjugate spectra would each add 128 KiB here
+    n, m, b = 1024, 64, 8
+    stack = StackedOperator.of([SensingOperator(
+        CirculantOperator.from_spectrum(seqs.random_phase(n, i)),
+        random_sampling(n, m, i), Basis("identity")) for i in range(b)])
+    rng = np.random.default_rng(0)
+    y = rng.standard_normal((b, m)) + 1j * rng.standard_normal((b, m))
+    stack.adjoint(y)
+    tracemalloc.start()
+    try:
+        stack.adjoint(y)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * b * n * 16
 
 
 def test_columns_reject_bad_indices():
