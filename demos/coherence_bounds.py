@@ -48,7 +48,7 @@ def main() -> None:
     print("Fourier-basis coherence is exactly 1 for unimodular spectra:")
     for n in (64, 255):
         a = CirculantOperator.from_spectrum(fzc(n, 1))
-        mu = mutual_coherence(a, Basis.inverse_fourier())
+        mu = mutual_coherence(a, Basis("inverse_fourier"))
         print(f"  fzc N={n:4d}: mu(A @ InverseFourier) = {mu:.12f}")
 
     print()

@@ -25,7 +25,7 @@ N, M, K, SEED = 256, 64, 5, 7
 def build_problem(snr_db=None):
     rng = np.random.default_rng(SEED)
     theta = SensingOperator(CirculantOperator.from_spectrum(golay(N)),
-                            random_sampling(N, M, SEED), Basis.identity())
+                            random_sampling(N, M, SEED), Basis("identity"))
     support = rng.choice(N, size=K, replace=False)
     f = np.zeros(N, dtype=np.complex128)
     f[support] = rng.standard_normal(K) + 1j * rng.standard_normal(K)

@@ -33,8 +33,6 @@ _KINDS = {"gn": (1, 1), "g2n": (2, 2), "g8n": (8, 8), "qn": (8, 1)}
 def _phase_ints(kind: str, n: int, m: int) -> tuple:
     """Integer phase numerators (mod `period`) and the period, such that
     term k has phase 2*pi*nums[k]/period."""
-    if n < 1:
-        raise ValueError("N must be >= 1")
     period = _KINDS[kind][0] * n
     k = np.arange(m, dtype=np.int64)
     if kind == "qn":
@@ -43,8 +41,10 @@ def _phase_ints(kind: str, n: int, m: int) -> tuple:
 
 
 def _check_domain(kind: str, n: int, m: Optional[int] = None) -> int:
-    """m, or the top of kind's m domain when None, after refusing an
-    unknown kind or an m outside the domain."""
+    """m, or the top of kind's m domain when None, after refusing N < 1,
+    an unknown kind or an m outside the domain."""
+    if n < 1:
+        raise ValueError("N must be >= 1")
     if kind not in _KINDS:
         raise ValueError(
             f"unknown kind {kind!r}; expected one of {tuple(_KINDS)}")
@@ -87,8 +87,7 @@ def gauss_sum_sweep(kind: str, n: int, m_max: Optional[int] = None) -> np.ndarra
 def complete_gauss_closed_form(n: int) -> complex:
     """Closed form of the complete sum of N terms with phase 2*pi*k^2/N,
     selected by N mod 4: (1+j)sqrt(N), sqrt(N), 0, j*sqrt(N)."""
-    if n < 1:
-        raise ValueError("N must be >= 1")
+    _check_domain("gn", n)
     r = math.sqrt(n)
     return {0: complex(r, r), 1: complex(r, 0.0),
             2: 0j, 3: complex(0.0, r)}[n % 4]
@@ -98,6 +97,7 @@ def complete_gauss_sum(n: int) -> complex:
     """sum_{k<N} e^{2 pi j k^2/N}.  k and N - k share the residue k^2
     mod N, so the terms for k <= N/2 are evaluated and mirrored: the
     same elements in the same order, hence the same pairwise sum."""
+    _check_domain("gn", n)
     k = np.arange(n // 2 + 1, dtype=np.int64)
     half = np.exp(2j * np.pi * ((k * k) % n) / n)
     return complex(np.sum(np.concatenate((half, half[1:(n + 1) // 2][::-1]))))

@@ -412,10 +412,14 @@ class OfdmReport:
 
     def reference_violations(self) -> List[str]:
         """The rows of a reference run (``ofdm_reference_config``) whose
-        mean output SNR is more than REFERENCE_OFDM_TOL_DB off the table;
-        input SNRs the table lacks are not checked."""
-        key = self.config.scheme
-        ref = REFERENCE_OFDM_OUTPUT_SNR_DB[key]
+        mean output SNR is more than REFERENCE_OFDM_TOL_DB off its scheme's
+        table (a scheme without one is refused); input SNRs the table lacks
+        are not checked."""
+        key, tables = self.config.scheme, REFERENCE_OFDM_OUTPUT_SNR_DB
+        if key not in tables:
+            raise ValueError(f"scheme {key!r} has no reference table; the "
+                             f"reference schemes are {sorted(tables)}")
+        ref = tables[key]
         out = []
         for row in self.rows:
             target = ref.get(row.input_snr_db)
@@ -704,7 +708,7 @@ def run_dct_experiment(cfg: ExperimentConfig) -> DctReport:
     if (cfg.basis, cfg.sampling_mode) != ("inverse_dct2", "random"):
         raise ValueError("the DCT experiment runs basis 'inverse_dct2' with "
                          "'random' sampling, as its rows are labelled")
-    basis = Basis.inverse_dct2()
+    basis = Basis(cfg.basis)
     baseline = _baseline(cfg)
     draw_proposed = _operator_draw(cfg)
     draw_baseline = _operator_draw(baseline)

@@ -34,41 +34,39 @@ ArrayLike = Union[Sequence, np.ndarray, TypingSequence[complex]]
 
 def _as_array(x: ArrayLike, n: Optional[int] = None) -> np.ndarray:
     """x as complex128.  Without ``n`` it must be a 1-D vector; with ``n``
-    it may be a length-n vector or an (n, B) block of column vectors."""
+    it may be a length-n vector or a (B, n) block of row vectors."""
     vals = seqs._values(x)
     if n is None:
         if vals.ndim != 1:
             raise ValueError("expected a 1-D vector")
-    elif vals.ndim not in (1, 2) or vals.shape[0] != n:
-        raise ValueError(f"expected a length-{n} vector or ({n}, B) block, "
+    elif vals.ndim not in (1, 2) or vals.shape[-1] != n:
+        raise ValueError(f"expected a length-{n} vector or (B, {n}) block, "
                          f"got shape {vals.shape}")
     return vals
 
 
-def _circular(spectrum, x: np.ndarray, axis: int = 0,
+def _circular(spectrum, x: np.ndarray,
               out: Optional[np.ndarray] = None) -> np.ndarray:
-    """sqrt(N) * ifft(spectrum * fft(x)) along ``axis`` (a vector, the
-    columns of an (N, B) block, or, given one spectrum per row, the rows
-    of a (B, N) block), all in one buffer: ``out``, which may be ``x``.
-    ``np.multiply`` keeps the spectrum the left operand: numpy's complex
-    multiply is not commutative bit for bit."""
-    u = np.fft.fft(x, axis=axis, out=out)
+    """sqrt(N) * ifft(spectrum * fft(x)) along the last axis (a vector or
+    the rows of a (B, N) block, given one spectrum or one per row), all in
+    one buffer: ``out``, which may be ``x``.  ``np.multiply`` keeps the
+    spectrum the left operand: numpy's complex multiply is not commutative
+    bit for bit."""
+    u = np.fft.fft(x, out=out)
     if isinstance(spectrum, np.ndarray):
-        if axis == 0 and u.ndim == 2:
-            spectrum = spectrum[:, None]
         np.multiply(spectrum, u, out=u)
     else:
         for sigma, row in zip(spectrum, u):
             np.multiply(sigma, row, out=row)
-    np.fft.ifft(u, axis=axis, out=u)
-    u *= np.sqrt(u.shape[axis])
+    np.fft.ifft(u, out=u)
+    u *= np.sqrt(u.shape[-1])
     return u
 
 
 def _unit_block(n: int, idx: np.ndarray) -> np.ndarray:
-    """Columns ``idx`` of the N x N identity as an (N, len(idx)) block."""
-    block = np.zeros((n, idx.size), dtype=np.complex128)
-    block[idx, np.arange(idx.size)] = 1.0
+    """Rows ``idx`` of the N x N identity as a (len(idx), N) block."""
+    block = np.zeros((idx.size, n), dtype=np.complex128)
+    block[np.arange(idx.size), idx] = 1.0
     return block
 
 
@@ -117,13 +115,9 @@ class CirculantOperator:
 
     # -- application --------------------------------------------------
     def apply(self, x: ArrayLike) -> np.ndarray:
-        """A @ x via FFT, for a length-N vector or each column of an (N, B)
+        """A @ x via FFT, for a length-N vector or each row of a (B, N)
         block."""
         return _circular(self.spectrum, _as_array(x, self.n))
-
-    def adjoint(self, y: ArrayLike) -> np.ndarray:
-        """A^* @ y via FFT (conjugate spectrum), vector or (N, B) block."""
-        return _circular(np.conj(self.spectrum), _as_array(y, self.n))
 
     # block callers and the benchmark tracer use this name
     apply_batch = apply
@@ -176,12 +170,7 @@ class SamplingSet:
         return int(self.indices.size)
 
     def restrict(self, u: np.ndarray) -> np.ndarray:
-        return u[self.indices]
-
-    def embed(self, y: np.ndarray) -> np.ndarray:
-        u = np.zeros((self.n,) + y.shape[1:], dtype=np.complex128)
-        u[self.indices] = y
-        return u
+        return u[..., self.indices]
 
 
 def random_sampling(n: int, m: int, seed) -> SamplingSet:
@@ -232,40 +221,31 @@ class Basis:
                 f"unknown basis {self.kind!r}; expected one of {_BASIS_KINDS}")
 
     @classmethod
-    def identity(cls) -> "Basis":
-        return cls("identity")
-
-    @classmethod
-    def inverse_fourier(cls) -> "Basis":
-        return cls("inverse_fourier")
-
-    @classmethod
     def inverse_dct2(cls) -> "Basis":
         return cls("inverse_dct2")
 
     def apply(self, f: np.ndarray) -> np.ndarray:
-        """Psi @ f (column-wise on 2-D blocks).  For the identity basis
-        the result may share memory with ``f``."""
+        """Psi @ f, for a vector or each row of a (B, N) block.  For the
+        identity basis the result may share memory with ``f``."""
         f = np.asarray(f, dtype=np.complex128)
-        n = f.shape[0]
         if self.kind == "identity":
             return f
         if self.kind == "inverse_fourier":
-            return np.sqrt(n) * np.fft.ifft(f, axis=0)
+            return np.sqrt(f.shape[-1]) * np.fft.ifft(f)
         # scipy transforms the real and imaginary parts of complex input
         # separately, straight into the two halves of the output
-        return scipy.fft.idct(f, type=2, norm="ortho", axis=0)
+        return scipy.fft.idct(f, type=2, norm="ortho")
 
     def adjoint(self, g: np.ndarray) -> np.ndarray:
-        """Psi^* @ g (= Psi^T for the real DCT basis).  For the identity
-        basis the result may share memory with ``g``."""
+        """Psi^* @ g (= Psi^T for the real DCT basis), for a vector or each
+        row of a (B, N) block.  For the identity basis the result may
+        share memory with ``g``."""
         g = np.asarray(g, dtype=np.complex128)
-        n = g.shape[0]
         if self.kind == "identity":
             return g
         if self.kind == "inverse_fourier":
-            return np.fft.fft(g, axis=0) / np.sqrt(n)
-        return scipy.fft.dct(g, type=2, norm="ortho", axis=0)
+            return np.fft.fft(g) / np.sqrt(g.shape[-1])
+        return scipy.fft.dct(g, type=2, norm="ortho")
 
 
 # ---------------------------------------------------------------------------
@@ -293,16 +273,13 @@ class SensingOperator:
         return self.sampling.m
 
     def forward(self, f: ArrayLike) -> np.ndarray:
-        """Theta @ f for a length-N vector or each column of an (N, B)
-        block."""
+        """Theta @ f for a length-N vector or each row of a (B, N) block."""
         u = self.circulant.apply(self.basis.apply(_as_array(f, self.n)))
         return self.sampling.restrict(u) / np.sqrt(self.m)
 
     def adjoint(self, y: ArrayLike) -> np.ndarray:
-        """Theta^* @ y for a length-M vector or each column of an (M, B)
-        block."""
-        u = self.sampling.embed(_as_array(y, self.m) / np.sqrt(self.m))
-        return self.basis.adjoint(self.circulant.adjoint(u))
+        """Theta^* @ y for a length-M vector: its one-member stack's."""
+        return self._stack.adjoint(_as_array(y)[None])[0]
 
     # the benchmark tracer spans this name
     forward_batch = forward
@@ -323,13 +300,12 @@ class SensingOperator:
         rows of A, conjugated, are the length-N windows of the reversed,
         conjugated filter written twice that start at N - 1 - p.  As
         Psi^T = conj . Psi^* . conj, their block times Psi is one
-        ``basis.adjoint`` on the block's transpose, conjugated."""
+        ``basis.adjoint`` on the block's rows, conjugated."""
         n = self.n
         rev = np.conj(self.circulant.filter[::-1])
         windows = np.lib.stride_tricks.sliding_window_view(
             np.concatenate((rev, rev)), n)
-        rows = windows[n - 1 - self.sampling.indices]
-        theta = np.ascontiguousarray(self.basis.adjoint(rows.T).T)
+        theta = self.basis.adjoint(windows[n - 1 - self.sampling.indices])
         np.conj(theta, out=theta)
         theta *= 1.0 / np.sqrt(self.m)
         return theta
@@ -347,8 +323,8 @@ class StackedOperator:
     ``spectra`` and ``filters``, shared by the members that share it), so
     per-trial sampling sets and per-trial spectra stack alike, and
     ``stack[sel]`` selects members without copying a spectrum.  Blocks
-    hold a row per member; ``adjoint`` equals each member's own bit for
-    bit; a member's ``columns`` is its one-member stack's."""
+    hold a row per member; a member's ``adjoint`` and ``columns`` are its
+    one-member stack's."""
 
     rows: np.ndarray     # (B, M)
     circ: np.ndarray     # (B,)
@@ -389,11 +365,15 @@ class StackedOperator:
     def adjoint(self, y: np.ndarray) -> np.ndarray:
         """Theta_b^* @ y[b] for every member b: a (B, M) block in, a (B, N)
         block out, each member's product done in place along its row."""
-        u = np.zeros((len(self), self.n), dtype=np.complex128)
-        np.put_along_axis(u, self.rows, y / np.sqrt(self.m), axis=-1)
+        b = len(self)
+        if np.shape(y) != (b, self.m):
+            raise ValueError(f"expected a ({b}, {self.m}) block of "
+                             f"measurements, got shape {np.shape(y)}")
+        u = np.zeros((b, self.n), dtype=np.complex128)
+        u[np.arange(b)[:, None], self.rows] = y / np.sqrt(self.m)
         sigma = np.empty(self.n, dtype=np.complex128)
         conj = (np.conj(self.spectra[c], out=sigma) for c in self.circ)
-        return self.basis.adjoint(_circular(conj, u, axis=-1, out=u).T).T
+        return self.basis.adjoint(_circular(conj, u, out=u))
 
     def columns(self, idx: np.ndarray) -> np.ndarray:
         """Theta_b[:, idx[b]] for every member b: (B, c) indices in, a
@@ -417,7 +397,7 @@ class StackedOperator:
             return phase * (self.spectra[circ, idx] / np.sqrt(self.m))
         return np.stack([
             _circular(self.spectra[c], self.basis.apply(
-                _unit_block(self.n, i[0])))[r]
+                _unit_block(self.n, i[0])))[:, r].T
             for c, i, r in zip(self.circ, idx, self.rows)]) / np.sqrt(self.m)
 
 

@@ -13,6 +13,7 @@ import math
 from fractions import Fraction
 
 import numpy as np
+import scipy.fft
 
 
 def dft_matrix(n: int) -> np.ndarray:
@@ -221,6 +222,16 @@ def fista_stage(theta, y: np.ndarray, L: float, lam: float, f: np.ndarray,
     return f, rf, iterations, False
 
 
+def _basis_adjoint_columns(kind: str, g: np.ndarray) -> np.ndarray:
+    """Psi^* @ g for each column of an (N, c) block: numpy's FFT or
+    scipy's DCT along axis 0, as the library calls them along its rows."""
+    if kind == "identity":
+        return g
+    if kind == "inverse_fourier":
+        return np.fft.fft(g, axis=0) / np.sqrt(g.shape[0])
+    return scipy.fft.dct(g, type=2, norm="ortho", axis=0)
+
+
 def sensing_matrix(op) -> np.ndarray:
     """Theta of a ``SensingOperator`` built row-wise and scaled by a
     division by sqrt(M)."""
@@ -229,7 +240,8 @@ def sensing_matrix(op) -> np.ndarray:
     windows = np.lib.stride_tricks.sliding_window_view(
         np.concatenate((rev, rev)), n)
     rows = windows[n - 1 - op.sampling.indices]
-    theta = np.ascontiguousarray(op.basis.adjoint(rows.T).T)
+    theta = np.ascontiguousarray(
+        _basis_adjoint_columns(op.basis.kind, rows.T).T)
     np.conj(theta, out=theta)
     theta /= np.sqrt(op.m)
     return theta

@@ -125,7 +125,7 @@ def test_05_fft_path_matches_dense():
         n, m = 256, 64
         theta = SensingOperator(
             CirculantOperator.from_spectrum(seqs.golay(n)),
-            random_sampling(n, m, 0), Basis.inverse_fourier())
+            random_sampling(n, m, 0), Basis("inverse_fourier"))
         for _ in range(100):
             f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
             y = rng.standard_normal(m) + 1j * rng.standard_normal(m)

@@ -39,7 +39,7 @@ def test_mutual_coherence_matches_dense(basis_kind):
 def test_fourier_basis_coherence_is_one_for_unimodular():
     # A @ InverseFourier has every entry magnitude exactly |sigma_q|
     a = CirculantOperator.from_spectrum(seqs.extended_polyphase(30))
-    assert mutual_coherence(a, Basis.inverse_fourier()) == pytest.approx(
+    assert mutual_coherence(a, Basis("inverse_fourier")) == pytest.approx(
         1.0, abs=1e-10)
 
 

@@ -88,18 +88,16 @@ def test_blocks_match_columns_in_every_basis(kind, data):
     samp = random_sampling(n, m, rng)
     for basis in _BASES:
         theta = SensingOperator(circ, samp, Basis(basis))
-        f = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
-        y = rng.standard_normal((m, 3)) + 1j * rng.standard_normal((m, 3))
-        tf, ty = theta.forward(f), theta.adjoint(y)
-        assert tf.shape == (m, 3) and ty.shape == (n, 3)
+        f = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
+        y = rng.standard_normal((3, m)) + 1j * rng.standard_normal((3, m))
+        tf = theta.forward(f)
+        assert tf.shape == (3, m)
         for j in range(3):
             np.testing.assert_allclose(
-                tf[:, j], theta.forward(f[:, j]), rtol=0,
+                tf[j], theta.forward(f[j]), rtol=0,
                 atol=1e-12 * max(1.0, np.max(np.abs(tf))))
-            np.testing.assert_allclose(
-                ty[:, j], theta.adjoint(y[:, j]), rtol=0,
-                atol=1e-12 * max(1.0, np.max(np.abs(ty))))
         # trace<Theta F, Y> = trace<F, Theta^* Y>
+        ty = np.stack([theta.adjoint(row) for row in y])
         lhs, rhs = np.vdot(tf, y), np.vdot(f, ty)
         assert abs(lhs - rhs) <= 1e-10 * np.linalg.norm(tf) \
             * np.linalg.norm(y)

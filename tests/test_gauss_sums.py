@@ -160,3 +160,16 @@ def test_unknown_kind_is_a_value_error_for_sums_and_sweeps():
                  lambda: gs.gauss_sum_sweep("bad", 5, 3)):
         with pytest.raises(ValueError, match="unknown kind 'bad'"):
             call()
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_n_below_one_is_refused_by_name(n):
+    # N = 0 once gave nan+nanj with a RuntimeWarning, a negative N 0j or
+    # an m domain of [0, N]
+    for call in (lambda: gs.complete_gauss_sum(n),
+                 lambda: gs.complete_gauss_closed_form(n),
+                 lambda: gs.gauss_sum("gn", n, 0),
+                 lambda: gs.gauss_sum("bad", n, 0),
+                 lambda: gs.gauss_sum_sweep("qn", n)):
+        with pytest.raises(ValueError, match="N must be >= 1"):
+            call()

@@ -647,6 +647,16 @@ def test_reference_violations_keep_the_band_of_the_scheme_table():
         "random_phase+equispaced @ 30 dB: nan vs 45.22 (diff +nan)"]
 
 
+def test_reference_violations_refuse_a_scheme_without_a_table():
+    cfg = dataclasses.replace(ofdm_reference_config(trials=1),
+                              sequence_kind="fzc")
+    report = OfdmReport(cfg, (SnrRow(0.0, 5.0, 0.0, 1.0, 1.0, 1),), ())
+    with pytest.raises(ValueError, match=r"scheme 'fzc\+random' has no "
+                       r"reference table; the reference schemes are "
+                       r"\['golay\+random', 'random_phase\+equispaced'\]"):
+        report.reference_violations()
+
+
 def test_config_accepts_the_keys_its_experiment_reads():
     for experiment, extra in (
             ("ofdm", {"real_taps": True}),

@@ -68,11 +68,11 @@ def test_constructors_reject_non_finite_entries(bad):
 
 
 def test_dense_matches_loop_circulant():
-    # A applied to the identity is A as a matrix
+    # A applied to the rows of the identity is A as a matrix, transposed
     for n, seed in [(8, 0), (17, 1), (32, 2)]:
         a = CirculantOperator.from_spectrum(seqs.random_phase(n, seed))
         assert np.allclose(a.apply(np.eye(n)),
-                           oracles.circulant_from_filter(a.filter),
+                           oracles.circulant_from_filter(a.filter).T,
                            atol=1e-12)
 
 
@@ -84,7 +84,6 @@ def test_apply_matches_dense(kind, n):
     dense = oracles.circulant_from_filter(a.filter)
     x = _rand_vec(n, 5)
     assert np.allclose(a.apply(x), dense @ x, atol=1e-9)
-    assert np.allclose(a.adjoint(x), dense.conj().T @ x, atol=1e-9)
 
 
 def test_unimodular_spectrum_gives_tight_frame():
@@ -97,13 +96,10 @@ def test_unimodular_spectrum_gives_tight_frame():
 
 def test_apply_batch_matches_single():
     a = CirculantOperator.from_spectrum(seqs.fzc(16, 3))
-    block = np.stack([_rand_vec(16, i) for i in range(4)], axis=1)
+    block = np.stack([_rand_vec(16, i) for i in range(4)])
     got = a.apply_batch(block)
     for i in range(4):
-        assert np.allclose(got[:, i], a.apply(block[:, i]), atol=1e-12)
-    gotA = a.adjoint(block)
-    for i in range(4):
-        assert np.allclose(gotA[:, i], a.adjoint(block[:, i]), atol=1e-12)
+        assert np.allclose(got[i], a.apply(block[i]), atol=1e-12)
 
 
 def test_real_filter_flag():
@@ -177,12 +173,10 @@ def test_deterministic_and_equispaced_sampling():
     assert np.array_equal(e.indices, [0, 3, 6, 9])  # floor(i*N/M)
 
 
-def test_sampling_restrict_embed():
+def test_sampling_restrict():
     s = SamplingSet(6, [1, 4])
     x = np.arange(6, dtype=np.complex128)
     assert np.array_equal(s.restrict(x), [1, 4])
-    back = s.embed(np.array([10.0, 20.0]))
-    assert np.array_equal(back, [0, 10, 0, 0, 20, 0])
 
 
 def test_sampling_rejects_bad_shapes():
@@ -217,25 +211,26 @@ def test_basis_unitary_and_dense_consistent(kind):
 
 
 def test_idct_matches_loop_formula():
+    # the basis applied to the rows of the identity is Psi transposed
     n = 17
     assert np.allclose(Basis.inverse_dct2().apply(np.eye(n)),
-                       oracles.idct2_matrix(n), atol=1e-12)
+                       oracles.idct2_matrix(n).T, atol=1e-12)
 
 
 def test_dct_basis_bit_identical_to_split_real_imag_transforms():
     def split(transform, x):
         x = np.asarray(x, dtype=np.complex128)
-        out = transform(x.real, type=2, norm="ortho", axis=0).astype(
-            np.complex128)
-        out += 1j * transform(x.imag, type=2, norm="ortho", axis=0)
+        out = transform(x.real, type=2, norm="ortho").astype(np.complex128)
+        out += 1j * transform(x.imag, type=2, norm="ortho")
         return out
 
     n, b = 64, 9
     rng = np.random.default_rng(4)
-    block = rng.standard_normal((n, b)) + 1j * rng.standard_normal((n, b))
-    # subspace pursuit slices its pruned columns like this: ccols[:, keep]
-    sliced = block[:, [0, 2, 3, 7]]
-    assert sliced.flags.f_contiguous and not sliced.flags.c_contiguous
+    block = rng.standard_normal((b, n)) + 1j * rng.standard_normal((b, n))
+    # rows of a column-major block, as subspace pursuit's pruned
+    # ccols[:, keep] holds its columns
+    sliced = block.T[:, [0, 2, 3, 7]].T
+    assert sliced.flags.c_contiguous and not sliced.flags.f_contiguous
     basis = Basis.inverse_dct2()
     for x in (_rand_vec(n, 5), rng.standard_normal(n), block, sliced):
         assert np.array_equal(basis.apply(x), split(scipy.fft.idct, x))
@@ -243,9 +238,10 @@ def test_dct_basis_bit_identical_to_split_real_imag_transforms():
 
 
 def test_inverse_fourier_matches_loop_formula():
+    # the basis applied to the rows of the identity is Psi transposed
     n = 12
     want = oracles.dft_matrix(n).conj().T / np.sqrt(n)
-    assert np.allclose(Basis.inverse_fourier().apply(np.eye(n)), want,
+    assert np.allclose(Basis("inverse_fourier").apply(np.eye(n)), want.T,
                        atol=1e-12)
 
 
@@ -276,7 +272,7 @@ def test_sensing_adjoint_inner_product_identity():
     n, m = 48, 16
     circ = CirculantOperator.from_spectrum(seqs.fzc(n, 5))
     theta = SensingOperator(circ, random_sampling(n, m, 3),
-                            Basis.inverse_fourier())
+                            Basis("inverse_fourier"))
     f, y = _rand_vec(n, 0), _rand_vec(m, 1)
     lhs = np.vdot(y, theta.forward(f))
     rhs = np.vdot(theta.adjoint(y), f)
@@ -287,11 +283,10 @@ def test_forward_batch_matches_single():
     n, m = 24, 10
     theta = SensingOperator(CirculantOperator.from_spectrum(seqs.fzc(n, 1)),
                             random_sampling(n, m, 2), Basis.inverse_dct2())
-    block = np.stack([_rand_vec(n, i) for i in range(3)], axis=1)
+    block = np.stack([_rand_vec(n, i) for i in range(3)])
     got = theta.forward_batch(block)
     for i in range(3):
-        assert np.allclose(got[:, i], theta.forward(block[:, i]),
-                           atol=1e-12)
+        assert np.allclose(got[i], theta.forward(block[i]), atol=1e-12)
 
 
 @pytest.mark.parametrize("basis_kind", ["identity", "inverse_fourier",
@@ -363,11 +358,11 @@ def test_columns_match_forward_batch(circ_name, basis_kind):
     for idx in ([0, n - 1], [n - 1, 17, 0, 200, 5, 128], [],
                 list(range(n))):
         idx = np.asarray(idx, dtype=np.int64)
-        block = np.zeros((n, idx.size), dtype=np.complex128)
-        block[idx, np.arange(idx.size)] = 1.0
+        block = np.zeros((idx.size, n), dtype=np.complex128)
+        block[np.arange(idx.size), idx] = 1.0
         got = theta.columns(idx)
         assert got.shape == (theta.m, idx.size)
-        np.testing.assert_allclose(got, theta.forward_batch(block),
+        np.testing.assert_allclose(got, theta.forward_batch(block).T,
                                    rtol=0, atol=1e-13)
 
 
@@ -406,9 +401,9 @@ def _reference_columns(theta, idx):
     if theta.basis.kind == "inverse_fourier":
         phase = np.exp((2j * np.pi / theta.n) * ((rows * idx) % theta.n))
         return phase * (theta.circulant.spectrum[idx] / np.sqrt(theta.m))
-    block = np.zeros((theta.n, idx.size), dtype=np.complex128)
-    block[idx, np.arange(idx.size)] = 1.0
-    return theta.forward(block)
+    block = np.zeros((idx.size, theta.n), dtype=np.complex128)
+    block[np.arange(idx.size), idx] = 1.0
+    return theta.forward(block).T
 
 
 @pytest.mark.parametrize("basis_kind", ["identity", "inverse_fourier",
@@ -480,9 +475,28 @@ def test_stacked_adjoint_works_in_one_block():
     assert peak <= 1.25 * b * n * 16
 
 
+def test_adjoints_refuse_measurements_of_the_wrong_shape():
+    # a length-M vector on a one-member stack was once broadcast into a
+    # (1, N) result
+    n, m = 64, 16
+    op = SensingOperator(CirculantOperator.from_spectrum(seqs.fzc(n, 1)),
+                         random_sampling(n, m, 0), Basis("identity"))
+    stack = StackedOperator.of([op, op, op])
+    for sub, y in ((stack[:1], _rand_vec(m, 0)),
+                   (stack, np.zeros((2, m))), (stack, np.zeros((3, m + 1))),
+                   (stack, np.zeros((3, m, 1)))):
+        with pytest.raises(ValueError, match=rf"expected a \({len(sub)}, "
+                                             rf"{m}\) block of measurements"):
+            sub.adjoint(y)
+    with pytest.raises(ValueError, match="expected a 1-D vector"):
+        op.adjoint(np.zeros((2, m)))
+    with pytest.raises(ValueError, match=rf"expected a \(1, {m}\) block"):
+        op.adjoint(np.zeros(m + 1))
+
+
 def test_columns_reject_bad_indices():
     theta = SensingOperator(CirculantOperator.from_spectrum(seqs.fzc(16, 1)),
-                            random_sampling(16, 6, 0), Basis.identity())
+                            random_sampling(16, 6, 0), Basis("identity"))
     for bad in ([16], [-1], [[0, 1]]):
         with pytest.raises(ValueError):
             theta.columns(bad)

@@ -427,7 +427,7 @@ def _fista_case(basis, seed, snr_db):
         circ = CirculantOperator.from_filter(
             rng.standard_normal(64) + 1j * rng.standard_normal(64))
         theta = SensingOperator(circ, random_sampling(64, 32, rng),
-                                Basis.identity())
+                                Basis("identity"))
         f = np.zeros(64, dtype=np.complex128)
         f[rng.choice(64, size=3, replace=False)] = rng.standard_normal(3)
         y = theta.forward(f)
