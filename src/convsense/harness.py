@@ -452,10 +452,10 @@ def _aggregate(snr: float, recs: List[TrialRecord]) -> SnrRow:
         trials=len(recs))
 
 
-# trials drawn and solved together by run_ofdm_experiment: on a 2-vCPU VM
-# blocks of 16 run about 20% more trials per second, but raise a run's peak
-# RSS by 0.9-1.5 MB (about 3%) and a call's traced peak from 1.97 to 2.84 MiB
-_OFDM_BLOCK = 8
+# problems in one run_ofdm_experiment _solve, every SNR row of its trials:
+# the largest SP block whose (16, 1024) buffers, 256 KiB each, do not grow
+# a run's peak RSS; 20 ran 4% faster on a 2-vCPU VM but held 1 MB more
+_OFDM_BLOCK_PROBLEMS = 16
 
 
 def run_ofdm_experiment(cfg: ExperimentConfig) -> OfdmReport:
@@ -467,8 +467,8 @@ def run_ofdm_experiment(cfg: ExperimentConfig) -> OfdmReport:
 
     Every SNR row re-seeds trial t, so the trial's Theta, Theta x and
     unit noise are the same in every row: they are drawn once and the
-    noise is scaled per row.  Trials go in blocks of ``_OFDM_BLOCK``,
-    each SNR row of a block one ``_solve``."""
+    noise is scaled per row.  A block of trials, every SNR row of each,
+    is one ``_solve`` of up to ``_OFDM_BLOCK_PROBLEMS`` problems."""
     _require_experiment(cfg, "ofdm")
     x = attc_channel(cfg.n)
     draw = _operator_draw(cfg)
@@ -477,23 +477,24 @@ def run_ofdm_experiment(cfg: ExperimentConfig) -> OfdmReport:
     in_snrs = [math.inf if snr is None else float(snr) for snr in snrs]
     recs: List[List[TrialRecord]] = [[] for _ in snrs]
     rngs = _trial_rngs(cfg.master_seed, cfg.trials)
-    for _ in range(0, cfg.trials, _OFDM_BLOCK):
+    per_block = max(1, _OFDM_BLOCK_PROBLEMS // len(snrs))
+    for _ in range(0, cfg.trials, per_block):
         tic = time.perf_counter()
         trials = []
-        for t, seed, rng in itertools.islice(rngs, _OFDM_BLOCK):
+        for t, seed, rng in itertools.islice(rngs, per_block):
             theta = draw(rng)
             y0 = theta.forward(x)
             trials.append((t, seed, theta, y0, _noise(rng, y0.size)))
-        solved = [_solve(cfg, [
+        results = _solve(cfg, [
             (theta, y0 if snr is None else _add_noise(y0, e, snr))
-            for _, _, theta, y0, e in trials], k) for snr in snrs]
-        wall = (time.perf_counter() - tic) / (len(trials) * len(snrs))
-        for row, in_snr, results in zip(recs, in_snrs, solved):
+            for _, _, theta, y0, e in trials for snr in snrs], k)
+        wall = (time.perf_counter() - tic) / len(results)
+        for i, (row, in_snr) in enumerate(zip(recs, in_snrs)):
             row.extend(TrialRecord(
                 t, seed, in_snr, _output_snr_db(x, res.f_hat),
                 bool(np.array_equal(res.support, _ATTC_DELAYS)),
                 res.iterations, wall)
-                for (t, seed, *_), res in zip(trials, results))
+                for (t, seed, *_), res in zip(trials, results[i::len(snrs)]))
     rows = tuple(_aggregate(in_snr, row) for in_snr, row in zip(in_snrs, recs))
     return OfdmReport(config=cfg, rows=rows,
                       records=tuple(rec for row in recs for rec in row))

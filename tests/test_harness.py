@@ -7,6 +7,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -271,17 +272,29 @@ def test_ofdm_reference_config_shape():
                                           ("fista", (10.0,))])
 @pytest.mark.parametrize("kind, sampling", [("golay", "random"),
                                             ("random_phase", "equispaced")])
-def test_ofdm_blocks_equal_a_per_trial_replay(kind, sampling, solver, snrs):
-    # trials solve in blocks of _OFDM_BLOCK; with 3 more trials the last
-    # block is short, and each record must still be its trial replayed
-    # alone, with its own draw, noise and a one-problem solve (FISTA at a
-    # large lambda, which it solves in few iterations)
+def test_ofdm_blocks_equal_a_per_trial_replay(kind, sampling, solver, snrs,
+                                              monkeypatch):
+    # a block is the trials whose SNR rows fill _OFDM_BLOCK_PROBLEMS, all
+    # rows solved in one _solve; with 3 more trials the last block is
+    # short, and each record must still be its trial replayed alone, with
+    # its own draw, noise and a one-problem solve (FISTA at a large
+    # lambda, which it solves in few iterations)
+    per_block = max(1, harness._OFDM_BLOCK_PROBLEMS // len(snrs))
     cfg = _small_ofdm_cfg(sequence_kind=kind, sampling_mode=sampling,
                           solver=solver, snr_list=snrs,
                           solver_params={"lam_rel": 0.05}
                           if solver == "fista" else {},
-                          trials=harness._OFDM_BLOCK + 3)
+                          trials=per_block + 3)
+    sizes = []
+    solve = harness._solve
+
+    def counted(cfg, block, k=None):
+        sizes.append(len(block))
+        return solve(cfg, block, k)
+
+    monkeypatch.setattr(harness, "_solve", counted)
     report = run_ofdm_experiment(cfg)
+    assert sizes == [per_block * len(snrs), 3 * len(snrs)]
     assert [rec.index for rec in report.records] == \
         list(range(cfg.trials)) * len(snrs)
     x = attc_channel(cfg.n)
@@ -294,12 +307,29 @@ def test_ofdm_blocks_equal_a_per_trial_replay(kind, sampling, solver, snrs):
         if rec.input_snr_db != np.inf:
             y = harness._add_noise(y, harness._noise(rng, cfg.m),
                                    rec.input_snr_db)
-        result, = harness._solve(cfg, [(theta, y)], taps.size)
+        result, = solve(cfg, [(theta, y)], taps.size)
         assert (rec.output_snr_db, rec.support_exact, rec.iterations) == (
             harness._output_snr_db(x, result.f_hat),
             np.array_equal(result.support, taps),
             result.iterations)
         assert rec.wall_time > 0
+
+
+@pytest.mark.parametrize("scheme", ["proposed", "baseline"])
+def test_ofdm_reference_call_peaks_within_one_block(scheme):
+    # what a block keeps alive is a 16-problem SP block, whose (16, 1024)
+    # complex buffers are 256 KiB each, and its stacked refit; blocks of
+    # 20 problems (1.86 MiB) or of 8 trials per SNR row (1.93 MiB) fail,
+    # so a larger block shows its memory cost here
+    cfg = ofdm_reference_config(scheme, trials=25)
+    run_ofdm_experiment(cfg)
+    tracemalloc.start()
+    try:
+        run_ofdm_experiment(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.75 * 2 ** 20
 
 
 def test_ofdm_real_tap_refit_beats_complex_fit():

@@ -444,15 +444,18 @@ def test_stacked_operator_equals_its_members(per_trial, basis_kind):
 
 @pytest.mark.parametrize("n", [1024, 16384, 65536])
 def test_stacked_adjoint_equals_the_member_adjoint_at_every_n(n):
-    # one circulant kernel: a member's vector and its stacked row take the
-    # same FFTs, and the spectrum must stay the multiply's left operand at
-    # every N
-    op = SensingOperator(
-        CirculantOperator.from_spectrum(seqs.random_phase(n, 1)),
-        random_sampling(n, 256, 2), Basis("identity"))
-    y = _rand_vec(256, 0)
-    assert np.array_equal(op.adjoint(y),
-                          StackedOperator.of([op]).adjoint(y[None])[0])
+    # a member's adjoint is its one-member stack's; each row of a stack of
+    # several, with a circulant two members share, must equal it at every
+    # N, as a block of subspace pursuits relies on
+    circs = [CirculantOperator.from_spectrum(seqs.random_phase(n, s))
+             for s in (1, 2)]
+    members = [SensingOperator(circs[c], random_sampling(n, 256, s),
+                               Basis("identity"))
+               for s, c in enumerate((0, 1, 0))]
+    y = np.stack([_rand_vec(256, s) for s in range(len(members))])
+    got = StackedOperator.of(members).adjoint(y)
+    for row, op, y_b in zip(got, members, y):
+        assert np.array_equal(row, op.adjoint(y_b))
 
 
 def test_stacked_adjoint_works_in_one_block():

@@ -213,6 +213,37 @@ def test_sp_block_equals_the_one_problem_reference(basis, kind, sampling):
                     name
 
 
+def test_sp_stops_by_its_stated_rule_on_the_ofdm_reference(monkeypatch):
+    # the documented rule: a problem stops after the first round whose
+    # residual drop is <= 1e-7 of the new residual, or that raised the
+    # residual (reverted, so the drop reads 0), and not before.  Each
+    # problem's residual after round j is its result with the round cap
+    # at j.  The 60 reference trials at every SNR row hold rounds whose
+    # drop is between 1e-7 and 1e-3 (trials 42, 53 and 57 at 0 and 10 dB)
+    cfg = harness.ofdm_reference_config("proposed", trials=60)
+    x = harness.attc_channel(cfg.n)
+    draw = harness._operator_draw(cfg)
+    problems = []
+    for _, _, rng in harness._trial_rngs(cfg.master_seed, cfg.trials):
+        theta = draw(rng)
+        y0 = theta.forward(x)
+        e = harness._noise(rng, cfg.m)
+        problems += [RecoveryProblem(theta, harness._add_noise(y0, e, snr),
+                                     k=cfg.k) for snr in cfg.snr_list]
+    final = subspace_pursuit_block(problems)
+    assert all(res.converged for res in final)
+    capped = []
+    for cap in range(max(res.iterations for res in final)):
+        monkeypatch.setattr(recovery, "_SP_MAX_ITERS", cap)
+        capped.append(subspace_pursuit_block(problems))
+    for b, res in enumerate(final):
+        norms = [capped[j][b].residual_norm for j in range(res.iterations)]
+        norms.append(res.residual_norm)
+        for j in range(1, res.iterations):
+            assert norms[j - 1] - norms[j] > 1e-7 * norms[j], (b, j)
+        assert norms[-2] - norms[-1] <= 1e-7 * norms[-1], b
+
+
 # The OMP that rebuilt its whole support's columns every round, kept
 # verbatim as the bit-for-bit reference for the one that appends a column.
 
