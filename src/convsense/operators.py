@@ -64,10 +64,21 @@ def _circular(spectrum, x: np.ndarray,
 
 
 def _unit_block(n: int, idx: np.ndarray) -> np.ndarray:
-    """Rows ``idx`` of the N x N identity as a (len(idx), N) block."""
-    block = np.zeros((idx.size, n), dtype=np.complex128)
+    """Rows ``idx`` of the N x N identity as a real (len(idx), N) block,
+    for ``StackedOperator.columns`` and ``coherence.mutual_coherence``:
+    ``Basis.apply`` gives real atoms the bits of complex ones' real half."""
+    block = np.zeros((idx.size, n))
     block[np.arange(idx.size), idx] = 1.0
     return block
+
+
+@functools.lru_cache(maxsize=4)
+def _roots(n: int) -> np.ndarray:
+    """The read-only table exp(2j*pi*k/N), k = 0..N-1: one ``exp`` per
+    entry, the same bits as ``exp`` on any integer k mod N."""
+    table = np.exp((2j * np.pi / n) * np.arange(n))
+    table.flags.writeable = False
+    return table
 
 
 @dataclass(frozen=True)
@@ -226,8 +237,9 @@ class Basis:
 
     def apply(self, f: np.ndarray) -> np.ndarray:
         """Psi @ f, for a vector or each row of a (B, N) block.  For the
-        identity basis the result may share memory with ``f``."""
-        f = np.asarray(f, dtype=np.complex128)
+        identity basis the result may share memory with ``f``.  Real
+        input stays real under the identity and DCT bases."""
+        f = np.asarray(f, dtype=float if np.isrealobj(f) else complex)
         if self.kind == "identity":
             return f
         if self.kind == "inverse_fourier":
@@ -383,8 +395,9 @@ class StackedOperator:
         FFT: Theta[:, j] = filter[(rows - j) mod N] / sqrt(M) for the
         identity basis, and, because Fourier vectors are eigenvectors of
         every circulant, Theta[:, j] = exp(2j*pi*rows*j/N) * sigma_j /
-        sqrt(M) for the inverse-Fourier basis.  DCT columns are a forward
-        on an identity block."""
+        sqrt(M) for the inverse-Fourier basis, its phases read from
+        ``_roots``.  DCT columns are a forward on an identity block, its
+        inverse DCT on real atoms (half the work of complex ones)."""
         idx = np.asarray(idx, dtype=np.int64)[:, None, :]
         rows = self.rows[:, :, None]
         circ = self.circ[:, None, None]
@@ -393,11 +406,11 @@ class StackedOperator:
             flat = circ * self.n + (rows - idx) % self.n
             return np.take(self.filters, flat) / np.sqrt(self.m)
         if self.basis.kind == "inverse_fourier":
-            phase = np.exp((2j * np.pi / self.n) * ((rows * idx) % self.n))
+            phase = _roots(self.n)[(rows * idx) % self.n]
             return phase * (self.spectra[circ, idx] / np.sqrt(self.m))
         return np.stack([
             _circular(self.spectra[c], self.basis.apply(
-                _unit_block(self.n, i[0])))[:, r].T
+                _unit_block(self.n, i[0])).astype(np.complex128))[:, r].T
             for c, i, r in zip(self.circ, idx, self.rows)]) / np.sqrt(self.m)
 
 

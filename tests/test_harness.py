@@ -472,6 +472,18 @@ def test_solve_keeps_the_top_k_atoms_of_a_larger_greedy_estimate():
 # phase transitions
 # ---------------------------------------------------------------------------
 
+def test_recovered_means_relative_error_at_most_1e_4():
+    # the documented success test of every noiseless run: a relative error
+    # of 5e-5 is a recovery and one of 2e-4 is not, at any scale of f
+    f, _ = harness._sparse_signal(np.random.default_rng(2), 256, 8)
+    e = np.random.default_rng(3).standard_normal(256) + 0j
+    for scale in (1e-3, 1.0, 1e3):
+        for rel, want in ((5e-5, True), (2e-4, False)):
+            f_hat = scale * (f + e * (rel * np.linalg.norm(f)
+                                      / np.linalg.norm(e)))
+            assert harness._recovered(scale * f, f_hat) is want, (scale, rel)
+
+
 def test_phase_grid_and_infeasible_cells():
     cfg = ExperimentConfig(
         experiment="phase", n=64, m=16, k=2, sequence_kind="golay",

@@ -8,6 +8,7 @@ import scipy.fft
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
+from convsense import operators
 from convsense import sequences as seqs
 from convsense.operators import (Basis, CirculantOperator, SamplingSet,
                                  SensingOperator, StackedOperator,
@@ -440,6 +441,35 @@ def test_stacked_operator_equals_its_members(per_trial, basis_kind):
     with pytest.raises(ValueError, match="share N, M and basis"):
         StackedOperator.of(members[:1] + [SensingOperator(
             golay, random_sampling(n, m + 1, 0), Basis(basis_kind))])
+
+
+def test_roots_table_is_read_only_and_follows_n():
+    # inverse-Fourier columns gather their phases from one cached table
+    # per N; a write must raise, and a later N must not see an earlier N's
+    # table, so columns at 256, 1024 and 256 again equal the formula's
+    assert operators._roots.cache_info().maxsize <= 4
+    with pytest.raises(ValueError, match="read-only"):
+        operators._roots(256)[1] = 0.0
+    for n in (256, 1024, 256):
+        theta = SensingOperator(
+            CirculantOperator.from_spectrum(seqs.random_phase(n, 3)),
+            random_sampling(n, 48, n), Basis("inverse_fourier"))
+        idx = np.random.default_rng(n).choice(n, size=20, replace=False)
+        assert np.array_equal(theta.columns(idx),
+                              _reference_columns(theta, idx))
+
+
+@pytest.mark.parametrize("basis_kind", ["identity", "inverse_fourier",
+                                        "inverse_dct2"])
+def test_no_column_indices_give_an_empty_block(basis_kind):
+    # the edge of every column build: a (B, 0) index block gives a
+    # (B, M, 0) column block, for each basis
+    n, m = 64, 16
+    stack = StackedOperator.of([SensingOperator(
+        CirculantOperator.from_spectrum(seqs.random_phase(n, s)),
+        random_sampling(n, m, s), Basis(basis_kind)) for s in range(3)])
+    got = stack.columns(np.zeros((3, 0), dtype=np.int64))
+    assert got.shape == (3, m, 0) and got.dtype == np.complex128
 
 
 @pytest.mark.parametrize("n", [1024, 16384, 65536])

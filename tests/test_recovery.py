@@ -213,6 +213,42 @@ def test_sp_block_equals_the_one_problem_reference(basis, kind, sampling):
                     name
 
 
+@pytest.mark.parametrize("basis", ["identity", "inverse_fourier",
+                                   "inverse_dct2"])
+def test_sp_round_without_new_atoms_equals_the_reference(basis,
+                                                         monkeypatch):
+    # with every row sampled Theta is unitary, so the noiseless first
+    # support is exact and the ridge leaves the largest correlations of
+    # its residual on that support: a round whose candidates are its
+    # support (K of them, no new atom) must still solve as the reference
+    n, k = 64, 4
+    theta = SensingOperator(
+        CirculantOperator.from_spectrum(seqs.fzc(n, 1)),
+        equispaced_sampling(n, n), Basis(basis))
+    problems = []
+    for seed in range(4):
+        f, _ = harness._sparse_signal(np.random.default_rng(seed), n, k)
+        problems.append(RecoveryProblem(theta, theta.forward(f), k=k))
+    wants = [_reference_subspace_pursuit(p) for p in problems]
+    widths = []
+    columns = StackedOperator.columns
+
+    def counted(self, idx):
+        widths.append(np.shape(idx)[-1])
+        return columns(self, idx)
+    monkeypatch.setattr(StackedOperator, "columns", counted)
+    for seed, (p, want) in enumerate(zip(problems, wants)):
+        widths.clear()
+        got = subspace_pursuit(p)
+        for name in ("f_hat", "support", "iterations", "residual_norm",
+                     "converged"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), \
+                (seed, name)
+        # the first support, then one candidate set per round
+        assert widths[0] == k and len(widths) == got.iterations + 1
+        assert k in widths[1:], seed
+
+
 def test_sp_stops_by_its_stated_rule_on_the_ofdm_reference(monkeypatch):
     # the documented rule: a problem stops after the first round whose
     # residual drop is <= 1e-7 of the new residual, or that raised the
@@ -327,6 +363,37 @@ def test_omp_builds_each_column_once(monkeypatch):
     assert res.iterations == 16 and res.converged
     assert set(res.support.tolist()) == set(support.tolist())
     assert built == [1] * 16
+
+
+def test_omp_stops_at_its_stated_residual():
+    # the documented rule: OMP stops after the first round whose residual
+    # is <= 1e-6 ||y||, and not before.  A weak atom at about 1e-4 of
+    # ||f|| leaves a residual between 1e-6 and 1e-3 of ||y|| until OMP
+    # picks it, so a rule 1000x looser stops a round early.  OMP's picks
+    # do not depend on K, so its residual after round j is its result at
+    # K = j
+    cfg = harness.ExperimentConfig(experiment="omp", n=1024, m=128, k=16,
+                                   sequence_kind="golay",
+                                   basis="inverse_dct2")
+    draw = harness._operator_draw(cfg)
+    weak_rounds = 0
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        theta = draw(rng)
+        f, support = harness._sparse_signal(rng, cfg.n, 8)
+        if seed % 2:
+            f[support[0]] *= 1e-4 * np.linalg.norm(f) / abs(f[support[0]])
+        y = theta.forward(f)
+        ynorm = float(np.linalg.norm(y))
+        res = omp(RecoveryProblem(theta, y, k=cfg.k))
+        norms = [ynorm] + [omp(RecoveryProblem(theta, y, k=j)).residual_norm
+                           for j in range(1, res.iterations + 1)]
+        assert norms[-1] == res.residual_norm
+        assert res.converged and norms[-1] <= 1e-6 * ynorm, seed
+        assert all(r > 1e-6 * ynorm for r in norms[:-1]), seed
+        weak_rounds += any(1e-6 * ynorm < r <= 1e-3 * ynorm
+                           for r in norms[:-1])
+    assert weak_rounds == 3
 
 
 def test_frequency_domain_recovery():
