@@ -295,18 +295,22 @@ def _solve(cfg: ExperimentConfig,
     asked for.  Iterations, residual and convergence flag stay the
     solver's.
 
-    The library's subspace pursuit solves the whole block in lockstep;
-    any other registered solver is called once per problem, in order.
-    The refits of supports of one size are one stacked call of the
-    solvers' own ``_least_squares``; a real refit passes it the real and
-    imaginary parts of the columns and measurements stacked as rows."""
+    The block's operators are stacked once.  The library's subspace
+    pursuit solves the whole stack in lockstep; any other registered
+    solver is called once per problem, in order.  The refits of supports
+    of one size are one stacked call of the solvers' own
+    ``_least_squares`` on a slice of the stack; a real refit passes it
+    the real and imaginary parts of the columns and measurements stacked
+    as rows."""
     solver = SOLVERS[cfg.solver]
     k = cfg.k if k is None else k
     real = bool(cfg.extra.get("real_taps"))
-    problems = [RecoveryProblem(theta, y, k=cfg.k, **cfg.solver_params)
-                for theta, y in block]
-    results = subspace_pursuit_block(problems) \
-        if solver is subspace_pursuit else [solver(p) for p in problems]
+    stack = StackedOperator.of([theta for theta, _ in block])
+    ys = np.stack([y for _, y in block])
+    results = subspace_pursuit_block(stack, ys, cfg.k) \
+        if solver is subspace_pursuit else [
+            solver(RecoveryProblem(theta, y, k=cfg.k, **cfg.solver_params))
+            for theta, y in block]
     refits: Dict[int, List[int]] = {}  # support size -> problems
     for i, res in enumerate(results):
         if cfg.solver == "fista" or real or res.support.size > k:
@@ -315,16 +319,15 @@ def _solve(cfg: ExperimentConfig,
         support = np.stack([
             results[i].support if results[i].support.size <= k
             else _top_indices(np.abs(results[i].f_hat), k) for i in members])
-        cols = StackedOperator.of([block[i][0] for i in members]) \
-            .columns(support)
-        y = np.stack([block[i][1] for i in members])
+        cols = stack[members].columns(support)
+        y = ys[members]
         if real:  # real coefficients: real and imaginary rows stacked
             cols = np.concatenate([cols.real, cols.imag], axis=1)
             y = np.concatenate([y.real, y.imag], axis=1)
         coef = _least_squares(cols, y)
         for j, i in enumerate(members):
             results[i] = dataclasses.replace(
-                results[i], f_hat=_embed(block[i][0].n, support[j], coef[j]),
+                results[i], f_hat=_embed(stack.n, support[j], coef[j]),
                 support=support[j])
     return results
 
@@ -480,14 +483,13 @@ def run_ofdm_experiment(cfg: ExperimentConfig) -> OfdmReport:
     per_block = max(1, _OFDM_BLOCK_PROBLEMS // len(snrs))
     for _ in range(0, cfg.trials, per_block):
         tic = time.perf_counter()
-        trials = []
-        for t, seed, rng in itertools.islice(rngs, per_block):
-            theta = draw(rng)
-            y0 = theta.forward(x)
-            trials.append((t, seed, theta, y0, _noise(rng, y0.size)))
+        trials = [(t, seed, draw(rng), _noise(rng, cfg.m))
+                  for t, seed, rng in itertools.islice(rngs, per_block)]
+        y0s = StackedOperator.of([theta for _, _, theta, _ in trials]) \
+            .forward(np.broadcast_to(x, (len(trials), cfg.n)))
         results = _solve(cfg, [
             (theta, y0 if snr is None else _add_noise(y0, e, snr))
-            for _, _, theta, y0, e in trials for snr in snrs], k)
+            for (_, _, theta, e), y0 in zip(trials, y0s) for snr in snrs], k)
         wall = (time.perf_counter() - tic) / len(results)
         for i, (row, in_snr) in enumerate(zip(recs, in_snrs)):
             row.extend(TrialRecord(

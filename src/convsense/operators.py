@@ -180,9 +180,6 @@ class SamplingSet:
     def m(self) -> int:
         return int(self.indices.size)
 
-    def restrict(self, u: np.ndarray) -> np.ndarray:
-        return u[..., self.indices]
-
 
 def random_sampling(n: int, m: int, seed) -> SamplingSet:
     """M indices uniform without replacement via a partial Fisher-Yates
@@ -266,7 +263,8 @@ class Basis:
 
 @dataclass(frozen=True)
 class SensingOperator:
-    """Theta = (1/sqrt(M)) restrict . A . Psi  (M x N as a matrix)."""
+    """Theta = (1/sqrt(M)) restrict . A . Psi  (M x N as a matrix),
+    applied by its one-member ``StackedOperator``."""
 
     circulant: CirculantOperator
     sampling: SamplingSet
@@ -285,25 +283,19 @@ class SensingOperator:
         return self.sampling.m
 
     def forward(self, f: ArrayLike) -> np.ndarray:
-        """Theta @ f for a length-N vector or each row of a (B, N) block."""
-        u = self.circulant.apply(self.basis.apply(_as_array(f, self.n)))
-        return self.sampling.restrict(u) / np.sqrt(self.m)
+        """Theta @ f for a length-N vector."""
+        return self._stack.forward(_as_array(f)[None])[0]
 
     def adjoint(self, y: ArrayLike) -> np.ndarray:
-        """Theta^* @ y for a length-M vector: its one-member stack's."""
+        """Theta^* @ y for a length-M vector."""
         return self._stack.adjoint(_as_array(y)[None])[0]
 
     # the benchmark tracer spans this name
     forward_batch = forward
 
     def columns(self, idx) -> np.ndarray:
-        """Theta[:, idx] as an M x len(idx) block (``StackedOperator``)."""
-        idx = np.asarray(idx, dtype=np.int64)
-        if idx.ndim != 1:
-            raise ValueError("column indices must be a 1-D vector")
-        if idx.size and (idx.min() < 0 or idx.max() >= self.n):
-            raise ValueError(f"column indices out of range [0, {self.n})")
-        return self._stack.columns(idx[None])[0]
+        """Theta[:, idx] as an M x len(idx) block, for a 1-D ``idx``."""
+        return self._stack.columns(np.asarray(idx, dtype=np.int64)[None])[0]
 
     def matrix(self) -> np.ndarray:
         """Theta as a C-contiguous (M, N) array, built row-wise.
@@ -324,7 +316,10 @@ class SensingOperator:
 
     @functools.cached_property
     def _stack(self) -> "StackedOperator":
-        return StackedOperator.of([self])
+        """Views of the sampling set and circulant: no copy."""
+        c = self.circulant
+        return StackedOperator(self.sampling.indices[None], np.zeros(1, int),
+                               c.spectrum[None], c.filter[None], self.basis)
 
 
 @dataclass(frozen=True)
@@ -335,8 +330,7 @@ class StackedOperator:
     ``spectra`` and ``filters``, shared by the members that share it), so
     per-trial sampling sets and per-trial spectra stack alike, and
     ``stack[sel]`` selects members without copying a spectrum.  Blocks
-    hold a row per member; a member's ``adjoint`` and ``columns`` are its
-    one-member stack's."""
+    hold a row per member."""
 
     rows: np.ndarray     # (B, M)
     circ: np.ndarray     # (B,)
@@ -347,7 +341,13 @@ class StackedOperator:
     @classmethod
     def of(cls, members: TypingSequence[SensingOperator]
            ) -> "StackedOperator":
+        """The stack of ``members``; one member's is its own ``_stack``."""
+        if len(members) == 0:
+            raise ValueError("a stack needs member operators, got an empty "
+                             "member list")
         first = members[0]
+        if len(members) == 1:
+            return first._stack
         if any((op.n, op.m, op.basis) != (first.n, first.m, first.basis)
                for op in members):
             raise ValueError("stacked operators must share N, M and basis")
@@ -374,18 +374,38 @@ class StackedOperator:
     def m(self) -> int:
         return self.rows.shape[1]
 
+    def _require_block(self, x, width: int, what: str) -> None:
+        """Refuse ``x`` unless it is a (B, width) block, naming ``what``."""
+        if np.shape(x) != (len(self), width):
+            raise ValueError(f"expected a ({len(self)}, {width}) block of "
+                             f"{what}, got shape {np.shape(x)}")
+
+    def _spectrum(self, conj: bool):
+        """``_circular``'s spectrum, conjugated for the adjoint: the one
+        spectrum, broadcast, if the stack has one circulant, else each
+        member's in turn (conjugated into one buffer)."""
+        if self.spectra.shape[0] == 1:
+            return np.conj(self.spectra[0]) if conj else self.spectra[0]
+        sigma = np.empty(self.n, dtype=np.complex128)
+        return (np.conj(self.spectra[c], out=sigma) if conj
+                else self.spectra[c] for c in self.circ)
+
+    def forward(self, f: np.ndarray) -> np.ndarray:
+        """Theta_b @ f[b] for every member b: a (B, N) block in, a (B, M)
+        block out, the product done in one complex copy of Psi f."""
+        self._require_block(f, self.n, "coefficients")
+        u = self.basis.apply(f).astype(np.complex128)
+        _circular(self._spectrum(conj=False), u, out=u)
+        return u[np.arange(len(self))[:, None], self.rows] / np.sqrt(self.m)
+
     def adjoint(self, y: np.ndarray) -> np.ndarray:
         """Theta_b^* @ y[b] for every member b: a (B, M) block in, a (B, N)
         block out, each member's product done in place along its row."""
-        b = len(self)
-        if np.shape(y) != (b, self.m):
-            raise ValueError(f"expected a ({b}, {self.m}) block of "
-                             f"measurements, got shape {np.shape(y)}")
-        u = np.zeros((b, self.n), dtype=np.complex128)
-        u[np.arange(b)[:, None], self.rows] = y / np.sqrt(self.m)
-        sigma = np.empty(self.n, dtype=np.complex128)
-        conj = (np.conj(self.spectra[c], out=sigma) for c in self.circ)
-        return self.basis.adjoint(_circular(conj, u, out=u))
+        self._require_block(y, self.m, "measurements")
+        u = np.zeros((len(self), self.n), dtype=np.complex128)
+        u[np.arange(len(self))[:, None], self.rows] = y / np.sqrt(self.m)
+        return self.basis.adjoint(_circular(self._spectrum(conj=True), u,
+                                            out=u))
 
     def columns(self, idx: np.ndarray) -> np.ndarray:
         """Theta_b[:, idx[b]] for every member b: (B, c) indices in, a
@@ -396,22 +416,31 @@ class StackedOperator:
         identity basis, and, because Fourier vectors are eigenvectors of
         every circulant, Theta[:, j] = exp(2j*pi*rows*j/N) * sigma_j /
         sqrt(M) for the inverse-Fourier basis, its phases read from
-        ``_roots``.  DCT columns are a forward on an identity block, its
-        inverse DCT on real atoms (half the work of complex ones)."""
-        idx = np.asarray(idx, dtype=np.int64)[:, None, :]
+        ``_roots``.  DCT columns are one ``forward`` of real unit atoms
+        (half the work of complex ones), a member's repeated c times."""
+        idx = np.asarray(idx, dtype=np.int64)
+        if idx.ndim != 2 or idx.shape[0] != len(self):
+            raise ValueError(f"expected a ({len(self)}, c) block of column "
+                             f"indices, got shape {idx.shape}")
+        if idx.size and (idx.min() < 0 or idx.max() >= self.n):
+            raise ValueError(f"column indices out of range [0, {self.n})")
+        if self.basis.kind == "inverse_dct2":
+            b, c = idx.shape
+            cols = self[np.repeat(np.arange(b), c)].forward(
+                _unit_block(self.n, idx.reshape(-1)))
+            # C-contiguous, as the layout picks the BLAS kernel of the
+            # least squares and so its rounding
+            return np.ascontiguousarray(
+                cols.reshape(b, c, self.m).swapaxes(1, 2))
+        idx = idx[:, None, :]
         rows = self.rows[:, :, None]
         circ = self.circ[:, None, None]
         if self.basis.kind == "identity":
             # one flat index gathers faster than a (circ, position) pair
             flat = circ * self.n + (rows - idx) % self.n
             return np.take(self.filters, flat) / np.sqrt(self.m)
-        if self.basis.kind == "inverse_fourier":
-            phase = _roots(self.n)[(rows * idx) % self.n]
-            return phase * (self.spectra[circ, idx] / np.sqrt(self.m))
-        return np.stack([
-            _circular(self.spectra[c], self.basis.apply(
-                _unit_block(self.n, i[0])).astype(np.complex128))[:, r].T
-            for c, i, r in zip(self.circ, idx, self.rows)]) / np.sqrt(self.m)
+        phase = _roots(self.n)[(rows * idx) % self.n]
+        return phase * (self.spectra[circ, idx] / np.sqrt(self.m))
 
 
 # ---------------------------------------------------------------------------

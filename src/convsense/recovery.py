@@ -2,12 +2,13 @@
 
 All three solve for a SensingOperator Theta and run fully in complex
 arithmetic.  The greedy solvers reach Theta only through its FFT-backed
-``adjoint`` and ``columns`` (subspace pursuit through those of a
-``StackedOperator``, one row per problem: (B, M) residuals in, (B, N)
-correlations out).  FISTA applies Theta as ``matrix()`` when M*N <=
-2^17, one O(MN) product each way per iteration, and above that through
-``forward`` and ``adjoint``, two FFTs and a basis transform each way,
-O(N log N).  Greedy solvers take a sparsity K; FISTA minimizes
+``adjoint`` and ``columns``, those of its one-member stack; subspace
+pursuit solves a ``StackedOperator`` and a (B, M) block of measurements,
+one row per problem: (B, M) residuals in, (B, N) correlations out.
+FISTA applies Theta as ``matrix()`` when M*N <= 2^17, one O(MN) product
+each way per iteration, and above that through ``forward`` and
+``adjoint``, two FFTs and a basis transform each way, O(N log N).
+Greedy solvers take a sparsity K; FISTA minimizes
 0.5*||y - Theta f||^2 + lambda*||f||_1, warm-started along a short
 geometric lambda path down to the posed lambda.  A FISTA stage writes
 only into buffers it makes itself, never into the point it starts from
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence as TypingSequence, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -62,13 +63,20 @@ class RecoveryProblem:
         if not isinstance(self.operator, SensingOperator):
             raise TypeError("operator must be a SensingOperator, got "
                             f"{type(self.operator).__name__}")
-        y = np.ascontiguousarray(self.y, dtype=np.complex128)
-        if y.shape != (self.operator.m,):
-            raise ValueError(f"measurements y must have shape "
-                             f"({self.operator.m},), got {y.shape}")
-        if not np.all(np.isfinite(y)):
-            raise ValueError("measurements y must be finite")
-        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "y",
+                           _measurements(self.y, (self.operator.m,)))
+
+
+def _measurements(y, shape: Tuple[int, ...]) -> np.ndarray:
+    """y as C-contiguous complex128, refused unless finite and of
+    ``shape``."""
+    y = np.ascontiguousarray(y, dtype=np.complex128)
+    if y.shape != shape:
+        raise ValueError(f"measurements y must have shape {shape}, "
+                         f"got {y.shape}")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("measurements y must be finite")
+    return y
 
 
 @dataclass(frozen=True)
@@ -161,44 +169,38 @@ def omp(p: RecoveryProblem) -> RecoveryResult:
                           converged=res <= _OMP_STOP_REL * ynorm)
 
 
-def subspace_pursuit_block(problems: TypingSequence[RecoveryProblem]
+def subspace_pursuit_block(stack: StackedOperator, y: np.ndarray, k: int
                            ) -> List[RecoveryResult]:
-    """Subspace pursuit on B problems in lockstep: keep a size-K support,
+    """Subspace pursuit on the problems (Theta_b, y[b]) of a stack and a
+    (B, M) block, in lockstep: keep a size-K support,
     each round merge in the top-K correlations of the residual (candidate
     <= 2K), least-squares, prune back to K, refit; stop when the residual
     stops decreasing (1e-7 relative) and revert if it increased; at most
     50 rounds.
 
-    The problems share N, M, the basis and K (``StackedOperator``).  A
-    round makes one block adjoint over the problems still running, and one
-    stacked least squares per candidate size for the candidates and one
-    for the pruned supports, so each result is bit for bit the one its
+    A round makes one block adjoint over the problems still running, and
+    one stacked least squares per candidate size for the candidates and
+    one for the pruned supports, so each result is bit for bit the one its
     problem would get alone."""
-    if not problems:
-        return []
-    k = problems[0].k
     if k is None or k < 1:
         raise ValueError("subspace pursuit requires a positive sparsity K")
-    if any(p.k != k for p in problems):
-        raise ValueError("a block of subspace pursuits shares one K")
-    op = StackedOperator.of([p.operator for p in problems])
-    if ROWS_PER_ATOM["sp"] * k > op.m:
+    if ROWS_PER_ATOM["sp"] * k > stack.m:
         raise ValueError(
-            f"candidate least squares needs 2K <= M, got K={k} M={op.m}")
-    y = np.stack([p.y for p in problems])
-    support = _top_indices(np.abs(op.adjoint(y)), k)
-    cols = op.columns(support)
+            f"candidate least squares needs 2K <= M, got K={k} M={stack.m}")
+    y = _measurements(y, (len(stack), stack.m))
+    support = _top_indices(np.abs(stack.adjoint(y)), k)
+    cols = stack.columns(support)
     coef = _least_squares(cols, y)
     r = y - np.matvec(cols, coef)
     rnorm = _norms(r)
-    iterations = np.zeros(len(problems), dtype=np.int64)
-    converged = np.zeros(len(problems), dtype=bool)
-    running = np.arange(len(problems))
+    iterations = np.zeros(len(stack), dtype=np.int64)
+    converged = np.zeros(len(stack), dtype=bool)
+    running = np.arange(len(stack))
     for _ in range(_SP_MAX_ITERS):
         if not running.size:
             break
         iterations[running] += 1
-        top = _top_indices(np.abs(op[running].adjoint(r[running])), k)
+        top = _top_indices(np.abs(stack[running].adjoint(r[running])), k)
         merged = np.sort(np.concatenate((support[running], top), axis=1))
         fresh = np.ones(merged.shape, dtype=bool)
         fresh[:, 1:] = merged[:, 1:] != merged[:, :-1]
@@ -207,7 +209,7 @@ def subspace_pursuit_block(problems: TypingSequence[RecoveryProblem]
             group = sizes == size
             rows = running[group]
             cand = merged[group][fresh[group]].reshape(-1, size)
-            ccols = op[rows].columns(cand)
+            ccols = stack[rows].columns(cand)
             keep = _top_indices(np.abs(_least_squares(ccols, y[rows])), k)
             picked = np.arange(rows.size)[:, None], keep
             # each (M, K) slice column-major, as ccols[:, keep] is for one
@@ -226,16 +228,17 @@ def subspace_pursuit_block(problems: TypingSequence[RecoveryProblem]
             stop = ~down | (moved <= _SP_STOP_REL * np.maximum(nnorm, 1e-300))
             converged[rows[stop]] = True
         running = running[~converged[running]]
-    return [RecoveryResult(f_hat=_embed(op.n, support[b], coef[b]),
+    return [RecoveryResult(f_hat=_embed(stack.n, support[b], coef[b]),
                            support=support[b], iterations=int(iterations[b]),
                            residual_norm=float(rnorm[b]),
                            converged=bool(converged[b]))
-            for b in range(len(problems))]
+            for b in range(len(stack))]
 
 
 def subspace_pursuit(p: RecoveryProblem) -> RecoveryResult:
-    """Subspace pursuit on one problem, ``subspace_pursuit_block([p])[0]``."""
-    return subspace_pursuit_block([p])[0]
+    """Subspace pursuit on one problem, a block of one."""
+    return subspace_pursuit_block(StackedOperator.of([p.operator]),
+                                  p.y[None], p.k)[0]
 
 
 def _step_bound(op: SensingOperator) -> float:

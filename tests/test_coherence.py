@@ -8,7 +8,8 @@ import pytest
 
 import oracles
 from convsense import coherence, sequences as seqs
-from convsense.coherence import (coherence_circulant, autocorrelation_bound_check,
+from convsense.coherence import (CoherenceReport, coherence_circulant,
+                                 autocorrelation_bound_check,
                                  mutual_coherence, bound_table_csv,
                                  bound_table_report, coherence_row,
                                  dct_coherence_report)
@@ -114,6 +115,22 @@ def test_fzc_coherence_exactly_one():
     for n, g in [(64, 1), (255, 2), (256, 3)]:
         rep = coherence_row("fzc", n, {"gamma": g})
         assert rep.mu_observed == pytest.approx(1.0, abs=1e-10)
+
+
+def test_pass_slack_is_rounding_and_no_more():
+    # an observed coherence is an FFT-computed maximum: on the audited
+    # rows that meet their bound it reads at most 7e-16 above it, so 1e-9
+    # of slack passes every rounding, and a row 1e-8 over its bound,
+    # thousands of times any rounding, fails
+    for bound in (1.0, 1.0 + 1.0 / 127, 6.0 * math.sqrt(2.0)):
+        def row(mu):
+            return CoherenceReport(kind="fzc", n=64, mu_observed=mu,
+                                   bound=bound, bound_label="test")
+        assert row(bound + 1e-9).passed
+        assert not row(bound + 1e-8).passed
+    excess = max(r.mu_observed - r.bound for r in bound_table_report(
+        {"fzc": (255, 1024), "m_sequence": (127, 511)}))
+    assert excess <= 1e-12
 
 
 def test_inadmissible_sizes_skip_not_fail():

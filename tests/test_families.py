@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from convsense.operators import (Basis, SensingOperator, build_circulant,
-                                 random_sampling)
+from convsense.operators import (Basis, SensingOperator, StackedOperator,
+                                 build_circulant, random_sampling)
 from convsense.sequences import (FAMILIES, PRIMITIVE_POLYNOMIALS,
                                  extended_polyphase, family, m_sequence,
                                  random_binary, random_phase)
@@ -90,7 +90,7 @@ def test_blocks_match_columns_in_every_basis(kind, data):
         theta = SensingOperator(circ, samp, Basis(basis))
         f = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
         y = rng.standard_normal((3, m)) + 1j * rng.standard_normal((3, m))
-        tf = theta.forward(f)
+        tf = StackedOperator.of([theta] * 3).forward(f)
         assert tf.shape == (3, m)
         for j in range(3):
             np.testing.assert_allclose(

@@ -22,7 +22,8 @@ from convsense.harness import (PAPR_OVERSAMPLE, ExperimentConfig,
                                ofdm_reference_config, papr, read_pgm,
                                run_dct_experiment, run_ofdm_experiment,
                                run_phase_transition, run_recover, trial_seed)
-from convsense.operators import Basis, SensingOperator, random_sampling
+from convsense.operators import (Basis, SensingOperator, StackedOperator,
+                                 random_sampling)
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +314,44 @@ def test_ofdm_blocks_equal_a_per_trial_replay(kind, sampling, solver, snrs,
             np.array_equal(result.support, taps),
             result.iterations)
         assert rec.wall_time > 0
+
+
+@pytest.mark.parametrize("solver", ["sp", "omp", "fista"])
+def test_solve_stacks_its_block_once(solver, monkeypatch):
+    # one StackedOperator.of per _solve: the SP solve and the refits (on
+    # slices of it) share it.  A block of one is its operator's own stack,
+    # the one the trial's forward ran on
+    built, forwarded = [], []
+    of, forward = StackedOperator.of.__func__, StackedOperator.forward
+
+    def counted_of(cls, members):
+        built.append(of(cls, members))
+        return built[-1]
+
+    def spied_forward(self, f):
+        forwarded.append(self)
+        return forward(self, f)
+
+    monkeypatch.setattr(StackedOperator, "of", classmethod(counted_of))
+    monkeypatch.setattr(StackedOperator, "forward", spied_forward)
+    cfg = _small_ofdm_cfg(solver=solver, solver_params={"lam_rel": 0.05}
+                          if solver == "fista" else {})
+    draw = harness._operator_draw(cfg)
+    x = attc_channel(cfg.n)
+    rng = np.random.default_rng(0)
+    block = [(theta, harness._add_noise(theta.forward(x),
+                                        harness._noise(rng, cfg.m), 20.0))
+             for theta in (draw(rng) for _ in range(3))]
+    built.clear()
+    assert len(harness._solve(cfg, block)) == 3
+    assert len(built) == 1 and len(built[0]) == 3
+    theta = draw(rng)
+    forwarded.clear()
+    y = theta.forward(x)
+    built.clear()
+    harness._solve(cfg, [(theta, y)])
+    assert len(built) == len(forwarded) == 1
+    assert built[0] is forwarded[0] is theta._stack
 
 
 @pytest.mark.parametrize("scheme", ["proposed", "baseline"])

@@ -175,9 +175,15 @@ def test_deterministic_and_equispaced_sampling():
 
 
 def test_sampling_restrict():
+    # with A = I (the filter a unit impulse) a stack's forward keeps the
+    # sampled rows of its input, times 1/sqrt(M)
     s = SamplingSet(6, [1, 4])
     x = np.arange(6, dtype=np.complex128)
-    assert np.array_equal(s.restrict(x), [1, 4])
+    impulse = CirculantOperator.from_filter(np.eye(6)[0])
+    stack = StackedOperator.of([SensingOperator(impulse, s,
+                                                Basis("identity"))])
+    assert np.allclose(stack.forward(x[None])[0] * np.sqrt(2), [1, 4],
+                       rtol=0, atol=1e-14)
 
 
 def test_sampling_rejects_bad_shapes():
@@ -285,7 +291,7 @@ def test_forward_batch_matches_single():
     theta = SensingOperator(CirculantOperator.from_spectrum(seqs.fzc(n, 1)),
                             random_sampling(n, m, 2), Basis.inverse_dct2())
     block = np.stack([_rand_vec(n, i) for i in range(3)])
-    got = theta.forward_batch(block)
+    got = StackedOperator.of([theta] * 3).forward(block)
     for i in range(3):
         assert np.allclose(got[i], theta.forward(block[i]), atol=1e-12)
 
@@ -363,8 +369,10 @@ def test_columns_match_forward_batch(circ_name, basis_kind):
         block[np.arange(idx.size), idx] = 1.0
         got = theta.columns(idx)
         assert got.shape == (theta.m, idx.size)
-        np.testing.assert_allclose(got, theta.forward_batch(block).T,
-                                   rtol=0, atol=1e-13)
+        if idx.size:
+            stack = StackedOperator.of([theta] * idx.size)
+            np.testing.assert_allclose(got, stack.forward(block).T,
+                                       rtol=0, atol=1e-13)
 
 
 @pytest.mark.parametrize("basis_kind", ["identity", "inverse_fourier",
@@ -392,6 +400,16 @@ def test_column_block_equals_its_one_column_builds(circ_name, basis_kind):
             assert np.array_equal(theta.columns(idx[:c]), got[:, :c])
 
 
+def _reference_forward(theta, f):
+    """Theta @ f[b] for each row of a (B, N) block by the one-operator
+    chain the stacked forward replaced: Psi, FFT, spectrum, inverse FFT,
+    sqrt(N), the sampled rows, / sqrt(M) (kept as the bit-for-bit
+    reference)."""
+    u = np.fft.fft(theta.basis.apply(np.asarray(f, dtype=np.complex128)))
+    u = np.fft.ifft(theta.circulant.spectrum * u) * np.sqrt(theta.n)
+    return u[..., theta.sampling.indices] / np.sqrt(theta.m)
+
+
 def _reference_columns(theta, idx):
     """Theta[:, idx] by the one-operator formulas the stacked form replaced
     (kept as the bit-for-bit reference)."""
@@ -404,7 +422,7 @@ def _reference_columns(theta, idx):
         return phase * (theta.circulant.spectrum[idx] / np.sqrt(theta.m))
     block = np.zeros((idx.size, theta.n), dtype=np.complex128)
     block[np.arange(idx.size), idx] = 1.0
-    return theta.forward(block).T
+    return _reference_forward(theta, block).T
 
 
 @pytest.mark.parametrize("basis_kind", ["identity", "inverse_fourier",
@@ -488,6 +506,47 @@ def test_stacked_adjoint_equals_the_member_adjoint_at_every_n(n):
         assert np.array_equal(row, op.adjoint(y_b))
 
 
+@pytest.mark.parametrize("circulants", [(0, 1, 0), (0, 0, 0)])
+@pytest.mark.parametrize("n", [1024, 16384, 65536])
+def test_stacked_forward_equals_the_member_forward_at_every_n(n, circulants):
+    # each row of a stacked forward is its member's forward and the
+    # one-operator chain's, bit for bit: on two circulants, one shared
+    # (a spectrum per row), and on one (a spectrum broadcast)
+    circs = [CirculantOperator.from_spectrum(seqs.random_phase(n, s))
+             for s in (1, 2)]
+    rng = np.random.default_rng(n)
+    for basis in ("identity", "inverse_fourier", "inverse_dct2"):
+        members = [SensingOperator(circs[c], random_sampling(n, 256, s),
+                                   Basis(basis))
+                   for s, c in enumerate(circulants)]
+        f = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
+        got = StackedOperator.of(members).forward(f)
+        assert got.shape == (3, 256)
+        for row, op, f_b in zip(got, members, f):
+            assert np.array_equal(row, op.forward(f_b))
+            assert np.array_equal(row, _reference_forward(op, f_b))
+
+
+def test_stacked_forward_works_in_one_block():
+    # the forward's product runs in its one complex copy of Psi f: a
+    # second (B, N) buffer for the FFT, the product, the inverse FFT, the
+    # scale or a gather of the spectra would add 128 KiB here
+    n, m, b = 1024, 64, 8
+    stack = StackedOperator.of([SensingOperator(
+        CirculantOperator.from_spectrum(seqs.random_phase(n, i)),
+        random_sampling(n, m, i), Basis("identity")) for i in range(b)])
+    rng = np.random.default_rng(0)
+    f = rng.standard_normal((b, n)) + 1j * rng.standard_normal((b, n))
+    stack.forward(f)
+    tracemalloc.start()
+    try:
+        stack.forward(f)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * b * n * 16
+
+
 def test_stacked_adjoint_works_in_one_block():
     # the (B, N) result is the only block-sized buffer: a copy of it for
     # the FFT, the product, the inverse FFT, the scale or a gather of the
@@ -525,6 +584,38 @@ def test_adjoints_refuse_measurements_of_the_wrong_shape():
         op.adjoint(np.zeros((2, m)))
     with pytest.raises(ValueError, match=rf"expected a \(1, {m}\) block"):
         op.adjoint(np.zeros(m + 1))
+
+
+def test_stacked_columns_refuse_indices_outside_n():
+    # the identity basis gathers filter[(rows - j) mod N], which would
+    # read -1, N and N + 1 as columns N - 1, 0 and 1
+    n, m = 16, 6
+    op = SensingOperator(CirculantOperator.from_spectrum(seqs.fzc(n, 1)),
+                         random_sampling(n, m, 0), Basis("identity"))
+    stack = StackedOperator.of([op, op])
+    for bad in (-1, n, n + 1):
+        with pytest.raises(ValueError, match=r"out of range \[0, 16\)"):
+            stack.columns(np.array([[0, 1], [2, bad]]))
+    with pytest.raises(ValueError, match=r"expected a \(2, c\) block"):
+        stack.columns(np.array([0, 1]))
+
+
+def test_an_empty_stack_is_refused():
+    with pytest.raises(ValueError, match="empty member list"):
+        StackedOperator.of([])
+
+
+def test_one_member_stack_is_a_view_of_the_member():
+    # no spectrum, filter or sampling copy, and built once: every call on
+    # the member, and StackedOperator.of([op]), shares it
+    op = SensingOperator(CirculantOperator.from_spectrum(seqs.fzc(64, 1)),
+                         random_sampling(64, 16, 0), Basis("identity"))
+    stack = StackedOperator.of([op])
+    assert stack is op._stack and StackedOperator.of([op]) is stack
+    for got, owner in ((stack.spectra, op.circulant.spectrum),
+                       (stack.filters, op.circulant.filter),
+                       (stack.rows, op.sampling.indices)):
+        assert np.shares_memory(got, owner)
 
 
 def test_columns_reject_bad_indices():

@@ -127,6 +127,38 @@ def test_non_finite_measurements_are_refused(bad):
         RecoveryProblem(operator=theta, y=y, k=3)
 
 
+def test_sp_block_refuses_what_a_problem_refuses():
+    # the block solver takes a stack and a (B, M) block, not problems, so
+    # it makes RecoveryProblem's measurement and K checks itself
+    theta, f, support, y = _problem()  # M = 24
+    stack = StackedOperator.of([theta, theta])
+    ys = np.stack([y, y])
+    for bad in (np.nan, np.inf):
+        nonfinite = ys.copy()
+        nonfinite[1, 4] = bad
+        with pytest.raises(ValueError, match="measurements y must be finite"):
+            subspace_pursuit_block(stack, nonfinite, 3)
+    for bad in (y, ys[:1], ys[:, :-1], ys[..., None]):
+        with pytest.raises(ValueError, match=re.escape(
+                f"measurements y must have shape (2, 24), got {bad.shape}")):
+            subspace_pursuit_block(stack, bad, 3)
+    for k in (0, -1):
+        with pytest.raises(ValueError, match="positive sparsity K"):
+            subspace_pursuit_block(stack, ys, k)
+    with pytest.raises(ValueError, match=r"needs 2K <= M, got K=13 M=24"):
+        subspace_pursuit_block(stack, ys, 13)
+    # 2K = M is the largest K it solves
+    assert len(subspace_pursuit_block(stack, ys, 12)) == 2
+
+
+def _sp_block(problems):
+    """Subspace pursuit on a list of problems of one K, as one block on
+    the stack of their operators."""
+    return subspace_pursuit_block(
+        StackedOperator.of([p.operator for p in problems]),
+        np.stack([p.y for p in problems]), problems[0].k)
+
+
 # The one-problem subspace pursuit the lockstep solver replaced, with the
 # helpers it called, kept verbatim as the bit-for-bit reference.
 
@@ -204,7 +236,7 @@ def test_sp_block_equals_the_one_problem_reference(basis, kind, sampling):
     want = [_reference_subspace_pursuit(p) for p in problems]
     assert len({w.iterations for w in want}) > 1
     for b, lo in ((1, 0), (3, 1), (8, 4)):
-        got = subspace_pursuit_block(problems[lo:lo + b])
+        got = _sp_block(problems[lo:lo + b])
         assert len(got) == b
         for g, w in zip(got, want[lo:lo + b]):
             for name in ("f_hat", "support", "iterations", "residual_norm",
@@ -266,12 +298,12 @@ def test_sp_stops_by_its_stated_rule_on_the_ofdm_reference(monkeypatch):
         e = harness._noise(rng, cfg.m)
         problems += [RecoveryProblem(theta, harness._add_noise(y0, e, snr),
                                      k=cfg.k) for snr in cfg.snr_list]
-    final = subspace_pursuit_block(problems)
+    final = _sp_block(problems)
     assert all(res.converged for res in final)
     capped = []
     for cap in range(max(res.iterations for res in final)):
         monkeypatch.setattr(recovery, "_SP_MAX_ITERS", cap)
-        capped.append(subspace_pursuit_block(problems))
+        capped.append(_sp_block(problems))
     for b, res in enumerate(final):
         norms = [capped[j][b].residual_norm for j in range(res.iterations)]
         norms.append(res.residual_norm)
