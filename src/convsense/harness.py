@@ -283,34 +283,27 @@ def _operator_draw(cfg: ExperimentConfig):
     return draw
 
 
-def _solve(cfg: ExperimentConfig,
-           block: List[Tuple[SensingOperator, np.ndarray]],
+def _solve(cfg: ExperimentConfig, stack: StackedOperator, ys: np.ndarray,
            k: Optional[int] = None) -> List[RecoveryResult]:
-    """The one place estimates are formed, one per (Theta, y) problem of
-    the block: solve (with K = cfg.k and cfg.solver_params), keep the k
-    (default cfg.k) largest atoms, and refit once by least squares on
-    them, over real coefficients when cfg.extra["real_taps"] is set.
-    The refit debiases FISTA (GPSR: Figueiredo, Nowak & Wright, 2007); a
-    greedy estimate with at most k atoms stands unless a real refit is
-    asked for.  Iterations, residual and convergence flag stay the
-    solver's.
-
-    The block's operators are stacked once.  The library's subspace
-    pursuit solves the whole stack in lockstep; any other registered
-    solver is called once per problem, in order.  The refits of supports
-    of one size are one stacked call of the solvers' own
-    ``_least_squares`` on a slice of the stack; a real refit passes it
-    the real and imaginary parts of the columns and measurements stacked
-    as rows."""
+    """The one place estimates are formed, one per member of the stack
+    and row of its (B, M) measurements ``ys``: solve (K = cfg.k, with
+    cfg.solver_params), keep the k (default cfg.k) largest atoms and
+    refit once by least squares on them, over real coefficients when
+    cfg.extra["real_taps"] is set.  The refit debiases FISTA (GPSR:
+    Figueiredo, Nowak & Wright, 2007); a greedy estimate with at most k
+    atoms stands unless a real refit is asked for.  Iterations, residual
+    and convergence flag stay the solver's.  Subspace pursuit solves the
+    stack in lockstep, any other solver member by member; the refits of
+    one support size are one ``_least_squares`` on a slice of the
+    stack."""
     solver = SOLVERS[cfg.solver]
     k = cfg.k if k is None else k
     real = bool(cfg.extra.get("real_taps"))
-    stack = StackedOperator.of([theta for theta, _ in block])
-    ys = np.stack([y for _, y in block])
     results = subspace_pursuit_block(stack, ys, cfg.k) \
         if solver is subspace_pursuit else [
-            solver(RecoveryProblem(theta, y, k=cfg.k, **cfg.solver_params))
-            for theta, y in block]
+            solver(RecoveryProblem(stack[b:b + 1], y, k=cfg.k,
+                                   **cfg.solver_params))
+            for b, y in enumerate(ys)]
     refits: Dict[int, List[int]] = {}  # support size -> problems
     for i, res in enumerate(results):
         if cfg.solver == "fista" or real or res.support.size > k:
@@ -485,11 +478,12 @@ def run_ofdm_experiment(cfg: ExperimentConfig) -> OfdmReport:
         tic = time.perf_counter()
         trials = [(t, seed, draw(rng), _noise(rng, cfg.m))
                   for t, seed, rng in itertools.islice(rngs, per_block)]
-        y0s = StackedOperator.of([theta for _, _, theta, _ in trials]) \
-            .forward(np.broadcast_to(x, (len(trials), cfg.n)))
-        results = _solve(cfg, [
-            (theta, y0 if snr is None else _add_noise(y0, e, snr))
-            for (_, _, theta, e), y0 in zip(trials, y0s) for snr in snrs], k)
+        stack = StackedOperator.of([theta for _, _, theta, _ in trials])
+        y0s = stack.forward(np.broadcast_to(x, (len(trials), cfg.n)))
+        ys = np.stack([y0 if snr is None else _add_noise(y0, e, snr)
+                       for (*_, e), y0 in zip(trials, y0s) for snr in snrs])
+        results = _solve(cfg, stack[np.repeat(np.arange(len(trials)),
+                                              len(snrs))], ys, k)
         wall = (time.perf_counter() - tic) / len(results)
         for i, (row, in_snr) in enumerate(zip(recs, in_snrs)):
             row.extend(TrialRecord(
@@ -598,7 +592,8 @@ def run_phase_transition(cfg: ExperimentConfig) -> PhaseReport:
                 for _, _, rng in _trial_rngs(cfg.master_seed, trials):
                     theta = draw(rng, m, basis_kind)
                     f, _ = _sparse_signal(rng, cfg.n, k)
-                    result, = _solve(cell_cfg, [(theta, theta.forward(f))])
+                    result, = _solve(cell_cfg, StackedOperator.of([theta]),
+                                     theta.forward(f)[None])
                     successes += _recovered(f, result.f_hat)
                 cells.append(PhaseCell(basis=basis_kind, k=k, m=m,
                                        trials=cfg.trials,
@@ -619,7 +614,7 @@ def run_recover(cfg: ExperimentConfig) -> Tuple[str, bool]:
     rows, ok = [], True
     for snr in cfg.snr_list or (None,):
         y = y0 if snr is None else _add_noise(y0, _noise(rng, y0.size), snr)
-        result, = _solve(cfg, [(theta, y)])
+        result, = _solve(cfg, StackedOperator.of([theta]), y[None])
         if snr is None and not _recovered(f, result.f_hat):
             ok = False
         rows.append([math.inf if snr is None else snr, cfg.solver,
@@ -736,7 +731,8 @@ def run_dct_experiment(cfg: ExperimentConfig) -> DctReport:
         theta_b = draw_baseline(rng)
         pair = []
         for theta in (theta_p, theta_b):
-            result, = _solve(cfg, [(theta, theta.forward(f_true))])
+            result, = _solve(cfg, StackedOperator.of([theta]),
+                             theta.forward(f_true)[None])
             pair.append((_recovered(f_true, result.f_hat),
                          _output_snr_db(x_ref, basis.apply(result.f_hat)),
                          result.converged))

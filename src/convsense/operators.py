@@ -293,27 +293,6 @@ class SensingOperator:
     # the benchmark tracer spans this name
     forward_batch = forward
 
-    def columns(self, idx) -> np.ndarray:
-        """Theta[:, idx] as an M x len(idx) block, for a 1-D ``idx``."""
-        return self._stack.columns(np.asarray(idx, dtype=np.int64)[None])[0]
-
-    def matrix(self) -> np.ndarray:
-        """Theta as a C-contiguous (M, N) array, built row-wise.
-
-        Row p of A is the filter read backwards from p, so the sampled
-        rows of A, conjugated, are the length-N windows of the reversed,
-        conjugated filter written twice that start at N - 1 - p.  As
-        Psi^T = conj . Psi^* . conj, their block times Psi is one
-        ``basis.adjoint`` on the block's rows, conjugated."""
-        n = self.n
-        rev = np.conj(self.circulant.filter[::-1])
-        windows = np.lib.stride_tricks.sliding_window_view(
-            np.concatenate((rev, rev)), n)
-        theta = self.basis.adjoint(windows[n - 1 - self.sampling.indices])
-        np.conj(theta, out=theta)
-        theta *= 1.0 / np.sqrt(self.m)
-        return theta
-
     @functools.cached_property
     def _stack(self) -> "StackedOperator":
         """Views of the sampling set and circulant: no copy."""
@@ -408,8 +387,8 @@ class StackedOperator:
                                             out=u))
 
     def columns(self, idx: np.ndarray) -> np.ndarray:
-        """Theta_b[:, idx[b]] for every member b: (B, c) indices in, a
-        (B, M, c) block out.
+        """Theta_b[:, idx[b]] for every member b: (B, c) integer indices
+        in, a (B, M, c) block out.
 
         Identity and inverse-Fourier columns have closed forms and need no
         FFT: Theta[:, j] = filter[(rows - j) mod N] / sqrt(M) for the
@@ -418,7 +397,10 @@ class StackedOperator:
         sqrt(M) for the inverse-Fourier basis, its phases read from
         ``_roots``.  DCT columns are one ``forward`` of real unit atoms
         (half the work of complex ones), a member's repeated c times."""
-        idx = np.asarray(idx, dtype=np.int64)
+        idx = np.asarray(idx)
+        if idx.size and idx.dtype.kind not in "iu":
+            raise ValueError(f"column indices must be integers: {idx.dtype}")
+        idx = idx.astype(np.int64, copy=False)
         if idx.ndim != 2 or idx.shape[0] != len(self):
             raise ValueError(f"expected a ({len(self)}, c) block of column "
                              f"indices, got shape {idx.shape}")
@@ -441,6 +423,26 @@ class StackedOperator:
             return np.take(self.filters, flat) / np.sqrt(self.m)
         phase = _roots(self.n)[(rows * idx) % self.n]
         return phase * (self.spectra[circ, idx] / np.sqrt(self.m))
+
+    def matrix(self) -> np.ndarray:
+        """Theta of a one-member stack as a C-contiguous (M, N) array,
+        built row-wise.
+
+        Row p of A is the filter read backwards from p, so the sampled
+        rows of A, conjugated, are the length-N windows of the reversed,
+        conjugated filter written twice that start at N - 1 - p.  As
+        Psi^T = conj . Psi^* . conj, their block times Psi is one
+        ``basis.adjoint`` on the block's rows, conjugated."""
+        if len(self) != 1:
+            raise ValueError(f"matrix() needs one member, got {len(self)}")
+        n = self.n
+        rev = np.conj(self.filters[self.circ[0], ::-1])
+        windows = np.lib.stride_tricks.sliding_window_view(
+            np.concatenate((rev, rev)), n)
+        theta = self.basis.adjoint(windows[n - 1 - self.rows[0]])
+        np.conj(theta, out=theta)
+        theta *= 1.0 / np.sqrt(self.m)
+        return theta
 
 
 # ---------------------------------------------------------------------------

@@ -1,18 +1,15 @@
 """Sparse recovery solvers: OMP, subspace pursuit, and FISTA.
 
-All three solve for a SensingOperator Theta and run fully in complex
-arithmetic.  The greedy solvers reach Theta only through its FFT-backed
-``adjoint`` and ``columns``, those of its one-member stack; subspace
-pursuit solves a ``StackedOperator`` and a (B, M) block of measurements,
-one row per problem: (B, M) residuals in, (B, N) correlations out.
-FISTA applies Theta as ``matrix()`` when M*N <= 2^17, one O(MN) product
-each way per iteration, and above that through ``forward`` and
-``adjoint``, two FFTs and a basis transform each way, O(N log N).
-Greedy solvers take a sparsity K; FISTA minimizes
-0.5*||y - Theta f||^2 + lambda*||f||_1, warm-started along a short
-geometric lambda path down to the posed lambda.  A FISTA stage writes
-only into buffers it makes itself, never into the point it starts from
-or into an array Theta's applications return.
+Each solver computes in complex arithmetic on a ``StackedOperator``: a
+``RecoveryProblem`` holds its Theta as a one-member stack, and subspace
+pursuit also solves a stack of problems in lockstep.  The greedy solvers
+use Theta's FFT-backed ``adjoint`` and ``columns``; FISTA applies
+``matrix()`` when M*N <= 2^17 and ``forward``/``adjoint`` above it.
+Greedy solvers take a sparsity K; FISTA minimizes 0.5*||y - Theta f||^2 +
+lambda*||f||_1, warm-started along a short geometric lambda path down to
+the posed lambda.  A FISTA stage writes only into buffers it makes
+itself, never into the point it starts from or into an array Theta's
+applications return.
 
 Deterministic by construction: correlation and magnitude ties always
 break to the lowest index, and the FISTA step size is read off the
@@ -54,17 +51,22 @@ class RecoveryProblem:
     lambda = lam_rel * max|Theta^* y| (FPC's convention: Hale, Yin &
     Zhang, 2008), so one setting poses every problem alike."""
 
-    operator: SensingOperator
+    operator: StackedOperator
     y: np.ndarray
     k: Optional[int] = None
     lam_rel: float = 1e-4
 
     def __post_init__(self):
-        if not isinstance(self.operator, SensingOperator):
-            raise TypeError("operator must be a SensingOperator, got "
-                            f"{type(self.operator).__name__}")
-        object.__setattr__(self, "y",
-                           _measurements(self.y, (self.operator.m,)))
+        op = self.operator
+        if isinstance(op, SensingOperator):
+            op = StackedOperator.of([op])
+        if not isinstance(op, StackedOperator):
+            raise TypeError("operator must be a SensingOperator or a stack, "
+                            f"got {type(op).__name__}")
+        if len(op) != 1:
+            raise ValueError(f"expected a one-member stack, got {len(op)}")
+        object.__setattr__(self, "operator", op)
+        object.__setattr__(self, "y", _measurements(self.y, (op.m,)))
 
 
 def _measurements(y, shape: Tuple[int, ...]) -> np.ndarray:
@@ -150,13 +152,13 @@ def omp(p: RecoveryProblem) -> RecoveryResult:
     for _ in range(p.k):
         if float(np.linalg.norm(r)) <= _OMP_STOP_REL * ynorm:
             break
-        mags = np.abs(op.adjoint(r))
+        mags = np.abs(op.adjoint(r[None])[0])
         if support:
             mags[np.asarray(support)] = -1.0
         support.append(int(np.argmax(mags)))
         # concatenate keeps the C-contiguous (M, i) layout ``columns``
         # returns; the layout picks the BLAS kernel, and so the rounding
-        cols = np.concatenate((cols, op.columns(support[-1:])), axis=1)
+        cols = np.concatenate((cols, op.columns([support[-1:]])[0]), axis=1)
         coef = _least_squares(cols, y)
         r = y - cols @ coef
         iterations += 1
@@ -237,22 +239,22 @@ def subspace_pursuit_block(stack: StackedOperator, y: np.ndarray, k: int
 
 def subspace_pursuit(p: RecoveryProblem) -> RecoveryResult:
     """Subspace pursuit on one problem, a block of one."""
-    return subspace_pursuit_block(StackedOperator.of([p.operator]),
-                                  p.y[None], p.k)[0]
+    return subspace_pursuit_block(p.operator, p.y[None], p.k)[0]
 
 
-def _step_bound(op: SensingOperator) -> float:
+def _step_bound(op: StackedOperator) -> float:
     """FISTA's L, (N/M) max|sigma|^2 inflated 0.1% (``fista_lasso``)."""
-    return op.n / op.m * float(np.max(np.abs(op.circulant.spectrum) ** 2)) \
+    return op.n / op.m * float(np.max(np.abs(op.spectra[op.circ]) ** 2)) \
         * (1.0 + 1e-3)
 
 
-def _fista_applications(op: SensingOperator) -> Tuple[Callable, Callable]:
-    """The (forward, adjoint) pair FISTA applies Theta by: products with
-    ``op.matrix()`` when M*N <= ``_FISTA_DENSE_MAX``, else the operator's
-    own FFT-backed pair."""
+def _fista_applications(op: StackedOperator) -> Tuple[Callable, Callable]:
+    """The vector (forward, adjoint) pair FISTA applies a one-member
+    stack's Theta by: products with ``op.matrix()`` when M*N <=
+    ``_FISTA_DENSE_MAX``, else the stack's own FFT-backed pair."""
     if op.m * op.n > _FISTA_DENSE_MAX:
-        return op.forward, op.adjoint
+        return (lambda f: op.forward(f[None])[0]), \
+            (lambda r: op.adjoint(r[None])[0])
     theta = op.matrix()
     return (lambda f: theta @ f), (lambda r: np.conj(np.conj(r) @ theta))
 

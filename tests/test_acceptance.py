@@ -18,7 +18,7 @@ from convsense.harness import (ExperimentConfig, audit_gauss,
                                papr, run_dct_experiment,
                                run_ofdm_experiment, run_phase_transition)
 from convsense.operators import (Basis, CirculantOperator, SensingOperator,
-                                 random_sampling)
+                                 StackedOperator, random_sampling)
 
 
 @contextmanager
@@ -117,7 +117,8 @@ def test_05_fft_path_matches_dense():
             theta = SensingOperator(
                 circ, random_sampling(n, m, int(rng.integers(1 << 31))),
                 Basis(bases[rng.integers(3)]))
-            dense = theta.columns(np.arange(n))
+            dense = StackedOperator.of([theta]).columns(
+                np.arange(n)[None])[0]
             x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
             got, want = theta.forward(x), dense @ x
             assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)

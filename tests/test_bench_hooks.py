@@ -67,3 +67,27 @@ def test_tiny_dct_fista_meets_its_quality_floor(monkeypatch):
     assert res.failed == 0, res.why
     # the debiased FISTA solve meets the harness's success test
     assert res.passes == res.checks == 1
+
+
+def test_traced_tiny_round_zero_keeps_its_bytes(monkeypatch):
+    """Round 0 of every workload at the tiny size and seed 0, run under
+    the tracer with its calls built inside it as ``run_paired`` builds
+    them: the pinned digests hold, dct_fista clears its floor, and solver
+    spans are recorded, so a traced run survives a change to the layers
+    it wraps."""
+    tracer = _load("tracing", monkeypatch).Tracer()
+    workloads = _load("workloads", monkeypatch)
+    with open(os.path.join(_PERFBENCH, "digests.json")) as fh:
+        pinned = json.load(fh)["tiny"]
+    for name, workload in workloads.WORKLOADS.items():
+        with tracer.installed():
+            results = [call.run() for call in workload.calls(0, 0, True)]
+        if name == "dct_fista":
+            (res,) = results
+            assert res.failed == 0, res.why
+            assert res.passes == res.checks == 1
+            continue
+        digests = {key: hashlib.sha256(text.encode()).hexdigest()
+                   for res in results for key, text in res.csvs.items()}
+        assert digests == pinned[name], name
+    assert any(span.startswith("recovery.") for span in tracer.names)

@@ -289,9 +289,9 @@ def test_ofdm_blocks_equal_a_per_trial_replay(kind, sampling, solver, snrs,
     sizes = []
     solve = harness._solve
 
-    def counted(cfg, block, k=None):
-        sizes.append(len(block))
-        return solve(cfg, block, k)
+    def counted(cfg, stack, ys, k=None):
+        sizes.append(len(stack))
+        return solve(cfg, stack, ys, k)
 
     monkeypatch.setattr(harness, "_solve", counted)
     report = run_ofdm_experiment(cfg)
@@ -308,7 +308,8 @@ def test_ofdm_blocks_equal_a_per_trial_replay(kind, sampling, solver, snrs,
         if rec.input_snr_db != np.inf:
             y = harness._add_noise(y, harness._noise(rng, cfg.m),
                                    rec.input_snr_db)
-        result, = solve(cfg, [(theta, y)], taps.size)
+        result, = solve(cfg, StackedOperator.of([theta]), y[None],
+                        taps.size)
         assert (rec.output_snr_db, rec.support_exact, rec.iterations) == (
             harness._output_snr_db(x, result.f_hat),
             np.array_equal(result.support, taps),
@@ -318,11 +319,15 @@ def test_ofdm_blocks_equal_a_per_trial_replay(kind, sampling, solver, snrs,
 
 @pytest.mark.parametrize("solver", ["sp", "omp", "fista"])
 def test_solve_stacks_its_block_once(solver, monkeypatch):
-    # one StackedOperator.of per _solve: the SP solve and the refits (on
-    # slices of it) share it.  A block of one is its operator's own stack,
-    # the one the trial's forward ran on
-    built, forwarded = [], []
+    # each block is stacked once, by its runner, and _solve builds no
+    # stack: a 25-trial reference call makes one StackedOperator.of
+    # per block (six of 4 trials, then one of 1), and each block's solve
+    # runs on its trials' stack, one member per SNR row, sharing its
+    # spectra.  A B = 1 runner hands _solve its operator's own stack, the
+    # one the trial's forward ran on
+    built, forwarded, solved = [], [], []
     of, forward = StackedOperator.of.__func__, StackedOperator.forward
+    solve = harness._solve
 
     def counted_of(cls, members):
         built.append(of(cls, members))
@@ -332,26 +337,34 @@ def test_solve_stacks_its_block_once(solver, monkeypatch):
         forwarded.append(self)
         return forward(self, f)
 
+    def spied_solve(cfg, stack, ys, k=None):
+        before = len(built)
+        results = solve(cfg, stack, ys, k)
+        solved.append((stack, len(built) - before))
+        return results
+
+    # FISTA at a lambda it solves in one plain stage of few iterations
+    params = {"lam_rel": 0.5} if solver == "fista" else {}
+    cfg = dataclasses.replace(ofdm_reference_config("proposed", trials=25),
+                              solver=solver, solver_params=params)
     monkeypatch.setattr(StackedOperator, "of", classmethod(counted_of))
     monkeypatch.setattr(StackedOperator, "forward", spied_forward)
-    cfg = _small_ofdm_cfg(solver=solver, solver_params={"lam_rel": 0.05}
-                          if solver == "fista" else {})
-    draw = harness._operator_draw(cfg)
-    x = attc_channel(cfg.n)
-    rng = np.random.default_rng(0)
-    block = [(theta, harness._add_noise(theta.forward(x),
-                                        harness._noise(rng, cfg.m), 20.0))
-             for theta in (draw(rng) for _ in range(3))]
+    monkeypatch.setattr(harness, "_solve", spied_solve)
+    run_ofdm_experiment(cfg)
+    assert [len(stack) for stack in built] == [4] * 6 + [1]
+    assert [(len(stack), made) for stack, made in solved] == \
+        [(16, 0)] * 6 + [(4, 0)]
+    for trials, (stack, _) in zip(built, solved):
+        assert stack.spectra is trials.spectra
+        assert np.array_equal(stack.rows, np.repeat(trials.rows, 4, axis=0))
     built.clear()
-    assert len(harness._solve(cfg, block)) == 3
-    assert len(built) == 1 and len(built[0]) == 3
-    theta = draw(rng)
     forwarded.clear()
-    y = theta.forward(x)
-    built.clear()
-    harness._solve(cfg, [(theta, y)])
-    assert len(built) == len(forwarded) == 1
-    assert built[0] is forwarded[0] is theta._stack
+    solved.clear()
+    run_recover(ExperimentConfig(experiment="recover", n=64, m=32, k=3,
+                                 sequence_kind="golay", solver=solver,
+                                 solver_params=params))
+    assert len(built) == len(solved) == 1
+    assert built[0] is forwarded[0] is solved[0][0]
 
 
 @pytest.mark.parametrize("scheme", ["proposed", "baseline"])
@@ -404,7 +417,8 @@ def test_ofdm_high_snr_rows_equal_the_oracle_refit():
         y = harness._add_noise(y0, harness._noise(rng, y0.size),
                                rec.input_snr_db)
         if rec.index not in tap_cols:
-            tap_cols[rec.index] = theta.columns(taps)
+            tap_cols[rec.index] = \
+                StackedOperator.of([theta]).columns(taps[None])[0]
         cols = tap_cols[rec.index]
         coef, *_ = np.linalg.lstsq(np.vstack([cols.real, cols.imag]),
                                    np.concatenate([y.real, y.imag]),
@@ -496,14 +510,15 @@ def test_solve_keeps_the_top_k_atoms_of_a_larger_greedy_estimate():
     y0 = theta.forward(f)
     y = harness._add_noise(y0, harness._noise(rng, y0.size), 20.0)
     sp = recovery.subspace_pursuit(recovery.RecoveryProblem(theta, y, k=8))
-    result, = harness._solve(cfg, [(theta, y)], 6)
+    stack = StackedOperator.of([theta])
+    result, = harness._solve(cfg, stack, y[None], 6)
     support = np.sort(np.argsort(-np.abs(sp.f_hat), kind="stable")[:6])
     assert np.array_equal(result.support, support)
     expected = oracles.least_squares_on_support(
-        theta.columns(np.arange(theta.n)), y, support)
+        stack.columns(np.arange(theta.n)[None])[0], y, support)
     assert np.allclose(result.f_hat, expected, rtol=0, atol=1e-9)
     # keeping all K atoms, the greedy estimate stands as it is
-    assert np.array_equal(harness._solve(cfg, [(theta, y)])[0].f_hat,
+    assert np.array_equal(harness._solve(cfg, stack, y[None])[0].f_hat,
                           sp.f_hat)
 
 
@@ -870,13 +885,14 @@ def test_fista_refit_is_least_squares_on_the_top_k_support():
     y0 = theta.forward(f)
     y = harness._add_noise(y0, harness._noise(rng, y0.size), 20.0)
     lasso = recovery.fista_lasso(recovery.RecoveryProblem(theta, y))
-    result, = harness._solve(cfg, [(theta, y)])
+    stack = StackedOperator.of([theta])
+    result, = harness._solve(cfg, stack, y[None])
     support = np.sort(np.argsort(-np.abs(lasso.f_hat), kind="stable")[:3])
     assert np.array_equal(result.support, support)
     assert (result.iterations, result.converged) == \
         (lasso.iterations, lasso.converged)
     expected = oracles.least_squares_on_support(
-        theta.columns(np.arange(theta.n)), y, support)
+        stack.columns(np.arange(theta.n)[None])[0], y, support)
     assert np.allclose(result.f_hat, expected, rtol=0, atol=1e-9)
 
 

@@ -256,6 +256,12 @@ def test_inverse_fourier_matches_loop_formula():
 # composed sensing operator
 # ---------------------------------------------------------------------------
 
+def _member_columns(theta, idx):
+    """Theta[:, idx] for a 1-D ``idx``, from the one-member stack of
+    ``theta``."""
+    return StackedOperator.of([theta]).columns(np.asarray(idx)[None])[0]
+
+
 @pytest.mark.parametrize("basis_kind", ["identity", "inverse_fourier",
                                         "inverse_dct2"])
 def test_sensing_forward_matches_dense_chain(basis_kind):
@@ -272,7 +278,8 @@ def test_sensing_forward_matches_dense_chain(basis_kind):
     y = _rand_vec(m, 10)
     assert np.allclose(theta.adjoint(y), dense_chain.conj().T @ y,
                        atol=1e-9)
-    assert np.allclose(theta.columns(np.arange(n)), dense_chain, atol=1e-9)
+    assert np.allclose(_member_columns(theta, np.arange(n)), dense_chain,
+                       atol=1e-9)
 
 
 def test_sensing_adjoint_inner_product_identity():
@@ -307,8 +314,8 @@ def test_matrix_equals_every_column(n, m, domain, basis_kind):
     else:
         circ = CirculantOperator.from_filter(values)
     theta = SensingOperator(circ, random_sampling(n, m, 5), Basis(basis_kind))
-    got = theta.matrix()
-    want = theta.columns(np.arange(n))
+    got = StackedOperator.of([theta]).matrix()
+    want = _member_columns(theta, np.arange(n))
     assert got.shape == (m, n) and got.flags.c_contiguous
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
@@ -338,7 +345,8 @@ def test_matrix_scales_as_the_division_by_sqrt_m(circ_name, basis_kind):
     n = circ.n
     theta = SensingOperator(circ, random_sampling(n, n // 4, 1),
                             Basis(basis_kind))
-    got, want = theta.matrix(), oracles.sensing_matrix(theta)
+    got = StackedOperator.of([theta]).matrix()
+    want = oracles.sensing_matrix(theta)
     assert got.flags.c_contiguous
     assert np.array_equal(got.view(np.float64), want.view(np.float64))
 
@@ -367,7 +375,7 @@ def test_columns_match_forward_batch(circ_name, basis_kind):
         idx = np.asarray(idx, dtype=np.int64)
         block = np.zeros((idx.size, n), dtype=np.complex128)
         block[np.arange(idx.size), idx] = 1.0
-        got = theta.columns(idx)
+        got = _member_columns(theta, idx)
         assert got.shape == (theta.m, idx.size)
         if idx.size:
             stack = StackedOperator.of([theta] * idx.size)
@@ -391,13 +399,15 @@ def test_column_block_equals_its_one_column_builds(circ_name, basis_kind):
     for idx in (rng.permutation(n)[:16], [n - 1, 3, 0, 2, n - 2, 1],
                 rng.permutation(n)[:33].tolist() + [n - 1]):
         idx = np.asarray(idx, dtype=np.int64)
-        got = theta.columns(idx)
+        got = _member_columns(theta, idx)
         one_by_one = np.concatenate(
-            [theta.columns(idx[j:j + 1]) for j in range(idx.size)], axis=1)
+            [_member_columns(theta, idx[j:j + 1]) for j in range(idx.size)],
+            axis=1)
         assert np.array_equal(got, one_by_one)
         # and every leading block, as OMP's block grows
         for c in (1, 2, 5, idx.size - 1):
-            assert np.array_equal(theta.columns(idx[:c]), got[:, :c])
+            assert np.array_equal(_member_columns(theta, idx[:c]),
+                                  got[:, :c])
 
 
 def _reference_forward(theta, f):
@@ -452,7 +462,7 @@ def test_stacked_operator_equals_its_members(per_trial, basis_kind):
         assert np.array_equal(got_adj[i], op.adjoint(y[i]))
         want = _reference_columns(op, idx[i])
         assert np.array_equal(got_cols[i], want)
-        assert np.array_equal(op.columns(idx[i]), want)
+        assert np.array_equal(_member_columns(op, idx[i]), want)
     sel = np.array([3, 0, 9])
     assert np.array_equal(stack[sel].columns(idx[sel]), got_cols[sel])
     assert np.array_equal(stack[sel].adjoint(y[sel]), got_adj[sel])
@@ -473,7 +483,7 @@ def test_roots_table_is_read_only_and_follows_n():
             CirculantOperator.from_spectrum(seqs.random_phase(n, 3)),
             random_sampling(n, 48, n), Basis("inverse_fourier"))
         idx = np.random.default_rng(n).choice(n, size=20, replace=False)
-        assert np.array_equal(theta.columns(idx),
+        assert np.array_equal(_member_columns(theta, idx),
                               _reference_columns(theta, idx))
 
 
@@ -623,7 +633,36 @@ def test_columns_reject_bad_indices():
                             random_sampling(16, 6, 0), Basis("identity"))
     for bad in ([16], [-1], [[0, 1]]):
         with pytest.raises(ValueError):
-            theta.columns(bad)
+            _member_columns(theta, bad)
+
+
+def test_columns_refuse_non_integer_indices():
+    # 1.7, 2.9 and 0.5 were once truncated to columns 1, 2 and 0; an
+    # empty index list (float64 as a bare numpy array) is still no columns
+    op = SensingOperator(CirculantOperator.from_spectrum(seqs.fzc(16, 1)),
+                         random_sampling(16, 6, 0), Basis("identity"))
+    stack = StackedOperator.of([op, op])
+    for sub, bad in ((stack[:1], [[1.7]]), (stack, [[2.9], [0.5]]),
+                     (stack, np.array([[1, 2], [3, 4]], dtype=np.float32)),
+                     (stack, np.array([[True], [False]]))):
+        with pytest.raises(ValueError, match="must be integers"):
+            sub.columns(bad)
+    for empty in ([[]], np.zeros((1, 0))):
+        assert stack[:1].columns(empty).shape == (1, 6, 0)
+
+
+def test_matrix_is_theta_of_a_one_member_stack():
+    # a member sliced out of a stack of two circulants and two sampling
+    # sets gives its own Theta, bit for bit; a stack of two has no one
+    ops = [SensingOperator(
+        CirculantOperator.from_spectrum(seqs.random_phase(16, s)),
+        random_sampling(16, 6, s), Basis("inverse_dct2")) for s in (0, 1)]
+    stack = StackedOperator.of(ops)
+    for b, op in enumerate(ops):
+        assert np.array_equal(stack[b:b + 1].matrix(),
+                              StackedOperator.of([op]).matrix())
+    with pytest.raises(ValueError, match="needs one member, got 2"):
+        stack.matrix()
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,11 @@ def _problem(n=64, m=24, k=3, seed=0, basis="identity", snr_db=None):
     return theta, f, support, y
 
 
+def _dense(theta):
+    """Theta as every column of its one-member stack."""
+    return StackedOperator.of([theta]).columns(np.arange(theta.n)[None])[0]
+
+
 # ---------------------------------------------------------------------------
 # greedy solvers
 # ---------------------------------------------------------------------------
@@ -61,16 +66,14 @@ def test_omp_selects_largest_correlation_first():
 def test_omp_refit_matches_lstsq():
     theta, f, support, y = _problem(seed=2, snr_db=20)
     res = omp(RecoveryProblem(operator=theta, y=y, k=3))
-    want = oracles.least_squares_on_support(
-        theta.columns(np.arange(theta.n)), y, res.support)
+    want = oracles.least_squares_on_support(_dense(theta), y, res.support)
     assert np.allclose(res.f_hat, want, atol=1e-7)
 
 
 def test_sp_refit_matches_lstsq():
     theta, f, support, y = _problem(seed=4, snr_db=20)
     res = subspace_pursuit(RecoveryProblem(operator=theta, y=y, k=3))
-    want = oracles.least_squares_on_support(
-        theta.columns(np.arange(theta.n)), y, res.support)
+    want = oracles.least_squares_on_support(_dense(theta), y, res.support)
     assert np.allclose(res.f_hat, want, atol=1e-7)
 
 
@@ -107,6 +110,41 @@ def test_guards():
 def test_dense_matrix_operator_is_refused():
     with pytest.raises(TypeError, match="SensingOperator"):
         RecoveryProblem(np.eye(4), np.ones(4), k=1)
+
+
+def test_a_problem_holds_one_member_stack():
+    # a SensingOperator is held as its one-member stack, a one-member
+    # stack as it is; a stack of several is not one problem
+    theta, f, support, y = _problem()
+    assert RecoveryProblem(theta, y, k=3).operator is theta._stack
+    stack = StackedOperator.of([theta, theta])
+    member = stack[1:]
+    assert RecoveryProblem(member, y, k=3).operator is member
+    with pytest.raises(ValueError, match="one-member stack, got 2"):
+        RecoveryProblem(stack, y, k=3)
+
+
+@pytest.mark.parametrize("dense", [True, False])
+def test_solvers_apply_theta_only_through_its_stack(dense, monkeypatch):
+    # every solver computes on the problem's stack: with the vector
+    # methods of SensingOperator refusing to run, each solve is unchanged
+    if not dense:
+        monkeypatch.setattr(recovery, "_FISTA_DENSE_MAX", 0)
+    theta, f, support, y = _problem(n=64, m=32, k=3, seed=12,
+                                    basis="inverse_dct2", snr_db=20)
+    cases = [(omp, RecoveryProblem(theta, y, k=3)),
+             (subspace_pursuit, RecoveryProblem(theta, y, k=3)),
+             (fista_lasso, RecoveryProblem(theta, y, lam_rel=1e-3))]
+    wants = [solver(p) for solver, p in cases]
+
+    def refused(*args):
+        raise AssertionError("a solver called a SensingOperator method")
+    for name in ("forward", "adjoint", "forward_batch"):
+        monkeypatch.setattr(SensingOperator, name, refused)
+    for (solver, p), want in zip(cases, wants):
+        got = solver(p)
+        assert np.array_equal(got.f_hat, want.f_hat)
+        assert got.iterations == want.iterations
 
 
 @pytest.mark.parametrize("solver", sorted(SOLVERS))
@@ -151,12 +189,12 @@ def test_sp_block_refuses_what_a_problem_refuses():
     assert len(subspace_pursuit_block(stack, ys, 12)) == 2
 
 
-def _sp_block(problems):
+def _sp_block(thetas, problems):
     """Subspace pursuit on a list of problems of one K, as one block on
-    the stack of their operators."""
-    return subspace_pursuit_block(
-        StackedOperator.of([p.operator for p in problems]),
-        np.stack([p.y for p in problems]), problems[0].k)
+    the stack of their operators ``thetas``."""
+    return subspace_pursuit_block(StackedOperator.of(thetas),
+                                  np.stack([p.y for p in problems]),
+                                  problems[0].k)
 
 
 # The one-problem subspace pursuit the lockstep solver replaced, with the
@@ -179,9 +217,9 @@ def _reference_top_indices(mags, k):
 
 def _reference_subspace_pursuit(p):
     op, y, k = p.operator, p.y, p.k
-    support = np.sort(_reference_top_indices(np.abs(op.adjoint(y)), k)
-                      .astype(np.int64))
-    cols = op.columns(support)
+    support = np.sort(_reference_top_indices(np.abs(op.adjoint(y[None])[0]),
+                                             k).astype(np.int64))
+    cols = op.columns(support[None])[0]
     coef = _reference_least_squares(cols, y)
     r = y - cols @ coef
     rnorm = float(np.linalg.norm(r))
@@ -189,9 +227,9 @@ def _reference_subspace_pursuit(p):
     converged = False
     for _ in range(50):
         iterations += 1
-        cand = np.union1d(support,
-                          _reference_top_indices(np.abs(op.adjoint(r)), k))
-        ccols = op.columns(cand)
+        cand = np.union1d(support, _reference_top_indices(
+            np.abs(op.adjoint(r[None])[0]), k))
+        ccols = op.columns(cand[None])[0]
         ccoef = _reference_least_squares(ccols, y)
         keep = np.sort(_reference_top_indices(np.abs(ccoef), k))
         new_support = cand[keep]
@@ -225,18 +263,18 @@ def test_sp_block_equals_the_one_problem_reference(basis, kind, sampling):
                                    sequence_kind=kind, basis=basis,
                                    sampling_mode=sampling)
     draw = harness._operator_draw(cfg)
-    problems = []
+    thetas, problems = [], []
     for seed in range(12):
         rng = np.random.default_rng(seed)
-        theta = draw(rng)
+        thetas.append(draw(rng))
         f, _ = harness._sparse_signal(rng, cfg.n, cfg.k)
-        y0 = theta.forward(f)
+        y0 = thetas[-1].forward(f)
         y = harness._add_noise(y0, harness._noise(rng, cfg.m), 8.0 + seed)
-        problems.append(RecoveryProblem(theta, y, k=cfg.k))
+        problems.append(RecoveryProblem(thetas[-1], y, k=cfg.k))
     want = [_reference_subspace_pursuit(p) for p in problems]
     assert len({w.iterations for w in want}) > 1
     for b, lo in ((1, 0), (3, 1), (8, 4)):
-        got = _sp_block(problems[lo:lo + b])
+        got = _sp_block(thetas[lo:lo + b], problems[lo:lo + b])
         assert len(got) == b
         for g, w in zip(got, want[lo:lo + b]):
             for name in ("f_hat", "support", "iterations", "residual_norm",
@@ -291,19 +329,20 @@ def test_sp_stops_by_its_stated_rule_on_the_ofdm_reference(monkeypatch):
     cfg = harness.ofdm_reference_config("proposed", trials=60)
     x = harness.attc_channel(cfg.n)
     draw = harness._operator_draw(cfg)
-    problems = []
+    thetas, problems = [], []
     for _, _, rng in harness._trial_rngs(cfg.master_seed, cfg.trials):
         theta = draw(rng)
         y0 = theta.forward(x)
         e = harness._noise(rng, cfg.m)
+        thetas += [theta] * len(cfg.snr_list)
         problems += [RecoveryProblem(theta, harness._add_noise(y0, e, snr),
                                      k=cfg.k) for snr in cfg.snr_list]
-    final = _sp_block(problems)
+    final = _sp_block(thetas, problems)
     assert all(res.converged for res in final)
     capped = []
     for cap in range(max(res.iterations for res in final)):
         monkeypatch.setattr(recovery, "_SP_MAX_ITERS", cap)
-        capped.append(_sp_block(problems))
+        capped.append(_sp_block(thetas, problems))
     for b, res in enumerate(final):
         norms = [capped[j][b].residual_norm for j in range(res.iterations)]
         norms.append(res.residual_norm)
@@ -330,11 +369,11 @@ def _reference_omp(p: RecoveryProblem) -> RecoveryResult:
     for _ in range(p.k):
         if float(np.linalg.norm(r)) <= _OMP_STOP_REL * ynorm:
             break
-        mags = np.abs(op.adjoint(r))
+        mags = np.abs(op.adjoint(r[None])[0])
         if support:
             mags[np.asarray(support)] = -1.0
         support.append(int(np.argmax(mags)))
-        cols = op.columns(np.asarray(support, dtype=np.int64))
+        cols = op.columns(np.asarray(support, dtype=np.int64)[None])[0]
         coef = _least_squares(cols, y)
         r = y - cols @ coef
         iterations += 1
@@ -451,8 +490,8 @@ def test_fista_step_bound_is_the_squared_operator_norm(kind):
                      equispaced_sampling(n, n // 3)):
         for basis in ("identity", "inverse_fourier", "inverse_dct2"):
             theta = SensingOperator(circ, sampling, Basis(basis))
-            norm2 = np.linalg.norm(theta.columns(np.arange(n)), 2) ** 2
-            assert _step_bound(theta) / (1.0 + 1e-3) == \
+            norm2 = np.linalg.norm(_dense(theta), 2) ** 2
+            assert _step_bound(StackedOperator.of([theta])) / (1.0 + 1e-3) == \
                 pytest.approx(norm2, rel=1e-12, abs=0)
 
 
@@ -461,8 +500,24 @@ def test_fista_step_bound_is_safe_for_an_uneven_spectrum():
     # ||Theta||^2, which keeps 1/L a safe step
     for seed in range(3):
         theta, _ = _fista_case("gaussian_filter", seed, None)
-        matrix = theta.columns(np.arange(theta.n))
-        assert _step_bound(theta) >= np.linalg.norm(matrix, 2) ** 2
+        matrix = _dense(theta)
+        assert _step_bound(StackedOperator.of([theta])) >= \
+            np.linalg.norm(matrix, 2) ** 2
+
+
+def test_fista_step_bound_is_the_member_s_own():
+    # a member sliced out of a stack of uneven spectra keeps its own
+    # bound, not the largest in the stack
+    rng = np.random.default_rng(5)
+    ops = [SensingOperator(
+        CirculantOperator.from_filter(scale * rng.standard_normal(64)),
+        random_sampling(64, 32, rng), Basis("identity"))
+        for scale in (1.0, 3.0)]
+    stack = StackedOperator.of(ops)
+    for b, op in enumerate(ops):
+        assert _step_bound(stack[b:b + 1]) == \
+            _step_bound(StackedOperator.of([op]))
+    assert _step_bound(stack[:1]) < _step_bound(stack[1:])
 
 
 def test_fista_recovers_support_and_obeys_kkt():
@@ -507,7 +562,7 @@ def _fista_three_applications(operator, y, lam_rel):
     iterations over all stages; the same iterates up to rounding.
     Returns (f_hat, iterations, converged, restarts), ``converged`` that
     of the last stage."""
-    L = _step_bound(operator)
+    L = _step_bound(StackedOperator.of([operator]))
     top = float(np.max(np.abs(operator.adjoint(y))))
     lam, lam0 = lam_rel * top, 0.5 * top
     lams = [lam] if lam >= lam0 else \
@@ -617,8 +672,21 @@ def test_fista_above_the_dense_cap_solves_alike(basis, monkeypatch):
     dense = [fista_lasso(RecoveryProblem(operator=theta, y=y, lam_rel=1e-3))
              for theta, y in cases]
     monkeypatch.setattr(recovery, "_FISTA_DENSE_MAX", 0)
+    applied = []
+    for name in ("forward", "adjoint"):
+        apply = getattr(StackedOperator, name)
+        monkeypatch.setattr(StackedOperator, name,
+                            lambda self, x, apply=apply, name=name:
+                            applied.append(name) or apply(self, x))
     for (theta, y), want in zip(cases, dense):
-        assert _fista_applications(theta) == (theta.forward, theta.adjoint)
+        # the pair is the stack's own FFT-backed forward and adjoint
+        stack = StackedOperator.of([theta])
+        forward, adjoint = _fista_applications(stack)
+        f = theta.adjoint(y)
+        applied.clear()
+        assert np.array_equal(forward(f), stack.forward(f[None])[0])
+        assert np.array_equal(adjoint(y), stack.adjoint(y[None])[0])
+        assert applied == ["forward"] * 2 + ["adjoint"] * 2
         got = fista_lasso(RecoveryProblem(operator=theta, y=y, lam_rel=1e-3))
         assert (got.iterations, got.converged) == \
             (want.iterations, want.converged)
@@ -668,7 +736,8 @@ def test_fista_stage_matches_the_allocating_stage_bit_for_bit(dense,
         theta, y = _fista_case(basis, 1, 20)
         fista_lasso(RecoveryProblem(operator=theta, y=y, lam_rel=1e-3))
         zeros = np.zeros(theta.n, dtype=np.complex128)
-        checked(_fista_applications(theta), y, _step_bound(theta),
+        stack = StackedOperator.of([theta])
+        checked(_fista_applications(stack), y, _step_bound(stack),
                 1e-3 * float(np.max(np.abs(theta.adjoint(y)))), zeros,
                 theta.forward(zeros), 1e-8, 5)
     # some stage restarted (a forward more than its iterations), and the
@@ -739,13 +808,14 @@ def test_fista_at_a_large_lambda_is_one_plain_stage(basis):
     for seed in range(3):
         theta, f, support, y = _problem(n=64, m=32, k=3, seed=seed,
                                         basis=basis, snr_db=20)
-        pair = _fista_applications(theta)  # the pair fista_lasso uses
+        stack = StackedOperator.of([theta])
+        pair = _fista_applications(stack)  # the pair fista_lasso uses
         top = float(np.max(np.abs(pair[1](y))))
         for lam_rel in (0.5, 0.6, 0.9):  # lambda_0 times 1, 1.2 and 1.8
             res = fista_lasso(RecoveryProblem(operator=theta, y=y,
                                               lam_rel=lam_rel))
             f_ref, _, iterations, converged = _fista_stage(
-                pair, y, _step_bound(theta), lam_rel * top,
+                pair, y, _step_bound(stack), lam_rel * top,
                 np.zeros(64, dtype=np.complex128),
                 np.zeros(32, dtype=np.complex128), 1e-8, 2000)
             assert res.support.size > 0
