@@ -12,8 +12,9 @@ Reproducibility contract
   (1) random sampling indices, (2) random spectrum draws, (3) signal
   support, (4) signal values, (5) baseline spectrum draws, (6) noise.
   Steps that do not apply to a configuration are skipped.  Every
-  experiment draws Theta (steps 1-2 and 5) through ``_operator_draw``
-  and forms every estimate through ``_solve``.
+  experiment draws Theta (steps 1-2 and 5) through ``_operator_draw``,
+  measures on the one stack a block's draws make and forms every
+  estimate through ``_solve`` on that stack.
 * CSV cells are written with the %.12g format (booleans as true/false),
   so identical configs give byte-identical files.  Wall times are kept
   on TrialRecord only and never written to CSV.
@@ -295,7 +296,8 @@ def _solve(cfg: ExperimentConfig, stack: StackedOperator, ys: np.ndarray,
     and convergence flag stay the solver's.  Subspace pursuit solves the
     stack in lockstep, any other solver member by member; the refits of
     one support size are one ``_least_squares`` on a slice of the
-    stack."""
+    stack.  The lockstep test is on the solver, not on cfg.solver, so a
+    fake put in ``SOLVERS["sp"]`` is solved member by member."""
     solver = SOLVERS[cfg.solver]
     k = cfg.k if k is None else k
     real = bool(cfg.extra.get("real_taps"))
@@ -590,10 +592,9 @@ def run_phase_transition(cfg: ExperimentConfig) -> PhaseReport:
                 feasible = ROWS_PER_ATOM.get(cfg.solver, 0) * k <= m
                 trials = cfg.trials if feasible else 0
                 for _, _, rng in _trial_rngs(cfg.master_seed, trials):
-                    theta = draw(rng, m, basis_kind)
+                    stack = StackedOperator.of([draw(rng, m, basis_kind)])
                     f, _ = _sparse_signal(rng, cfg.n, k)
-                    result, = _solve(cell_cfg, StackedOperator.of([theta]),
-                                     theta.forward(f)[None])
+                    result, = _solve(cell_cfg, stack, stack.forward(f[None]))
                     successes += _recovered(f, result.f_hat)
                 cells.append(PhaseCell(basis=basis_kind, k=k, m=m,
                                        trials=cfg.trials,
@@ -605,16 +606,19 @@ def run_recover(cfg: ExperimentConfig) -> Tuple[str, bool]:
     """The recover CSV, one row per input SNR of cfg.snr_list (noiseless
     when empty), and whether every noiseless row meets ``_recovered``.
     One Generator, seeded by cfg.master_seed itself, draws Theta, the
-    signal's support and values, then one noise per SNR in order."""
+    signal's support and values, then one noise per SNR in order.  The
+    rows are one ``_solve`` on Theta's stack repeated per row."""
     _require_experiment(cfg, "recover")
     rng = np.random.default_rng(cfg.master_seed)
-    theta = _operator_draw(cfg)(rng)
+    stack = StackedOperator.of([_operator_draw(cfg)(rng)])
     f, support = _sparse_signal(rng, cfg.n, cfg.k)
-    y0 = theta.forward(f)
+    y0, = stack.forward(f[None])
+    snrs = cfg.snr_list or (None,)
+    ys = np.stack([y0 if snr is None else
+                   _add_noise(y0, _noise(rng, cfg.m), snr) for snr in snrs])
+    results = _solve(cfg, stack[np.zeros(len(snrs), dtype=int)], ys)
     rows, ok = [], True
-    for snr in cfg.snr_list or (None,):
-        y = y0 if snr is None else _add_noise(y0, _noise(rng, y0.size), snr)
-        result, = _solve(cfg, StackedOperator.of([theta]), y[None])
+    for snr, result in zip(snrs, results):
         if snr is None and not _recovered(f, result.f_hat):
             ok = False
         rows.append([math.inf if snr is None else snr, cfg.solver,
@@ -716,6 +720,9 @@ def run_dct_experiment(cfg: ExperimentConfig) -> DctReport:
         if x_img.size != cfg.n:
             raise ValueError(
                 f"image has {x_img.size} pixels but config N={cfg.n}")
+        if not np.any(x_img):
+            raise ValueError(f"image {image_path} is all zero: no output "
+                             f"SNR or relative error can be scored")
 
     outcomes = []
     for _, _, rng in _trial_rngs(cfg.master_seed, cfg.trials):
@@ -728,15 +735,12 @@ def run_dct_experiment(cfg: ExperimentConfig) -> DctReport:
         else:
             x_ref = x_img
             f_true = basis.adjoint(x_ref)
-        theta_b = draw_baseline(rng)
-        pair = []
-        for theta in (theta_p, theta_b):
-            result, = _solve(cfg, StackedOperator.of([theta]),
-                             theta.forward(f_true)[None])
-            pair.append((_recovered(f_true, result.f_hat),
-                         _output_snr_db(x_ref, basis.apply(result.f_hat)),
-                         result.converged))
-        outcomes.append(pair)
+        stack = StackedOperator.of([theta_p, draw_baseline(rng)])
+        results = _solve(cfg, stack,
+                         stack.forward(np.broadcast_to(f_true, (2, cfg.n))))
+        outcomes.append([(_recovered(f_true, result.f_hat),
+                          _output_snr_db(x_ref, basis.apply(result.f_hat)),
+                          result.converged) for result in results])
     compared = 0 if image_path is None else 1
     wins = sum(p[compared] > b[compared] for p, b in outcomes)
     losses = sum(b[compared] > p[compared] for p, b in outcomes)

@@ -263,8 +263,9 @@ class Basis:
 
 @dataclass(frozen=True)
 class SensingOperator:
-    """Theta = (1/sqrt(M)) restrict . A . Psi  (M x N as a matrix),
-    applied by its one-member ``StackedOperator``."""
+    """Theta = (1/sqrt(M)) restrict . A . Psi  (M x N as a matrix), one
+    member of a ``StackedOperator``; its vector ``forward`` and
+    ``adjoint`` build the one-member stack on each call."""
 
     circulant: CirculantOperator
     sampling: SamplingSet
@@ -284,21 +285,14 @@ class SensingOperator:
 
     def forward(self, f: ArrayLike) -> np.ndarray:
         """Theta @ f for a length-N vector."""
-        return self._stack.forward(_as_array(f)[None])[0]
+        return StackedOperator.of([self]).forward(_as_array(f)[None])[0]
 
     def adjoint(self, y: ArrayLike) -> np.ndarray:
         """Theta^* @ y for a length-M vector."""
-        return self._stack.adjoint(_as_array(y)[None])[0]
+        return StackedOperator.of([self]).adjoint(_as_array(y)[None])[0]
 
     # the benchmark tracer spans this name
     forward_batch = forward
-
-    @functools.cached_property
-    def _stack(self) -> "StackedOperator":
-        """Views of the sampling set and circulant: no copy."""
-        c = self.circulant
-        return StackedOperator(self.sampling.indices[None], np.zeros(1, int),
-                               c.spectrum[None], c.filter[None], self.basis)
 
 
 @dataclass(frozen=True)
@@ -320,13 +314,11 @@ class StackedOperator:
     @classmethod
     def of(cls, members: TypingSequence[SensingOperator]
            ) -> "StackedOperator":
-        """The stack of ``members``; one member's is its own ``_stack``."""
+        """The stack of ``members``, each distinct circulant stored once."""
         if len(members) == 0:
             raise ValueError("a stack needs member operators, got an empty "
                              "member list")
         first = members[0]
-        if len(members) == 1:
-            return first._stack
         if any((op.n, op.m, op.basis) != (first.n, first.m, first.basis)
                for op in members):
             raise ValueError("stacked operators must share N, M and basis")

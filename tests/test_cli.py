@@ -514,6 +514,18 @@ def test_exp_dct_image(capsys, tmp_path):
     assert code == 0 and len(out.splitlines()) == 3
 
 
+def test_exp_dct_refuses_an_all_zero_image(capsys, tmp_path):
+    # a black image has no output SNR or relative error (0/0): it was
+    # scored as 0 successes at 300 dB and exited 0
+    path = os.path.join(tmp_path, "black.pgm")
+    with open(path, "wb") as fh:
+        fh.write(b"P5\n8 8\n255\n" + bytes(64))
+    code, out, err = run(capsys, "exp-dct", "--n", "64", "--m", "32",
+                         "--k", "6", "--trials", "4", "--image", path)
+    assert (code, out) == (2, "")
+    assert f"image {path} is all zero" in err
+
+
 # ---------------------------------------------------------------------------
 # every flag changes its run
 # ---------------------------------------------------------------------------

@@ -319,12 +319,14 @@ def test_ofdm_blocks_equal_a_per_trial_replay(kind, sampling, solver, snrs,
 
 @pytest.mark.parametrize("solver", ["sp", "omp", "fista"])
 def test_solve_stacks_its_block_once(solver, monkeypatch):
-    # each block is stacked once, by its runner, and _solve builds no
-    # stack: a 25-trial reference call makes one StackedOperator.of
-    # per block (six of 4 trials, then one of 1), and each block's solve
-    # runs on its trials' stack, one member per SNR row, sharing its
-    # spectra.  A B = 1 runner hands _solve its operator's own stack, the
-    # one the trial's forward ran on
+    # each block is stacked once, by its runner, which runs its one
+    # forward on that stack, and _solve builds no stack: a 25-trial
+    # reference call makes one StackedOperator.of per block (six of 4
+    # trials, then one of 1), and each block's solve runs on its trials'
+    # stack, one member per SNR row, sharing its spectra.  run_recover
+    # makes one of in all and solves on it repeated per SNR row; the DCT
+    # experiment makes one two-member of per trial, (proposed, baseline),
+    # and the phase grid one of per trial, each solved as it is
     built, forwarded, solved = [], [], []
     of, forward = StackedOperator.of.__func__, StackedOperator.forward
     solve = harness._solve
@@ -343,6 +345,20 @@ def test_solve_stacks_its_block_once(solver, monkeypatch):
         solved.append((stack, len(built) - before))
         return results
 
+    def check(run, cfg, sizes, rows_per_member=1):
+        """run(cfg) stacks blocks of ``sizes`` members, forwards each
+        once, and solves each with its members repeated per row."""
+        for log in (built, forwarded, solved):
+            log.clear()
+        run(cfg)
+        assert [len(stack) for stack in built] == sizes
+        assert [made for _, made in solved] == [0] * len(sizes)
+        for trials, (stack, _) in zip(built, solved):
+            assert sum(f is trials for f in forwarded) == 1
+            assert stack.spectra is trials.spectra
+            assert np.array_equal(stack.rows, np.repeat(
+                trials.rows, rows_per_member, axis=0))
+
     # FISTA at a lambda it solves in one plain stage of few iterations
     params = {"lam_rel": 0.5} if solver == "fista" else {}
     cfg = dataclasses.replace(ofdm_reference_config("proposed", trials=25),
@@ -350,21 +366,72 @@ def test_solve_stacks_its_block_once(solver, monkeypatch):
     monkeypatch.setattr(StackedOperator, "of", classmethod(counted_of))
     monkeypatch.setattr(StackedOperator, "forward", spied_forward)
     monkeypatch.setattr(harness, "_solve", spied_solve)
-    run_ofdm_experiment(cfg)
-    assert [len(stack) for stack in built] == [4] * 6 + [1]
+    check(run_ofdm_experiment, cfg, [4] * 6 + [1], rows_per_member=4)
     assert [(len(stack), made) for stack, made in solved] == \
         [(16, 0)] * 6 + [(4, 0)]
-    for trials, (stack, _) in zip(built, solved):
-        assert stack.spectra is trials.spectra
-        assert np.array_equal(stack.rows, np.repeat(trials.rows, 4, axis=0))
-    built.clear()
-    forwarded.clear()
-    solved.clear()
-    run_recover(ExperimentConfig(experiment="recover", n=64, m=32, k=3,
-                                 sequence_kind="golay", solver=solver,
-                                 solver_params=params))
-    assert len(built) == len(solved) == 1
-    assert built[0] is forwarded[0] is solved[0][0]
+    for snrs in ((), (0.0, 10.0, 30.0)):
+        check(run_recover, ExperimentConfig(
+            experiment="recover", n=64, m=32, k=3, sequence_kind="golay",
+            solver=solver, solver_params=params, snr_list=snrs), [1],
+            rows_per_member=len(snrs) or 1)
+    check(run_dct_experiment, ExperimentConfig(
+        experiment="dct", n=64, m=32, k=3, sequence_kind="fzc",
+        basis="inverse_dct2", solver=solver, solver_params=params,
+        trials=3), [2] * 3)
+    check(run_phase_transition, ExperimentConfig(
+        experiment="phase", n=64, m=16, k=2, sequence_kind="golay",
+        solver=solver, solver_params=params, trials=2,
+        extra={"bases": ["identity", "inverse_dct2"], "m_grid": [16, 32]}),
+        [1] * 8)
+
+
+@pytest.mark.parametrize("solver", ["sp", "omp", "fista"])
+def test_runners_apply_theta_only_through_their_stacks(solver, tmp_path,
+                                                       monkeypatch):
+    # every runner measures and solves on the stacks it builds: with the
+    # vector methods of SensingOperator refusing to run, each report is
+    # unchanged
+    path = str(tmp_path / "img.pgm")
+    _write_pgm(path, "P5", np.arange(0, 256, 4).reshape(8, 8))
+    params = {"solver": solver,
+              "solver_params": {"lam_rel": 0.05} if solver == "fista"
+              else {}}
+    dct = dict(experiment="dct", n=64, m=32, k=4, sequence_kind="fzc",
+               basis="inverse_dct2", trials=3, **params)
+    runs = [
+        (run_phase_transition, ExperimentConfig(
+            experiment="phase", n=64, m=16, k=2, sequence_kind="golay",
+            trials=2, extra={"bases": ["identity", "inverse_fourier",
+                                       "inverse_dct2"]}, **params)),
+        (run_recover, ExperimentConfig(
+            experiment="recover", n=64, m=32, k=3, sequence_kind="golay",
+            **params)),
+        (run_recover, ExperimentConfig(
+            experiment="recover", n=64, m=32, k=3, sequence_kind="golay",
+            snr_list=(0.0, 20.0), **params)),
+        (run_dct_experiment, ExperimentConfig(**dct)),
+        (run_dct_experiment, ExperimentConfig(**dct, extra={"image": path})),
+        (run_ofdm_experiment, _small_ofdm_cfg(trials=5, **params)),
+    ]
+    wants = [run(cfg) for run, cfg in runs]
+
+    def refused(*args):
+        raise AssertionError("a runner called a SensingOperator method")
+    for name in ("forward", "adjoint", "forward_batch"):
+        monkeypatch.setattr(SensingOperator, name, refused)
+    for (run, cfg), want in zip(runs, wants):
+        got = run(cfg)
+        if run is run_recover:
+            assert got == want
+        else:
+            assert _report_bytes(got) == _report_bytes(want)
+
+
+def _report_bytes(report) -> str:
+    """Every CSV a runner's report writes."""
+    if isinstance(report, OfdmReport):
+        return report.summary_csv() + report.trials_csv()
+    return report.csv()
 
 
 @pytest.mark.parametrize("scheme", ["proposed", "baseline"])

@@ -615,17 +615,17 @@ def test_an_empty_stack_is_refused():
         StackedOperator.of([])
 
 
-def test_one_member_stack_is_a_view_of_the_member():
-    # no spectrum, filter or sampling copy, and built once: every call on
-    # the member, and StackedOperator.of([op]), shares it
+def test_one_member_stack_holds_the_member():
+    # StackedOperator.of([op]) is built as every stack is: the member's
+    # sampling set, spectrum and filter as one row each, and its basis
     op = SensingOperator(CirculantOperator.from_spectrum(seqs.fzc(64, 1)),
                          random_sampling(64, 16, 0), Basis("identity"))
     stack = StackedOperator.of([op])
-    assert stack is op._stack and StackedOperator.of([op]) is stack
+    assert stack.circ.tolist() == [0] and stack.basis == op.basis
     for got, owner in ((stack.spectra, op.circulant.spectrum),
                        (stack.filters, op.circulant.filter),
                        (stack.rows, op.sampling.indices)):
-        assert np.shares_memory(got, owner)
+        assert np.array_equal(got, owner[None])
 
 
 def test_columns_reject_bad_indices():

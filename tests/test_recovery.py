@@ -113,10 +113,15 @@ def test_dense_matrix_operator_is_refused():
 
 
 def test_a_problem_holds_one_member_stack():
-    # a SensingOperator is held as its one-member stack, a one-member
-    # stack as it is; a stack of several is not one problem
+    # a SensingOperator is held as its one-member stack, field for field
+    # StackedOperator.of([theta]); a one-member stack as it is; a stack
+    # of several is not one problem
     theta, f, support, y = _problem()
-    assert RecoveryProblem(theta, y, k=3).operator is theta._stack
+    held = RecoveryProblem(theta, y, k=3).operator
+    want = StackedOperator.of([theta])
+    for name in ("rows", "circ", "spectra", "filters"):
+        assert np.array_equal(getattr(held, name), getattr(want, name))
+    assert held.basis == want.basis
     stack = StackedOperator.of([theta, theta])
     member = stack[1:]
     assert RecoveryProblem(member, y, k=3).operator is member
