@@ -15,21 +15,22 @@ clears a small multiple of K.
 import numpy as np
 
 from convsense import (Basis, CirculantOperator, ExperimentConfig,
-                       RecoveryProblem, SOLVERS, golay, random_sampling,
-                       run_phase_transition)
-from convsense.operators import SensingOperator
+                       RecoveryProblem, SOLVERS, SensingOperator, golay,
+                       random_sampling, run_phase_transition)
 
 N, M, K, SEED = 256, 64, 5, 7
 
 
 def build_problem(snr_db=None):
     rng = np.random.default_rng(SEED)
-    theta = SensingOperator(CirculantOperator.from_spectrum(golay(N)),
-                            random_sampling(N, M, SEED), Basis("identity"))
+    # Theta for one member: forward and adjoint map blocks of row vectors
+    theta = SensingOperator.from_parts(
+        CirculantOperator.from_spectrum(golay(N)),
+        random_sampling(N, M, SEED), Basis("identity"))
     support = rng.choice(N, size=K, replace=False)
     f = np.zeros(N, dtype=np.complex128)
     f[support] = rng.standard_normal(K) + 1j * rng.standard_normal(K)
-    y = theta.forward(f)
+    y = theta.forward(f[None])[0]
     if snr_db is not None:
         e = rng.standard_normal(M) + 1j * rng.standard_normal(M)
         e *= np.linalg.norm(y) * 10 ** (-snr_db / 20) / np.linalg.norm(e)

@@ -43,7 +43,6 @@ from .operators import (
     SamplingSet,
     Basis,
     SensingOperator,
-    StackedOperator,
     random_sampling,
     equispaced_sampling,
     vector_to_csv,

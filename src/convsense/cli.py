@@ -306,7 +306,9 @@ _COMMON_FLAGS = {
                    help="recovery solver"),
     "snr-list": dict(type=_list_of(float, "value"), default=None,
                      metavar="DB[,DB...]",
-                     help="input SNRs in dB (omit for noiseless)"),
+                     help="input SNRs in dB (omit for noiseless); a list "
+                          "starting below 0 takes the = form, "
+                          "--snr-list=-10,0"),
     "trials": dict(type=_count, default=None,
                    help="number of Monte Carlo trials"),
     "seed": dict(type=int, default=0,

@@ -13,8 +13,8 @@ Reproducibility contract
   support, (4) signal values, (5) baseline spectrum draws, (6) noise.
   Steps that do not apply to a configuration are skipped.  Every
   experiment draws Theta (steps 1-2 and 5) through ``_operator_draw``,
-  measures on the one stack a block's draws make and forms every
-  estimate through ``_solve`` on that stack.
+  measures on the one operator a block's draws concatenate to and forms
+  every estimate through ``_solve`` on it.
 * CSV cells are written with the %.12g format (booleans as true/false),
   so identical configs give byte-identical files.  Wall times are kept
   on TrialRecord only and never written to CSV.
@@ -42,8 +42,7 @@ from . import gauss_sums
 from . import sequences as seqs
 from .coherence import bound_table_report, bound_table_csv, dct_coherence_report
 from .operators import (Basis, build_circulant, equispaced_sampling,
-                        random_sampling, SensingOperator, StackedOperator,
-                        _csv)
+                        random_sampling, SensingOperator, _csv)
 from .recovery import (ROWS_PER_ATOM, RecoveryProblem, RecoveryResult,
                        SOLVERS, _embed, _least_squares, _top_indices,
                        subspace_pursuit, subspace_pursuit_block)
@@ -265,11 +264,15 @@ def _output_snr_db(x: np.ndarray, x_hat: np.ndarray) -> float:
 def _operator_draw(cfg: ExperimentConfig):
     """``draw(rng, m=cfg.m, basis=cfg.basis)``, the one way a trial gets
     its Theta.  What no trial draws is built here once: a deterministic
-    family's circulant and, in equispaced mode, the sampling set of each
-    M.  A draw takes from ``rng`` in the contract's order: random
-    sampling indices first, then a random family's spectrum."""
+    family's circulant rows, which every draw shares, and, in equispaced
+    mode, the sampling set of each M.  A draw takes from ``rng`` in the
+    contract's order: random sampling indices first, then a random
+    family's spectrum."""
     fixed_circ = None if seqs.family(cfg.sequence_kind).random else \
         build_circulant(cfg.sequence_kind, cfg.n, cfg.sequence_params)
+    if fixed_circ is not None:  # (circ, spectra, filters) of every draw
+        shared = (np.zeros(1, dtype=np.int64), fixed_circ.spectrum[None],
+                  fixed_circ.filter[None])
     equispaced = functools.lru_cache(maxsize=None)(
         lambda m: equispaced_sampling(cfg.n, m))
 
@@ -277,14 +280,16 @@ def _operator_draw(cfg: ExperimentConfig):
              basis: str = cfg.basis) -> SensingOperator:
         samp = random_sampling(cfg.n, m, rng) \
             if cfg.sampling_mode == "random" else equispaced(m)
-        circ = fixed_circ if fixed_circ is not None else build_circulant(
-            cfg.sequence_kind, cfg.n, cfg.sequence_params, rng)
-        return SensingOperator(circ, samp, Basis(basis))
+        if fixed_circ is not None:
+            return SensingOperator(samp.indices[None], *shared, Basis(basis))
+        return SensingOperator.from_parts(build_circulant(
+            cfg.sequence_kind, cfg.n, cfg.sequence_params, rng), samp,
+            Basis(basis))
 
     return draw
 
 
-def _solve(cfg: ExperimentConfig, stack: StackedOperator, ys: np.ndarray,
+def _solve(cfg: ExperimentConfig, stack: SensingOperator, ys: np.ndarray,
            k: Optional[int] = None) -> List[RecoveryResult]:
     """The one place estimates are formed, one per member of the stack
     and row of its (B, M) measurements ``ys``: solve (K = cfg.k, with
@@ -480,7 +485,7 @@ def run_ofdm_experiment(cfg: ExperimentConfig) -> OfdmReport:
         tic = time.perf_counter()
         trials = [(t, seed, draw(rng), _noise(rng, cfg.m))
                   for t, seed, rng in itertools.islice(rngs, per_block)]
-        stack = StackedOperator.of([theta for _, _, theta, _ in trials])
+        stack = SensingOperator.concat([theta for _, _, theta, _ in trials])
         y0s = stack.forward(np.broadcast_to(x, (len(trials), cfg.n)))
         ys = np.stack([y0 if snr is None else _add_noise(y0, e, snr)
                        for (*_, e), y0 in zip(trials, y0s) for snr in snrs])
@@ -592,9 +597,9 @@ def run_phase_transition(cfg: ExperimentConfig) -> PhaseReport:
                 feasible = ROWS_PER_ATOM.get(cfg.solver, 0) * k <= m
                 trials = cfg.trials if feasible else 0
                 for _, _, rng in _trial_rngs(cfg.master_seed, trials):
-                    stack = StackedOperator.of([draw(rng, m, basis_kind)])
+                    theta = draw(rng, m, basis_kind)
                     f, _ = _sparse_signal(rng, cfg.n, k)
-                    result, = _solve(cell_cfg, stack, stack.forward(f[None]))
+                    result, = _solve(cell_cfg, theta, theta.forward(f[None]))
                     successes += _recovered(f, result.f_hat)
                 cells.append(PhaseCell(basis=basis_kind, k=k, m=m,
                                        trials=cfg.trials,
@@ -607,16 +612,16 @@ def run_recover(cfg: ExperimentConfig) -> Tuple[str, bool]:
     when empty), and whether every noiseless row meets ``_recovered``.
     One Generator, seeded by cfg.master_seed itself, draws Theta, the
     signal's support and values, then one noise per SNR in order.  The
-    rows are one ``_solve`` on Theta's stack repeated per row."""
+    rows are one ``_solve`` on Theta repeated per row."""
     _require_experiment(cfg, "recover")
     rng = np.random.default_rng(cfg.master_seed)
-    stack = StackedOperator.of([_operator_draw(cfg)(rng)])
+    theta = _operator_draw(cfg)(rng)
     f, support = _sparse_signal(rng, cfg.n, cfg.k)
-    y0, = stack.forward(f[None])
+    y0, = theta.forward(f[None])
     snrs = cfg.snr_list or (None,)
     ys = np.stack([y0 if snr is None else
                    _add_noise(y0, _noise(rng, cfg.m), snr) for snr in snrs])
-    results = _solve(cfg, stack[np.zeros(len(snrs), dtype=int)], ys)
+    results = _solve(cfg, theta[np.zeros(len(snrs), dtype=int)], ys)
     rows, ok = [], True
     for snr, result in zip(snrs, results):
         if snr is None and not _recovered(f, result.f_hat):
@@ -735,7 +740,7 @@ def run_dct_experiment(cfg: ExperimentConfig) -> DctReport:
         else:
             x_ref = x_img
             f_true = basis.adjoint(x_ref)
-        stack = StackedOperator.of([theta_p, draw_baseline(rng)])
+        stack = SensingOperator.concat([theta_p, draw_baseline(rng)])
         results = _solve(cfg, stack,
                          stack.forward(np.broadcast_to(f_true, (2, cfg.n))))
         outcomes.append([(_recovered(f_true, result.f_hat),

@@ -65,7 +65,7 @@ def _circular(spectrum, x: np.ndarray,
 
 def _unit_block(n: int, idx: np.ndarray) -> np.ndarray:
     """Rows ``idx`` of the N x N identity as a real (len(idx), N) block,
-    for ``StackedOperator.columns`` and ``coherence.mutual_coherence``:
+    for ``SensingOperator.columns`` and ``coherence.mutual_coherence``:
     ``Basis.apply`` gives real atoms the bits of complex ones' real half."""
     block = np.zeros((idx.size, n))
     block[np.arange(idx.size), idx] = 1.0
@@ -176,10 +176,6 @@ class SamplingSet:
         srt.flags.writeable = False
         object.__setattr__(self, "indices", srt)
 
-    @property
-    def m(self) -> int:
-        return int(self.indices.size)
-
 
 def random_sampling(n: int, m: int, seed) -> SamplingSet:
     """M indices uniform without replacement via a partial Fisher-Yates
@@ -263,46 +259,13 @@ class Basis:
 
 @dataclass(frozen=True)
 class SensingOperator:
-    """Theta = (1/sqrt(M)) restrict . A . Psi  (M x N as a matrix), one
-    member of a ``StackedOperator``; its vector ``forward`` and
-    ``adjoint`` build the one-member stack on each call."""
-
-    circulant: CirculantOperator
-    sampling: SamplingSet
-    basis: Basis
-
-    def __post_init__(self):
-        if self.sampling.n != self.circulant.n:
-            raise ValueError("sampling set and circulant disagree on N")
-
-    @property
-    def n(self) -> int:
-        return self.circulant.n
-
-    @property
-    def m(self) -> int:
-        return self.sampling.m
-
-    def forward(self, f: ArrayLike) -> np.ndarray:
-        """Theta @ f for a length-N vector."""
-        return StackedOperator.of([self]).forward(_as_array(f)[None])[0]
-
-    def adjoint(self, y: ArrayLike) -> np.ndarray:
-        """Theta^* @ y for a length-M vector."""
-        return StackedOperator.of([self]).adjoint(_as_array(y)[None])[0]
-
-    # the benchmark tracer spans this name
-    forward_batch = forward
-
-
-@dataclass(frozen=True)
-class StackedOperator:
-    """B sensing operators of one N, M and basis, applied together.
+    """Theta = (1/sqrt(M)) restrict . A . Psi  (M x N as a matrix) for
+    B >= 1 members of one N, M and basis, applied together.
 
     Member b samples rows ``rows[b]`` of circulant ``circ[b]`` (a row of
     ``spectra`` and ``filters``, shared by the members that share it), so
     per-trial sampling sets and per-trial spectra stack alike, and
-    ``stack[sel]`` selects members without copying a spectrum.  Blocks
+    ``theta[sel]`` selects members without copying a spectrum.  Blocks
     hold a row per member."""
 
     rows: np.ndarray     # (B, M)
@@ -312,29 +275,42 @@ class StackedOperator:
     basis: Basis
 
     @classmethod
-    def of(cls, members: TypingSequence[SensingOperator]
-           ) -> "StackedOperator":
-        """The stack of ``members``, each distinct circulant stored once."""
-        if len(members) == 0:
-            raise ValueError("a stack needs member operators, got an empty "
-                             "member list")
-        first = members[0]
+    def from_parts(cls, circulant: CirculantOperator, sampling: SamplingSet,
+                   basis: Basis) -> "SensingOperator":
+        """The one-member Theta of a circulant, a sampling set and a basis,
+        holding views of their arrays."""
+        if sampling.n != circulant.n:
+            raise ValueError("sampling set and circulant disagree on N")
+        return cls(sampling.indices[None], np.zeros(1, dtype=np.int64),
+                   circulant.spectrum[None], circulant.filter[None], basis)
+
+    @classmethod
+    def concat(cls, ops: TypingSequence["SensingOperator"]
+               ) -> "SensingOperator":
+        """The members of ``ops`` in order, as one operator: with the one
+        ``spectra`` array they share, if they share one, else with every
+        operator's rows of it in turn."""
+        if len(ops) == 0:
+            raise ValueError("concat got an empty member list")
+        first = ops[0]
         if any((op.n, op.m, op.basis) != (first.n, first.m, first.basis)
-               for op in members):
-            raise ValueError("stacked operators must share N, M and basis")
-        circs = {id(op.circulant): op.circulant for op in members}
-        row_of = {key: i for i, key in enumerate(circs)}
-        return cls(np.stack([op.sampling.indices for op in members]),
-                   np.array([row_of[id(op.circulant)] for op in members]),
-                   np.stack([c.spectrum for c in circs.values()]),
-                   np.stack([c.filter for c in circs.values()]),
-                   first.basis)
+               for op in ops):
+            raise ValueError("operators must share N, M and basis")
+        rows = np.concatenate([op.rows for op in ops])
+        if all(op.spectra is first.spectra for op in ops):
+            return cls(rows, np.concatenate([op.circ for op in ops]),
+                       first.spectra, first.filters, first.basis)
+        starts = np.cumsum([0] + [len(op.spectra) for op in ops[:-1]])
+        return cls(rows, np.concatenate([op.circ + start for op, start
+                                         in zip(ops, starts)]),
+                   np.concatenate([op.spectra for op in ops]),
+                   np.concatenate([op.filters for op in ops]), first.basis)
 
     def __len__(self) -> int:
         return self.rows.shape[0]
 
-    def __getitem__(self, sel) -> "StackedOperator":
-        return StackedOperator(self.rows[sel], self.circ[sel], self.spectra,
+    def __getitem__(self, sel) -> "SensingOperator":
+        return SensingOperator(self.rows[sel], self.circ[sel], self.spectra,
                                self.filters, self.basis)
 
     @property
@@ -353,7 +329,7 @@ class StackedOperator:
 
     def _spectrum(self, conj: bool):
         """``_circular``'s spectrum, conjugated for the adjoint: the one
-        spectrum, broadcast, if the stack has one circulant, else each
+        spectrum, broadcast, if Theta has one circulant, else each
         member's in turn (conjugated into one buffer)."""
         if self.spectra.shape[0] == 1:
             return np.conj(self.spectra[0]) if conj else self.spectra[0]
@@ -368,6 +344,9 @@ class StackedOperator:
         u = self.basis.apply(f).astype(np.complex128)
         _circular(self._spectrum(conj=False), u, out=u)
         return u[np.arange(len(self))[:, None], self.rows] / np.sqrt(self.m)
+
+    # the benchmark tracer spans this name
+    forward_batch = forward
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
         """Theta_b^* @ y[b] for every member b: a (B, M) block in, a (B, N)
@@ -417,7 +396,7 @@ class StackedOperator:
         return phase * (self.spectra[circ, idx] / np.sqrt(self.m))
 
     def matrix(self) -> np.ndarray:
-        """Theta of a one-member stack as a C-contiguous (M, N) array,
+        """Theta of a one-member operator as a C-contiguous (M, N) array,
         built row-wise.
 
         Row p of A is the filter read backwards from p, so the sampled

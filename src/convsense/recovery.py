@@ -1,8 +1,8 @@
 """Sparse recovery solvers: OMP, subspace pursuit, and FISTA.
 
-Each solver computes in complex arithmetic on a ``StackedOperator``: a
-``RecoveryProblem`` holds its Theta as a one-member stack, and subspace
-pursuit also solves a stack of problems in lockstep.  The greedy solvers
+Each solver computes in complex arithmetic on a ``SensingOperator``: a
+``RecoveryProblem`` holds a one-member Theta, and subspace pursuit also
+solves the members of a larger one in lockstep.  The greedy solvers
 use Theta's FFT-backed ``adjoint`` and ``columns``; FISTA applies
 ``matrix()`` when M*N <= 2^17 and ``forward``/``adjoint`` above it.
 Greedy solvers take a sparsity K; FISTA minimizes 0.5*||y - Theta f||^2 +
@@ -24,7 +24,7 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from .operators import SensingOperator, StackedOperator
+from .operators import SensingOperator
 
 _RIDGE = 1e-12
 _OMP_STOP_REL = 1e-6
@@ -51,21 +51,18 @@ class RecoveryProblem:
     lambda = lam_rel * max|Theta^* y| (FPC's convention: Hale, Yin &
     Zhang, 2008), so one setting poses every problem alike."""
 
-    operator: StackedOperator
+    operator: SensingOperator
     y: np.ndarray
     k: Optional[int] = None
     lam_rel: float = 1e-4
 
     def __post_init__(self):
         op = self.operator
-        if isinstance(op, SensingOperator):
-            op = StackedOperator.of([op])
-        if not isinstance(op, StackedOperator):
-            raise TypeError("operator must be a SensingOperator or a stack, "
+        if not isinstance(op, SensingOperator):
+            raise TypeError("operator must be a SensingOperator, "
                             f"got {type(op).__name__}")
         if len(op) != 1:
-            raise ValueError(f"expected a one-member stack, got {len(op)}")
-        object.__setattr__(self, "operator", op)
+            raise ValueError(f"expected a one-member operator, got {len(op)}")
         object.__setattr__(self, "y", _measurements(self.y, (op.m,)))
 
 
@@ -171,10 +168,10 @@ def omp(p: RecoveryProblem) -> RecoveryResult:
                           converged=res <= _OMP_STOP_REL * ynorm)
 
 
-def subspace_pursuit_block(stack: StackedOperator, y: np.ndarray, k: int
+def subspace_pursuit_block(stack: SensingOperator, y: np.ndarray, k: int
                            ) -> List[RecoveryResult]:
-    """Subspace pursuit on the problems (Theta_b, y[b]) of a stack and a
-    (B, M) block, in lockstep: keep a size-K support,
+    """Subspace pursuit on the problems (Theta_b, y[b]) of the members of
+    ``stack`` and a (B, M) block, in lockstep: keep a size-K support,
     each round merge in the top-K correlations of the residual (candidate
     <= 2K), least-squares, prune back to K, refit; stop when the residual
     stops decreasing (1e-7 relative) and revert if it increased; at most
@@ -242,16 +239,16 @@ def subspace_pursuit(p: RecoveryProblem) -> RecoveryResult:
     return subspace_pursuit_block(p.operator, p.y[None], p.k)[0]
 
 
-def _step_bound(op: StackedOperator) -> float:
+def _step_bound(op: SensingOperator) -> float:
     """FISTA's L, (N/M) max|sigma|^2 inflated 0.1% (``fista_lasso``)."""
     return op.n / op.m * float(np.max(np.abs(op.spectra[op.circ]) ** 2)) \
         * (1.0 + 1e-3)
 
 
-def _fista_applications(op: StackedOperator) -> Tuple[Callable, Callable]:
+def _fista_applications(op: SensingOperator) -> Tuple[Callable, Callable]:
     """The vector (forward, adjoint) pair FISTA applies a one-member
-    stack's Theta by: products with ``op.matrix()`` when M*N <=
-    ``_FISTA_DENSE_MAX``, else the stack's own FFT-backed pair."""
+    Theta by: products with ``op.matrix()`` when M*N <=
+    ``_FISTA_DENSE_MAX``, else its own FFT-backed block pair."""
     if op.m * op.n > _FISTA_DENSE_MAX:
         return (lambda f: op.forward(f[None])[0]), \
             (lambda r: op.adjoint(r[None])[0])
@@ -281,6 +278,7 @@ def _fista_stage(theta: Tuple[Callable, Callable], y: np.ndarray, L: float,
     r_re, r_im = r.real, r.imag
     mags = np.empty(f.shape)
     inv_L, tau = 1.0 / L, lam / L
+    floor = max(tau, 1e-300)  # tau / floor <= 1: no overflow at |out| = 0
 
     def objective(f, rf):
         np.subtract(y, rf, out=r)
@@ -293,9 +291,9 @@ def _fista_stage(theta: Tuple[Callable, Callable], y: np.ndarray, L: float,
         np.subtract(rz, y, out=r)
         np.multiply(adjoint(r), inv_L, out=out)
         np.subtract(z, out, out=out)
-        # soft threshold: out * max(1 - tau / max(|out|, 1e-300), 0)
+        # soft threshold: out * max(1 - tau / max(|out|, tau, 1e-300), 0)
         np.abs(out, out=mags)
-        np.maximum(mags, 1e-300, out=mags)
+        np.maximum(mags, floor, out=mags)
         np.divide(tau, mags, out=mags)
         np.subtract(1.0, mags, out=mags)
         np.maximum(mags, 0.0, out=mags)

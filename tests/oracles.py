@@ -233,13 +233,13 @@ def _basis_adjoint_columns(kind: str, g: np.ndarray) -> np.ndarray:
 
 
 def sensing_matrix(op) -> np.ndarray:
-    """Theta of a ``SensingOperator`` built row-wise and scaled by a
-    division by sqrt(M)."""
+    """Theta of a one-member ``SensingOperator`` built row-wise and scaled
+    by a division by sqrt(M)."""
     n = op.n
-    rev = np.conj(op.circulant.filter[::-1])
+    rev = np.conj(op.filters[op.circ[0], ::-1])
     windows = np.lib.stride_tricks.sliding_window_view(
         np.concatenate((rev, rev)), n)
-    rows = windows[n - 1 - op.sampling.indices]
+    rows = windows[n - 1 - op.rows[0]]
     theta = np.ascontiguousarray(
         _basis_adjoint_columns(op.basis.kind, rows.T).T)
     np.conj(theta, out=theta)

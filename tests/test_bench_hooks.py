@@ -91,3 +91,25 @@ def test_traced_tiny_round_zero_keeps_its_bytes(monkeypatch):
                    for res in results for key, text in res.csvs.items()}
         assert digests == pinned[name], name
     assert any(span.startswith("recovery.") for span in tracer.names)
+
+
+def test_traced_solver_rounds_span_theta(monkeypatch):
+    """A traced tiny round 0 of ofdm_ref and phase_grid, its calls built
+    inside the tracer: ``SensingOperator``, whose forward and adjoint the
+    tracer spans, is the Theta every runner and solver applies, so both
+    spans count calls, and the pinned digests hold."""
+    tracing = _load("tracing", monkeypatch)
+    workloads = _load("workloads", monkeypatch)
+    with open(os.path.join(_PERFBENCH, "digests.json")) as fh:
+        pinned = json.load(fh)["tiny"]
+    for name in ("ofdm_ref", "phase_grid"):
+        tracer = tracing.Tracer()
+        with tracer.installed():
+            results = [call.run()
+                       for call in workloads.WORKLOADS[name].calls(0, 0, True)]
+        metrics = tracer.metrics()
+        assert metrics["operators.forward.calls"] > 0, name
+        assert metrics["operators.adjoint.calls"] > 0, name
+        digests = {key: hashlib.sha256(text.encode()).hexdigest()
+                   for res in results for key, text in res.csvs.items()}
+        assert digests == pinned[name], name

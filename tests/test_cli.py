@@ -4,6 +4,7 @@ import functools
 import hashlib
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -320,6 +321,30 @@ def test_recover_random_phase_csv_bytes_pinned(capsys):
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "9e83aaf634f81547e9955a51b4e083144b02e00749fc3eda70ab79ce6cc8aaec")
+
+
+def test_recover_fista_threshold_does_not_overflow(capsys):
+    # at -300 dB lambda / L exceeds 1.8e8, and the soft threshold once
+    # divided it by an exact zero entry floored at 1e-300, which overflows;
+    # the row's bytes are those the run printed beside that warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run(capsys, "recover", "--seq", "golay", "--n", "8",
+                             "--m", "1", "--k", "1", "--solver", "fista",
+                             "--snr-list=-300")
+    assert code == 0, err
+    assert out.splitlines()[1] == \
+        "-300,fista,3.82683432365e+14,false,383,true"
+
+
+def test_negative_snr_list_runs_in_the_equals_form(capsys):
+    # a list starting below 0 is joined to its flag, as docs/formats.md
+    # says
+    code, out, err = run(capsys, "recover", "--n", "64", "--m", "16",
+                         "--k", "2", "--seq", "golay", "--snr-list=-10,0")
+    assert code == 0, err
+    assert [row.split(",")[0] for row in out.splitlines()[1:]] == \
+        ["-10", "0"]
 
 
 def test_recover_infeasible_shape_is_usage_error(capsys):

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from convsense.operators import (Basis, SensingOperator, StackedOperator,
-                                 build_circulant, random_sampling)
+from convsense.operators import (Basis, SensingOperator, build_circulant,
+                                 random_sampling)
 from convsense.sequences import (FAMILIES, PRIMITIVE_POLYNOMIALS,
                                  extended_polyphase, family, m_sequence,
                                  random_binary, random_phase)
@@ -68,11 +68,11 @@ def test_adjoint_identity_in_every_basis(kind, data):
     rng = np.random.default_rng(m)
     samp = random_sampling(n, m, rng)
     for basis in _BASES:
-        theta = SensingOperator(circ, samp, Basis(basis))
+        theta = SensingOperator.from_parts(circ, samp, Basis(basis))
         f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         y = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-        tf = theta.forward(f)
-        lhs, rhs = np.vdot(tf, y), np.vdot(f, theta.adjoint(y))
+        tf = theta.forward(f[None])[0]
+        lhs, rhs = np.vdot(tf, y), np.vdot(f, theta.adjoint(y[None])[0])
         assert abs(lhs - rhs) <= 1e-10 * np.linalg.norm(tf) \
             * np.linalg.norm(y)
 
@@ -87,17 +87,17 @@ def test_blocks_match_columns_in_every_basis(kind, data):
     rng = np.random.default_rng(n + m)
     samp = random_sampling(n, m, rng)
     for basis in _BASES:
-        theta = SensingOperator(circ, samp, Basis(basis))
+        theta = SensingOperator.from_parts(circ, samp, Basis(basis))
         f = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
         y = rng.standard_normal((3, m)) + 1j * rng.standard_normal((3, m))
-        tf = StackedOperator.of([theta] * 3).forward(f)
+        tf = SensingOperator.concat([theta] * 3).forward(f)
         assert tf.shape == (3, m)
         for j in range(3):
             np.testing.assert_allclose(
-                tf[j], theta.forward(f[j]), rtol=0,
+                tf[j], theta.forward(f[j:j + 1])[0], rtol=0,
                 atol=1e-12 * max(1.0, np.max(np.abs(tf))))
         # trace<Theta F, Y> = trace<F, Theta^* Y>
-        ty = np.stack([theta.adjoint(row) for row in y])
+        ty = np.stack([theta.adjoint(row[None])[0] for row in y])
         lhs, rhs = np.vdot(tf, y), np.vdot(f, ty)
         assert abs(lhs - rhs) <= 1e-10 * np.linalg.norm(tf) \
             * np.linalg.norm(y)

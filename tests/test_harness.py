@@ -22,8 +22,7 @@ from convsense.harness import (PAPR_OVERSAMPLE, ExperimentConfig,
                                ofdm_reference_config, papr, read_pgm,
                                run_dct_experiment, run_ofdm_experiment,
                                run_phase_transition, run_recover, trial_seed)
-from convsense.operators import (Basis, SensingOperator, StackedOperator,
-                                 random_sampling)
+from convsense.operators import Basis, SensingOperator, random_sampling
 
 
 # ---------------------------------------------------------------------------
@@ -304,12 +303,11 @@ def test_ofdm_blocks_equal_a_per_trial_replay(kind, sampling, solver, snrs,
     for rec in report.records:
         rng = np.random.default_rng(rec.seed)
         theta = draw(rng)
-        y = theta.forward(x)
+        y = theta.forward(x[None])[0]
         if rec.input_snr_db != np.inf:
             y = harness._add_noise(y, harness._noise(rng, cfg.m),
                                    rec.input_snr_db)
-        result, = solve(cfg, StackedOperator.of([theta]), y[None],
-                        taps.size)
+        result, = solve(cfg, theta, y[None], taps.size)
         assert (rec.output_snr_db, rec.support_exact, rec.iterations) == (
             harness._output_snr_db(x, result.f_hat),
             np.array_equal(result.support, taps),
@@ -319,119 +317,86 @@ def test_ofdm_blocks_equal_a_per_trial_replay(kind, sampling, solver, snrs,
 
 @pytest.mark.parametrize("solver", ["sp", "omp", "fista"])
 def test_solve_stacks_its_block_once(solver, monkeypatch):
-    # each block is stacked once, by its runner, which runs its one
-    # forward on that stack, and _solve builds no stack: a 25-trial
-    # reference call makes one StackedOperator.of per block (six of 4
+    # each block of draws is concatenated once, by its runner, which runs
+    # its one forward on that operator, and _solve concatenates nothing:
+    # a 25-trial reference call makes one concat per block (six of 4
     # trials, then one of 1), and each block's solve runs on its trials'
-    # stack, one member per SNR row, sharing its spectra.  run_recover
-    # makes one of in all and solves on it repeated per SNR row; the DCT
-    # experiment makes one two-member of per trial, (proposed, baseline),
-    # and the phase grid one of per trial, each solved as it is
+    # operator, one member per SNR row, sharing its spectra; the DCT
+    # experiment makes one two-member concat per trial, (proposed,
+    # baseline).  run_recover and the phase grid concatenate nothing: each
+    # forwards a draw once and solves on it, in run_recover repeated per
+    # SNR row.  A Golay block holds one spectra row, a random-phase block
+    # one per member
     built, forwarded, solved = [], [], []
-    of, forward = StackedOperator.of.__func__, StackedOperator.forward
-    solve = harness._solve
+    concat = SensingOperator.concat.__func__
+    forward, solve = SensingOperator.forward, harness._solve
 
-    def counted_of(cls, members):
-        built.append(of(cls, members))
+    def counted_concat(cls, ops):
+        built.append(concat(cls, ops))
         return built[-1]
 
     def spied_forward(self, f):
-        forwarded.append(self)
+        if not solving:  # the forwards of DCT columns are _solve's own
+            forwarded.append(self)
         return forward(self, f)
 
+    solving = False
+
     def spied_solve(cfg, stack, ys, k=None):
-        before = len(built)
-        results = solve(cfg, stack, ys, k)
+        nonlocal solving
+        before, solving = len(built), True
+        try:
+            results = solve(cfg, stack, ys, k)
+        finally:
+            solving = False
         solved.append((stack, len(built) - before))
         return results
 
-    def check(run, cfg, sizes, rows_per_member=1):
-        """run(cfg) stacks blocks of ``sizes`` members, forwards each
-        once, and solves each with its members repeated per row."""
+    def check(run, cfg, sizes, concats, rows_per_member=1):
+        """run(cfg) forwards blocks of ``sizes`` members once each, each
+        made by one concat if ``concats``, else by none, and solves each
+        with its members repeated per row."""
         for log in (built, forwarded, solved):
             log.clear()
         run(cfg)
-        assert [len(stack) for stack in built] == sizes
+        assert [len(block) for block in forwarded] == sizes
+        assert len(built) == (len(sizes) if concats else 0)
+        assert all(op is block for op, block in zip(built, forwarded))
         assert [made for _, made in solved] == [0] * len(sizes)
-        for trials, (stack, _) in zip(built, solved):
-            assert sum(f is trials for f in forwarded) == 1
-            assert stack.spectra is trials.spectra
+        for block, (stack, _) in zip(forwarded, solved):
+            assert stack.spectra is block.spectra
             assert np.array_equal(stack.rows, np.repeat(
-                trials.rows, rows_per_member, axis=0))
+                block.rows, rows_per_member, axis=0))
 
     # FISTA at a lambda it solves in one plain stage of few iterations
     params = {"lam_rel": 0.5} if solver == "fista" else {}
-    cfg = dataclasses.replace(ofdm_reference_config("proposed", trials=25),
-                              solver=solver, solver_params=params)
-    monkeypatch.setattr(StackedOperator, "of", classmethod(counted_of))
-    monkeypatch.setattr(StackedOperator, "forward", spied_forward)
+    monkeypatch.setattr(SensingOperator, "concat",
+                        classmethod(counted_concat))
+    monkeypatch.setattr(SensingOperator, "forward", spied_forward)
     monkeypatch.setattr(harness, "_solve", spied_solve)
-    check(run_ofdm_experiment, cfg, [4] * 6 + [1], rows_per_member=4)
-    assert [(len(stack), made) for stack, made in solved] == \
-        [(16, 0)] * 6 + [(4, 0)]
+    for scheme, trials, sizes in (("proposed", 25, [4] * 6 + [1]),
+                                  ("baseline", 5, [4, 1])):
+        cfg = dataclasses.replace(ofdm_reference_config(scheme, trials),
+                                  solver=solver, solver_params=params)
+        check(run_ofdm_experiment, cfg, sizes, True, rows_per_member=4)
+        assert [(len(stack), made) for stack, made in solved] == \
+            [(4 * size, 0) for size in sizes]
+        assert [len(block.spectra) for block in built] == \
+            ([1] * len(sizes) if scheme == "proposed" else sizes)
     for snrs in ((), (0.0, 10.0, 30.0)):
         check(run_recover, ExperimentConfig(
             experiment="recover", n=64, m=32, k=3, sequence_kind="golay",
             solver=solver, solver_params=params, snr_list=snrs), [1],
-            rows_per_member=len(snrs) or 1)
+            False, rows_per_member=len(snrs) or 1)
     check(run_dct_experiment, ExperimentConfig(
         experiment="dct", n=64, m=32, k=3, sequence_kind="fzc",
         basis="inverse_dct2", solver=solver, solver_params=params,
-        trials=3), [2] * 3)
+        trials=3), [2] * 3, True)
     check(run_phase_transition, ExperimentConfig(
         experiment="phase", n=64, m=16, k=2, sequence_kind="golay",
         solver=solver, solver_params=params, trials=2,
         extra={"bases": ["identity", "inverse_dct2"], "m_grid": [16, 32]}),
-        [1] * 8)
-
-
-@pytest.mark.parametrize("solver", ["sp", "omp", "fista"])
-def test_runners_apply_theta_only_through_their_stacks(solver, tmp_path,
-                                                       monkeypatch):
-    # every runner measures and solves on the stacks it builds: with the
-    # vector methods of SensingOperator refusing to run, each report is
-    # unchanged
-    path = str(tmp_path / "img.pgm")
-    _write_pgm(path, "P5", np.arange(0, 256, 4).reshape(8, 8))
-    params = {"solver": solver,
-              "solver_params": {"lam_rel": 0.05} if solver == "fista"
-              else {}}
-    dct = dict(experiment="dct", n=64, m=32, k=4, sequence_kind="fzc",
-               basis="inverse_dct2", trials=3, **params)
-    runs = [
-        (run_phase_transition, ExperimentConfig(
-            experiment="phase", n=64, m=16, k=2, sequence_kind="golay",
-            trials=2, extra={"bases": ["identity", "inverse_fourier",
-                                       "inverse_dct2"]}, **params)),
-        (run_recover, ExperimentConfig(
-            experiment="recover", n=64, m=32, k=3, sequence_kind="golay",
-            **params)),
-        (run_recover, ExperimentConfig(
-            experiment="recover", n=64, m=32, k=3, sequence_kind="golay",
-            snr_list=(0.0, 20.0), **params)),
-        (run_dct_experiment, ExperimentConfig(**dct)),
-        (run_dct_experiment, ExperimentConfig(**dct, extra={"image": path})),
-        (run_ofdm_experiment, _small_ofdm_cfg(trials=5, **params)),
-    ]
-    wants = [run(cfg) for run, cfg in runs]
-
-    def refused(*args):
-        raise AssertionError("a runner called a SensingOperator method")
-    for name in ("forward", "adjoint", "forward_batch"):
-        monkeypatch.setattr(SensingOperator, name, refused)
-    for (run, cfg), want in zip(runs, wants):
-        got = run(cfg)
-        if run is run_recover:
-            assert got == want
-        else:
-            assert _report_bytes(got) == _report_bytes(want)
-
-
-def _report_bytes(report) -> str:
-    """Every CSV a runner's report writes."""
-    if isinstance(report, OfdmReport):
-        return report.summary_csv() + report.trials_csv()
-    return report.csv()
+        [1] * 8, False)
 
 
 @pytest.mark.parametrize("scheme", ["proposed", "baseline"])
@@ -480,12 +445,11 @@ def test_ofdm_high_snr_rows_equal_the_oracle_refit():
             continue
         rng = np.random.default_rng(rec.seed)
         theta = draw(rng)
-        y0 = theta.forward(x)
+        y0 = theta.forward(x[None])[0]
         y = harness._add_noise(y0, harness._noise(rng, y0.size),
                                rec.input_snr_db)
         if rec.index not in tap_cols:
-            tap_cols[rec.index] = \
-                StackedOperator.of([theta]).columns(taps[None])[0]
+            tap_cols[rec.index] = theta.columns(taps[None])[0]
         cols = tap_cols[rec.index]
         coef, *_ = np.linalg.lstsq(np.vstack([cols.real, cols.imag]),
                                    np.concatenate([y.real, y.imag]),
@@ -574,18 +538,17 @@ def test_solve_keeps_the_top_k_atoms_of_a_larger_greedy_estimate():
                            sequence_kind="golay", solver="sp")
     theta = harness._operator_draw(cfg)(rng)
     f, _ = harness._sparse_signal(rng, 128, 8)
-    y0 = theta.forward(f)
+    y0 = theta.forward(f[None])[0]
     y = harness._add_noise(y0, harness._noise(rng, y0.size), 20.0)
     sp = recovery.subspace_pursuit(recovery.RecoveryProblem(theta, y, k=8))
-    stack = StackedOperator.of([theta])
-    result, = harness._solve(cfg, stack, y[None], 6)
+    result, = harness._solve(cfg, theta, y[None], 6)
     support = np.sort(np.argsort(-np.abs(sp.f_hat), kind="stable")[:6])
     assert np.array_equal(result.support, support)
     expected = oracles.least_squares_on_support(
-        stack.columns(np.arange(theta.n)[None])[0], y, support)
+        theta.columns(np.arange(theta.n)[None])[0], y, support)
     assert np.allclose(result.f_hat, expected, rtol=0, atol=1e-9)
     # keeping all K atoms, the greedy estimate stands as it is
-    assert np.array_equal(harness._solve(cfg, stack, y[None])[0].f_hat,
+    assert np.array_equal(harness._solve(cfg, theta, y[None])[0].f_hat,
                           sp.f_hat)
 
 
@@ -651,8 +614,9 @@ def test_greedy_row_needs_are_one_table(monkeypatch, solver):
     # refuses a shape it took, and the phase grid skips that cell unsolved
     monkeypatch.setitem(recovery.ROWS_PER_ATOM, solver, 4)
     k, m = 5, 16  # 2K <= M < 4K
-    theta = SensingOperator(build_circulant("golay", 64, {}),
-                            random_sampling(64, m, 0), Basis("identity"))
+    theta = SensingOperator.from_parts(build_circulant("golay", 64, {}),
+                                       random_sampling(64, m, 0),
+                                       Basis("identity"))
     with pytest.raises(ValueError, match=f"K={k}"):
         recovery.SOLVERS[solver](
             recovery.RecoveryProblem(theta, np.ones(m), k=k))
@@ -945,21 +909,20 @@ def test_fista_refit_is_least_squares_on_the_top_k_support():
     rng = np.random.default_rng(3)
     cfg = ExperimentConfig(experiment="recover", n=64, m=32, k=3,
                            sequence_kind="fzc", solver="fista")
-    theta = SensingOperator(build_circulant("fzc", 64, {}),
-                            random_sampling(64, 32, rng),
-                            Basis("inverse_dct2"))
+    theta = SensingOperator.from_parts(build_circulant("fzc", 64, {}),
+                                       random_sampling(64, 32, rng),
+                                       Basis("inverse_dct2"))
     f, _ = harness._sparse_signal(rng, 64, 3)
-    y0 = theta.forward(f)
+    y0 = theta.forward(f[None])[0]
     y = harness._add_noise(y0, harness._noise(rng, y0.size), 20.0)
     lasso = recovery.fista_lasso(recovery.RecoveryProblem(theta, y))
-    stack = StackedOperator.of([theta])
-    result, = harness._solve(cfg, stack, y[None])
+    result, = harness._solve(cfg, theta, y[None])
     support = np.sort(np.argsort(-np.abs(lasso.f_hat), kind="stable")[:3])
     assert np.array_equal(result.support, support)
     assert (result.iterations, result.converged) == \
         (lasso.iterations, lasso.converged)
     expected = oracles.least_squares_on_support(
-        stack.columns(np.arange(theta.n)[None])[0], y, support)
+        theta.columns(np.arange(theta.n)[None])[0], y, support)
     assert np.allclose(result.f_hat, expected, rtol=0, atol=1e-9)
 
 

@@ -1,5 +1,6 @@
 """Operators against dense loop-built matrices."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -11,9 +12,8 @@ import oracles
 from convsense import operators
 from convsense import sequences as seqs
 from convsense.operators import (Basis, CirculantOperator, SamplingSet,
-                                 SensingOperator, StackedOperator,
-                                 equispaced_sampling, random_sampling,
-                                 vector_to_csv)
+                                 SensingOperator, equispaced_sampling,
+                                 random_sampling, vector_to_csv)
 
 
 def _rand_vec(n, seed):
@@ -175,14 +175,13 @@ def test_deterministic_and_equispaced_sampling():
 
 
 def test_sampling_restrict():
-    # with A = I (the filter a unit impulse) a stack's forward keeps the
+    # with A = I (the filter a unit impulse) Theta's forward keeps the
     # sampled rows of its input, times 1/sqrt(M)
     s = SamplingSet(6, [1, 4])
     x = np.arange(6, dtype=np.complex128)
     impulse = CirculantOperator.from_filter(np.eye(6)[0])
-    stack = StackedOperator.of([SensingOperator(impulse, s,
-                                                Basis("identity"))])
-    assert np.allclose(stack.forward(x[None])[0] * np.sqrt(2), [1, 4],
+    theta = SensingOperator.from_parts(impulse, s, Basis("identity"))
+    assert np.allclose(theta.forward(x[None])[0] * np.sqrt(2), [1, 4],
                        rtol=0, atol=1e-14)
 
 
@@ -257,9 +256,8 @@ def test_inverse_fourier_matches_loop_formula():
 # ---------------------------------------------------------------------------
 
 def _member_columns(theta, idx):
-    """Theta[:, idx] for a 1-D ``idx``, from the one-member stack of
-    ``theta``."""
-    return StackedOperator.of([theta]).columns(np.asarray(idx)[None])[0]
+    """Theta[:, idx] of a one-member ``theta`` for a 1-D ``idx``."""
+    return theta.columns(np.asarray(idx)[None])[0]
 
 
 @pytest.mark.parametrize("basis_kind", ["identity", "inverse_fourier",
@@ -268,15 +266,15 @@ def test_sensing_forward_matches_dense_chain(basis_kind):
     n, m = 32, 12
     circ = CirculantOperator.from_spectrum(seqs.golay(n))
     samp = random_sampling(n, m, 1)
-    theta = SensingOperator(circ, samp, Basis(basis_kind))
+    theta = SensingOperator.from_parts(circ, samp, Basis(basis_kind))
     sel = np.zeros((m, n))
     sel[np.arange(m), samp.indices] = 1.0
     dense_chain = (sel @ oracles.circulant_from_filter(circ.filter)
                    @ oracles.basis_matrix(basis_kind, n)) / np.sqrt(m)
     x = _rand_vec(n, 9)
-    assert np.allclose(theta.forward(x), dense_chain @ x, atol=1e-9)
+    assert np.allclose(theta.forward(x[None])[0], dense_chain @ x, atol=1e-9)
     y = _rand_vec(m, 10)
-    assert np.allclose(theta.adjoint(y), dense_chain.conj().T @ y,
+    assert np.allclose(theta.adjoint(y[None])[0], dense_chain.conj().T @ y,
                        atol=1e-9)
     assert np.allclose(_member_columns(theta, np.arange(n)), dense_chain,
                        atol=1e-9)
@@ -285,22 +283,24 @@ def test_sensing_forward_matches_dense_chain(basis_kind):
 def test_sensing_adjoint_inner_product_identity():
     n, m = 48, 16
     circ = CirculantOperator.from_spectrum(seqs.fzc(n, 5))
-    theta = SensingOperator(circ, random_sampling(n, m, 3),
-                            Basis("inverse_fourier"))
+    theta = SensingOperator.from_parts(circ, random_sampling(n, m, 3),
+                                       Basis("inverse_fourier"))
     f, y = _rand_vec(n, 0), _rand_vec(m, 1)
-    lhs = np.vdot(y, theta.forward(f))
-    rhs = np.vdot(theta.adjoint(y), f)
+    lhs = np.vdot(y, theta.forward(f[None])[0])
+    rhs = np.vdot(theta.adjoint(y[None])[0], f)
     assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(lhs))
 
 
 def test_forward_batch_matches_single():
     n, m = 24, 10
-    theta = SensingOperator(CirculantOperator.from_spectrum(seqs.fzc(n, 1)),
-                            random_sampling(n, m, 2), Basis.inverse_dct2())
+    theta = SensingOperator.from_parts(
+        CirculantOperator.from_spectrum(seqs.fzc(n, 1)),
+        random_sampling(n, m, 2), Basis.inverse_dct2())
     block = np.stack([_rand_vec(n, i) for i in range(3)])
-    got = StackedOperator.of([theta] * 3).forward(block)
+    got = SensingOperator.concat([theta] * 3).forward(block)
     for i in range(3):
-        assert np.allclose(got[i], theta.forward(block[i]), atol=1e-12)
+        assert np.allclose(got[i], theta.forward(block[i:i + 1])[0],
+                           atol=1e-12)
 
 
 @pytest.mark.parametrize("basis_kind", ["identity", "inverse_fourier",
@@ -313,8 +313,9 @@ def test_matrix_equals_every_column(n, m, domain, basis_kind):
         circ = CirculantOperator.from_spectrum(values / np.abs(values))
     else:
         circ = CirculantOperator.from_filter(values)
-    theta = SensingOperator(circ, random_sampling(n, m, 5), Basis(basis_kind))
-    got = StackedOperator.of([theta]).matrix()
+    theta = SensingOperator.from_parts(circ, random_sampling(n, m, 5),
+                                       Basis(basis_kind))
+    got = theta.matrix()
     want = _member_columns(theta, np.arange(n))
     assert got.shape == (m, n) and got.flags.c_contiguous
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
@@ -343,9 +344,9 @@ def test_matrix_scales_as_the_division_by_sqrt_m(circ_name, basis_kind):
     # and 1-3906 of them change sign under the Fourier and DCT bases
     circ = _MATRIX_CIRCULANTS[circ_name]()
     n = circ.n
-    theta = SensingOperator(circ, random_sampling(n, n // 4, 1),
-                            Basis(basis_kind))
-    got = StackedOperator.of([theta]).matrix()
+    theta = SensingOperator.from_parts(circ, random_sampling(n, n // 4, 1),
+                                       Basis(basis_kind))
+    got = theta.matrix()
     want = oracles.sensing_matrix(theta)
     assert got.flags.c_contiguous
     assert np.array_equal(got.view(np.float64), want.view(np.float64))
@@ -368,8 +369,8 @@ def test_columns_match_forward_batch(circ_name, basis_kind):
     n = circ.n
     unimodular = np.max(np.abs(np.abs(circ.spectrum) - 1.0)) <= 1e-9
     assert unimodular == (circ_name != "m_sequence_filter_255")
-    theta = SensingOperator(circ, random_sampling(n, 40, 3),
-                            Basis(basis_kind))
+    theta = SensingOperator.from_parts(circ, random_sampling(n, 40, 3),
+                                       Basis(basis_kind))
     for idx in ([0, n - 1], [n - 1, 17, 0, 200, 5, 128], [],
                 list(range(n))):
         idx = np.asarray(idx, dtype=np.int64)
@@ -378,7 +379,7 @@ def test_columns_match_forward_batch(circ_name, basis_kind):
         got = _member_columns(theta, idx)
         assert got.shape == (theta.m, idx.size)
         if idx.size:
-            stack = StackedOperator.of([theta] * idx.size)
+            stack = SensingOperator.concat([theta] * idx.size)
             np.testing.assert_allclose(got, stack.forward(block).T,
                                        rtol=0, atol=1e-13)
 
@@ -394,8 +395,8 @@ def test_column_block_equals_its_one_column_builds(circ_name, basis_kind):
     circ = _COLUMN_CIRCULANTS[circ_name]()
     n = circ.n
     rng = np.random.default_rng(11)
-    theta = SensingOperator(circ, random_sampling(n, 60, rng),
-                            Basis(basis_kind))
+    theta = SensingOperator.from_parts(circ, random_sampling(n, 60, rng),
+                                       Basis(basis_kind))
     for idx in (rng.permutation(n)[:16], [n - 1, 3, 0, 2, n - 2, 1],
                 rng.permutation(n)[:33].tolist() + [n - 1]):
         idx = np.asarray(idx, dtype=np.int64)
@@ -411,25 +412,26 @@ def test_column_block_equals_its_one_column_builds(circ_name, basis_kind):
 
 
 def _reference_forward(theta, f):
-    """Theta @ f[b] for each row of a (B, N) block by the one-operator
-    chain the stacked forward replaced: Psi, FFT, spectrum, inverse FFT,
-    sqrt(N), the sampled rows, / sqrt(M) (kept as the bit-for-bit
-    reference)."""
+    """Theta @ f[b] of a one-member ``theta`` for each row of a (B, N)
+    block by the one-operator chain the stacked forward replaced: Psi,
+    FFT, spectrum, inverse FFT, sqrt(N), the sampled rows, / sqrt(M)
+    (kept as the bit-for-bit reference)."""
     u = np.fft.fft(theta.basis.apply(np.asarray(f, dtype=np.complex128)))
-    u = np.fft.ifft(theta.circulant.spectrum * u) * np.sqrt(theta.n)
-    return u[..., theta.sampling.indices] / np.sqrt(theta.m)
+    u = np.fft.ifft(theta.spectra[theta.circ[0]] * u) * np.sqrt(theta.n)
+    return u[..., theta.rows[0]] / np.sqrt(theta.m)
 
 
 def _reference_columns(theta, idx):
-    """Theta[:, idx] by the one-operator formulas the stacked form replaced
-    (kept as the bit-for-bit reference)."""
-    rows = theta.sampling.indices[:, None]
+    """Theta[:, idx] of a one-member ``theta`` by the one-operator formulas
+    the stacked form replaced (kept as the bit-for-bit reference)."""
+    rows = theta.rows[0][:, None]
     if theta.basis.kind == "identity":
-        return theta.circulant.filter[(rows - idx) % theta.n] \
+        return theta.filters[theta.circ[0]][(rows - idx) % theta.n] \
             / np.sqrt(theta.m)
     if theta.basis.kind == "inverse_fourier":
         phase = np.exp((2j * np.pi / theta.n) * ((rows * idx) % theta.n))
-        return phase * (theta.circulant.spectrum[idx] / np.sqrt(theta.m))
+        return phase * (theta.spectra[theta.circ[0]][idx]
+                        / np.sqrt(theta.m))
     block = np.zeros((idx.size, theta.n), dtype=np.complex128)
     block[np.arange(idx.size), idx] = 1.0
     return _reference_forward(theta, block).T
@@ -443,14 +445,18 @@ def test_stacked_operator_equals_its_members(per_trial, basis_kind):
     # starts reusing temporaries; a golay spectrum with per-trial sampling
     # or per-trial random-phase spectra with one equispaced set
     n, m, b = 1024, 64, 16
-    golay = CirculantOperator.from_spectrum(seqs.golay(n))
-    members = [SensingOperator(
-        golay if per_trial == "sampling"
-        else CirculantOperator.from_spectrum(seqs.random_phase(n, i)),
-        random_sampling(n, m, i) if per_trial == "sampling"
-        else equispaced_sampling(n, m), Basis(basis_kind))
+    golay = SensingOperator.from_parts(
+        CirculantOperator.from_spectrum(seqs.golay(n)),
+        equispaced_sampling(n, m), Basis(basis_kind))
+    # the golay members share its spectra, as a deterministic family's
+    # draws do
+    members = [dataclasses.replace(
+        golay, rows=random_sampling(n, m, i).indices[None])
+        if per_trial == "sampling" else SensingOperator.from_parts(
+            CirculantOperator.from_spectrum(seqs.random_phase(n, i)),
+            equispaced_sampling(n, m), Basis(basis_kind))
         for i in range(b)]
-    stack = StackedOperator.of(members)
+    stack = SensingOperator.concat(members)
     assert (len(stack), stack.n, stack.m) == (b, n, m)
     assert stack.spectra.shape[0] == (1 if per_trial == "sampling" else b)
     rng = np.random.default_rng(0)
@@ -459,7 +465,7 @@ def test_stacked_operator_equals_its_members(per_trial, basis_kind):
     got_adj, got_cols = stack.adjoint(y), stack.columns(idx)
     assert got_adj.shape == (b, n) and got_cols.shape == (b, m, 12)
     for i, op in enumerate(members):
-        assert np.array_equal(got_adj[i], op.adjoint(y[i]))
+        assert np.array_equal(got_adj[i], op.adjoint(y[i:i + 1])[0])
         want = _reference_columns(op, idx[i])
         assert np.array_equal(got_cols[i], want)
         assert np.array_equal(_member_columns(op, idx[i]), want)
@@ -467,8 +473,9 @@ def test_stacked_operator_equals_its_members(per_trial, basis_kind):
     assert np.array_equal(stack[sel].columns(idx[sel]), got_cols[sel])
     assert np.array_equal(stack[sel].adjoint(y[sel]), got_adj[sel])
     with pytest.raises(ValueError, match="share N, M and basis"):
-        StackedOperator.of(members[:1] + [SensingOperator(
-            golay, random_sampling(n, m + 1, 0), Basis(basis_kind))])
+        SensingOperator.concat(members[:1] + [SensingOperator.from_parts(
+            CirculantOperator.from_spectrum(seqs.golay(n)),
+            random_sampling(n, m + 1, 0), Basis(basis_kind))])
 
 
 def test_roots_table_is_read_only_and_follows_n():
@@ -479,7 +486,7 @@ def test_roots_table_is_read_only_and_follows_n():
     with pytest.raises(ValueError, match="read-only"):
         operators._roots(256)[1] = 0.0
     for n in (256, 1024, 256):
-        theta = SensingOperator(
+        theta = SensingOperator.from_parts(
             CirculantOperator.from_spectrum(seqs.random_phase(n, 3)),
             random_sampling(n, 48, n), Basis("inverse_fourier"))
         idx = np.random.default_rng(n).choice(n, size=20, replace=False)
@@ -493,7 +500,7 @@ def test_no_column_indices_give_an_empty_block(basis_kind):
     # the edge of every column build: a (B, 0) index block gives a
     # (B, M, 0) column block, for each basis
     n, m = 64, 16
-    stack = StackedOperator.of([SensingOperator(
+    stack = SensingOperator.concat([SensingOperator.from_parts(
         CirculantOperator.from_spectrum(seqs.random_phase(n, s)),
         random_sampling(n, m, s), Basis(basis_kind)) for s in range(3)])
     got = stack.columns(np.zeros((3, 0), dtype=np.int64))
@@ -502,18 +509,18 @@ def test_no_column_indices_give_an_empty_block(basis_kind):
 
 @pytest.mark.parametrize("n", [1024, 16384, 65536])
 def test_stacked_adjoint_equals_the_member_adjoint_at_every_n(n):
-    # a member's adjoint is its one-member stack's; each row of a stack of
-    # several, with a circulant two members share, must equal it at every
-    # N, as a block of subspace pursuits relies on
+    # each row of a concatenation of several members, two of them on one
+    # circulant, must equal its member's own adjoint at every N, as a
+    # block of subspace pursuits relies on
     circs = [CirculantOperator.from_spectrum(seqs.random_phase(n, s))
              for s in (1, 2)]
-    members = [SensingOperator(circs[c], random_sampling(n, 256, s),
-                               Basis("identity"))
-               for s, c in enumerate((0, 1, 0))]
+    members = [SensingOperator.from_parts(
+        circs[c], random_sampling(n, 256, s), Basis("identity"))
+        for s, c in enumerate((0, 1, 0))]
     y = np.stack([_rand_vec(256, s) for s in range(len(members))])
-    got = StackedOperator.of(members).adjoint(y)
+    got = SensingOperator.concat(members).adjoint(y)
     for row, op, y_b in zip(got, members, y):
-        assert np.array_equal(row, op.adjoint(y_b))
+        assert np.array_equal(row, op.adjoint(y_b[None])[0])
 
 
 @pytest.mark.parametrize("circulants", [(0, 1, 0), (0, 0, 0)])
@@ -526,14 +533,14 @@ def test_stacked_forward_equals_the_member_forward_at_every_n(n, circulants):
              for s in (1, 2)]
     rng = np.random.default_rng(n)
     for basis in ("identity", "inverse_fourier", "inverse_dct2"):
-        members = [SensingOperator(circs[c], random_sampling(n, 256, s),
-                                   Basis(basis))
-                   for s, c in enumerate(circulants)]
+        members = [SensingOperator.from_parts(
+            circs[c], random_sampling(n, 256, s), Basis(basis))
+            for s, c in enumerate(circulants)]
         f = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
-        got = StackedOperator.of(members).forward(f)
+        got = SensingOperator.concat(members).forward(f)
         assert got.shape == (3, 256)
         for row, op, f_b in zip(got, members, f):
-            assert np.array_equal(row, op.forward(f_b))
+            assert np.array_equal(row, op.forward(f_b[None])[0])
             assert np.array_equal(row, _reference_forward(op, f_b))
 
 
@@ -542,7 +549,7 @@ def test_stacked_forward_works_in_one_block():
     # second (B, N) buffer for the FFT, the product, the inverse FFT, the
     # scale or a gather of the spectra would add 128 KiB here
     n, m, b = 1024, 64, 8
-    stack = StackedOperator.of([SensingOperator(
+    stack = SensingOperator.concat([SensingOperator.from_parts(
         CirculantOperator.from_spectrum(seqs.random_phase(n, i)),
         random_sampling(n, m, i), Basis("identity")) for i in range(b)])
     rng = np.random.default_rng(0)
@@ -562,7 +569,7 @@ def test_stacked_adjoint_works_in_one_block():
     # the FFT, the product, the inverse FFT, the scale or a gather of the
     # conjugate spectra would each add 128 KiB here
     n, m, b = 1024, 64, 8
-    stack = StackedOperator.of([SensingOperator(
+    stack = SensingOperator.concat([SensingOperator.from_parts(
         CirculantOperator.from_spectrum(seqs.random_phase(n, i)),
         random_sampling(n, m, i), Basis("identity")) for i in range(b)])
     rng = np.random.default_rng(0)
@@ -578,31 +585,33 @@ def test_stacked_adjoint_works_in_one_block():
 
 
 def test_adjoints_refuse_measurements_of_the_wrong_shape():
-    # a length-M vector on a one-member stack was once broadcast into a
+    # a length-M vector on a one-member operator was once broadcast into a
     # (1, N) result
     n, m = 64, 16
-    op = SensingOperator(CirculantOperator.from_spectrum(seqs.fzc(n, 1)),
-                         random_sampling(n, m, 0), Basis("identity"))
-    stack = StackedOperator.of([op, op, op])
+    op = SensingOperator.from_parts(
+        CirculantOperator.from_spectrum(seqs.fzc(n, 1)),
+        random_sampling(n, m, 0), Basis("identity"))
+    stack = SensingOperator.concat([op, op, op])
     for sub, y in ((stack[:1], _rand_vec(m, 0)),
                    (stack, np.zeros((2, m))), (stack, np.zeros((3, m + 1))),
                    (stack, np.zeros((3, m, 1)))):
         with pytest.raises(ValueError, match=rf"expected a \({len(sub)}, "
                                              rf"{m}\) block of measurements"):
             sub.adjoint(y)
-    with pytest.raises(ValueError, match="expected a 1-D vector"):
-        op.adjoint(np.zeros((2, m)))
-    with pytest.raises(ValueError, match=rf"expected a \(1, {m}\) block"):
-        op.adjoint(np.zeros(m + 1))
+    for y in (np.zeros((2, m)), np.zeros(m + 1)):
+        with pytest.raises(ValueError,
+                           match=rf"expected a \(1, {m}\) block"):
+            op.adjoint(y)
 
 
 def test_stacked_columns_refuse_indices_outside_n():
     # the identity basis gathers filter[(rows - j) mod N], which would
     # read -1, N and N + 1 as columns N - 1, 0 and 1
     n, m = 16, 6
-    op = SensingOperator(CirculantOperator.from_spectrum(seqs.fzc(n, 1)),
-                         random_sampling(n, m, 0), Basis("identity"))
-    stack = StackedOperator.of([op, op])
+    op = SensingOperator.from_parts(
+        CirculantOperator.from_spectrum(seqs.fzc(n, 1)),
+        random_sampling(n, m, 0), Basis("identity"))
+    stack = SensingOperator.concat([op, op])
     for bad in (-1, n, n + 1):
         with pytest.raises(ValueError, match=r"out of range \[0, 16\)"):
             stack.columns(np.array([[0, 1], [2, bad]]))
@@ -612,25 +621,64 @@ def test_stacked_columns_refuse_indices_outside_n():
 
 def test_an_empty_stack_is_refused():
     with pytest.raises(ValueError, match="empty member list"):
-        StackedOperator.of([])
+        SensingOperator.concat([])
 
 
-def test_one_member_stack_holds_the_member():
-    # StackedOperator.of([op]) is built as every stack is: the member's
-    # sampling set, spectrum and filter as one row each, and its basis
-    op = SensingOperator(CirculantOperator.from_spectrum(seqs.fzc(64, 1)),
-                         random_sampling(64, 16, 0), Basis("identity"))
-    stack = StackedOperator.of([op])
-    assert stack.circ.tolist() == [0] and stack.basis == op.basis
-    for got, owner in ((stack.spectra, op.circulant.spectrum),
-                       (stack.filters, op.circulant.filter),
-                       (stack.rows, op.sampling.indices)):
+def test_concat_refuses_another_n_or_basis():
+    # concat refuses an operator of another N, M or basis (M: above)
+    op = SensingOperator.from_parts(
+        CirculantOperator.from_spectrum(seqs.fzc(16, 1)),
+        random_sampling(16, 6, 0), Basis("identity"))
+    for other in (SensingOperator.from_parts(
+            CirculantOperator.from_spectrum(seqs.fzc(32, 1)),
+            random_sampling(32, 6, 0), Basis("identity")),
+            dataclasses.replace(op, basis=Basis("inverse_dct2"))):
+        with pytest.raises(ValueError, match="share N, M and basis"):
+            SensingOperator.concat([op, other])
+
+
+def test_from_parts_holds_views_of_the_parts():
+    # from_parts holds the sampling set, spectrum and filter as one row
+    # each, as views that copy nothing, circulant row 0 and the basis;
+    # a sampling set of another N is refused
+    circ = CirculantOperator.from_spectrum(seqs.fzc(64, 1))
+    samp = random_sampling(64, 16, 0)
+    op = SensingOperator.from_parts(circ, samp, Basis("identity"))
+    assert op.circ.tolist() == [0] and op.basis == Basis("identity")
+    assert (len(op), op.n, op.m) == (1, 64, 16)
+    for got, owner in ((op.spectra, circ.spectrum),
+                       (op.filters, circ.filter), (op.rows, samp.indices)):
         assert np.array_equal(got, owner[None])
+        assert np.shares_memory(got, owner)
+    with pytest.raises(ValueError, match="disagree on N"):
+        SensingOperator.from_parts(circ, random_sampling(63, 16, 0),
+                                   Basis("identity"))
+
+
+def test_concat_keeps_a_shared_spectra_array_as_one():
+    # members that share one spectra array keep it, uncopied, as one row;
+    # members that do not keep one row each, in member order
+    op = SensingOperator.from_parts(
+        CirculantOperator.from_spectrum(seqs.fzc(16, 1)),
+        random_sampling(16, 6, 0), Basis("identity"))
+    other = SensingOperator.from_parts(
+        CirculantOperator.from_spectrum(seqs.random_phase(16, 1)),
+        random_sampling(16, 6, 1), Basis("identity"))
+    shared = SensingOperator.concat([op, op[[0, 0]]])
+    assert shared.spectra is op.spectra and shared.filters is op.filters
+    assert shared.circ.tolist() == [0, 0, 0]
+    mixed = SensingOperator.concat([other, op, shared[1:]])
+    assert mixed.circ.tolist() == [0, 1, 2, 2]
+    assert np.array_equal(mixed.spectra, np.concatenate(
+        [other.spectra, op.spectra, op.spectra]))
+    assert np.array_equal(mixed.rows, np.concatenate(
+        [other.rows, op.rows, op.rows, op.rows]))
 
 
 def test_columns_reject_bad_indices():
-    theta = SensingOperator(CirculantOperator.from_spectrum(seqs.fzc(16, 1)),
-                            random_sampling(16, 6, 0), Basis("identity"))
+    theta = SensingOperator.from_parts(
+        CirculantOperator.from_spectrum(seqs.fzc(16, 1)),
+        random_sampling(16, 6, 0), Basis("identity"))
     for bad in ([16], [-1], [[0, 1]]):
         with pytest.raises(ValueError):
             _member_columns(theta, bad)
@@ -639,9 +687,10 @@ def test_columns_reject_bad_indices():
 def test_columns_refuse_non_integer_indices():
     # 1.7, 2.9 and 0.5 were once truncated to columns 1, 2 and 0; an
     # empty index list (float64 as a bare numpy array) is still no columns
-    op = SensingOperator(CirculantOperator.from_spectrum(seqs.fzc(16, 1)),
-                         random_sampling(16, 6, 0), Basis("identity"))
-    stack = StackedOperator.of([op, op])
+    op = SensingOperator.from_parts(
+        CirculantOperator.from_spectrum(seqs.fzc(16, 1)),
+        random_sampling(16, 6, 0), Basis("identity"))
+    stack = SensingOperator.concat([op, op])
     for sub, bad in ((stack[:1], [[1.7]]), (stack, [[2.9], [0.5]]),
                      (stack, np.array([[1, 2], [3, 4]], dtype=np.float32)),
                      (stack, np.array([[True], [False]]))):
@@ -654,13 +703,12 @@ def test_columns_refuse_non_integer_indices():
 def test_matrix_is_theta_of_a_one_member_stack():
     # a member sliced out of a stack of two circulants and two sampling
     # sets gives its own Theta, bit for bit; a stack of two has no one
-    ops = [SensingOperator(
+    ops = [SensingOperator.from_parts(
         CirculantOperator.from_spectrum(seqs.random_phase(16, s)),
         random_sampling(16, 6, s), Basis("inverse_dct2")) for s in (0, 1)]
-    stack = StackedOperator.of(ops)
+    stack = SensingOperator.concat(ops)
     for b, op in enumerate(ops):
-        assert np.array_equal(stack[b:b + 1].matrix(),
-                              StackedOperator.of([op]).matrix())
+        assert np.array_equal(stack[b:b + 1].matrix(), op.matrix())
     with pytest.raises(ValueError, match="needs one member, got 2"):
         stack.matrix()
 

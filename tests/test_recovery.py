@@ -11,8 +11,8 @@ import oracles
 from convsense import harness, recovery
 from convsense import sequences as seqs
 from convsense.operators import (Basis, CirculantOperator, SensingOperator,
-                                 StackedOperator, build_circulant,
-                                 equispaced_sampling, random_sampling)
+                                 build_circulant, equispaced_sampling,
+                                 random_sampling)
 from convsense.recovery import (_OMP_STOP_REL, RecoveryProblem,
                                 RecoveryResult, SOLVERS, _embed,
                                 _fista_applications, _fista_stage,
@@ -23,13 +23,13 @@ from convsense.recovery import (_OMP_STOP_REL, RecoveryProblem,
 
 def _problem(n=64, m=24, k=3, seed=0, basis="identity", snr_db=None):
     rng = np.random.default_rng(seed)
-    theta = SensingOperator(
+    theta = SensingOperator.from_parts(
         CirculantOperator.from_spectrum(seqs.fzc(n, 1)),
         random_sampling(n, m, seed), Basis(basis))
     support = rng.choice(n, size=k, replace=False)
     f = np.zeros(n, dtype=np.complex128)
     f[support] = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-    y = theta.forward(f)
+    y = theta.forward(f[None])[0]
     if snr_db is not None:
         e = rng.standard_normal(m) + 1j * rng.standard_normal(m)
         e *= np.linalg.norm(y) * 10 ** (-snr_db / 20) / np.linalg.norm(e)
@@ -38,8 +38,8 @@ def _problem(n=64, m=24, k=3, seed=0, basis="identity", snr_db=None):
 
 
 def _dense(theta):
-    """Theta as every column of its one-member stack."""
-    return StackedOperator.of([theta]).columns(np.arange(theta.n)[None])[0]
+    """Every column of a one-member Theta."""
+    return theta.columns(np.arange(theta.n)[None])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -58,7 +58,7 @@ def test_noiseless_exact_recovery(solver):
 
 def test_omp_selects_largest_correlation_first():
     theta, f, support, y = _problem(seed=1, k=1)
-    corr = np.abs(theta.adjoint(y))
+    corr = np.abs(theta.adjoint(y[None])[0])
     res = omp(RecoveryProblem(operator=theta, y=y, k=1))
     assert res.support[0] == int(np.argmax(corr))
 
@@ -112,44 +112,21 @@ def test_dense_matrix_operator_is_refused():
         RecoveryProblem(np.eye(4), np.ones(4), k=1)
 
 
-def test_a_problem_holds_one_member_stack():
-    # a SensingOperator is held as its one-member stack, field for field
-    # StackedOperator.of([theta]); a one-member stack as it is; a stack
-    # of several is not one problem
+def test_a_problem_holds_a_one_member_operator():
+    # a one-member operator is held as it is, a member sliced out of a
+    # larger one too, field for field the operator it was sliced from; an
+    # operator of several members is not one problem
     theta, f, support, y = _problem()
-    held = RecoveryProblem(theta, y, k=3).operator
-    want = StackedOperator.of([theta])
-    for name in ("rows", "circ", "spectra", "filters"):
-        assert np.array_equal(getattr(held, name), getattr(want, name))
-    assert held.basis == want.basis
-    stack = StackedOperator.of([theta, theta])
+    assert RecoveryProblem(theta, y, k=3).operator is theta
+    stack = SensingOperator.concat([theta, theta])
     member = stack[1:]
-    assert RecoveryProblem(member, y, k=3).operator is member
-    with pytest.raises(ValueError, match="one-member stack, got 2"):
+    held = RecoveryProblem(member, y, k=3).operator
+    assert held is member
+    for name in ("rows", "circ", "spectra", "filters"):
+        assert np.array_equal(getattr(held, name), getattr(theta, name))
+    assert held.basis == theta.basis
+    with pytest.raises(ValueError, match="one-member operator, got 2"):
         RecoveryProblem(stack, y, k=3)
-
-
-@pytest.mark.parametrize("dense", [True, False])
-def test_solvers_apply_theta_only_through_its_stack(dense, monkeypatch):
-    # every solver computes on the problem's stack: with the vector
-    # methods of SensingOperator refusing to run, each solve is unchanged
-    if not dense:
-        monkeypatch.setattr(recovery, "_FISTA_DENSE_MAX", 0)
-    theta, f, support, y = _problem(n=64, m=32, k=3, seed=12,
-                                    basis="inverse_dct2", snr_db=20)
-    cases = [(omp, RecoveryProblem(theta, y, k=3)),
-             (subspace_pursuit, RecoveryProblem(theta, y, k=3)),
-             (fista_lasso, RecoveryProblem(theta, y, lam_rel=1e-3))]
-    wants = [solver(p) for solver, p in cases]
-
-    def refused(*args):
-        raise AssertionError("a solver called a SensingOperator method")
-    for name in ("forward", "adjoint", "forward_batch"):
-        monkeypatch.setattr(SensingOperator, name, refused)
-    for (solver, p), want in zip(cases, wants):
-        got = solver(p)
-        assert np.array_equal(got.f_hat, want.f_hat)
-        assert got.iterations == want.iterations
 
 
 @pytest.mark.parametrize("solver", sorted(SOLVERS))
@@ -174,7 +151,7 @@ def test_sp_block_refuses_what_a_problem_refuses():
     # the block solver takes a stack and a (B, M) block, not problems, so
     # it makes RecoveryProblem's measurement and K checks itself
     theta, f, support, y = _problem()  # M = 24
-    stack = StackedOperator.of([theta, theta])
+    stack = SensingOperator.concat([theta, theta])
     ys = np.stack([y, y])
     for bad in (np.nan, np.inf):
         nonfinite = ys.copy()
@@ -196,8 +173,8 @@ def test_sp_block_refuses_what_a_problem_refuses():
 
 def _sp_block(thetas, problems):
     """Subspace pursuit on a list of problems of one K, as one block on
-    the stack of their operators ``thetas``."""
-    return subspace_pursuit_block(StackedOperator.of(thetas),
+    the concatenation of their operators ``thetas``."""
+    return subspace_pursuit_block(SensingOperator.concat(thetas),
                                   np.stack([p.y for p in problems]),
                                   problems[0].k)
 
@@ -273,7 +250,7 @@ def test_sp_block_equals_the_one_problem_reference(basis, kind, sampling):
         rng = np.random.default_rng(seed)
         thetas.append(draw(rng))
         f, _ = harness._sparse_signal(rng, cfg.n, cfg.k)
-        y0 = thetas[-1].forward(f)
+        y0 = thetas[-1].forward(f[None])[0]
         y = harness._add_noise(y0, harness._noise(rng, cfg.m), 8.0 + seed)
         problems.append(RecoveryProblem(thetas[-1], y, k=cfg.k))
     want = [_reference_subspace_pursuit(p) for p in problems]
@@ -297,21 +274,22 @@ def test_sp_round_without_new_atoms_equals_the_reference(basis,
     # its residual on that support: a round whose candidates are its
     # support (K of them, no new atom) must still solve as the reference
     n, k = 64, 4
-    theta = SensingOperator(
+    theta = SensingOperator.from_parts(
         CirculantOperator.from_spectrum(seqs.fzc(n, 1)),
         equispaced_sampling(n, n), Basis(basis))
     problems = []
     for seed in range(4):
         f, _ = harness._sparse_signal(np.random.default_rng(seed), n, k)
-        problems.append(RecoveryProblem(theta, theta.forward(f), k=k))
+        problems.append(RecoveryProblem(theta, theta.forward(f[None])[0],
+                                        k=k))
     wants = [_reference_subspace_pursuit(p) for p in problems]
     widths = []
-    columns = StackedOperator.columns
+    columns = SensingOperator.columns
 
     def counted(self, idx):
         widths.append(np.shape(idx)[-1])
         return columns(self, idx)
-    monkeypatch.setattr(StackedOperator, "columns", counted)
+    monkeypatch.setattr(SensingOperator, "columns", counted)
     for seed, (p, want) in enumerate(zip(problems, wants)):
         widths.clear()
         got = subspace_pursuit(p)
@@ -337,7 +315,7 @@ def test_sp_stops_by_its_stated_rule_on_the_ofdm_reference(monkeypatch):
     thetas, problems = [], []
     for _, _, rng in harness._trial_rngs(cfg.master_seed, cfg.trials):
         theta = draw(rng)
-        y0 = theta.forward(x)
+        y0 = theta.forward(x[None])[0]
         e = harness._noise(rng, cfg.m)
         thetas += [theta] * len(cfg.snr_list)
         problems += [RecoveryProblem(theta, harness._add_noise(y0, e, snr),
@@ -410,7 +388,7 @@ def test_omp_equals_the_rebuild_every_column_reference(basis, kind,
         rng = np.random.default_rng(seed)
         theta = draw(rng)
         f, _ = harness._sparse_signal(rng, cfg.n, k_signal)
-        y = theta.forward(f)
+        y = theta.forward(f[None])[0]
         if snr is not None:
             y = harness._add_noise(y, harness._noise(rng, cfg.m), snr)
         p = RecoveryProblem(theta, y, k=k)
@@ -429,12 +407,12 @@ def test_omp_builds_each_column_once(monkeypatch):
     theta, f, support, y = _problem(n=256, m=128, k=16, seed=3,
                                     basis="inverse_dct2")
     built = []
-    real = StackedOperator.columns
+    real = SensingOperator.columns
 
     def counted(self, idx):
         built.append(np.shape(idx)[-1])
         return real(self, idx)
-    monkeypatch.setattr(StackedOperator, "columns", counted)
+    monkeypatch.setattr(SensingOperator, "columns", counted)
     res = omp(RecoveryProblem(operator=theta, y=y, k=16))
     assert res.iterations == 16 and res.converged
     assert set(res.support.tolist()) == set(support.tolist())
@@ -459,7 +437,7 @@ def test_omp_stops_at_its_stated_residual():
         f, support = harness._sparse_signal(rng, cfg.n, 8)
         if seed % 2:
             f[support[0]] *= 1e-4 * np.linalg.norm(f) / abs(f[support[0]])
-        y = theta.forward(f)
+        y = theta.forward(f[None])[0]
         ynorm = float(np.linalg.norm(y))
         res = omp(RecoveryProblem(theta, y, k=cfg.k))
         norms = [ynorm] + [omp(RecoveryProblem(theta, y, k=j)).residual_norm
@@ -494,10 +472,10 @@ def test_fista_step_bound_is_the_squared_operator_norm(kind):
     for sampling in (random_sampling(n, n // 3, rng),
                      equispaced_sampling(n, n // 3)):
         for basis in ("identity", "inverse_fourier", "inverse_dct2"):
-            theta = SensingOperator(circ, sampling, Basis(basis))
+            theta = SensingOperator.from_parts(circ, sampling, Basis(basis))
             norm2 = np.linalg.norm(_dense(theta), 2) ** 2
-            assert _step_bound(StackedOperator.of([theta])) / (1.0 + 1e-3) == \
-                pytest.approx(norm2, rel=1e-12, abs=0)
+            assert _step_bound(theta) / (1.0 + 1e-3) == pytest.approx(
+                norm2, rel=1e-12, abs=0)
 
 
 def test_fista_step_bound_is_safe_for_an_uneven_spectrum():
@@ -506,33 +484,31 @@ def test_fista_step_bound_is_safe_for_an_uneven_spectrum():
     for seed in range(3):
         theta, _ = _fista_case("gaussian_filter", seed, None)
         matrix = _dense(theta)
-        assert _step_bound(StackedOperator.of([theta])) >= \
-            np.linalg.norm(matrix, 2) ** 2
+        assert _step_bound(theta) >= np.linalg.norm(matrix, 2) ** 2
 
 
 def test_fista_step_bound_is_the_member_s_own():
     # a member sliced out of a stack of uneven spectra keeps its own
     # bound, not the largest in the stack
     rng = np.random.default_rng(5)
-    ops = [SensingOperator(
+    ops = [SensingOperator.from_parts(
         CirculantOperator.from_filter(scale * rng.standard_normal(64)),
         random_sampling(64, 32, rng), Basis("identity"))
         for scale in (1.0, 3.0)]
-    stack = StackedOperator.of(ops)
+    stack = SensingOperator.concat(ops)
     for b, op in enumerate(ops):
-        assert _step_bound(stack[b:b + 1]) == \
-            _step_bound(StackedOperator.of([op]))
+        assert _step_bound(stack[b:b + 1]) == _step_bound(op)
     assert _step_bound(stack[:1]) < _step_bound(stack[1:])
 
 
 def test_fista_recovers_support_and_obeys_kkt():
     theta, f, support, y = _problem(n=64, m=32, k=3, seed=8)
     res = fista_lasso(RecoveryProblem(operator=theta, y=y, lam_rel=1e-3))
-    lam = 1e-3 * float(np.max(np.abs(theta.adjoint(y))))
+    lam = 1e-3 * float(np.max(np.abs(theta.adjoint(y[None])[0])))
     assert set(support.tolist()) <= set(res.support.tolist())
     # KKT for lasso: |Theta^*(y - Theta f)| <= lam + slack off-support,
     # = lam on the support (up to solver tolerance)
-    grad = theta.adjoint(y - theta.forward(res.f_hat))
+    grad = theta.adjoint(y[None] - theta.forward(res.f_hat[None]))[0]
     assert np.max(np.abs(grad)) <= lam * 1.05 + 1e-8
 
 
@@ -546,10 +522,10 @@ def test_fista_null_condition():
 def test_fista_objective_beats_soft_start():
     theta, f, support, y = _problem(seed=10, snr_db=20)
     res = fista_lasso(RecoveryProblem(operator=theta, y=y, lam_rel=1e-2))
-    lam = 1e-2 * float(np.max(np.abs(theta.adjoint(y))))
+    lam = 1e-2 * float(np.max(np.abs(theta.adjoint(y[None])[0])))
 
     def objective(x):
-        r = y - theta.forward(x)
+        r = y - theta.forward(x[None])[0]
         return 0.5 * np.vdot(r, r).real + lam * np.sum(np.abs(x))
 
     assert objective(res.f_hat) <= objective(np.zeros_like(res.f_hat))
@@ -567,8 +543,8 @@ def _fista_three_applications(operator, y, lam_rel):
     iterations over all stages; the same iterates up to rounding.
     Returns (f_hat, iterations, converged, restarts), ``converged`` that
     of the last stage."""
-    L = _step_bound(StackedOperator.of([operator]))
-    top = float(np.max(np.abs(operator.adjoint(y))))
+    L = _step_bound(operator)
+    top = float(np.max(np.abs(operator.adjoint(y[None])[0])))
     lam, lam0 = lam_rel * top, 0.5 * top
     lams = [lam] if lam >= lam0 else \
         [float(v) for v in np.geomspace(lam0, lam, 6)[:-1]] + [lam]
@@ -578,7 +554,7 @@ def _fista_three_applications(operator, y, lam_rel):
             + stage_lam * float(np.sum(np.abs(f)))
 
     f = np.zeros(operator.n, dtype=np.complex128)
-    rf = operator.forward(f)
+    rf = operator.forward(f[None])[0]
     iterations = restarts = 0
     for stage, stage_lam in enumerate(lams):
         last = stage == len(lams) - 1
@@ -587,16 +563,16 @@ def _fista_three_applications(operator, y, lam_rel):
         z, t, converged = f, 1.0, False
         for _ in range(cap):
             iterations += 1
-            grad = operator.adjoint(operator.forward(z) - y)
+            grad = operator.adjoint(operator.forward(z[None]) - y)[0]
             f_new = oracles.soft_threshold(z - grad / L, stage_lam / L)
-            rf_new = operator.forward(f_new)
+            rf_new = operator.forward(f_new[None])[0]
             obj_new = objective(f_new, rf_new, stage_lam)
             if obj_new > obj:
                 restarts += 1
                 t = 1.0
-                grad = operator.adjoint(rf - y)
+                grad = operator.adjoint((rf - y)[None])[0]
                 f_new = oracles.soft_threshold(f - grad / L, stage_lam / L)
-                rf_new = operator.forward(f_new)
+                rf_new = operator.forward(f_new[None])[0]
                 obj_new = objective(f_new, rf_new, stage_lam)
             t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
             z = f_new + ((t - 1.0) / t_new) * (f_new - f)
@@ -616,11 +592,11 @@ def _fista_case(basis, seed, snr_db):
         rng = np.random.default_rng(seed)
         circ = CirculantOperator.from_filter(
             rng.standard_normal(64) + 1j * rng.standard_normal(64))
-        theta = SensingOperator(circ, random_sampling(64, 32, rng),
-                                Basis("identity"))
+        theta = SensingOperator.from_parts(
+            circ, random_sampling(64, 32, rng), Basis("identity"))
         f = np.zeros(64, dtype=np.complex128)
         f[rng.choice(64, size=3, replace=False)] = rng.standard_normal(3)
-        y = theta.forward(f)
+        y = theta.forward(f[None])[0]
     else:
         theta, f, support, y = _problem(n=64, m=32, k=3, seed=seed,
                                         basis=basis, snr_db=snr_db)
@@ -679,18 +655,17 @@ def test_fista_above_the_dense_cap_solves_alike(basis, monkeypatch):
     monkeypatch.setattr(recovery, "_FISTA_DENSE_MAX", 0)
     applied = []
     for name in ("forward", "adjoint"):
-        apply = getattr(StackedOperator, name)
-        monkeypatch.setattr(StackedOperator, name,
+        apply = getattr(SensingOperator, name)
+        monkeypatch.setattr(SensingOperator, name,
                             lambda self, x, apply=apply, name=name:
                             applied.append(name) or apply(self, x))
     for (theta, y), want in zip(cases, dense):
-        # the pair is the stack's own FFT-backed forward and adjoint
-        stack = StackedOperator.of([theta])
-        forward, adjoint = _fista_applications(stack)
-        f = theta.adjoint(y)
+        # the pair is Theta's own FFT-backed forward and adjoint
+        forward, adjoint = _fista_applications(theta)
+        f = theta.adjoint(y[None])[0]
         applied.clear()
-        assert np.array_equal(forward(f), stack.forward(f[None])[0])
-        assert np.array_equal(adjoint(y), stack.adjoint(y[None])[0])
+        assert np.array_equal(forward(f), theta.forward(f[None])[0])
+        assert np.array_equal(adjoint(y), theta.adjoint(y[None])[0])
         assert applied == ["forward"] * 2 + ["adjoint"] * 2
         got = fista_lasso(RecoveryProblem(operator=theta, y=y, lam_rel=1e-3))
         assert (got.iterations, got.converged) == \
@@ -741,10 +716,9 @@ def test_fista_stage_matches_the_allocating_stage_bit_for_bit(dense,
         theta, y = _fista_case(basis, 1, 20)
         fista_lasso(RecoveryProblem(operator=theta, y=y, lam_rel=1e-3))
         zeros = np.zeros(theta.n, dtype=np.complex128)
-        stack = StackedOperator.of([theta])
-        checked(_fista_applications(stack), y, _step_bound(stack),
-                1e-3 * float(np.max(np.abs(theta.adjoint(y)))), zeros,
-                theta.forward(zeros), 1e-8, 5)
+        checked(_fista_applications(theta), y, _step_bound(theta),
+                1e-3 * float(np.max(np.abs(theta.adjoint(y[None])[0]))),
+                zeros, theta.forward(zeros[None])[0], 1e-8, 5)
     # some stage restarted (a forward more than its iterations), and the
     # capped ones stopped at max_iters unconverged
     assert any(forwards > used for used, _, _, forwards in stages)
@@ -758,11 +732,12 @@ def test_fista_solve_at_the_dct_experiment_size_stays_small():
     # an (N, M) gather index (2.50 MiB) or a stored Theta^H (3.00 MiB)
     # would show here
     n, m = 512, 128
-    theta = SensingOperator(CirculantOperator.from_spectrum(seqs.fzc(n, 1)),
-                            random_sampling(n, m, 0), Basis.inverse_dct2())
+    theta = SensingOperator.from_parts(
+        CirculantOperator.from_spectrum(seqs.fzc(n, 1)),
+        random_sampling(n, m, 0), Basis.inverse_dct2())
     f, _ = harness._sparse_signal(np.random.default_rng(0), n, 8,
                                   real_values=True)
-    problem = RecoveryProblem(operator=theta, y=theta.forward(f))
+    problem = RecoveryProblem(operator=theta, y=theta.forward(f[None])[0])
     tracemalloc.start()
     try:
         fista_lasso(problem)
@@ -788,7 +763,7 @@ def _dct_baseline_draw(trial):
         draw_proposed(rng)
         f, _ = harness._sparse_signal(rng, 128, 4, real_values=True)
         theta = draw_baseline(rng)
-    return theta, theta.forward(f)
+    return theta, theta.forward(f[None])[0]
 
 
 @pytest.mark.parametrize("trial", [0, 2, 7])
@@ -800,8 +775,8 @@ def test_fista_continuation_finishes_solves_plain_fista_capped(trial):
     theta, y = _dct_baseline_draw(trial)
     res = fista_lasso(RecoveryProblem(operator=theta, y=y))
     assert res.converged and res.iterations < 2000
-    lam = 1e-4 * float(np.max(np.abs(theta.adjoint(y))))
-    grad = theta.adjoint(y - theta.forward(res.f_hat))
+    lam = 1e-4 * float(np.max(np.abs(theta.adjoint(y[None])[0])))
+    grad = theta.adjoint(y[None] - theta.forward(res.f_hat[None]))[0]
     assert np.max(np.abs(grad)) <= 1.05 * lam
 
 
@@ -813,14 +788,13 @@ def test_fista_at_a_large_lambda_is_one_plain_stage(basis):
     for seed in range(3):
         theta, f, support, y = _problem(n=64, m=32, k=3, seed=seed,
                                         basis=basis, snr_db=20)
-        stack = StackedOperator.of([theta])
-        pair = _fista_applications(stack)  # the pair fista_lasso uses
+        pair = _fista_applications(theta)  # the pair fista_lasso uses
         top = float(np.max(np.abs(pair[1](y))))
         for lam_rel in (0.5, 0.6, 0.9):  # lambda_0 times 1, 1.2 and 1.8
             res = fista_lasso(RecoveryProblem(operator=theta, y=y,
                                               lam_rel=lam_rel))
             f_ref, _, iterations, converged = _fista_stage(
-                pair, y, _step_bound(stack), lam_rel * top,
+                pair, y, _step_bound(theta), lam_rel * top,
                 np.zeros(64, dtype=np.complex128),
                 np.zeros(32, dtype=np.complex128), 1e-8, 2000)
             assert res.support.size > 0
