@@ -264,15 +264,13 @@ def _output_snr_db(x: np.ndarray, x_hat: np.ndarray) -> float:
 def _operator_draw(cfg: ExperimentConfig):
     """``draw(rng, m=cfg.m, basis=cfg.basis)``, the one way a trial gets
     its Theta.  What no trial draws is built here once: a deterministic
-    family's circulant rows, which every draw shares, and, in equispaced
-    mode, the sampling set of each M.  A draw takes from ``rng`` in the
-    contract's order: random sampling indices first, then a random
-    family's spectrum."""
+    family's circulant, whose spectrum every draw views (so a block's
+    draws concatenate onto its one row), and, in equispaced mode, the
+    sampling set of each M.  A draw takes from ``rng`` in the contract's
+    order: random sampling indices first, then a random family's
+    spectrum."""
     fixed_circ = None if seqs.family(cfg.sequence_kind).random else \
         build_circulant(cfg.sequence_kind, cfg.n, cfg.sequence_params)
-    if fixed_circ is not None:  # (circ, spectra, filters) of every draw
-        shared = (np.zeros(1, dtype=np.int64), fixed_circ.spectrum[None],
-                  fixed_circ.filter[None])
     equispaced = functools.lru_cache(maxsize=None)(
         lambda m: equispaced_sampling(cfg.n, m))
 
@@ -280,11 +278,9 @@ def _operator_draw(cfg: ExperimentConfig):
              basis: str = cfg.basis) -> SensingOperator:
         samp = random_sampling(cfg.n, m, rng) \
             if cfg.sampling_mode == "random" else equispaced(m)
-        if fixed_circ is not None:
-            return SensingOperator(samp.indices[None], *shared, Basis(basis))
-        return SensingOperator.from_parts(build_circulant(
-            cfg.sequence_kind, cfg.n, cfg.sequence_params, rng), samp,
-            Basis(basis))
+        circ = fixed_circ if fixed_circ is not None else build_circulant(
+            cfg.sequence_kind, cfg.n, cfg.sequence_params, rng)
+        return SensingOperator.from_parts(circ, samp, Basis(basis))
 
     return draw
 

@@ -287,24 +287,28 @@ class SensingOperator:
     @classmethod
     def concat(cls, ops: TypingSequence["SensingOperator"]
                ) -> "SensingOperator":
-        """The members of ``ops`` in order, as one operator: with the one
-        ``spectra`` array they share, if they share one, else with every
-        operator's rows of it in turn."""
+        """The members of ``ops`` in order, as one operator.  Live arrays
+        at one address in one layout hold the same elements, so operators
+        whose ``spectra`` lie so (views of one circulant's spectrum, or
+        one operator's array) keep those rows once."""
         if len(ops) == 0:
             raise ValueError("concat got an empty member list")
         first = ops[0]
         if any((op.n, op.m, op.basis) != (first.n, first.m, first.basis)
                for op in ops):
             raise ValueError("operators must share N, M and basis")
-        rows = np.concatenate([op.rows for op in ops])
-        if all(op.spectra is first.spectra for op in ops):
-            return cls(rows, np.concatenate([op.circ for op in ops]),
-                       first.spectra, first.filters, first.basis)
-        starts = np.cumsum([0] + [len(op.spectra) for op in ops[:-1]])
-        return cls(rows, np.concatenate([op.circ + start for op, start
-                                         in zip(ops, starts)]),
-                   np.concatenate([op.spectra for op in ops]),
-                   np.concatenate([op.filters for op in ops]), first.basis)
+        starts, owners, circ = {}, [], []  # each distinct spectra's first row
+        for op in ops:
+            key = op.spectra.ctypes.data, op.spectra.shape, op.spectra.strides
+            if key not in starts:
+                starts[key] = sum(len(owner.spectra) for owner in owners)
+                owners.append(op)
+            circ.append(op.circ + starts[key])
+        return cls(np.concatenate([op.rows for op in ops]),
+                   np.concatenate(circ),
+                   np.concatenate([owner.spectra for owner in owners]),
+                   np.concatenate([owner.filters for owner in owners]),
+                   first.basis)
 
     def __len__(self) -> int:
         return self.rows.shape[0]

@@ -74,14 +74,23 @@ def test_traced_tiny_round_zero_keeps_its_bytes(monkeypatch):
     the tracer with its calls built inside it as ``run_paired`` builds
     them: the pinned digests hold, dct_fista clears its floor, and solver
     spans are recorded, so a traced run survives a change to the layers
-    it wraps."""
-    tracer = _load("tracing", monkeypatch).Tracer()
+    it wraps.  ``SensingOperator``, whose forward and adjoint the tracer
+    spans, is the Theta every runner and solver applies, so both spans
+    count calls on ofdm_ref and phase_grid."""
+    tracing = _load("tracing", monkeypatch)
     workloads = _load("workloads", monkeypatch)
     with open(os.path.join(_PERFBENCH, "digests.json")) as fh:
         pinned = json.load(fh)["tiny"]
+    spans = []
     for name, workload in workloads.WORKLOADS.items():
+        tracer = tracing.Tracer()
         with tracer.installed():
             results = [call.run() for call in workload.calls(0, 0, True)]
+        spans += tracer.names
+        if name in ("ofdm_ref", "phase_grid"):
+            metrics = tracer.metrics()
+            assert metrics["operators.forward.calls"] > 0, name
+            assert metrics["operators.adjoint.calls"] > 0, name
         if name == "dct_fista":
             (res,) = results
             assert res.failed == 0, res.why
@@ -90,26 +99,4 @@ def test_traced_tiny_round_zero_keeps_its_bytes(monkeypatch):
         digests = {key: hashlib.sha256(text.encode()).hexdigest()
                    for res in results for key, text in res.csvs.items()}
         assert digests == pinned[name], name
-    assert any(span.startswith("recovery.") for span in tracer.names)
-
-
-def test_traced_solver_rounds_span_theta(monkeypatch):
-    """A traced tiny round 0 of ofdm_ref and phase_grid, its calls built
-    inside the tracer: ``SensingOperator``, whose forward and adjoint the
-    tracer spans, is the Theta every runner and solver applies, so both
-    spans count calls, and the pinned digests hold."""
-    tracing = _load("tracing", monkeypatch)
-    workloads = _load("workloads", monkeypatch)
-    with open(os.path.join(_PERFBENCH, "digests.json")) as fh:
-        pinned = json.load(fh)["tiny"]
-    for name in ("ofdm_ref", "phase_grid"):
-        tracer = tracing.Tracer()
-        with tracer.installed():
-            results = [call.run()
-                       for call in workloads.WORKLOADS[name].calls(0, 0, True)]
-        metrics = tracer.metrics()
-        assert metrics["operators.forward.calls"] > 0, name
-        assert metrics["operators.adjoint.calls"] > 0, name
-        digests = {key: hashlib.sha256(text.encode()).hexdigest()
-                   for res in results for key, text in res.csvs.items()}
-        assert digests == pinned[name], name
+    assert any(span.startswith("recovery.") for span in spans)

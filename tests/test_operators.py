@@ -445,13 +445,9 @@ def test_stacked_operator_equals_its_members(per_trial, basis_kind):
     # starts reusing temporaries; a golay spectrum with per-trial sampling
     # or per-trial random-phase spectra with one equispaced set
     n, m, b = 1024, 64, 16
-    golay = SensingOperator.from_parts(
-        CirculantOperator.from_spectrum(seqs.golay(n)),
-        equispaced_sampling(n, m), Basis(basis_kind))
-    # the golay members share its spectra, as a deterministic family's
-    # draws do
-    members = [dataclasses.replace(
-        golay, rows=random_sampling(n, m, i).indices[None])
+    golay = CirculantOperator.from_spectrum(seqs.golay(n))
+    members = [SensingOperator.from_parts(
+        golay, random_sampling(n, m, i), Basis(basis_kind))
         if per_trial == "sampling" else SensingOperator.from_parts(
             CirculantOperator.from_spectrum(seqs.random_phase(n, i)),
             equispaced_sampling(n, m), Basis(basis_kind))
@@ -518,7 +514,9 @@ def test_stacked_adjoint_equals_the_member_adjoint_at_every_n(n):
         circs[c], random_sampling(n, 256, s), Basis("identity"))
         for s, c in enumerate((0, 1, 0))]
     y = np.stack([_rand_vec(256, s) for s in range(len(members))])
-    got = SensingOperator.concat(members).adjoint(y)
+    stack = SensingOperator.concat(members)
+    assert stack.circ.tolist() == [0, 1, 0] and stack.spectra.shape[0] == 2
+    got = stack.adjoint(y)
     for row, op, y_b in zip(got, members, y):
         assert np.array_equal(row, op.adjoint(y_b[None])[0])
 
@@ -537,7 +535,9 @@ def test_stacked_forward_equals_the_member_forward_at_every_n(n, circulants):
             circs[c], random_sampling(n, 256, s), Basis(basis))
             for s, c in enumerate(circulants)]
         f = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
-        got = SensingOperator.concat(members).forward(f)
+        stack = SensingOperator.concat(members)
+        assert stack.spectra.shape[0] == len(set(circulants))
+        got = stack.forward(f)
         assert got.shape == (3, 256)
         for row, op, f_b in zip(got, members, f):
             assert np.array_equal(row, op.forward(f_b[None])[0])
@@ -656,23 +656,38 @@ def test_from_parts_holds_views_of_the_parts():
 
 
 def test_concat_keeps_a_shared_spectra_array_as_one():
-    # members that share one spectra array keep it, uncopied, as one row;
-    # members that do not keep one row each, in member order
-    op = SensingOperator.from_parts(
-        CirculantOperator.from_spectrum(seqs.fzc(16, 1)),
-        random_sampling(16, 6, 0), Basis("identity"))
+    # operators built on one circulant, or sliced from one operator, keep
+    # its spectra as one row; other operators keep their rows, in order of
+    # first use, even when their spectra are rows of one larger array
+    circ = CirculantOperator.from_spectrum(seqs.fzc(16, 1))
+    op, again = (SensingOperator.from_parts(
+        circ, random_sampling(16, 6, s), Basis("identity")) for s in (0, 1))
     other = SensingOperator.from_parts(
         CirculantOperator.from_spectrum(seqs.random_phase(16, 1)),
         random_sampling(16, 6, 1), Basis("identity"))
-    shared = SensingOperator.concat([op, op[[0, 0]]])
-    assert shared.spectra is op.spectra and shared.filters is op.filters
-    assert shared.circ.tolist() == [0, 0, 0]
-    mixed = SensingOperator.concat([other, op, shared[1:]])
-    assert mixed.circ.tolist() == [0, 1, 2, 2]
+    shared = SensingOperator.concat([op, again, op[[0, 0]]])
+    assert np.array_equal(shared.spectra, op.spectra)
+    assert np.array_equal(shared.filters, op.filters)
+    assert shared.circ.tolist() == [0, 0, 0, 0]
+    mixed = SensingOperator.concat([other, op, shared[1:], again,
+                                    shared[:1]])
+    assert mixed.circ.tolist() == [0, 1, 2, 2, 2, 1, 2]
     assert np.array_equal(mixed.spectra, np.concatenate(
-        [other.spectra, op.spectra, op.spectra]))
+        [other.spectra, op.spectra, shared.spectra]))
+    assert np.array_equal(mixed.filters, np.concatenate(
+        [other.filters, op.filters, shared.filters]))
     assert np.array_equal(mixed.rows, np.concatenate(
-        [other.rows, op.rows, op.rows, op.rows]))
+        [other.rows, op.rows, shared.rows[1:], again.rows, shared.rows[:1]]))
+    circs = [CirculantOperator.from_spectrum(seqs.random_phase(16, s))
+             for s in (2, 3)]
+    spectra = np.stack([c.spectrum for c in circs])
+    filters = np.stack([c.filter for c in circs])
+    rows_of_one = [SensingOperator.from_parts(
+        CirculantOperator(16, spectra[c], filters[c]),
+        random_sampling(16, 6, c), Basis("identity")) for c in (0, 1)]
+    split = SensingOperator.concat(rows_of_one)
+    assert split.circ.tolist() == [0, 1]
+    assert np.array_equal(split.spectra, spectra)
 
 
 def test_columns_reject_bad_indices():
