@@ -64,8 +64,6 @@ def gauss_sum(kind: str, n: int, m: int) -> complex:
     its exactly-reduced angle.
     """
     _check_domain(kind, n, m)
-    if m == 0:
-        return 0j
     nums, period = _phase_ints(kind, n, m)
     ang = (2.0 * np.pi / period) * nums
     return complex(math.fsum(np.cos(ang)), math.fsum(np.sin(ang)))
@@ -134,8 +132,8 @@ class BoundCheckRecord:
     """Worst observed magnitude of a sum family at one size vs its bound.
 
     `hard` is False for the one case whose additive constant is left open
-    (quarter-period N = 4k+1); such records report the margin against a
-    fitted constant and never count as violations.
+    (quarter-period N = 4k+1); such records compare against a fitted
+    constant and never count as violations.
     """
 
     kind: str
@@ -145,10 +143,6 @@ class BoundCheckRecord:
     observed: float
     bound: float
     hard: bool = True
-
-    @property
-    def margin(self) -> float:
-        return self.bound - self.observed
 
     @property
     def passed(self) -> bool:

@@ -124,6 +124,20 @@ def _embed(n: int, support: np.ndarray, coef: np.ndarray) -> np.ndarray:
     return f
 
 
+def _ldexp(z: np.ndarray, e) -> np.ndarray:
+    """Complex z * 2^e, exact wherever the result is normal; z's last
+    axis is contiguous, as ``view`` needs."""
+    return np.ldexp(z.view(np.float64), e).view(np.complex128)
+
+
+def _unit_scale(y: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(y * 2^-e, e) with e per row putting max|y| in [0.5, 1), 0 for a
+    zero row: OMP and SP, linear in y, solve there and scale back, the
+    same bits at every normal scale with no norm over- or underflowing."""
+    e = np.frexp(np.max(np.abs(y), axis=-1))[1]
+    return _ldexp(y, -e[..., None]), e
+
+
 def omp(p: RecoveryProblem) -> RecoveryResult:
     """Orthogonal matching pursuit: K rounds of pick-the-most-correlated
     atom, least-squares refit, stopping early at residual 1e-6*||y||.
@@ -139,7 +153,7 @@ def omp(p: RecoveryProblem) -> RecoveryResult:
     op = p.operator
     if ROWS_PER_ATOM["omp"] * p.k > op.m:
         raise ValueError(f"K={p.k} exceeds M={op.m}")
-    y = p.y
+    y, e = _unit_scale(p.y)
     ynorm = float(np.linalg.norm(y))
     support: list = []
     coef = np.zeros(0, dtype=np.complex128)
@@ -163,8 +177,9 @@ def omp(p: RecoveryProblem) -> RecoveryResult:
     order = np.argsort(sup)
     f_hat = _embed(op.n, sup[order], coef[order])
     res = float(np.linalg.norm(r))
-    return RecoveryResult(f_hat=f_hat, support=np.sort(sup),
-                          iterations=iterations, residual_norm=res,
+    return RecoveryResult(f_hat=_ldexp(f_hat, e), support=np.sort(sup),
+                          iterations=iterations,
+                          residual_norm=float(np.ldexp(res, e)),
                           converged=res <= _OMP_STOP_REL * ynorm)
 
 
@@ -187,6 +202,7 @@ def subspace_pursuit_block(stack: SensingOperator, y: np.ndarray, k: int
         raise ValueError(
             f"candidate least squares needs 2K <= M, got K={k} M={stack.m}")
     y = _measurements(y, (len(stack), stack.m))
+    y, e = _unit_scale(y)
     support = _top_indices(np.abs(stack.adjoint(y)), k)
     cols = stack.columns(support)
     coef = _least_squares(cols, y)
@@ -227,6 +243,7 @@ def subspace_pursuit_block(stack: SensingOperator, y: np.ndarray, k: int
             stop = ~down | (moved <= _SP_STOP_REL * np.maximum(nnorm, 1e-300))
             converged[rows[stop]] = True
         running = running[~converged[running]]
+    rnorm, coef = np.ldexp(rnorm, e), _ldexp(coef, e[:, None])
     return [RecoveryResult(f_hat=_embed(stack.n, support[b], coef[b]),
                            support=support[b], iterations=int(iterations[b]),
                            residual_norm=float(rnorm[b]),

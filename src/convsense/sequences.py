@@ -390,10 +390,8 @@ def golay_pair(n0: int) -> GolayPair:
     pair is doubled k1 times, (a, b) -> (a||b, a||-b).  The exact FFT
     complementarity check of GolayPair gates the returned pair.
     """
-    factors = _golay_factorization(n0)
-    if factors is None:
-        raise ValueError(f"{n0} is not of the form 2^k1*10^k2*26^k3")
-    k1, k2, k3 = factors
+    _require(_golay_reason(n0, {}))
+    k1, k2, k3 = _golay_factorization(n0)
     a = b = np.ones(1, dtype=np.int64)
     for kernel in [26] * k3 + [10] * k2:
         c, d = (np.array(v, dtype=np.int64) for v in _GOLAY_KERNELS[kernel])

@@ -66,6 +66,19 @@ def _commands():
         yield f"exp-ofdm random_phase {solver}", (
             "exp-ofdm", "--seq", "random_phase", "--n", "1024", "--m", "64",
             "--k", "8", "--trials", "25", "--solver", solver)
+    # the filter-domain families: circulants built from_filter
+    yield "recover m_sequence_filter sp", (
+        "recover", "--n", "255", "--m", "64", "--k", "5", "--seq",
+        "m_sequence_filter", "--solver", "sp")
+    yield "recover perfect_binary_filter fista noisy", (
+        "recover", "--n", "255", "--m", "64", "--k", "5", "--seq",
+        "perfect_binary_filter", "--solver", "fista", *NOISY)
+    yield "exp-ofdm perfect_binary_filter", (
+        "exp-ofdm", "--seq", "perfect_binary_filter", "--n", "255", "--m",
+        "64", "--k", "6", "--trials", "10")
+    yield "exp-dct m_sequence_filter", (
+        "exp-dct", "--seq", "m_sequence_filter", "--n", "255", "--m", "96",
+        "--k", "6", "--trials", "4")
 
 
 def _write_pgm(path: pathlib.Path) -> None:

@@ -69,6 +69,15 @@ def test_gen_seq_bad_size(capsys):
     assert code == 2 and "error" in err
 
 
+def test_golay_length_is_refused_with_one_reason(capsys):
+    # golay_pair refuses through the family's own admissibility rule, so
+    # gen-seq and coherence name the same reason
+    _, _, gen = run(capsys, "gen-seq", "--seq", "golay", "--n", "7")
+    _, _, coh = run(capsys, "coherence", "--seq", "golay", "--n", "7")
+    reason = "N=7 is not of the form 2^k1 * 10^k2 * 26^k3\n"
+    assert (gen, coh) == ("error: " + reason, "error: skipped: " + reason)
+
+
 def test_gen_seq_writes_file(capsys, tmp_path):
     out_dir = str(tmp_path / "artifacts")
     code, out, _ = run(capsys, "gen-seq", "--seq", "legendre", "--n", "31",

@@ -147,13 +147,6 @@ def test_quarter0_bound_is_tight():
     assert worst <= math.sqrt(2) + 1e-9
 
 
-def test_bound_record_margin():
-    rec = gs.BoundCheckRecord(kind="x", case="c", n=10, worst_m=3,
-                              observed=1.0, bound=1.5)
-    assert rec.margin == pytest.approx(0.5)
-    assert rec.passed
-
-
 def test_unknown_kind_is_a_value_error_for_sums_and_sweeps():
     for call in (lambda: gs.gauss_sum("bad", 5, 1),
                  lambda: gs.gauss_sum_sweep("bad", 5),

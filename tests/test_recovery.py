@@ -1,11 +1,14 @@
 """Sparse solvers: exact recovery, dense least-squares agreement, guards."""
 
 import dataclasses
+import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 import oracles
 from convsense import harness, recovery
@@ -448,6 +451,69 @@ def test_omp_stops_at_its_stated_residual():
         weak_rounds += any(1e-6 * ynorm < r <= 1e-3 * ynorm
                            for r in norms[:-1])
     assert weak_rounds == 3
+
+
+def _golay_problem():
+    """A noiseless Golay problem, N=64, M=32, K=2, and its true support."""
+    theta = SensingOperator.from_parts(
+        CirculantOperator.from_spectrum(seqs.golay(64)),
+        random_sampling(64, 32, 0), Basis("identity"))
+    rng = np.random.default_rng(1)
+    support = rng.choice(64, size=2, replace=False)
+    f = np.zeros(64, dtype=np.complex128)
+    f[support] = rng.standard_normal(2)
+    return theta, theta.forward(f[None])[0], np.sort(support)
+
+
+def _normal_exponents(values) -> range:
+    """The j for which every nonzero real or imaginary part of ``values``
+    times 2^j is a finite normal float."""
+    parts = np.abs(np.concatenate([np.atleast_1d(v).astype(np.complex128)
+                                   .view(np.float64) for v in values]))
+    e = np.frexp(parts[parts > 0])[1]
+    return range(-1021 - int(e.min()), 1024 - int(e.max()) + 1)
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e155])
+@pytest.mark.parametrize("solver", [omp, subspace_pursuit])
+def test_greedy_solvers_recover_at_extreme_scales(solver, scale):
+    # ||y||^2 underflows to 0 at 1e-200, where OMP used to stop at once
+    # with f_hat = 0, and overflows at 1e155
+    theta, y, support = _golay_problem()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = solver(RecoveryProblem(operator=theta, y=scale * y, k=2))
+    assert res.support.tolist() == support.tolist() and res.converged
+
+
+_GOLAY = _golay_problem()
+
+
+def _times_2j(z: np.ndarray, j: int) -> np.ndarray:
+    """z * 2^j, computed on the real and imaginary parts."""
+    return np.ldexp(z.view(np.float64), j).view(np.complex128)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(j=st.integers(-1100, 1100))
+@example(j=-900)
+@example(j=1000)
+@pytest.mark.parametrize("solver", [omp, subspace_pursuit])
+def test_greedy_solvers_are_power_of_two_equivariant(solver, j):
+    # OMP and SP solve at y scaled to max |y| in [0.5, 1) and scale back,
+    # so a power-of-two scaling of y scales f_hat and the residual bit
+    # for bit wherever every one of them stays a normal float
+    theta, y, _ = _GOLAY
+    base = solver(RecoveryProblem(operator=theta, y=y, k=2))
+    assume(j in _normal_exponents((y, base.f_hat, base.residual_norm)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = solver(RecoveryProblem(operator=theta, y=_times_2j(y, j), k=2))
+    assert res.f_hat.tobytes() == _times_2j(base.f_hat, j).tobytes()
+    assert res.residual_norm == math.ldexp(base.residual_norm, j)
+    assert res.support.tolist() == base.support.tolist()
+    assert (res.iterations, res.converged) == (base.iterations,
+                                               base.converged)
 
 
 def test_frequency_domain_recovery():

@@ -1,5 +1,6 @@
 """Source hygiene of src/convsense, read with ``ast``: every import is
-used (the package ``__init__`` re-exports, so it is exempt), every
+used (a name the package ``__init__`` re-exports is used when README's
+code blocks, demos/ or perfbench/ import it from the package), every
 private top-level name is referenced somewhere in the package, and every
 public top-level name and public class member outside its own
 definition, in the package, demos/ or perfbench/."""
@@ -83,10 +84,28 @@ def test_cli_restates_no_experiment_decision():
         assert word not in text
 
 
-@pytest.mark.parametrize("module", sorted(set(_MODULES) - {"__init__.py"}))
+def _package_imports() -> set:
+    """Names README's python code blocks, demos/ and perfbench/ import
+    from the package itself, ``from convsense import ...``."""
+    sources = re.findall(r"```python\n(.*?)```",
+                         (_ROOT / "README.md").read_text(), re.S)
+    sources += [path.read_text() for path in sorted(_ROOT.glob("demos/*.py"))
+                + sorted(_ROOT.glob("perfbench/*.py"))]
+    return {alias.name for source in sources
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and node.level == 0
+            and node.module == "convsense"
+            for alias in node.names}
+
+
+@pytest.mark.parametrize("module", sorted(_MODULES))
 def test_every_import_is_used(module):
+    # the package __init__ re-exports only what a user-facing script
+    # imports from it; every other name is reached through its module
     tree = _MODULES[module]
     used = _loaded_names(tree)
+    if module == "__init__.py":
+        used |= _package_imports()
     unused = [f"{module}:{line} {name}" for line, name in _imported(tree)
               if name not in used]
     assert unused == []
