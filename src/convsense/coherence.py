@@ -43,6 +43,8 @@ class CoherenceReport:
     bound: float
     bound_label: str
     note: str = ""
+    # always False, as an inadmissible N is refused; kept for perfbench's
+    # certify workload, which reads it
     skipped: bool = False
 
     @property
@@ -51,8 +53,6 @@ class CoherenceReport:
 
     @property
     def passed(self) -> bool:
-        if self.skipped:
-            return True
         return self.mu_observed <= self.bound + _PASS_SLACK
 
 
@@ -94,12 +94,12 @@ def autocorrelation_bound_check(s: Sequence) -> CoherenceReport:
 
 def coherence_row(kind: str, n: int, params: dict,
                   basis: str = "identity") -> CoherenceReport:
-    """The row of family `kind` at length N against `basis`: skipped with
-    the registry's reason when N is inadmissible, else mu (the largest
-    entry of A, or of A @ Psi) against the family's closed bound for the
-    identity basis, 6*sqrt(2) for FZC against the inverse DCT-II, and an
-    informational infinite bound otherwise.  An unknown basis and a param
-    the family does not read are refused before N is judged."""
+    """The row of family `kind` at length N against `basis`: mu (the
+    largest entry of A, or of A @ Psi) against the family's closed bound
+    for the identity basis, 6*sqrt(2) for FZC against the inverse DCT-II,
+    and an informational infinite bound otherwise.  An unknown basis and
+    an unread param are refused first, then an inadmissible N, with the
+    registry's reason."""
     fam, psi = seqs.family(kind), Basis(basis)
     params = seqs.read_params(kind, params)
     if basis == "identity":
@@ -109,11 +109,6 @@ def coherence_row(kind: str, n: int, params: dict,
         bound = lambda _: (6.0 * math.sqrt(2.0), "6*sqrt(2)")
     else:
         label, bound = f"{kind}+{basis}", None
-    reason = fam.admissible(n, params)
-    if reason is not None:
-        return CoherenceReport(kind=label, n=n, mu_observed=math.nan,
-                               bound=math.nan, bound_label="",
-                               note=f"skipped: {reason}", skipped=True)
     a = build_circulant(kind, n, params)
     mu = coherence_circulant(a) if basis == "identity" \
         else mutual_coherence(a, psi)
@@ -129,8 +124,8 @@ def coherence_row(kind: str, n: int, params: dict,
 def bound_table_report(n_lists: Dict[str, Iterable[int]]
                        ) -> List[CoherenceReport]:
     """One CoherenceReport per (kind, N) for families with a closed
-    bound, FZC at gamma = 1.  Inadmissible sizes produce a skipped row
-    (note says why, never counted as a failure)."""
+    bound, FZC at gamma = 1.  An inadmissible size raises ValueError with
+    the family's reason."""
     for kind in n_lists:
         if seqs.family(kind).bound is None:
             raise ValueError(f"{kind!r} has no closed coherence bound")
@@ -142,8 +137,8 @@ def dct_coherence_report(n_list: Iterable[int],
                     gammas: Union[Iterable[int], int] = 1
                     ) -> List[CoherenceReport]:
     """mu(A @ InverseDCT2) for FZC spectra against the 6*sqrt(2) bound;
-    one row per (N, gamma), non-coprime pairs skipped.  ``gammas`` is one
-    integer of any integer type or an iterable of them."""
+    one row per (N, gamma), a non-coprime pair refused.  ``gammas`` is
+    one integer of any integer type or an iterable of them."""
     gammas = [operator.index(g) for g in np.atleast_1d(gammas)]
     return [coherence_row("fzc", int(n), {"gamma": g}, "inverse_dct2")
             for n in n_list for g in gammas]
@@ -154,7 +149,7 @@ def dct_coherence_report(n_list: Iterable[int],
 # ---------------------------------------------------------------------------
 
 def bound_table_csv(reports: Iterable[CoherenceReport]) -> str:
-    """Skipped rows are not emitted; pass is lowercase true/false."""
+    """One line per report; pass is lowercase true/false."""
     return _csv(["kind", "N", "mu_observed", "bound", "margin", "pass"],
                 ([r.kind, r.n, r.mu_observed, r.bound, r.margin, r.passed]
-                 for r in reports if not r.skipped))
+                 for r in reports))

@@ -763,7 +763,6 @@ def run_dct_experiment(cfg: ExperimentConfig) -> DctReport:
 
 @dataclass(frozen=True)
 class AuditResult:
-    name: str
     ok: bool
     csv: str
     failures: Tuple[str, ...] = ()
@@ -787,7 +786,7 @@ def audit_coherence_bounds() -> AuditResult:
     failures = tuple(
         f"{r.kind} N={r.n}: mu={r.mu_observed:.9g} > bound={r.bound:.9g}"
         for r in reports if not r.passed)
-    return AuditResult(name="coherence_bounds", ok=not failures,
+    return AuditResult(ok=not failures,
                        csv=bound_table_csv(reports), failures=failures)
 
 
@@ -837,7 +836,7 @@ def audit_gauss(closed_form_max: int = 4096, identity_max: int = 256,
         check(f"{rec.kind}:{rec.case}", rec.n, rec.worst_m, rec.observed,
               rec.bound, rec.passed,
               "{kind} N={n}: {observed:.6g} > {bound:.6g}")
-    return AuditResult(name="gauss", ok=not failures,
+    return AuditResult(ok=not failures,
                        csv=_csv(header, rows), failures=tuple(failures))
 
 
@@ -871,5 +870,5 @@ def _papr_audit(rows: List[list], *failures: str) -> AuditResult:
                      for label, n, _, val in rows
                      if label.split("(")[0] == "golay"
                      and not val <= GOLAY_PAPR_LIMIT) + failures
-    return AuditResult(name="papr", ok=not failures,
+    return AuditResult(ok=not failures,
                        csv=_csv(PAPR_HEADER, rows), failures=failures)

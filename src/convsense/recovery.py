@@ -132,8 +132,9 @@ def _ldexp(z: np.ndarray, e) -> np.ndarray:
 
 def _unit_scale(y: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """(y * 2^-e, e) with e per row putting max|y| in [0.5, 1), 0 for a
-    zero row: OMP and SP, linear in y, solve there and scale back, the
-    same bits at every normal scale with no norm over- or underflowing."""
+    zero row: OMP, SP and FISTA (its lambda a multiple of max|Theta^* y|)
+    solve there and scale back, the same bits at every normal scale with
+    no norm over- or underflowing."""
     e = np.frexp(np.max(np.abs(y), axis=-1))[1]
     return _ldexp(y, -e[..., None]), e
 
@@ -352,7 +353,10 @@ def fista_lasso(p: RecoveryProblem) -> RecoveryResult:
     under warm-started lambda-continuation (FPC: Hale, Yin & Zhang, 2008;
     SpaRSA: Wright, Nowak & Figueiredo, 2009).
 
-    The posed lambda is max(lam_rel max|Theta^* y|, 1e-300).  Stages
+    Like OMP and SP, it solves at y scaled by a power of two to
+    max|y| in [0.5, 1) (``_unit_scale``) and scales f and the residual
+    back, so every normal scale of y gives the same bits.  There the
+    posed lambda is max(lam_rel max|Theta^* y|, 1e-300).  Stages
     solve at lambdas falling geometrically from
     lambda_0 = 0.5 max|Theta^* y| to the posed lambda, each from the
     last stage's solution with momentum restarted.  An intermediate stage
@@ -397,7 +401,7 @@ def fista_lasso(p: RecoveryProblem) -> RecoveryResult:
     if not p.lam_rel > 0:
         raise ValueError(f"fista requires lam_rel > 0, got {p.lam_rel}")
     op = p.operator
-    y = p.y
+    y, e = _unit_scale(p.y)
     theta = _fista_applications(op)
     top = float(np.max(np.abs(theta[1](y))))  # theta[1] is the adjoint
     lam = max(float(p.lam_rel) * top, 1e-300)
@@ -419,8 +423,10 @@ def fista_lasso(p: RecoveryProblem) -> RecoveryResult:
     iterations += used
     support = np.flatnonzero(np.abs(f) > 0)
     res = float(np.linalg.norm(y - rf))
-    return RecoveryResult(f_hat=f, support=support, iterations=iterations,
-                          residual_norm=res, converged=converged)
+    return RecoveryResult(f_hat=_ldexp(f, e), support=support,
+                          iterations=iterations,
+                          residual_norm=float(np.ldexp(res, e)),
+                          converged=converged)
 
 
 SOLVERS = {

@@ -65,7 +65,6 @@ def test_bound_table_rows_pass_and_label_bounds():
     assert len(reports) == 10
     by_kind = {}
     for r in reports:
-        assert not r.skipped
         assert r.passed, (r.kind, r.n, r.mu_observed, r.bound)
         by_kind.setdefault(r.kind, []).append(r)
     assert by_kind["fzc"][0].bound == 1.0
@@ -133,13 +132,19 @@ def test_pass_slack_is_rounding_and_no_more():
     assert excess <= 1e-12
 
 
-def test_inadmissible_sizes_skip_not_fail():
-    reports = bound_table_report({"m_sequence": [100], "golay": [12]})
-    assert all(r.skipped and r.passed for r in reports)
-    assert "skipped" in reports[0].note
-    # skipped rows are omitted from CSV
-    csv_text = bound_table_csv(reports)
-    assert csv_text.splitlines() == ["kind,N,mu_observed,bound,margin,pass"]
+def test_inadmissible_sizes_are_refused_with_the_family_reason():
+    with pytest.raises(ValueError, match=r"^N=12 is not of the form "):
+        bound_table_report({"golay": [12]})
+    # one outcome for every family and basis: the registry's reason
+    for kind, fam in seqs.FAMILIES.items():
+        params = {"seed": 1} if fam.random else {}
+        sizes = [n for n in range(40) if fam.admissible(n, params)]
+        assert sizes, kind
+        for n in sizes:
+            for basis in ("identity", "inverse_fourier"):
+                with pytest.raises(ValueError) as err:
+                    coherence_row(kind, n, params, basis)
+                assert str(err.value) == fam.admissible(n, params)
 
 
 def test_dct_coherence_rows():
@@ -147,9 +152,9 @@ def test_dct_coherence_rows():
     for r in reports:
         assert r.bound == pytest.approx(6 * math.sqrt(2))
         assert r.passed
-    # non-coprime pairs skip
-    skipped = dct_coherence_report([64], gammas=[2])[0]
-    assert skipped.skipped
+    # a non-coprime pair is refused with the FZC family's reason
+    with pytest.raises(ValueError, match=r"^gcd\(gamma=2, N=64\) != 1$"):
+        dct_coherence_report([64], gammas=[2])
 
 
 @pytest.mark.parametrize("gammas, as_list", [
@@ -178,12 +183,12 @@ def test_coherence_row_labels_and_bounds():
     # admissibility is decided before the bound: the extended-polyphase
     # bound divides by sqrt(N), and N=0 is refused by the registry
     for basis in ("identity", "inverse_fourier"):
-        rep = coherence_row("extended_polyphase", 0, {}, basis)
-        assert rep.skipped and rep.note == "skipped: N must be >= 2"
+        with pytest.raises(ValueError, match="^N must be >= 2$"):
+            coherence_row("extended_polyphase", 0, {}, basis)
 
 
 def test_coherence_row_refuses_an_unknown_basis_before_admissibility():
-    # N=7 is no Golay length: the basis is refused, not the row skipped
+    # N=7 is no Golay length: the basis is refused, not the length
     with pytest.raises(ValueError, match="unknown basis 'bogus'"):
         coherence_row("golay", 7, {}, "bogus")
 

@@ -475,15 +475,19 @@ def _normal_exponents(values) -> range:
 
 
 @pytest.mark.parametrize("scale", [1e-200, 1e155])
-@pytest.mark.parametrize("solver", [omp, subspace_pursuit])
-def test_greedy_solvers_recover_at_extreme_scales(solver, scale):
+@pytest.mark.parametrize("solver", [omp, subspace_pursuit, fista_lasso])
+def test_solvers_recover_at_extreme_scales(solver, scale):
     # ||y||^2 underflows to 0 at 1e-200, where OMP used to stop at once
-    # with f_hat = 0, and overflows at 1e155
+    # with f_hat = 0, and overflows at 1e155; FISTA's lambda, floored at
+    # 1e-300, stopped it early at 1e-200, and its objective overflowed
     theta, y, support = _golay_problem()
+    base = solver(RecoveryProblem(operator=theta, y=y, k=2))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         res = solver(RecoveryProblem(operator=theta, y=scale * y, k=2))
     assert res.support.tolist() == support.tolist() and res.converged
+    assert (res.support.tolist(), res.iterations, res.converged) == (
+        base.support.tolist(), base.iterations, base.converged)
 
 
 _GOLAY = _golay_problem()
@@ -498,9 +502,9 @@ def _times_2j(z: np.ndarray, j: int) -> np.ndarray:
 @given(j=st.integers(-1100, 1100))
 @example(j=-900)
 @example(j=1000)
-@pytest.mark.parametrize("solver", [omp, subspace_pursuit])
-def test_greedy_solvers_are_power_of_two_equivariant(solver, j):
-    # OMP and SP solve at y scaled to max |y| in [0.5, 1) and scale back,
+@pytest.mark.parametrize("solver", [omp, subspace_pursuit, fista_lasso])
+def test_solvers_are_power_of_two_equivariant(solver, j):
+    # every solver solves at y scaled to max |y| in [0.5, 1) and scales back,
     # so a power-of-two scaling of y scales f_hat and the residual bit
     # for bit wherever every one of them stays a normal float
     theta, y, _ = _GOLAY
